@@ -218,6 +218,7 @@ class QueryEngine:
         self._rw = ReadWriteLock("QueryEngine._rw")
         self._mutex = TrackedLock("QueryEngine._mutex")
         self._cache = _LRUCache(cache_size)
+        self._caching = cache_size > 0  # immutable: the capacity never changes
         self._generation = 0
         self._counters = EngineStats()
         index.stats.engine = self._counters
@@ -289,7 +290,9 @@ class QueryEngine:
         result may serve a budgeted call: it is exact, which is strictly
         better than the degradation contract requires.
         """
-        key = query_cache_key(query)
+        # With caching off nothing reads the key, and on cyclic queries it
+        # costs a minimum-DFS-code search, so skip computing it.
+        key = query_cache_key(query) if self._caching else None
         cached, generation = self._cache_lookup(key)
         if cached is not None:
             return cached
@@ -468,12 +471,15 @@ class QueryEngine:
     # internals
     # ------------------------------------------------------------------
     def _cache_lookup(
-        self, key: str
+        self, key: Optional[str]
     ) -> Tuple[Optional[QueryResult], int]:
-        """Count the query and return ``(cached result, generation)``."""
+        """Count the query and return ``(cached result, generation)``.
+
+        A ``None`` key (caching off) always counts as a miss.
+        """
         with self._mutex:
             self._counters.queries += 1
-            cached = self._cache.get(key)
+            cached = self._cache.get(key) if key is not None else None
             if cached is not None:
                 self._counters.cache_hits += 1
             else:
@@ -481,7 +487,7 @@ class QueryEngine:
             return cached, self._generation
 
     def _cache_store(
-        self, key: str, result: QueryResult, generation: int
+        self, key: Optional[str], result: QueryResult, generation: int
     ) -> None:
         """Memoize ``result`` unless the index changed since it started.
 
@@ -490,7 +496,7 @@ class QueryEngine:
         would let a timeout masquerade as the exact answer for every
         later (possibly unbudgeted) isomorphic query.
         """
-        if not result.complete:
+        if key is None or not result.complete:
             return
         with self._mutex:
             if self._generation == generation:

@@ -12,12 +12,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.graphs.graph import Edge, LabeledGraph, edge_key
 from repro.graphs.random_subgraph import random_connected_edge_subset
-from repro.trees.canonical import tree_canonical_string
-from repro.trees.center import Center, tree_center
+from repro.trees.canonical import edge_subset_canonical_form
+from repro.trees.center import Center
 
 
 @dataclass
@@ -56,19 +66,71 @@ class Partition:
         return [p.key for p in self.pieces]
 
 
+#: Per-query memo: edge subset -> (canonical key, center in query
+#: coordinates), or None for a subset that is not a tree.  Augmentation
+#: fills it and every ``RP(q)`` restart reads it, so each distinct subset
+#: is canonicalized once per query.
+SubsetMemo = Dict[FrozenSet[Edge], Optional[Tuple[str, Center]]]
+
+
+def canonical_subset(
+    query: LabeledGraph, edges: FrozenSet[Edge], memo: SubsetMemo
+) -> Optional[Tuple[str, Center]]:
+    """Memoized :func:`~repro.trees.canonical.edge_subset_canonical_form`."""
+    if edges not in memo:
+        memo[edges] = edge_subset_canonical_form(query, edges)
+    return memo[edges]
+
+
 def _make_piece(
-    edges: Sequence[Edge], sub: LabeledGraph, remap: Dict[int, int]
+    query: LabeledGraph, edges: Sequence[Edge], canon: Tuple[str, Center]
 ) -> QueryPiece:
-    to_query = {new: old for old, new in remap.items()}
-    center = tree_center(sub)
+    sub, remap = query.subgraph_from_edges(edges)
+    key, center_in_query = canon
     return QueryPiece(
         edges=tuple(sorted(edges)),
         tree=sub,
-        to_query=to_query,
-        key=tree_canonical_string(sub),
-        center=center,
-        center_in_query=tuple(sorted(to_query[v] for v in center)),
+        to_query={new: old for old, new in remap.items()},
+        key=key,
+        center=tuple(remap[v] for v in center_in_query),
+        center_in_query=center_in_query,
     )
+
+
+class _SplitView:
+    """A non-terminal subset renumbered as ``subgraph_from_edges`` would.
+
+    Local ids follow ascending query ids and every neighbor list ascends,
+    so :func:`random_connected_edge_subset` makes the same random draws
+    on this view as on the built subgraph, at a fraction of the cost.
+    """
+
+    __slots__ = ("_to_query", "_adj", "_edges")
+
+    def __init__(self, edges: Sequence[Edge]) -> None:
+        self._to_query = sorted({w for e in edges for w in e})
+        local = {q: i for i, q in enumerate(self._to_query)}
+        self._adj: List[List[int]] = [[] for _ in self._to_query]
+        self._edges: List[Tuple[int, int, None]] = []
+        for u, v in sorted(edges):
+            a, b = local[u], local[v]
+            self._adj[a].append(b)
+            self._adj[b].append(a)
+            self._edges.append((a, b, None))
+
+    def edges(self) -> Iterator[Tuple[int, int, None]]:
+        return iter(self._edges)
+
+    def neighbors(self, u: int) -> Iterator[int]:
+        return iter(self._adj[u])
+
+    def random_part(self, k: int, rng: random.Random) -> List[Edge]:
+        """A random connected ``k``-edge part, in sorted query edge keys."""
+        to_query = self._to_query
+        return [
+            (to_query[a], to_query[b])
+            for a, b in random_connected_edge_subset(self, k, rng)
+        ]
 
 
 def _edge_components(edges: Sequence[Edge]) -> List[List[Edge]]:
@@ -97,16 +159,11 @@ def _edge_components(edges: Sequence[Edge]) -> List[List[Edge]]:
     return sorted(sorted(b) for b in buckets.values())
 
 
-# Cache entry for one edge subset: either a finished piece, or the built
-# subgraph + remap of a non-terminal subset awaiting a random split.
-_CacheEntry = Tuple[bool, object, object]
-
-
 def random_partition(
     query: LabeledGraph,
     is_feature: Callable[[str], bool],
     rng: random.Random,
-    cache: Optional[Dict[frozenset, _CacheEntry]] = None,
+    memo: Optional[SubsetMemo] = None,
 ) -> Partition:
     """One run of ``RP(q)``: split until every part is a feature tree.
 
@@ -115,39 +172,42 @@ def random_partition(
     be a feature — a non-feature edge means the query's answer is empty,
     and the caller detects that from the piece's empty support).
 
-    ``cache`` memoizes, per query, the deterministic work on each edge
-    subset (subgraph construction, canonical string, terminal test) so the
-    δ restarts of :func:`run_partitions` never redo it; only the split
-    choices stay random.
+    ``memo`` is the per-query :data:`SubsetMemo`; pass the same dict to
+    later calls on the same query to skip canonicalizing subsets again.
     """
-    if cache is None:
-        cache = {}
+    return _random_partition(
+        query, is_feature, rng, {} if memo is None else memo, {}
+    )
+
+
+def _random_partition(
+    query: LabeledGraph,
+    is_feature: Callable[[str], bool],
+    rng: random.Random,
+    memo: SubsetMemo,
+    steps: Dict[FrozenSet[Edge], Union[QueryPiece, _SplitView]],
+) -> Partition:
+    """:func:`random_partition` with ``steps`` caching, per edge subset,
+    its finished piece or the view its random splits are drawn on."""
     pieces: List[QueryPiece] = []
     stack: List[List[Edge]] = [sorted(e[:2] for e in query.edges())]
     while stack:
         edges = stack.pop()
         fs = frozenset(edges)
-        entry = cache.get(fs)
-        if entry is None:
-            sub, remap = query.subgraph_from_edges(edges)
-            terminal = len(edges) == 1 or (
-                sub.is_tree() and is_feature(tree_canonical_string(sub))
-            )
-            if terminal:
-                entry = (True, _make_piece(edges, sub, remap), None)
+        step = steps.get(fs)
+        if step is None:
+            canon = canonical_subset(query, fs, memo)
+            if canon is not None and (len(edges) == 1 or is_feature(canon[0])):
+                step = _make_piece(query, edges, canon)
             else:
-                entry = (False, sub, remap)
-            cache[fs] = entry
-        if entry[0]:
-            pieces.append(entry[1])  # type: ignore[arg-type]
+                step = _SplitView(edges)
+            steps[fs] = step
+        if isinstance(step, QueryPiece):
+            pieces.append(step)
             continue
-        sub, remap = entry[1], entry[2]  # type: ignore[assignment]
         # Random split into a connected part and the (possibly disconnected)
         # remainder; remainder components are pushed separately.
-        k = rng.randint(1, len(edges) - 1)
-        local_part = random_connected_edge_subset(sub, k, rng)
-        inverse = {new: old for old, new in remap.items()}
-        part = sorted(edge_key(inverse[u], inverse[v]) for u, v in local_part)
+        part = step.random_part(rng.randint(1, len(edges) - 1), rng)
         rest = sorted(set(edges) - set(part))
         stack.append(part)
         if rest:
@@ -174,19 +234,26 @@ def run_partitions(
     is_feature: Callable[[str], bool],
     delta: int,
     rng: Optional[random.Random] = None,
+    memo: Optional[SubsetMemo] = None,
 ) -> PartitionRun:
     """Execute ``RP(q)`` δ times; keep the minimum partition and pool SF_q.
 
     The paper sets δ = |q| ("relatively large"); callers may tune it.
+    Every distinct edge subset is canonicalized once (through ``memo``,
+    which the caller may have filled already) and materialized as a piece
+    or a split view once, so restarts after the first pay only for their
+    random splits.
     """
     if rng is None:
         rng = random.Random(0xC0FFEE)
     best: Optional[Partition] = None
     sfq: Dict[str, QueryPiece] = {}
     attempts = max(1, delta)
-    cache: Dict[frozenset, _CacheEntry] = {}
+    if memo is None:
+        memo = {}
+    steps: Dict[FrozenSet[Edge], Union[QueryPiece, _SplitView]] = {}
     for _ in range(attempts):
-        partition = random_partition(query, is_feature, rng, cache)
+        partition = _random_partition(query, is_feature, rng, memo, steps)
         for piece in partition.pieces:
             sfq.setdefault(piece.key, piece)
         if best is None or partition.size < best.size:

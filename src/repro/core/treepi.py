@@ -28,7 +28,7 @@ from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
 from repro.core.feature import FeatureTree
 from repro.core.filtering import filter_candidates
-from repro.core.partition import run_partitions
+from repro.core.partition import SubsetMemo, canonical_subset, run_partitions
 from repro.core.statistics import IndexStats, QueryResult
 from repro.core.trie import StringTrie
 from repro.core.verification import VerificationStats, verify_candidate
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 
 
 def _augmentation_keys(
-    query: LabeledGraph, max_size: int
+    query: LabeledGraph, max_size: int, memo: SubsetMemo
 ) -> Tuple[List[str], List[str]]:
     """Canonical strings of every subtree of the query up to ``max_size`` edges.
 
@@ -61,17 +61,15 @@ def _augmentation_keys(
 
     Enumeration grows connected acyclic edge subsets breadth-first; a
     subset that closes a cycle stops extending (supersets stay cyclic).
+    Every subset's canonical form lands in ``memo`` for ``RP(q)`` to reuse.
     """
     single_edge_keys: List[str] = []
     larger_keys: Set[str] = set()
     frontier: List[frozenset] = []
     seen: Set[frozenset] = set()
-    for u, v, elabel in query.edges():
-        probe = LabeledGraph(
-            [query.vertex_label(u), query.vertex_label(v)], [(0, 1, elabel)]
-        )
-        single_edge_keys.append(tree_canonical_string(probe))
-        es = frozenset({(u, v) if u < v else (v, u)})
+    for u, v, _ in query.edges():
+        es = frozenset({(u, v)})
+        single_edge_keys.append(_subtree_key(query, es, memo))
         seen.add(es)
         frontier.append(es)
 
@@ -82,21 +80,24 @@ def _augmentation_keys(
             touched = {w for e in es for w in e}
             for u in touched:
                 for v in query.neighbors(u):
-                    key = (u, v) if u < v else (v, u)
-                    if key in es:
-                        continue
-                    if v in touched and u in touched:
-                        continue  # would close a cycle
-                    extended = es | {key}
+                    if v in touched:
+                        continue  # the edge is in es or would close a cycle
+                    extended = es | {(u, v) if u < v else (v, u)}
                     if extended in seen:
                         continue
                     seen.add(extended)
-                    sub, _ = query.subgraph_from_edges(extended)
-                    larger_keys.add(tree_canonical_string(sub))
+                    larger_keys.add(_subtree_key(query, extended, memo))
                     next_frontier.append(extended)
         frontier = next_frontier
         size += 1
     return single_edge_keys, sorted(larger_keys)
+
+
+def _subtree_key(query: LabeledGraph, edges: frozenset, memo: SubsetMemo) -> str:
+    """Canonical key of an edge subset known to form a tree."""
+    canon = canonical_subset(query, edges, memo)
+    assert canon is not None, "augmentation only grows acyclic subsets"
+    return canon[0]
 
 
 def _materialize_features(
@@ -391,11 +392,15 @@ class TreePiIndex:
 
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
+        memo: SubsetMemo = {}
 
         # Fast path: the query itself is an indexed feature tree, so its
         # exact support set is already materialized (RP's first check).
-        if query.is_tree():
-            feature = self._lookup.get(tree_canonical_string(query))
+        whole = canonical_subset(
+            query, frozenset((u, v) for u, v, _ in query.edges()), memo
+        )
+        if whole is not None:
+            feature = self._lookup.get(whole[0])
             if feature is not None:
                 phases["lookup"] = time.perf_counter() - t0
                 support = feature.support_set()
@@ -419,7 +424,7 @@ class TreePiIndex:
         # present ones buy the same filter power gIndex gets from its
         # exhaustive ≤3-edge enumeration.
         single_edge_keys, larger_keys = _augmentation_keys(
-            query, max(3, self._config.support.alpha)
+            query, max(3, self._config.support.alpha), memo
         )
         for key in single_edge_keys:
             if key not in self._lookup:
@@ -459,7 +464,7 @@ class TreePiIndex:
         delta = self._config.delta or max(1, query.num_edges)
         if len(stage1) <= 8:
             delta = min(delta, 3)
-        run = run_partitions(query, self._trie.__contains__, delta, rng)
+        run = run_partitions(query, self._lookup.__contains__, delta, rng, memo)
         phases["partition"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

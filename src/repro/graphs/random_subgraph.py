@@ -9,14 +9,22 @@ here so they share the same growth procedure.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Protocol, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Edge, LabeledGraph, edge_key
 
 
+class EdgeGrowable(Protocol):
+    """What edge-subset growth reads of a graph: its edges and neighbors."""
+
+    def edges(self) -> Iterable[Tuple[int, int, object]]: ...
+
+    def neighbors(self, u: int) -> Iterable[int]: ...
+
+
 def random_connected_edge_subset(
-    graph: LabeledGraph,
+    graph: EdgeGrowable,
     num_edges: int,
     rng: random.Random,
     start_edge: Optional[Edge] = None,

@@ -19,11 +19,11 @@ the key asymmetry versus gIndex's exponential graph canonization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.analysis import contracts as _contracts
 from repro.exceptions import NotATreeError
-from repro.graphs.graph import LabeledGraph
+from repro.graphs.graph import Edge, LabeledGraph
 from repro.trees.center import Center, tree_center
 
 
@@ -86,3 +86,70 @@ def tree_canonical_string(tree: LabeledGraph) -> str:
 def tree_canonical_form(tree: LabeledGraph) -> Tuple[str, Center]:
     """Canonical string together with the center it was rooted at."""
     return tree_canonical_string(tree), tree_center(tree)
+
+
+def edge_subset_canonical_form(
+    graph: LabeledGraph, edges: Collection[Edge]
+) -> Optional[Tuple[str, Center]]:
+    """Canonical string and center of the subgraph an edge subset induces.
+
+    Returns exactly ``tree_canonical_form(graph.subgraph_from_edges(edges)
+    [0])`` with the center given in ``graph``'s vertex ids, or ``None`` when
+    the edges do not form a tree — without building the subgraph.  One
+    leaf-stripping pass finds the center and, since a stripped vertex's
+    one remaining neighbor is its parent in the center-rooted tree, builds
+    the AHU encodings bottom-up on the way.
+    """
+    nbrs: Dict[int, List[int]] = {}
+    for u, v in edges:
+        if u in nbrs:
+            nbrs[u].append(v)
+        else:
+            nbrs[u] = [v]
+        if v in nbrs:
+            nbrs[v].append(u)
+        else:
+            nbrs[v] = [u]
+    remaining = len(nbrs)
+    if remaining != len(edges) + 1:
+        return None  # a tree has one vertex more than edges
+    vertex_label, edge_label = graph.vertex_label, graph.edge_label
+    # Live vertices hold their count of live neighbors; stripped ones -1.
+    degree = {v: len(adj) for v, adj in nbrs.items()}
+    below: Dict[int, List[str]] = {}
+    layer = [v for v, d in degree.items() if d == 1]  # noqa: REPRO101 - a layer is a set; encodings are sorted
+    while remaining > 2:
+        if not layer:
+            return None  # a cycle never loses its vertices to stripping
+        for leaf in layer:
+            degree[leaf] = -1
+        remaining -= len(layer)
+        next_layer: List[int] = []
+        for leaf in layer:
+            for parent in nbrs[leaf]:
+                if degree[parent] > 0:
+                    encoded = (
+                        f"({edge_label(leaf, parent)!r},{vertex_label(leaf)!r}"
+                        + "".join(sorted(below.pop(leaf, ()))) + ")"
+                    )
+                    below.setdefault(parent, []).append(encoded)
+                    degree[parent] -= 1
+                    if degree[parent] == 1:
+                        next_layer.append(parent)
+                    break
+        layer = next_layer
+    center: Center = tuple(sorted(v for v, d in degree.items() if d >= 0))
+    halves = [
+        f"(#,{vertex_label(c)!r}" + "".join(sorted(below.get(c, ()))) + ")"
+        for c in center
+    ]
+    if len(halves) == 1:
+        encoded = "V:" + halves[0]
+    else:
+        first, second = sorted(halves)
+        encoded = f"E[{edge_label(*center)!r}]:{first}|{second}"
+    if _contracts.contracts_enabled():
+        sub, remap = graph.subgraph_from_edges(edges)
+        _contracts.check_center(sub, [remap[c] for c in center])
+        _contracts.check_canonical_invariance(sub, encoded)
+    return encoded, center

@@ -123,6 +123,32 @@ def test_zero_cache_size_disables_caching(db, queries):
     assert engine.stats.cache_misses == 2
 
 
+def test_zero_cache_size_skips_the_cache_key(queries, monkeypatch):
+    from repro.core import engine as engine_module
+
+    db = generate_aids_like(20, avg_atoms=12, seed=11)  # private: mutated below
+    keyed = []
+    real_key = engine_module.query_cache_key
+    monkeypatch.setattr(
+        engine_module, "query_cache_key", lambda q: keyed.append(q) or real_key(q)
+    )
+    engine = QueryEngine(build_index(db), cache_size=0)
+    triangle = LabeledGraph(["C", "C", "C"], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    for q in [queries[0], queries[0], triangle]:
+        assert engine.query(q).matches == engine.index.query(q).matches
+    engine.insert(db[0].copy())
+    engine.query(queries[1])
+    assert keyed == []
+    stats = engine.stats
+    assert (stats.queries, stats.cache_hits, stats.cache_misses) == (4, 0, 4)
+    assert stats.invalidations == 1
+    assert engine.cached_results == 0
+    # Batches still key every member: deduplication needs the keys.
+    engine.query_batch([queries[0], queries[0]])
+    assert len(keyed) == 2
+    assert engine.stats.batch_dedup_hits == 1
+
+
 def test_results_match_raw_index(engine, queries):
     for q in queries:
         assert engine.query(q).matches == engine.index.query(q).matches
