@@ -27,8 +27,6 @@ from repro.core.partition import (
 )
 from repro.core.statistics import EngineStats, IndexStats, QueryResult
 from repro.core.treepi import QueryPlan, TreePiConfig, TreePiIndex
-from repro.core.bptree import BPlusTree
-from repro.core.trie import StringTrie
 from repro.core.verification import VerificationStats, verify_candidate
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "TreePiConfig",
     "TreePiIndex",
     "query_cache_key",
-    "StringTrie",
-    "BPlusTree",
     "VerificationStats",
     "verify_candidate",
 ]

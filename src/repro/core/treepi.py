@@ -2,7 +2,9 @@
 
 ``TreePiIndex.build`` runs database preprocessing (Section 4): frequent
 subtree mining under σ(s), γ-shrinking, feature materialization with
-exact center locations, and a prefix-trie over canonical strings.
+exact center locations, and a dictionary from canonical string to
+feature (the paper's prefix-tree index, Section 4.2.2, is only ever asked
+for exact keys, so a hash map answers every lookup).
 
 ``TreePiIndex.query`` runs query processing (Section 5): randomized
 Feature-Tree-Partition, support-set filtering, Center Distance Constraint
@@ -30,7 +32,6 @@ from repro.core.feature import FeatureTree
 from repro.core.filtering import filter_candidates
 from repro.core.partition import SubsetMemo, canonical_subset, run_partitions
 from repro.core.statistics import IndexStats, QueryResult
-from repro.core.trie import StringTrie
 from repro.core.verification import VerificationStats, verify_candidate
 from repro.exceptions import BudgetExceeded, GraphError, IndexError_
 from repro.graphs.distances import DistanceOracle
@@ -161,7 +162,6 @@ class TreePiConfig:
     enable_center_prune: bool = True
     augment_small_subtrees: bool = True
     paths_only: bool = False
-    feature_index: str = "trie"  # "trie" or "bptree" (Section 4.2.2's note)
     direct_verification_max_edges: int = 5
     center_prune_budget: int = 2000
     max_embeddings_per_graph: Optional[int] = None
@@ -207,19 +207,6 @@ class TreePiIndex:
         self._config = config
         self._features = features
         self._lookup: Dict[str, FeatureTree] = {f.key: f for f in features}
-        if config.feature_index == "trie":
-            self._trie = StringTrie()
-        elif config.feature_index == "bptree":
-            from repro.core.bptree import BPlusTree
-
-            self._trie = BPlusTree()
-        else:
-            raise IndexError_(
-                f"unknown feature_index {config.feature_index!r}; "
-                "pick 'trie' or 'bptree'"
-            )
-        for f in features:
-            self._trie.insert(f.key, f.feature_id)
         self._stats = stats
         self._build_size = len(database)
         self._churn = 0
@@ -313,13 +300,13 @@ class TreePiIndex:
 
         Counts the posting and center columns of every feature's
         :class:`~repro.storage.occurrences.OccurrenceStore` — the part of
-        the index the storage layer owns (graphs, tries and stats live
+        the index the storage layer owns (graphs, the key map and stats live
         elsewhere).
         """
         return sum(f.store.nbytes() for f in self._features)
 
     def has_feature(self, key: str) -> bool:
-        return key in self._trie
+        return key in self._lookup
 
     def feature_by_key(self, key: str) -> Optional[FeatureTree]:
         return self._lookup.get(key)
@@ -638,7 +625,6 @@ class TreePiIndex:
                     self._segment_store.adopt_feature(feature)
                 self._features.append(feature)
                 self._lookup[key] = feature
-                self._trie.insert(key, feature.feature_id)
         present: Dict[str, List[Dict[int, int]]] = {}
         for feature in sorted(self._features, key=lambda f: f.size):
             if feature.size >= 2:

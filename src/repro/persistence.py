@@ -8,8 +8,9 @@ reconstructs an index that answers queries identically to the original
 
 Three format versions are understood:
 
-* **v1** (legacy) tags every label occurrence with its type and spells
-  each center location as a nested list — verbose but self-describing.
+* **v1** (legacy, read-only) tags every label occurrence with its type
+  and spells each center location as a nested list.  This build no
+  longer writes it; the upgrade is a v1 load followed by a v2 save.
 * **v2** (default, :data:`FORMAT_VERSION`) stores one
   :class:`~repro.storage.LabelInterner` table per document and
   references labels by dense id everywhere; feature occurrences are the
@@ -21,10 +22,10 @@ Three format versions are understood:
   ``load_index`` of a directory opens it lazily, memory-mapping the
   columns instead of deserializing them.
 
-``save_index`` writes v2 by default; ``load_index`` accepts all three,
-and an unknown or future version raises
-:class:`~repro.exceptions.SerializationError` with an actionable message
-instead of mis-decoding.
+``save_index`` writes v2 by default (or v3 on request); ``load_index``
+accepts all three.  An unknown or future version, and a document missing
+a required key, raise :class:`~repro.exceptions.SerializationError` with
+an actionable message instead of mis-decoding.
 
 Labels are stored with explicit type tags so integers, strings, and the
 tuple labels produced by the directed subdivision encoding all round-trip
@@ -35,8 +36,9 @@ keys into strings).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.core.feature import FeatureTree
 from repro.core.statistics import IndexStats
@@ -60,6 +62,7 @@ from repro.storage.segments import (
     DEFAULT_COMPACT_THRESHOLD,
     DEFAULT_MEMTABLE_LIMIT,
     LsmStore,
+    MANIFEST_NAME,
     SegmentGraphDatabase,
     SegmentStore,
     initialize_directory,
@@ -67,7 +70,21 @@ from repro.storage.segments import (
 
 FORMAT_NAME = "treepi-index"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2, 3)
+READABLE_VERSIONS = (1, 2, 3)
+WRITABLE_VERSIONS = (2, 3)
+
+
+@contextmanager
+def _decode_errors(source: Optional[Union[str, Path]]) -> Iterator[None]:
+    """Turn a missing or mistyped key while decoding into a SerializationError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        where = f" {source}" if source is not None else ""
+        raise SerializationError(
+            f"malformed index document{where}: missing or mistyped field "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +128,6 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
         "enable_center_prune": config.enable_center_prune,
         "augment_small_subtrees": config.augment_small_subtrees,
         "paths_only": config.paths_only,
-        "feature_index": config.feature_index,
         "direct_verification_max_edges": config.direct_verification_max_edges,
         "center_prune_budget": config.center_prune_budget,
         "max_embeddings_per_graph": config.max_embeddings_per_graph,
@@ -119,12 +135,10 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
     }
 
 
-#: Backwards-compatible private aliases (the public names are what the
-#: sharded serving tier persists in its ``shards.json``).
-_config_to_json = config_to_json
-
-
 def config_from_json(data: Dict[str, Any]) -> TreePiConfig:
+    # Files written by older builds may carry a "feature_index" key (the
+    # retired choice of key structure); it never affected answers, so it
+    # is ignored.
     return TreePiConfig(
         support=SupportFunction(data["alpha"], data["beta"], data["eta"]),
         gamma=data["gamma"],
@@ -132,15 +146,11 @@ def config_from_json(data: Dict[str, Any]) -> TreePiConfig:
         enable_center_prune=data["enable_center_prune"],
         augment_small_subtrees=data["augment_small_subtrees"],
         paths_only=data.get("paths_only", False),
-        feature_index=data.get("feature_index", "trie"),
         direct_verification_max_edges=data.get("direct_verification_max_edges", 5),
         center_prune_budget=data.get("center_prune_budget", 2000),
         max_embeddings_per_graph=data["max_embeddings_per_graph"],
         seed=data["seed"],
     )
-
-
-_config_from_json = config_from_json
 
 
 def _stats_to_json(stats: IndexStats) -> Dict[str, Any]:
@@ -183,21 +193,8 @@ def _stats_from_json(data: Dict[str, Any]) -> IndexStats:
 
 
 # ----------------------------------------------------------------------
-# features (v1: type-tagged labels, nested center lists)
+# features (v1, read-only: type-tagged labels, nested center lists)
 # ----------------------------------------------------------------------
-def _feature_to_json_v1(feature: FeatureTree) -> Dict[str, Any]:
-    return {
-        "id": feature.feature_id,
-        "tree": graph_to_json(feature.tree),
-        "key": feature.key,
-        "center": list(feature.center),
-        "locations": {
-            str(gid): sorted(list(c) for c in centers)
-            for gid, centers in sorted(feature.locations.items())
-        },
-    }
-
-
 def _feature_from_json_v1(data: Dict[str, Any]) -> FeatureTree:
     return FeatureTree(
         feature_id=data["id"],
@@ -253,11 +250,16 @@ def _feature_from_json_v2(data: Dict[str, Any], labels: List[Any]) -> FeatureTre
 def index_to_json(
     index: TreePiIndex, version: int = FORMAT_VERSION
 ) -> Dict[str, Any]:
-    """Serialize an index; ``version`` selects the on-disk dialect."""
-    if version not in SUPPORTED_VERSIONS:
+    """Serialize an index as a v2 JSON document."""
+    if version == 1:
+        raise SerializationError(
+            "index format v1 is read-only; write version 2 "
+            "(a v1 document upgrades by loading it and saving it as v2)"
+        )
+    if version not in WRITABLE_VERSIONS:
         raise SerializationError(
             f"cannot write index format version {version!r}; "
-            f"this build supports {SUPPORTED_VERSIONS}"
+            f"this build writes {WRITABLE_VERSIONS}"
         )
     if version == 3:
         raise SerializationError(
@@ -265,17 +267,6 @@ def index_to_json(
             "JSON document form; use save_index(index, path, version=3)"
         )
     db = index.database
-    if version == 1:
-        return {
-            "format": FORMAT_NAME,
-            "version": 1,
-            "config": _config_to_json(index.config),
-            "stats": _stats_to_json(index.stats),
-            "database": {
-                str(gid): graph_to_json(db[gid]) for gid in db.graph_ids()
-            },
-            "features": [_feature_to_json_v1(f) for f in index.features],
-        }
     # The interner is filled in canonical order (ascending graph id,
     # vertex order, edge order, then features in id order), so the same
     # index serializes to byte-identical JSON on every run.
@@ -288,7 +279,7 @@ def index_to_json(
     return {
         "format": FORMAT_NAME,
         "version": 2,
-        "config": _config_to_json(index.config),
+        "config": config_to_json(index.config),
         "stats": _stats_to_json(index.stats),
         "labels": [encode_label(label) for label in interner.labels()],
         "database": database,
@@ -305,17 +296,18 @@ def index_from_json(
     build does not know (e.g. one written by a newer release) are
     rejected with a :class:`SerializationError` naming ``source`` (the
     file the document came from, when known) and the full
-    :data:`SUPPORTED_VERSIONS` tuple, rather than being half-decoded
-    into a wrong index.
+    :data:`READABLE_VERSIONS` tuple, rather than being half-decoded
+    into a wrong index.  A document missing a required key, or holding
+    one of the wrong type, raises :class:`SerializationError` too.
     """
     if data.get("format") != FORMAT_NAME:
         raise SerializationError(f"not a {FORMAT_NAME} document")
     version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version not in READABLE_VERSIONS:
         where = f" in {source}" if source is not None else ""
         raise SerializationError(
             f"index format version {version!r}{where} is not supported by "
-            f"this build (supported versions: {SUPPORTED_VERSIONS}). "
+            f"this build (supported versions: {READABLE_VERSIONS}). "
             "The document was probably written by a newer release — "
             "upgrade this installation, or re-save the index with "
             f"index_to_json(index, version={FORMAT_VERSION}) from the "
@@ -327,22 +319,20 @@ def index_from_json(
             "index format version 3 is a segment directory, not a JSON "
             f"document{where}; pass the directory path to load_index()"
         )
-    config = _config_from_json(data["config"])
-    stats = _stats_from_json(data["stats"])
-    db = GraphDatabase()
-    if version == 1:
-        for gid_str, record in sorted(
-            data["database"].items(), key=lambda kv: int(kv[0])
-        ):
-            db.add(graph_from_json(record), graph_id=int(gid_str))
-        features = [_feature_from_json_v1(f) for f in data["features"]]
-        return TreePiIndex(db, config, features, stats)
-    labels = [decode_label(record) for record in data["labels"]]
-    for gid_str, record in sorted(
-        data["database"].items(), key=lambda kv: int(kv[0])
-    ):
-        db.add(_graph_from_columns(record, labels), graph_id=int(gid_str))
-    features = [_feature_from_json_v2(f, labels) for f in data["features"]]
+    with _decode_errors(source):
+        config = config_from_json(data["config"])
+        stats = _stats_from_json(data["stats"])
+        db = GraphDatabase()
+        records = sorted(data["database"].items(), key=lambda kv: int(kv[0]))
+        if version == 1:
+            for gid_str, record in records:
+                db.add(graph_from_json(record), graph_id=int(gid_str))
+            features = [_feature_from_json_v1(f) for f in data["features"]]
+        else:
+            labels = [decode_label(record) for record in data["labels"]]
+            for gid_str, record in records:
+                db.add(_graph_from_columns(record, labels), graph_id=int(gid_str))
+            features = [_feature_from_json_v2(f, labels) for f in data["features"]]
     return TreePiIndex(db, config, features, stats)
 
 
@@ -351,8 +341,9 @@ def save_index(
 ) -> None:
     """Write the index (database included) to ``path``.
 
-    Versions 1 and 2 write a single JSON document; version 3 writes a
-    *segment directory* (see :func:`save_segment_index`).
+    Version 2 writes a single JSON document; version 3 writes a
+    *segment directory* (see :func:`save_segment_index`).  Version 1 is
+    read-only and raises :class:`SerializationError`.
     """
     if version == 3:
         save_segment_index(index, path)
@@ -437,14 +428,15 @@ def load_segment_index(
     ok = False
     try:
         manifest = store.manifest
-        config = config_from_json(manifest["config"])
-        stats = _stats_from_json(manifest["stats"])
-        db = SegmentGraphDatabase(
-            store.segments,
-            store.tombstones,
-            manifest.get("next_graph_id", 0),
-            manifest["graphs"],
-        )
+        with _decode_errors(Path(root) / MANIFEST_NAME):
+            config = config_from_json(manifest["config"])
+            stats = _stats_from_json(manifest["stats"])
+            db = SegmentGraphDatabase(
+                store.segments,
+                store.tombstones,
+                manifest.get("next_graph_id", 0),
+                manifest["graphs"],
+            )
         features: List[FeatureTree] = []
         by_key: Dict[str, FeatureTree] = {}
         for layer, segment in enumerate(store.segments):

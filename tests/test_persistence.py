@@ -1,6 +1,7 @@
 """Unit tests for index persistence (save/load without re-mining)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.exceptions import SerializationError
 from repro.graphs import LabeledGraph
 from repro.mining import SupportFunction
 from repro.persistence import (
+    config_from_json,
+    config_to_json,
     decode_label,
     encode_label,
     graph_from_json,
@@ -165,6 +168,17 @@ class TestFormatGuards:
             load_index(path)
 
 
+#: A v1 document written by the last build that still wrote v1, from the
+#: ``small_index`` fixture below (``save_index(small_index, path,
+#: version=1)``).  Frozen: this build only reads v1.
+V1_FIXTURE = Path(__file__).parent / "data" / "small_index_v1.json"
+
+
+@pytest.fixture(scope="module")
+def v1_doc():
+    return json.loads(V1_FIXTURE.read_text())
+
+
 @pytest.fixture(scope="module")
 def small_index():
     from repro.datasets import generate_aids_like
@@ -176,28 +190,33 @@ def small_index():
 
 
 class TestVersionNegotiation:
-    """v1 documents load; v2 is the default dialect; the two interconvert."""
+    """v1 documents load (read-only); v2 is the default dialect."""
 
     def test_default_save_is_v2(self, small_index):
         assert index_to_json(small_index)["version"] == 2
 
-    def test_v1_dialect_still_writable_and_loadable(self, small_index):
-        doc = index_to_json(small_index, version=1)
-        assert doc["version"] == 1
-        assert "labels" not in doc
-        restored = index_from_json(doc)
+    def test_v1_fixture_loadable(self, small_index, v1_doc):
+        assert v1_doc["version"] == 1
+        assert "labels" not in v1_doc
+        restored = load_index(V1_FIXTURE)
         assert restored.feature_count() == small_index.feature_count()
 
-    def test_v1_load_answers_identically(self, small_index):
-        restored = index_from_json(index_to_json(small_index, version=1))
+    def test_v1_write_rejected(self, small_index, tmp_path):
+        with pytest.raises(SerializationError, match="version 2"):
+            index_to_json(small_index, version=1)
+        with pytest.raises(SerializationError, match="version 2"):
+            save_index(small_index, tmp_path / "v1.json", version=1)
+
+    def test_v1_load_answers_identically(self, small_index, v1_doc):
+        restored = index_from_json(v1_doc)
         for query in extract_query_workload(small_index.database, 4, 6, seed=9):
             assert (
                 restored.query(query).matches == small_index.query(query).matches
             )
 
-    def test_v1_load_then_v2_save_roundtrip(self, small_index):
+    def test_v1_load_then_v2_save_roundtrip(self, small_index, v1_doc):
         """The upgrade path: load a legacy document, re-save as v2."""
-        legacy = index_from_json(index_to_json(small_index, version=1))
+        legacy = index_from_json(v1_doc)
         upgraded = index_from_json(index_to_json(legacy, version=2))
         assert upgraded.feature_count() == small_index.feature_count()
         for original in small_index.features:
@@ -215,8 +234,8 @@ class TestVersionNegotiation:
         b = json.dumps(index_to_json(small_index), sort_keys=True)
         assert a == b
 
-    def test_v2_smaller_than_v1(self, small_index):
-        v1 = len(json.dumps(index_to_json(small_index, version=1)))
+    def test_v2_smaller_than_v1(self, small_index, v1_doc):
+        v1 = len(json.dumps(v1_doc))
         v2 = len(json.dumps(index_to_json(small_index, version=2)))
         assert v2 < v1
 
@@ -232,3 +251,88 @@ class TestVersionNegotiation:
         doc["features"][0]["occ"]["offsets"] = [0]
         with pytest.raises(SerializationError):
             index_from_json(doc)
+
+
+class TestMalformedDocuments:
+    """A missing required key is a SerializationError, never a KeyError."""
+
+    def test_v2_document_without_config(self):
+        with pytest.raises(SerializationError, match="config"):
+            index_from_json({"format": "treepi-index", "version": 2})
+
+    def test_mistyped_database(self, small_index):
+        doc = index_to_json(small_index)
+        doc["database"] = []
+        with pytest.raises(SerializationError, match="mistyped"):
+            index_from_json(doc)
+
+    def test_config_without_beta(self, small_index, tmp_path):
+        doc = index_to_json(small_index)
+        del doc["config"]["beta"]
+        with pytest.raises(SerializationError, match="beta"):
+            index_from_json(doc)
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError) as excinfo:
+            load_index(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("key", ["config", "stats"])
+    def test_v3_manifest_without_key(self, small_index, tmp_path, monkeypatch, key):
+        from repro.storage.segments import SegmentStore
+
+        root = tmp_path / "seg"
+        save_index(small_index, root, version=3)
+        manifest = root / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        closed = []
+        close = SegmentStore.close
+
+        def recording_close(store):
+            closed.append(store)
+            close(store)
+
+        monkeypatch.setattr(SegmentStore, "close", recording_close)
+        with pytest.raises(SerializationError, match=key) as excinfo:
+            load_index(root)
+        assert str(manifest) in str(excinfo.value)
+        assert len(closed) == 1
+
+
+class TestRetiredFeatureIndexKey:
+    """Files from builds that had a ``feature_index`` setting still load."""
+
+    def test_config_from_json_ignores_the_key(self, small_index):
+        doc = config_to_json(small_index.config)
+        assert "feature_index" not in doc
+        for value in ("trie", "bptree", "hash"):
+            legacy = dict(doc, feature_index=value)
+            assert config_from_json(legacy) == small_index.config
+
+    @pytest.mark.parametrize("value", ["trie", "bptree", "hash"])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_legacy_key_loads_and_resaves_without_it(
+        self, small_index, tmp_path, version, value
+    ):
+        path = tmp_path / ("index.json" if version == 2 else "seg")
+        save_index(small_index, path, version=version)
+        config_file = path if version == 2 else path / "manifest.json"
+        doc = json.loads(config_file.read_text())
+        doc["config"]["feature_index"] = value
+        config_file.write_text(json.dumps(doc))
+
+        restored = load_index(path)
+        for query in extract_query_workload(small_index.database, 4, 6, seed=5):
+            assert (
+                restored.query(query).matches == small_index.query(query).matches
+            )
+        resaved = tmp_path / "resaved"
+        save_index(restored, resaved, version=version)
+        if version == 2:
+            config = json.loads(resaved.read_text())["config"]
+        else:
+            config = json.loads((resaved / "manifest.json").read_text())["config"]
+            restored.segment_store.close()
+        assert "feature_index" not in config
