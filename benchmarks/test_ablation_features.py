@@ -24,8 +24,7 @@ def test_ablation_verification_strategy(benchmark, scale):
     assert direct[0] <= reconstruct[0] * 1.5
 
     db = get_database("chemical", scale.query_db_size, scale)
-    index = get_treepi("chemical", scale.query_db_size, scale,
-                       direct_verification_max_edges=0)
+    index = get_treepi("chemical", scale.query_db_size, scale)
     workload = list(
         extract_query_workload(db, scale.query_sizes[-1], scale.queries_per_size,
                                seed=71)
@@ -33,7 +32,7 @@ def test_ablation_verification_strategy(benchmark, scale):
 
     def run_reconstruction():
         for query in workload:
-            index.query(query)
+            index.query_paper(query)
 
     benchmark.pedantic(run_reconstruction, rounds=1, iterations=1)
 

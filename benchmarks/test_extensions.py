@@ -17,7 +17,7 @@ def test_phase_breakdown(benchmark, scale):
 
     # Every phase time is non-negative and at least one verification entry
     # is non-trivial on non-direct workloads.
-    for phase in ("partition", "filter", "center_prune", "verification"):
+    for phase in ("partition", "filter", "verification"):
         assert all(v >= 0 for v in table.column(phase))
 
     db = get_database("chemical", scale.query_db_size, scale)

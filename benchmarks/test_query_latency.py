@@ -11,7 +11,7 @@ space to prove non-containment — repeatedly through two engines:
   case a wall-clock deadline exists to bound.
 
 Records p50/p95/p99 latency per pipeline stage (``lookup``/``partition``/
-``filter``/``center_prune``/``verification``) plus end-to-end, and emits
+``filter``/``verification``) plus end-to-end, and emits
 ``bench_results/BENCH_query_latency.json`` (uploaded as a CI artifact).
 
 Regression gates, checked against the *committed* artifact before it is
@@ -106,7 +106,6 @@ def _build_engine(db, prefilters):
     config = TreePiConfig(
         SupportFunction(1, 2.0, 2),
         gamma=1.1,
-        direct_verification_max_edges=20,
         matcher_prefilters=prefilters,
         seed=5,
     )

@@ -4,9 +4,9 @@ The REPRO1xx/2xx families are lexical: they judge one statement (or one
 class) at a time.  The budget discipline introduced with
 :class:`~repro.core.budget.QueryBudget` cannot be checked that way — a
 ``CancellationToken`` is *threaded*: ``QueryEngine.query`` creates it,
-forwards it through ``plan``/``center_prune``/``verify`` and down into
-the enumerator loops of :mod:`repro.graphs.isomorphism`, where
-``token.charge()`` finally runs every 64 backtracking steps.  Whether a
+forwards it through ``verify`` and down into the enumerator loops of
+:mod:`repro.graphs.isomorphism`, where ``token.charge()`` finally runs
+every 64 backtracking steps.  Whether a
 given loop is cancellable is a property of the *call graph*, not of any
 single line.
 
@@ -85,7 +85,6 @@ SPINE_FUNCTIONS = frozenset(
 #:    accepts a ``token`` parameter.
 TOKEN_CALLEES = frozenset(
     {
-        "plan",
         "verify",
         "verify_candidate",
         "subgraph_monomorphisms",

@@ -2,7 +2,7 @@
 
 Verification dominates hard TreePi queries, which is why the serving
 layer threads a :class:`~repro.core.budget.CancellationToken` through
-the plan→prune→verify spine and why the storage layer replaced
+the plan→verify spine and why the storage layer replaced
 dict-of-frozensets supports with posting lists.  Nothing lexical keeps
 those disciplines true: a refactor can drop the ``token=`` argument from
 one call, quietly re-materialize a support set, or slip an f-string into
@@ -606,7 +606,7 @@ class HotLoopUncancellable(_HotPathRule):
     name = "hot-loop-uncancellable"
     rationale = (
         "QueryBudget deadlines only work if every loop reachable from "
-        "QueryEngine.query on the plan->prune->verify spine checkpoints "
+        "QueryEngine.query on the plan->verify spine checkpoints "
         "the CancellationToken. A dropped, shadowed, or unforwarded "
         "token (or a loop driving a looping callee with no "
         "poll/charge on any path) makes the query uncancellable."

@@ -16,6 +16,11 @@ Figure   Function                                      Paper series
 —        :func:`ablation_center_prune` etc.            design-choice ablations
 =======  ===========================================  =========================
 
+Candidate counts (P'_q, Figures 10/11 and ablations A1, A2, A4, A6) come
+from :meth:`TreePiIndex.query_paper`, the paper's prune-and-reconstruct
+pipeline; query times (Figures 12(b)/13(b), E+) come from the serving
+:meth:`TreePiIndex.query`, which verifies the filtered set P_q directly.
+
 Databases and indexes are memoized per (dataset, size) so a bench session
 never builds the same index twice.
 """
@@ -83,7 +88,6 @@ def get_database(dataset: str, size: int, scale: Scale, labels: int = 5) -> Grap
 
 
 def treepi_config(scale: Scale, gamma: float = 1.1, delta: Optional[int] = None,
-                  enable_center_prune: bool = True,
                   paths_only: bool = False,
                   db_size: Optional[int] = None,
                   **extra) -> TreePiConfig:
@@ -108,7 +112,6 @@ def treepi_config(scale: Scale, gamma: float = 1.1, delta: Optional[int] = None,
         support=SupportFunction(alpha=alpha, beta=beta, eta=scale.eta),
         gamma=gamma,
         delta=delta,
-        enable_center_prune=enable_center_prune,
         paths_only=paths_only,
         seed=2007,
         **extra,
@@ -212,7 +215,7 @@ def experiment_pruning_performance(
         for query in workload:
             truth = scan.support_set(query)
             gq = gi.query(query)
-            tq = tp.query(query)
+            tq = tp.query_paper(query)
             buckets[len(truth) < threshold].append(
                 (len(truth), gq.candidates_after_filter, tq.candidates_after_prune)
             )
@@ -254,7 +257,7 @@ def experiment_prune_effectiveness(
         for query in workload:
             truth = scan.support_set(query)
             gq = gi.query(query)
-            tq = tp.query(query)
+            tq = tp.query_paper(query)
             samples.append(
                 (len(truth), gq.candidates_after_filter, tq.candidates_after_prune)
             )
@@ -363,7 +366,7 @@ def experiment_phase_breakdown(
     size = scale.query_db_size
     db = get_database(dataset, size, scale)
     index = get_treepi(dataset, size, scale)
-    phases = ["partition", "filter", "center_prune", "verification"]
+    phases = ["partition", "filter", "verification"]
     table = Table(
         title=f"E+ — query phase breakdown, ms/query ({dataset}, scale={scale.name})",
         columns=["query_edges", *phases, "direct_hit_rate"],
@@ -397,7 +400,10 @@ def experiment_query_scalability(
     table = Table(
         title=f"E+ — query scalability at m={m} ({dataset}, scale={scale.name})",
         columns=["db_size", "treepi_ms", "scan_ms", "avg_Pq_prime", "avg_Dq"],
-        notes=["expectation: scan grows ~linearly in N; TreePi much slower growth"],
+        notes=[
+            "expectation: scan grows ~linearly in N; TreePi much slower growth",
+            "serving path: nothing is pruned, so avg_Pq_prime is |P_q|",
+        ],
     )
     for size in scale.db_sizes:
         db = get_database(dataset, size, scale)
@@ -426,31 +432,41 @@ def experiment_query_scalability(
 # Ablations (design choices called out in DESIGN.md)
 # ----------------------------------------------------------------------
 def ablation_center_prune(scale: Scale, dataset: str = "chemical") -> Table:
-    """A1: filter-only vs filter+center-prune candidate sets and latency."""
+    """A1: filter-only vs filter+center-prune candidate sets, and the cost.
+
+    Both candidate counts come from one :meth:`TreePiIndex.query_paper`
+    result (P_q before Algorithm 2, P'_q after it).  The time columns
+    compare the serving pipeline (filter, then direct verification of
+    P_q) against the paper's (prune, then reconstruct P'_q).
+    """
     size = scale.query_db_size
     db = get_database(dataset, size, scale)
-    with_prune = get_treepi(dataset, size, scale)
-    without_prune = get_treepi(dataset, size, scale, enable_center_prune=False)
+    index = get_treepi(dataset, size, scale)
     table = Table(
         title=f"Ablation A1 — Center Distance Constraint pruning ({dataset})",
         columns=[
             "query_edges", "Pq_filter_only", "Pq_prime_with_prune",
-            "ms_without", "ms_with",
+            "serving_ms", "paper_ms",
         ],
-        notes=["expectation: P'q <= Pq, and pruning pays off on larger queries"],
+        notes=[
+            "expectation: P'q <= Pq; serving_ms shows whether pruning",
+            "pays for itself against the prefiltered direct matcher",
+        ],
     )
     for workload in _workloads(db, scale):
         pq = pqp = 0.0
         t0 = time.perf_counter()
         for query in workload:
-            pq += without_prune.query(query).candidates_after_prune
-        ms_without = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
+            index.query(query)
+        serving_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
         t0 = time.perf_counter()
         for query in workload:
-            pqp += with_prune.query(query).candidates_after_prune
-        ms_with = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
+            result = index.query_paper(query)
+            pq += result.candidates_after_filter
+            pqp += result.candidates_after_prune
+        paper_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
         n = max(1, len(workload))
-        table.add_row(workload.num_edges, pq / n, pqp / n, ms_without, ms_with)
+        table.add_row(workload.num_edges, pq / n, pqp / n, serving_ms, paper_ms)
     return table
 
 
@@ -469,7 +485,7 @@ def ablation_shrinking(scale: Scale, dataset: str = "chemical") -> Table:
     for gamma in (1.0, 1.5, 2.0, 3.0):
         index = get_treepi(dataset, size, scale, gamma=gamma)
         total = sum(
-            index.query(q).candidates_after_prune for q in workload
+            index.query_paper(q).candidates_after_prune for q in workload
         )
         table.add_row(
             gamma, index.feature_count(), total / max(1, len(workload)), avg_dq
@@ -500,8 +516,8 @@ def ablation_tree_vs_path_features(scale: Scale, dataset: str = "chemical") -> T
     for workload in _workloads(db, scale):
         tp = pp = 0.0
         for query in workload:
-            tp += trees.query(query).candidates_after_prune
-            pp += paths.query(query).candidates_after_prune
+            tp += trees.query_paper(query).candidates_after_prune
+            pp += paths.query_paper(query).candidates_after_prune
         n = max(1, len(workload))
         table.add_row(
             workload.num_edges,
@@ -593,7 +609,7 @@ def experiment_label_diversity(scale: Scale) -> Table:
         dq = pq = 0.0
         t0 = time.perf_counter()
         for query in workload:
-            result = index.query(query)
+            result = index.query_paper(query)
             pq += result.candidates_after_prune
             dq += len(result.matches)
         ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
@@ -607,35 +623,33 @@ def experiment_label_diversity(scale: Scale) -> Table:
 def ablation_verification_strategy(
     scale: Scale, dataset: str = "chemical"
 ) -> Table:
-    """A7: anchored reconstruction vs direct matching, per query size.
+    """A7: the paper's pipeline vs the serving pipeline, per query size.
 
-    Quantifies the ``direct_verification_max_edges`` deviation: at which
-    query size does the paper's reconstruction verifier overtake a plain
-    monomorphism search?  Both produce identical answers; only wall time
+    ``reconstruct_ms`` times :meth:`TreePiIndex.query_paper` (center
+    prune, then anchored reconstruction of P'_q); ``direct_ms`` times
+    :meth:`TreePiIndex.query` (prefiltered direct matching of P_q).  Both
+    run on the same index and return identical answers; only wall time
     differs.
     """
     size = scale.query_db_size
     db = get_database(dataset, size, scale)
-    reconstruct = get_treepi(dataset, size, scale,
-                             direct_verification_max_edges=0)
-    direct = get_treepi(dataset, size, scale,
-                        direct_verification_max_edges=10_000)
+    index = get_treepi(dataset, size, scale)
     table = Table(
         title=f"Ablation A7 — verification strategy ({dataset}, scale={scale.name})",
         columns=["query_edges", "reconstruct_ms", "direct_ms"],
         notes=[
-            "expectation: direct wins on tiny queries (setup can't amortize),",
-            "reconstruction wins as queries and candidate graphs grow",
+            "expectation: direct wins on tiny queries (setup can't amortize);",
+            "a size where reconstruction wins would argue for serving it",
         ],
     )
     for workload in _workloads(db, scale):
         t0 = time.perf_counter()
         for query in workload:
-            reconstruct.query(query)
+            index.query_paper(query)
         reconstruct_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
         t0 = time.perf_counter()
         for query in workload:
-            direct.query(query)
+            index.query(query)
         direct_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
         table.add_row(workload.num_edges, reconstruct_ms, direct_ms)
     return table

@@ -39,6 +39,7 @@ from repro.datasets import (
     generate_aids_like,
     synthetic_database,
 )
+from repro.exceptions import ConfigError
 from repro.graphs import GraphDatabase, load_database, save_database
 from repro.mining import SupportFunction
 from repro.persistence import load_index, save_index
@@ -105,6 +106,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    budget = None
+    if args.deadline_ms is not None or args.verify_budget is not None:
+        try:
+            budget = QueryBudget(
+                deadline_ms=args.deadline_ms, verify_steps=args.verify_budget
+            )
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     index = load_index(args.index)
     engine: "Union[QueryEngine, ShardedEngine]"
     if args.shards > 1:
@@ -120,11 +130,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         engine = QueryEngine(
             index, cache_size=args.cache_size, verify_workers=args.workers
-        )
-    budget = None
-    if args.deadline_ms is not None or args.verify_budget is not None:
-        budget = QueryBudget(
-            deadline_ms=args.deadline_ms, verify_steps=args.verify_budget
         )
     queries = load_database(args.queries)
     total = 0.0
@@ -174,15 +179,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
             stats = engine.stats
         print(
             f"engine: {stats.cache_hits} cache hits / {stats.queries} queries, "
-            f"{stats.candidates_pruned} candidates pruned, "
             f"{stats.verifications_run} verifications"
         )
         if budget is not None:
             print(
                 f"budget: {stats.timeouts} timeouts, "
                 f"{stats.degraded_results} degraded results, "
-                f"{stats.unresolved_candidates} unresolved candidates, "
-                f"{stats.prune_exhausted} prune-budget exhaustions"
+                f"{stats.unresolved_candidates} unresolved candidates"
             )
     return 0
 

@@ -5,17 +5,16 @@ so a single adversarial query can otherwise hold the engine's read lock
 unboundedly; because the RW lock is writer-preferring, one runaway query
 plus one waiting writer would freeze the whole engine.  This module
 bounds that tail: a :class:`QueryBudget` declares a wall-clock deadline
-and/or per-stage work caps, and a :class:`CancellationToken` carries
-those bounds through the pipeline — ``TreePiIndex.plan`` → center
-pruning → ``verify_candidate`` → the monomorphism enumerator — each of
-which checks the shared token at bounded intervals and unwinds cleanly
-(:class:`~repro.exceptions.BudgetExceeded`) instead of running forever.
+and/or a verification work cap, and a :class:`CancellationToken` carries
+those bounds through verification — ``TreePiIndex.verify`` → the
+monomorphism enumerator — which checks the shared token at bounded
+intervals and unwinds cleanly (:class:`~repro.exceptions.BudgetExceeded`)
+instead of running forever.
 
 The contract is the one succinct-filter systems rely on: **filters may
-loosen, answers never change.**  Expiry during *pruning* keeps the
-remaining candidates (a superset is sound); expiry during *verification*
-moves the still-unverified candidates into ``QueryResult.unresolved``
-and flags the result ``complete=False``.  Everything actually reported
+loosen, answers never change.**  Expiry during *verification* moves the
+still-unverified candidates into ``QueryResult.unresolved`` and flags
+the result ``complete=False``.  Everything actually reported
 in ``matches`` was exactly verified, so
 
     degraded.matches  ⊆  exact answer  ⊆  degraded.matches ∪ unresolved
@@ -23,7 +22,7 @@ in ``matches`` was exactly verified, so
 always holds.  Degraded results are never cached; retrying with a fresh
 budget (or none) recomputes them exactly.
 
-Budget semantics (aligned with ``center_prune``'s per-graph budget):
+Budget semantics:
 
 * ``None`` for any field means *unbounded* — an all-``None`` budget is a
   no-op and :meth:`QueryBudget.start` returns no token at all, keeping
@@ -31,11 +30,13 @@ Budget semantics (aligned with ``center_prune``'s per-graph budget):
 * ``0`` means *no work allowed*: a zero deadline is already expired, a
   zero verify budget refuses every verification step.  Exhaustion is
   always explicit — it produces a degraded result, never a silent one.
-* Negative values are configuration errors.
+* Negative values, and a NaN or infinite deadline, are configuration
+  errors.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -59,22 +60,20 @@ class QueryBudget:
         Cap on verification work units (matcher vertex expansions,
         anchored-assignment trials and piece-embedding extensions) summed
         across the call — the machine-independent twin of the deadline.
-    prune_checks:
-        Override for the per-graph center-prune distance-check budget
-        (defaults to ``TreePiConfig.center_prune_budget`` when unset).
-        Same semantics as that knob: exhaustion *keeps* the graph.
     """
 
     deadline_ms: Optional[float] = None
     verify_steps: Optional[int] = None
-    prune_checks: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("deadline_ms", "verify_steps", "prune_checks"):
+        for name in ("deadline_ms", "verify_steps"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            # NaN fails every comparison, so it lands here too instead of
+            # yielding a token that never expires.
+            if value is not None and not 0 <= value < math.inf:
                 raise ConfigError(
-                    f"QueryBudget.{name} must be >= 0 or None, got {value}"
+                    f"QueryBudget.{name} must be a finite number >= 0 or "
+                    f"None, got {value}"
                 )
 
     @property
@@ -83,11 +82,7 @@ class QueryBudget:
         return self.deadline_ms is None and self.verify_steps is None
 
     def start(self) -> Optional["CancellationToken"]:
-        """Begin the clock: returns a token, or ``None`` for a no-op budget.
-
-        ``prune_checks`` alone never issues a token — it is a pure
-        parameter override with no cross-stage state to share.
-        """
+        """Begin the clock: returns a token, or ``None`` for a no-op budget."""
         if self.unbounded:
             return None
         deadline = None

@@ -1,7 +1,7 @@
 """A thread-safe, caching query engine over a built TreePi index.
 
 :class:`TreePiIndex` is a single-shot pipeline: every ``query()`` call
-re-runs partition, filtering, pruning and verification from scratch, and
+re-runs partition, filtering and verification from scratch, and
 nothing protects concurrent callers from in-flight ``insert``/``delete``
 maintenance.  Production substructure search looks different — the same
 hot queries arrive over and over, batches contain isomorphic duplicates,
@@ -52,7 +52,6 @@ from repro.analysis.guards import TrackedLock, guarded_by, note_acquire, note_re
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.statistics import EngineStats, QueryResult
 from repro.core.treepi import QueryPlan, TreePiIndex
-from repro.core.verification import VerificationStats
 from repro.exceptions import BudgetExceeded, IndexError_
 from repro.graphs.canonical import canonical_label
 from repro.graphs.graph import LabeledGraph
@@ -144,7 +143,6 @@ class _PlanOutcome:
     """
 
     matches: FrozenSet[int] = frozenset()
-    vstats: VerificationStats = field(default_factory=VerificationStats)
     elapsed: float = 0.0
     matched: Set[int] = field(default_factory=set)
     unresolved: List[int] = field(default_factory=list)
@@ -298,7 +296,7 @@ class QueryEngine:
             return cached
         token = budget.start() if budget is not None else None
         with self._rw.read_locked():
-            result = self._execute(query, token=token, budget=budget)
+            result = self._execute(query, token=token)
         self._count_degradation([result], token)
         self._cache_store(key, result, generation)
         return result
@@ -346,7 +344,7 @@ class QueryEngine:
             token = budget.start() if budget is not None else None
             with self._rw.read_locked():
                 computed = self._execute_batch(
-                    [q for _, q in pending], token=token, budget=budget
+                    [q for _, q in pending], token=token
                 )
             self._count_degradation(computed, token)
             for (key, _), result in zip(pending, computed):
@@ -520,11 +518,7 @@ class QueryEngine:
     def _count_pipeline(self, plan: QueryPlan) -> None:
         with self._mutex:
             self._counters.candidates_filtered += plan.candidates_after_filter
-            self._counters.candidates_pruned += plan.candidates_after_filter - len(
-                plan.survivors
-            )
             self._counters.verifications_run += len(plan.survivors)
-            self._counters.prune_exhausted += plan.prune_exhausted
 
     def _count_degradation(
         self,
@@ -535,18 +529,21 @@ class QueryEngine:
 
         ``verify_steps`` accumulates the token's exact work total whether
         or not the call degraded — the engine-level twin of
-        :attr:`~repro.core.budget.CancellationToken.work_charged`.
+        :attr:`~repro.core.budget.CancellationToken.work_charged`.  A
+        call counts as a timeout only if it handed back a degraded
+        result: a search that crosses the work cap in its final,
+        non-raising flush expires the token but has already answered
+        exactly.
         """
         if token is None:
             return
-        expired = token.expired
         degraded = [r for r in results if not r.complete]
         steps = token.work_charged
-        if not expired and not degraded and not steps:
+        if not degraded and not steps:
             return
         with self._mutex:
             self._counters.verify_steps += steps
-            if expired:
+            if degraded:
                 self._counters.timeouts += 1
             self._counters.degraded_results += len(degraded)
             self._counters.unresolved_candidates += sum(
@@ -559,10 +556,9 @@ class QueryEngine:
         self,
         query: LabeledGraph,
         token: Optional[CancellationToken] = None,
-        budget: Optional[QueryBudget] = None,
     ) -> QueryResult:
         """Run one full pipeline (caller holds the read lock)."""
-        plan = self._index.plan(query, token=token, budget=budget)
+        plan = self._index.plan(query)
         if plan.result is not None:
             return plan.result
         self._count_pipeline(plan)
@@ -575,20 +571,15 @@ class QueryEngine:
         self,
         queries: Sequence[LabeledGraph],
         token: Optional[CancellationToken] = None,
-        budget: Optional[QueryBudget] = None,
     ) -> List[QueryResult]:
         """Run pipelines for distinct queries, pooling their verification.
 
-        Verification counters and elapsed time are attributed *per plan*
-        (each plan's own ``VerificationStats`` and the summed durations of
-        its own tasks), so every member's :class:`QueryResult` reports
+        Verification time is attributed *per plan* (the summed durations
+        of its own tasks), so every member's :class:`QueryResult` reports
         exactly what :meth:`query` would have reported for it alone —
         pooling changes wall-clock, never attribution.
         """
-        plans = [
-            self._index.plan(query, token=token, budget=budget)
-            for query in queries
-        ]
+        plans = [self._index.plan(query) for query in queries]
         open_plans = [plan for plan in plans if plan.result is None]
         for plan in open_plans:
             self._count_pipeline(plan)
@@ -614,7 +605,6 @@ class QueryEngine:
         return self._index.finish(
             plan,
             outcome.matches,
-            outcome.vstats,
             outcome.elapsed,
             unresolved=outcome.unresolved,
             degraded_reason=token.reason if token is not None else None,
@@ -628,13 +618,12 @@ class QueryEngine:
         """Verify the survivors of every plan, fanning out when configured.
 
         Tasks are independent ``(plan, candidate)`` pairs; each worker
-        keeps private verification counters and times its own task, and
-        both are merged back *into the owning plan's outcome*, so each
-        plan's totals match a serial run of that plan exactly regardless
-        of batching or pool width.  A task cut short by the budget
-        (:class:`~repro.exceptions.BudgetExceeded`) marks its candidate
-        unresolved; once the shared token expires, the remaining queued
-        tasks short-circuit at their first checkpoint.
+        times its own task and the time is added *to the owning plan's
+        outcome*, so each plan's totals match a serial run of that plan
+        regardless of batching or pool width.  A task cut short by the
+        budget (:class:`~repro.exceptions.BudgetExceeded`) marks its
+        candidate unresolved; once the shared token expires, the
+        remaining queued tasks short-circuit at their first checkpoint.
         """
         tasks: List[Tuple[int, int]] = [
             (plan_idx, gid)
@@ -644,18 +633,15 @@ class QueryEngine:
 
         def run_one(
             task: Tuple[int, int]
-        ) -> Tuple[int, int, Optional[bool], VerificationStats, float]:
+        ) -> Tuple[int, int, Optional[bool], float]:
             plan_idx, gid = task
-            local = VerificationStats()
             t0 = time.perf_counter()
             ok: Optional[bool]
             try:
-                ok = self._index.verify(
-                    plans[plan_idx], gid, local, token=token
-                )
+                ok = self._index.verify(plans[plan_idx], gid, token=token)
             except BudgetExceeded:
                 ok = None  # unresolved: neither matched nor rejected
-            return plan_idx, gid, ok, local, time.perf_counter() - t0
+            return plan_idx, gid, ok, time.perf_counter() - t0
 
         if self._verify_workers > 1 and len(tasks) > 1:
             with ThreadPoolExecutor(max_workers=self._verify_workers) as pool:
@@ -664,9 +650,8 @@ class QueryEngine:
             raw = [run_one(task) for task in tasks]
 
         outcomes = [_PlanOutcome() for _ in plans]
-        for plan_idx, gid, ok, local, seconds in raw:
+        for plan_idx, gid, ok, seconds in raw:
             outcome = outcomes[plan_idx]
-            outcome.vstats.merge(local)
             outcome.elapsed += seconds
             if ok is None:
                 outcome.unresolved.append(gid)

@@ -30,13 +30,11 @@ class EngineStats:
 
     The timeout counters describe graceful degradation under
     :class:`~repro.core.budget.QueryBudget`: ``timeouts`` counts calls
-    whose deadline or work cap expired mid-pipeline, ``degraded_results``
+    whose deadline or work cap cut verification short, ``degraded_results``
     counts the ``complete=False`` answers handed back (one budgeted batch
-    can produce several), ``unresolved_candidates`` sums the candidate
-    ids those answers left unverified, and ``prune_exhausted`` counts
-    candidates that survived center pruning only because the per-graph
-    check budget ran out (kept-by-exhaustion, not proven-satisfiable).
-    All four stay zero on unbudgeted traffic.
+    can produce several), and ``unresolved_candidates`` sums the
+    candidate ids those answers left unverified.  All three stay zero on
+    unbudgeted traffic.
     """
 
     queries: int = 0                 # every query() / query_batch() member
@@ -45,7 +43,6 @@ class EngineStats:
     batch_queries: int = 0           # queries arriving through query_batch()
     batch_dedup_hits: int = 0        # batch members answered by an isomorph
     candidates_filtered: int = 0     # |P_q| summed over executed pipelines
-    candidates_pruned: int = 0       # filtered candidates removed pre-verify
     verifications_run: int = 0       # exact subgraph-isomorphism tests
     invalidations: int = 0           # cache clears (insert/delete/rebuild)
     inserts: int = 0
@@ -55,10 +52,9 @@ class EngineStats:
     flushes: int = 0                 # memtable flushes to delta segments
     compactions: int = 0             # delta folds published via compact()
     # --- deadline / degradation counters (budgeted calls only) ---------
-    timeouts: int = 0                # budgets that expired mid-pipeline
+    timeouts: int = 0                # calls that returned degraded results
     degraded_results: int = 0        # results returned with complete=False
     unresolved_candidates: int = 0   # candidates left unverified on expiry
-    prune_exhausted: int = 0         # candidates kept on prune-budget exhaustion
     #: verification work units charged to budgeted calls' tokens, summed
     #: (matcher candidate draws + anchored-assignment trials).  Exact:
     #: enumerators flush sub-interval remainders on exit (the pre-fix
@@ -101,9 +97,12 @@ class QueryResult:
     pipeline never resolved — the exact answer is always a superset of
     ``matches`` and a subset of ``matches | unresolved``.  Degraded
     results are never cached by the engine; retry with a fresh budget to
-    resolve the remainder.  ``prune_exhausted`` counts candidates kept
-    by center-prune budget exhaustion rather than a satisfiability proof
-    (they may still be resolved exactly by verification).
+    resolve the remainder.  ``candidates_after_prune`` equals
+    ``candidates_after_filter`` on the serving path, which does not
+    prune; :meth:`~repro.core.treepi.TreePiIndex.query_paper` fills it
+    with P'_q and counts in ``prune_exhausted`` the candidates kept
+    because the per-graph check cap ran out rather than by a
+    satisfiability proof (verification still resolves them exactly).
     """
 
     matches: FrozenSet[int]

@@ -6,9 +6,13 @@ exact center locations, and a dictionary from canonical string to
 feature (the paper's prefix-tree index, Section 4.2.2, is only ever asked
 for exact keys, so a hash map answers every lookup).
 
-``TreePiIndex.query`` runs query processing (Section 5): randomized
-Feature-Tree-Partition, support-set filtering, Center Distance Constraint
-pruning, and reconstruction-based verification.  The result is exactly
+``TreePiIndex.query`` is the serving pipeline: randomized
+Feature-Tree-Partition and support-set filtering (Section 5), then one
+prefiltered monomorphism search per candidate
+(:func:`~repro.graphs.isomorphism.is_subgraph_isomorphic`).
+``TreePiIndex.query_paper`` runs the paper's full Section 5 pipeline on
+the same plan: Center Distance Constraint pruning (Algorithm 2) and
+reconstruction-based verification (Algorithm 3).  Both return exactly
 ``D_q = {g : q ⊆ g}``.
 
 ``insert`` / ``delete`` implement the Section 7.1 maintenance scheme:
@@ -30,7 +34,12 @@ from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
 from repro.core.feature import FeatureTree
 from repro.core.filtering import filter_candidates
-from repro.core.partition import SubsetMemo, canonical_subset, run_partitions
+from repro.core.partition import (
+    Partition,
+    SubsetMemo,
+    canonical_subset,
+    run_partitions,
+)
 from repro.core.statistics import IndexStats, QueryResult
 from repro.core.verification import VerificationStats, verify_candidate
 from repro.exceptions import BudgetExceeded, GraphError, IndexError_
@@ -47,6 +56,10 @@ from repro.trees.center import tree_center
 
 if TYPE_CHECKING:
     from repro.storage.segments import CompactionPlan, SegmentStore
+
+#: Per-graph distance-check cap of :meth:`TreePiIndex.query_paper`'s
+#: center prune; a graph whose check runs out is kept (still sound).
+CENTER_PRUNE_CHECKS = 2000
 
 
 def _augmentation_keys(
@@ -122,7 +135,6 @@ class TreePiConfig:
     * ``support`` — the σ(s) function (α, β, η),
     * ``gamma``   — shrinking parameter γ ∈ [1, 3],
     * ``delta``   — partition restarts δ; ``None`` uses |E(q)| per query,
-    * ``enable_center_prune`` — ablation switch for Algorithm 2,
     * ``augment_small_subtrees`` — also intersect the supports of every 1-
       and 2-edge subtree of the query (cheap canonical lookups; σ(s)=1 at
       those sizes indexes them all, so this strengthens SF_q at no risk),
@@ -130,23 +142,18 @@ class TreePiConfig:
       degrades TreePi into a GraphGrep-flavored index inside the same
       framework; the A4 ablation uses it to measure what branching tree
       features buy over paths (the paper's Section 1 argument),
-    * ``direct_verification_max_edges`` — queries at or below this edge
-      count verify candidates with a plain monomorphism search instead of
-      anchored reconstruction: the reconstruction machinery's per-candidate
-      setup cannot amortize on tiny queries (both verifiers are exact;
-      set to 0 to always reconstruct, as the paper describes),
     * ``max_embeddings_per_graph`` — optional miner memory cap (approximate
       mining; the default ``None`` keeps the index exact),
     * ``matcher_prefilters`` — use the cached per-graph label-pair /
       neighboring-label-signature structures (:mod:`repro.graphs.
-      matcher_index`) to refute candidates in center pruning and
-      verification before any backtracking.  Answer sets are identical
-      either way (every filter is a necessary condition — the
-      differential suites pin this); ``False`` restores the unfiltered
-      matcher, whose worst-case cost the deadline tests and adversarial
-      benchmarks rely on.  A runtime performance knob like ``workers``:
-      it cannot change what gets built or answered, so it is
-      deliberately excluded from persistence,
+      matcher_index`) to refute candidates in verification (and in
+      ``query_paper``'s center pruning) before any backtracking.  Answer
+      sets are identical either way (every filter is a necessary
+      condition — the differential suites pin this); ``False`` restores
+      the unfiltered matcher, whose worst-case cost the deadline tests
+      and adversarial benchmarks rely on.  A runtime performance knob
+      like ``workers``: it cannot change what gets built or answered, so
+      it is deliberately excluded from persistence,
     * ``seed``    — RNG seed for the randomized partition,
     * ``workers`` — process-pool width for index construction.  Mining's
       per-graph embedding enumeration and the feature-location table
@@ -159,11 +166,8 @@ class TreePiConfig:
     support: SupportFunction
     gamma: float = 1.5
     delta: Optional[int] = None
-    enable_center_prune: bool = True
     augment_small_subtrees: bool = True
     paths_only: bool = False
-    direct_verification_max_edges: int = 5
-    center_prune_budget: int = 2000
     max_embeddings_per_graph: Optional[int] = None
     matcher_prefilters: bool = True
     seed: int = 2007
@@ -172,25 +176,23 @@ class TreePiConfig:
 
 @dataclass
 class QueryPlan:
-    """The state of one query after partition / filter / prune.
+    """The state of one query after partition / filter.
 
     ``result`` is set when the pipeline short-circuited (direct hit,
     provably empty answer); otherwise ``survivors`` lists the candidate
-    graph ids still awaiting :meth:`TreePiIndex.verify`, and ``problem``
-    carries the center-constraint instance verification anchors on.
+    graph ids still awaiting :meth:`TreePiIndex.verify`, and
+    ``partition`` is TP_q, which :meth:`TreePiIndex.query_paper` builds
+    its center constraints on.
     """
 
     query: LabeledGraph
     result: Optional[QueryResult] = None
     survivors: List[int] = field(default_factory=list)
-    problem: Optional[CenterConstraintProblem] = None
+    partition: Optional[Partition] = None
     partition_size: int = 0
     sfq_size: int = 0
     candidates_after_filter: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: survivors kept because the center-prune budget/deadline ran out
-    #: before a proof either way (kept-by-exhaustion, still sound).
-    prune_exhausted: int = 0
 
 
 class TreePiIndex:
@@ -327,50 +329,38 @@ class TreePiIndex:
         the behavior is byte-identical to the unbudgeted pipeline.
         """
         token = budget.start() if budget is not None else None
-        plan = self.plan(query, token=token, budget=budget)
+        plan = self.plan(query)
         if plan.result is not None:
             return plan.result
         t0 = time.perf_counter()
-        vstats = VerificationStats()
         matches: Set[int] = set()
         unresolved: List[int] = []
         for gid in plan.survivors:
             try:
-                if self.verify(plan, gid, vstats, token=token):
+                if self.verify(plan, gid, token=token):
                     matches.add(gid)
             except BudgetExceeded:
                 unresolved.append(gid)
         return self.finish(
             plan,
             frozenset(matches),
-            vstats,
             time.perf_counter() - t0,
             unresolved=unresolved,
             degraded_reason=token.reason if token is not None else None,
         )
 
     @hot_path
-    def plan(
-        self,
-        query: LabeledGraph,
-        token: Optional[CancellationToken] = None,
-        budget: Optional[QueryBudget] = None,
-    ) -> "QueryPlan":
-        """Run partition / filter / prune, stopping short of verification.
+    def plan(self, query: LabeledGraph) -> "QueryPlan":
+        """Run partition / filter, stopping short of verification.
 
         Returns a :class:`QueryPlan`; when the pipeline can already prove
         the answer (direct feature hit, missing single edge, empty filter
         intersection) the plan carries a final ``result`` and an empty
         survivor list, otherwise the survivors still need :meth:`verify`.
         This staged form is what :class:`repro.core.engine.QueryEngine`
-        uses to parallelize verification across candidates.
-
-        ``token`` bounds the center-pruning stage (partition and filter
-        are low-order polynomial and run to completion): when the
-        deadline expires mid-prune the remaining candidates are kept
-        unexamined, which only ever *grows* the survivor superset.
-        ``budget`` additionally overrides the per-graph prune-check cap
-        via :attr:`QueryBudget.prune_checks`.
+        uses to parallelize verification across candidates.  Both stages
+        are low-order polynomial and run to completion; a query budget
+        bounds verification only.
         """
         if query.num_edges == 0:
             raise GraphError("query graphs must have at least one edge")
@@ -472,39 +462,14 @@ class TreePiIndex:
                 ),
             )
 
-        t0 = time.perf_counter()
-        problem = CenterConstraintProblem.from_partition(
-            query, run.best, self._lookup
-        )
-        candidates = sorted(outcome.candidates)
-        prune_exhausted = 0
-        if self._config.enable_center_prune:
-            prune_budget = self._config.center_prune_budget
-            if budget is not None and budget.prune_checks is not None:
-                prune_budget = budget.prune_checks
-            report = center_prune(
-                problem,
-                candidates,
-                {gid: self._db[gid] for gid in candidates},
-                oracles=self._oracles,
-                budget_per_graph=prune_budget,
-                token=token,
-                query=query if self._config.matcher_prefilters else None,
-            )
-            survivors = report.survivors
-            prune_exhausted = report.exhausted + report.skipped
-        else:
-            survivors = candidates
-        phases["center_prune"] = time.perf_counter() - t0
         return QueryPlan(
             query=query,
-            survivors=list(survivors),
-            problem=problem,
+            survivors=sorted(outcome.candidates),
+            partition=run.best,
             partition_size=run.best.size,
             sfq_size=run.sfq_size,
             candidates_after_filter=len(outcome.candidates),
             phase_seconds=phases,
-            prune_exhausted=prune_exhausted,
         )
 
     @hot_path
@@ -512,41 +477,82 @@ class TreePiIndex:
         self,
         plan: "QueryPlan",
         gid: int,
-        vstats: VerificationStats,
         token: Optional[CancellationToken] = None,
     ) -> bool:
         """Exactly test one surviving candidate of ``plan``.
 
-        Safe to call concurrently from several threads for distinct
-        candidates of the same plan as long as each caller passes its own
-        ``vstats`` (or tolerates racy counter increments).  With a
-        ``token``, an expired budget unwinds the search with
+        One prefiltered monomorphism search (label-pair index, neighbour-
+        label signatures, walk parity; see :mod:`repro.graphs.
+        matcher_index`).  Safe to call concurrently from several threads
+        for distinct candidates of the same plan.  With a ``token``, an
+        expired budget unwinds the search with
         :class:`~repro.exceptions.BudgetExceeded` — the candidate is then
         *unresolved*, never silently matched or rejected.
         """
-        query = plan.query
-        prefilter = self._config.matcher_prefilters
-        if query.num_edges <= self._config.direct_verification_max_edges:
-            return is_subgraph_isomorphic(
-                query, self._db[gid], token=token, prefilter=prefilter
-            )
-        assert plan.problem is not None
-        return verify_candidate(
-            query,
-            plan.problem,
+        return is_subgraph_isomorphic(
+            plan.query,
             self._db[gid],
-            gid,
-            vstats,
-            oracle=self._oracles.setdefault(gid, DistanceOracle(self._db[gid])),
             token=token,
-            prefilter=prefilter,
+            prefilter=self._config.matcher_prefilters,
         )
+
+    def query_paper(self, query: LabeledGraph) -> QueryResult:
+        """The paper's Section 5 pipeline: Algorithms 1, 2 and 3 in turn.
+
+        Partition and filter exactly as :meth:`plan`, then Center
+        Distance Constraint pruning (Algorithm 2, at most
+        :data:`CENTER_PRUNE_CHECKS` distance checks per graph; a graph
+        that runs out is kept) and reconstruction-based verification of
+        every survivor (Algorithm 3).  The answer equals :meth:`query`'s;
+        ``candidates_after_prune`` is P'_q and ``prune_exhausted`` counts
+        the survivors kept by the check cap.  Unbudgeted: the figures and
+        ablations that call it measure the algorithm, not a service.
+        """
+        plan = self.plan(query)
+        if plan.result is not None:
+            return plan.result
+        assert plan.partition is not None
+        prefilter = self._config.matcher_prefilters
+        t0 = time.perf_counter()
+        problem = CenterConstraintProblem.from_partition(
+            query, plan.partition, self._lookup
+        )
+        report = center_prune(
+            problem,
+            plan.survivors,
+            {gid: self._db[gid] for gid in plan.survivors},
+            oracles=self._oracles,
+            budget_per_graph=CENTER_PRUNE_CHECKS,
+            query=query if prefilter else None,
+        )
+        plan.survivors = report.survivors
+        plan.phase_seconds["center_prune"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        vstats = VerificationStats()
+        matches = frozenset(
+            gid
+            for gid in report.survivors
+            if verify_candidate(
+                query,
+                problem,
+                self._db[gid],
+                gid,
+                vstats,
+                oracle=self._oracles.setdefault(
+                    gid, DistanceOracle(self._db[gid])
+                ),
+                prefilter=prefilter,
+            )
+        )
+        result = self.finish(plan, matches, time.perf_counter() - t0)
+        result.verification = vstats
+        result.prune_exhausted = report.exhausted
+        return result
 
     def finish(
         self,
         plan: "QueryPlan",
         matches: frozenset,
-        vstats: VerificationStats,
         verify_seconds: float,
         unresolved: Sequence[int] = (),
         degraded_reason: Optional[str] = None,
@@ -567,11 +573,9 @@ class TreePiIndex:
             candidates_after_filter=plan.candidates_after_filter,
             candidates_after_prune=len(plan.survivors),
             phase_seconds=phases,
-            verification=vstats,
             complete=not unresolved,
             unresolved=frozenset(unresolved),
             degraded_reason=degraded_reason if unresolved else None,
-            prune_exhausted=plan.prune_exhausted,
         )
 
     # ------------------------------------------------------------------

@@ -125,29 +125,25 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
         "eta": config.support.eta,
         "gamma": config.gamma,
         "delta": config.delta,
-        "enable_center_prune": config.enable_center_prune,
         "augment_small_subtrees": config.augment_small_subtrees,
         "paths_only": config.paths_only,
-        "direct_verification_max_edges": config.direct_verification_max_edges,
-        "center_prune_budget": config.center_prune_budget,
         "max_embeddings_per_graph": config.max_embeddings_per_graph,
         "seed": config.seed,
     }
 
 
 def config_from_json(data: Dict[str, Any]) -> TreePiConfig:
-    # Files written by older builds may carry a "feature_index" key (the
-    # retired choice of key structure); it never affected answers, so it
-    # is ignored.
+    # Files written by older builds may carry retired keys: "feature_index"
+    # (the choice of key structure) and "enable_center_prune",
+    # "direct_verification_max_edges", "center_prune_budget" (the choice
+    # of verification path).  None of them affected answers, so they are
+    # ignored.
     return TreePiConfig(
         support=SupportFunction(data["alpha"], data["beta"], data["eta"]),
         gamma=data["gamma"],
         delta=data["delta"],
-        enable_center_prune=data["enable_center_prune"],
         augment_small_subtrees=data["augment_small_subtrees"],
         paths_only=data.get("paths_only", False),
-        direct_verification_max_edges=data.get("direct_verification_max_edges", 5),
-        center_prune_budget=data.get("center_prune_budget", 2000),
         max_embeddings_per_graph=data["max_embeddings_per_graph"],
         seed=data["seed"],
     )

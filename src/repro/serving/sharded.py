@@ -60,7 +60,6 @@ from repro.core.budget import QueryBudget
 from repro.core.engine import QueryEngine, ReadWriteLock
 from repro.core.statistics import EngineStats, QueryResult
 from repro.core.treepi import TreePiConfig, TreePiIndex
-from repro.core.verification import VerificationStats
 from repro.exceptions import AdmissionError, ConfigError, IndexError_, ReproError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.serving.faults import FaultPolicy
@@ -739,16 +738,14 @@ class ShardedEngine:
         bracket invariant holds by construction.  Phase timings sum
         (total shard work, not wall-clock); ``partition_size`` /
         ``sfq_size`` take the max since every shard partitions the same
-        query; verification counters merge into a fresh record so
-        shard-owned (possibly cached) results are never mutated.
+        query.
         """
         matched: Set[int] = set()
         unresolved: Set[int] = set(failed_universe)
         reasons = list(failure_reasons)
         complete = not failure_reasons
-        verification = VerificationStats()
         phase: Dict[str, float] = {}
-        filtered = pruned = exhausted = 0
+        filtered = pruned = 0
         partition = sfq = 0
         direct = bool(per_shard) and not failure_reasons
         for sid, result in per_shard:
@@ -759,12 +756,10 @@ class ShardedEngine:
                 reasons.append(
                     f"shard {sid}: {result.degraded_reason or 'degraded'}"
                 )
-            verification.merge(result.verification)
             for key, seconds in result.phase_seconds.items():
                 phase[key] = phase.get(key, 0.0) + seconds
             filtered += result.candidates_after_filter
             pruned += result.candidates_after_prune
-            exhausted += result.prune_exhausted
             partition = max(partition, result.partition_size)
             sfq = max(sfq, result.sfq_size)
             direct = direct and result.direct_hit
@@ -777,11 +772,9 @@ class ShardedEngine:
             candidates_after_filter=filtered,
             candidates_after_prune=pruned,
             phase_seconds=phase,
-            verification=verification,
             complete=complete,
             unresolved=frozenset(unresolved),
             degraded_reason="; ".join(reasons) if reasons else None,
-            prune_exhausted=exhausted,
         )
 
     def _shard_universe(self, sid: int) -> List[int]:

@@ -68,7 +68,6 @@ def adversarial():
     config = TreePiConfig(
         SupportFunction(1, 2.0, 2),
         gamma=1.1,
-        direct_verification_max_edges=20,
         matcher_prefilters=False,
         seed=5,
     )
@@ -239,8 +238,7 @@ class TestPrefiltersDefuseAdversary:
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-            direct_verification_max_edges=20,
-            seed=5,
+                seed=5,
         )
         assert fast_config.matcher_prefilters  # the default
         engine = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
@@ -258,8 +256,7 @@ class TestPrefiltersDefuseAdversary:
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-            direct_verification_max_edges=20,
-            seed=5,
+                seed=5,
         )
         fast = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
         assert (
@@ -277,8 +274,7 @@ class TestPrefiltersDefuseAdversary:
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-            direct_verification_max_edges=20,
-            seed=5,
+                seed=5,
         )
         engine = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
         assert engine.stats.verify_steps == 0

@@ -12,6 +12,7 @@ from repro.core import (
     satisfies_center_constraints,
 )
 from repro.exceptions import ConfigError
+from repro.core import treepi
 from repro.core.partition import Partition
 from repro.baselines import SequentialScan
 from repro.datasets import extract_query_workload
@@ -137,13 +138,16 @@ class TestExplicitOutcome:
 
 
 class TestEndToEndWithTinyBudget:
-    def test_answers_stay_exact(self, chem_db):
+    def test_answers_stay_exact(self, chem_db, monkeypatch):
         # Even a zero budget (pruning always gives up) cannot change the
         # final answers — it only forfeits candidate reduction.
-        config = TreePiConfig(
-            SupportFunction(2, 2.0, 4), gamma=1.1, center_prune_budget=0, seed=2
-        )
+        monkeypatch.setattr(treepi, "CENTER_PRUNE_CHECKS", 0)
+        config = TreePiConfig(SupportFunction(2, 2.0, 4), gamma=1.1, seed=2)
         index = TreePiIndex.build(chem_db, config)
         scan = SequentialScan(chem_db)
+        exhausted = 0
         for query in extract_query_workload(chem_db, 6, 6, seed=19):
-            assert index.query(query).matches == scan.support_set(query)
+            result = index.query_paper(query)
+            assert result.matches == scan.support_set(query)
+            exhausted += result.prune_exhausted
+        assert exhausted > 0  # the zero cap really was in force

@@ -97,32 +97,25 @@ class TestQueryCorrectness:
 
 
 class TestCenterPruneToggle:
-    def test_disabled_prune_is_still_correct(self, chem_db):
-        config = TreePiConfig(
-            SupportFunction(2, 2.0, 4), gamma=1.1, enable_center_prune=False
-        )
-        index = TreePiIndex.build(chem_db, config)
+    def test_disabled_prune_is_still_correct(self, chem_db, chem_config):
+        # The serving pipeline never prunes; the paper's does.
+        index = TreePiIndex.build(chem_db, chem_config)
         scan = SequentialScan(chem_db)
         for query in extract_query_workload(chem_db, 5, 6, seed=4):
-            assert index.query(query).matches == scan.support_set(query)
+            truth = scan.support_set(query)
+            assert index.query(query).matches == truth
+            assert index.query_paper(query).matches == truth
 
     def test_prune_never_increases_candidates(self, chem_db, chem_config):
-        with_prune = TreePiIndex.build(chem_db, chem_config)
-        without = TreePiIndex.build(
-            chem_db,
-            TreePiConfig(
-                chem_config.support,
-                gamma=chem_config.gamma,
-                enable_center_prune=False,
-                seed=chem_config.seed,
-            ),
-        )
+        index = TreePiIndex.build(chem_db, chem_config)
         for query in extract_query_workload(chem_db, 6, 6, seed=11):
-            a = with_prune.query(query)
-            b = without.query(query)
-            if a.direct_hit or b.direct_hit:
+            paper = index.query_paper(query)
+            serving = index.query(query)
+            if paper.direct_hit:
                 continue
-            assert a.candidates_after_prune <= b.candidates_after_prune
+            assert serving.candidates_after_prune == serving.candidates_after_filter
+            assert paper.candidates_after_filter == serving.candidates_after_filter
+            assert paper.candidates_after_prune <= serving.candidates_after_prune
 
 
 class TestAugmentationToggle:

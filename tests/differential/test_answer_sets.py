@@ -1,9 +1,10 @@
-"""Differential oracle suite: four engines, one answer set.
+"""Differential oracle suite: five engines, one answer set.
 
 For every seeded corpus the exact support set ``D_q`` of each query is
-computed four ways —
+computed five ways —
 
-* ``TreePiIndex.query``           (the paper pipeline, serial),
+* ``TreePiIndex.query``           (the serving pipeline, serial),
+* ``TreePiIndex.query_paper``     (center prune + reconstruction),
 * ``QueryEngine.query``           (cold, then again from cache),
 * ``SequentialScan.support_set``  (brute-force ground truth),
 * ``GIndexBaseline.query``        (independent filter+verify design),
@@ -69,7 +70,7 @@ def make_corpus(kind: str, seed: int):
 
 
 def assert_engines_agree(db, queries):
-    """The four-way differential check for one corpus."""
+    """The five-way differential check for one corpus."""
     scan = SequentialScan(db)
     treepi = TreePiIndex.build(
         db, TreePiConfig(SupportFunction(alpha=2, beta=2.0, eta=4), seed=5)
@@ -80,6 +81,9 @@ def assert_engines_agree(db, queries):
     for i, query in enumerate(queries):
         truth = scan.support_set(query)
         assert treepi.query(query).matches == truth, f"TreePi diverged on query {i}"
+        assert (
+            treepi.query_paper(query).matches == truth
+        ), f"TreePi paper pipeline diverged on query {i}"
         assert engine.query(query).matches == truth, f"engine (cold) diverged on query {i}"
         assert engine.query(query).matches == truth, f"engine (cached) diverged on query {i}"
         assert gindex.query(query).matches == truth, f"gIndex diverged on query {i}"
@@ -118,7 +122,7 @@ def test_frozen_corpus_answers():
 
     This pins today's semantics to bytes on disk: if any engine (or the
     generators feeding the differential sweep) drifts, this test fails
-    even though the four live engines still agree with each other.
+    even though the five live engines still agree with each other.
     """
     db = load_database(DATA_DIR / "corpus.txt")
     queries = list(load_database(DATA_DIR / "queries.txt"))

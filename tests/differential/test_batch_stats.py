@@ -105,9 +105,7 @@ class TestSingletonBatchEquivalence:
         batches.query_batch(queries)
         s, b = singles.stats, batches.stats
         assert b.candidates_filtered == s.candidates_filtered
-        assert b.candidates_pruned == s.candidates_pruned
         assert b.verifications_run == s.verifications_run
-        assert b.prune_exhausted == s.prune_exhausted
         assert b.queries == s.queries == len(queries)
 
     def test_batch_verify_time_not_inflated_by_batch_size(self, corpus):

@@ -47,17 +47,14 @@ def test_query_equals_brute_force(db_query, gamma):
 @given(database_and_query(), st.sampled_from([1.0, 1.3]))
 @settings(max_examples=40, deadline=None)
 def test_reconstruction_verifier_equals_brute_force(db_query, gamma):
-    """Force the paper's reconstruction verifier on every query size."""
+    """The paper's prune + reconstruction pipeline, on every query size."""
     db, query = db_query
     config = TreePiConfig(
-        SupportFunction(alpha=2, beta=2.0, eta=3),
-        gamma=gamma,
-        direct_verification_max_edges=0,  # never fall back to plain matching
-        seed=8,
+        SupportFunction(alpha=2, beta=2.0, eta=3), gamma=gamma, seed=8
     )
     index = TreePiIndex.build(db, config)
     scan = SequentialScan(db)
-    assert index.query(query).matches == scan.support_set(query)
+    assert index.query_paper(query).matches == scan.support_set(query)
 
 
 @given(database_and_query())
@@ -65,10 +62,9 @@ def test_reconstruction_verifier_equals_brute_force(db_query, gamma):
 def test_center_prune_toggle_equivalence(db_query):
     """Center pruning must never change answers, only candidate counts."""
     db, query = db_query
-    base = dict(support=SupportFunction(2, 2.0, 3), gamma=1.1, seed=4)
-    on = TreePiIndex.build(db, TreePiConfig(enable_center_prune=True, **base))
-    off = TreePiIndex.build(db, TreePiConfig(enable_center_prune=False, **base))
-    assert on.query(query).matches == off.query(query).matches
+    config = TreePiConfig(SupportFunction(2, 2.0, 3), gamma=1.1, seed=4)
+    index = TreePiIndex.build(db, config)
+    assert index.query_paper(query).matches == index.query(query).matches
 
 
 @given(database_and_query())

@@ -78,6 +78,26 @@ class TestBuildQueryInfo:
         assert "total query time" in out
         assert "P'q=" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_query_rejects_a_bad_deadline(
+        self, tmp_path, db_file, index_file, capsys, value
+    ):
+        # argparse's type=float accepts "nan"; a NaN deadline would give a
+        # token that never expires.
+        queries = tmp_path / "queries.txt"
+        main([
+            "generate", "--kind", "queries", "--database", str(db_file),
+            "--edges", "3", "--count", "1", "--out", str(queries),
+        ])
+        capsys.readouterr()
+        assert main([
+            "query", "--index", str(index_file), "--queries", str(queries),
+            f"--deadline-ms={value}",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert "error: QueryBudget.deadline_ms" in err
+        assert "query 0:" not in out
+
     def test_query_answers_match_brute_force(self, tmp_path, db_file, index_file):
         from repro.baselines import SequentialScan
 

@@ -22,6 +22,7 @@ from repro.persistence import (
     load_index,
     save_index,
 )
+from repro.serving import ShardedEngine
 
 
 class TestLabels:
@@ -336,3 +337,66 @@ class TestRetiredFeatureIndexKey:
             config = json.loads((resaved / "manifest.json").read_text())["config"]
             restored.segment_store.close()
         assert "feature_index" not in config
+
+
+#: The retired verification-path knobs, at values that differ from their
+#: old defaults (prune off, always reconstruct, zero prune checks).
+RETIRED_KEYS = {
+    "enable_center_prune": False,
+    "direct_verification_max_edges": 0,
+    "center_prune_budget": 0,
+}
+
+
+def _answers_like(restored, original, seed=5):
+    for query in extract_query_workload(original.database, 4, 6, seed=seed):
+        assert restored.query(query).matches == original.query(query).matches
+
+
+class TestRetiredConfigKeys:
+    """Files from builds that chose a verification path still load.
+
+    Older builds wrote ``enable_center_prune``, ``direct_verification_
+    max_edges`` and ``center_prune_budget`` into every config; none of
+    them affected answers, so readers ignore them and writers omit them.
+    """
+
+    def test_writer_omits_and_reader_ignores_them(self, small_index):
+        doc = config_to_json(small_index.config)
+        assert not set(RETIRED_KEYS) & set(doc)
+        assert config_from_json(dict(doc, **RETIRED_KEYS)) == small_index.config
+
+    def test_v1_document(self, small_index, v1_doc, tmp_path):
+        doc = json.loads(json.dumps(v1_doc))
+        doc["config"].update(RETIRED_KEYS)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        _answers_like(load_index(path), small_index)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_v2_document_and_v3_manifest(self, small_index, tmp_path, version):
+        path = tmp_path / ("index.json" if version == 2 else "seg")
+        save_index(small_index, path, version=version)
+        config_file = path if version == 2 else path / "manifest.json"
+        doc = json.loads(config_file.read_text())
+        doc["config"].update(RETIRED_KEYS)
+        config_file.write_text(json.dumps(doc))
+
+        restored = load_index(path)
+        _answers_like(restored, small_index)
+        resaved = tmp_path / "resaved"
+        save_index(restored, resaved, version=version)
+        if version == 3:
+            restored.segment_store.close()
+            resaved = resaved / "manifest.json"
+        assert not set(RETIRED_KEYS) & set(json.loads(resaved.read_text())["config"])
+
+    def test_sharded_tier_manifest(self, small_index, tmp_path):
+        tier = ShardedEngine(small_index.database, small_index.config, 2)
+        tier.save_segments(tmp_path)
+        manifest = tmp_path / "shards.json"
+        doc = json.loads(manifest.read_text())
+        assert not set(RETIRED_KEYS) & set(doc["config"])
+        doc["config"].update(RETIRED_KEYS)
+        manifest.write_text(json.dumps(doc))
+        _answers_like(ShardedEngine.open_segments(tmp_path), small_index)
