@@ -1,6 +1,7 @@
 """Ablation A3 — partition restarts δ (Section 5.1's randomized RP).
 
-Expectation: more restarts yield minimum partitions at least as small and
+δ drives only the paper's planner, so every query here runs through
+``TreePiIndex.query_paper``.  Expectation: more restarts yield minimum partitions at least as small and
 a richer SF_q (better filtering), at a partition-time cost that the
 verification savings should offset on large queries.
 """
@@ -30,6 +31,6 @@ def test_ablation_partition_restarts(benchmark, scale):
 
     def run_high_delta():
         for query in workload:
-            index.query(query)
+            index.query_paper(query)
 
     benchmark.pedantic(run_high_delta, rounds=1, iterations=1)

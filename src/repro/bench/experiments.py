@@ -370,7 +370,11 @@ def experiment_phase_breakdown(
     table = Table(
         title=f"E+ — query phase breakdown, ms/query ({dataset}, scale={scale.name})",
         columns=["query_edges", *phases, "direct_hit_rate"],
-        notes=["phases missing from direct-hit queries contribute zero"],
+        notes=[
+            "phases missing from direct-hit queries contribute zero",
+            "serving filters level by level inside its partition phase,"
+            " so its filter column reads zero",
+        ],
     )
     for workload in _workloads(db, scale):
         collector = QueryStatsCollector(workload.name)
@@ -656,7 +660,12 @@ def ablation_verification_strategy(
 
 
 def ablation_partition_restarts(scale: Scale, dataset: str = "chemical") -> Table:
-    """A3: δ sweep — partition size and query latency vs restart count."""
+    """A3: δ sweep — partition size and query latency vs restart count.
+
+    δ only drives the paper's planner, so the sweep runs
+    :meth:`TreePiIndex.query_paper`; serving enumerates SF_q
+    deterministically and ignores δ.
+    """
     size = scale.query_db_size
     db = get_database(dataset, size, scale)
     workload = _workloads(db, scale)[-1]  # largest queries benefit most
@@ -671,7 +680,7 @@ def ablation_partition_restarts(scale: Scale, dataset: str = "chemical") -> Tabl
         tpq = sfq = 0.0
         t0 = time.perf_counter()
         for query in workload:
-            result = index.query(query)
+            result = index.query_paper(query)
             tpq += result.partition_size
             sfq += result.sfq_size
         ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))

@@ -150,9 +150,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         if args.stats:
             line += (
-                f"  |TPq|={result.partition_size}"
+                f"  |SFq|={result.sfq_size}"
                 f" Pq={result.candidates_after_filter}"
-                f" P'q={result.candidates_after_prune}"
                 f" {elapsed:.2f}ms"
                 f"{' (direct)' if result.direct_hit else ''}"
             )

@@ -6,13 +6,16 @@ unboundedly; because the RW lock is writer-preferring, one runaway query
 plus one waiting writer would freeze the whole engine.  This module
 bounds that tail: a :class:`QueryBudget` declares a wall-clock deadline
 and/or a verification work cap, and a :class:`CancellationToken` carries
-those bounds through verification — ``TreePiIndex.verify`` → the
-monomorphism enumerator — which checks the shared token at bounded
+those bounds through planning and verification.  ``TreePiIndex.plan``
+polls it after every level of its subtree enumeration and, on expiry,
+hands the candidates found so far to verification; ``TreePiIndex.verify``
+→ the monomorphism enumerator checks the shared token at bounded
 intervals and unwinds cleanly (:class:`~repro.exceptions.BudgetExceeded`)
 instead of running forever.
 
 The contract is the one succinct-filter systems rely on: **filters may
-loosen, answers never change.**  Expiry during *verification* moves the
+loosen, answers never change.**  Expiry during *planning* leaves a
+looser candidate set; expiry during *verification* moves the
 still-unverified candidates into ``QueryResult.unresolved`` and flags
 the result ``complete=False``.  Everything actually reported
 in ``matches`` was exactly verified, so

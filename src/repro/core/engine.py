@@ -558,7 +558,7 @@ class QueryEngine:
         token: Optional[CancellationToken] = None,
     ) -> QueryResult:
         """Run one full pipeline (caller holds the read lock)."""
-        plan = self._index.plan(query)
+        plan = self._index.plan(query, token=token)
         if plan.result is not None:
             return plan.result
         self._count_pipeline(plan)
@@ -579,7 +579,7 @@ class QueryEngine:
         exactly what :meth:`query` would have reported for it alone —
         pooling changes wall-clock, never attribution.
         """
-        plans = [self._index.plan(query) for query in queries]
+        plans = [self._index.plan(query, token=token) for query in queries]
         open_plans = [plan for plan in plans if plan.result is None]
         for plan in open_plans:
             self._count_pipeline(plan)

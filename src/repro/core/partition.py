@@ -6,6 +6,11 @@ until every part is a feature tree; single-edge parts always terminate
 Running ``RP`` δ times yields δ partitions: the smallest becomes ``TP_q``
 (driving pruning and verification) and the union of all pieces becomes
 the feature subtree set ``SF_q`` (driving support-set filtering).
+
+Only :meth:`~repro.core.treepi.TreePiIndex.query_paper`, the paper's
+pipeline, partitions.  Serving needs no ``TP_q`` and gathers ``SF_q``
+deterministically instead, by enumerating every indexed subtree of the
+query up to η edges (:meth:`~repro.core.treepi.TreePiIndex.plan`).
 """
 
 from __future__ import annotations
@@ -67,9 +72,9 @@ class Partition:
 
 
 #: Per-query memo: edge subset -> (canonical key, center in query
-#: coordinates), or None for a subset that is not a tree.  Augmentation
-#: fills it and every ``RP(q)`` restart reads it, so each distinct subset
-#: is canonicalized once per query.
+#: coordinates), or None for a subset that is not a tree.  The paper
+#: planner's augmentation fills it and every ``RP(q)`` restart reads it,
+#: so each distinct subset is canonicalized once per query.
 SubsetMemo = Dict[FrozenSet[Edge], Optional[Tuple[str, Center]]]
 
 

@@ -6,14 +6,15 @@ exact center locations, and a dictionary from canonical string to
 feature (the paper's prefix-tree index, Section 4.2.2, is only ever asked
 for exact keys, so a hash map answers every lookup).
 
-``TreePiIndex.query`` is the serving pipeline: randomized
-Feature-Tree-Partition and support-set filtering (Section 5), then one
-prefiltered monomorphism search per candidate
-(:func:`~repro.graphs.isomorphism.is_subgraph_isomorphic`).
-``TreePiIndex.query_paper`` runs the paper's full Section 5 pipeline on
-the same plan: Center Distance Constraint pruning (Algorithm 2) and
-reconstruction-based verification (Algorithm 3).  Both return exactly
-``D_q = {g : q ⊆ g}``.
+``TreePiIndex.query`` is the serving pipeline: a deterministic,
+level-wise enumeration of the query's indexed subtrees (the feature
+subtree set SF_q of Section 5.1) with support-set filtering after each
+level (Section 5.2.1), then one prefiltered monomorphism search per
+candidate (:func:`~repro.graphs.isomorphism.is_subgraph_isomorphic`).
+``TreePiIndex.query_paper`` runs the paper's full Section 5 pipeline:
+the randomized Feature-Tree-Partition ``RP(q)`` run δ times, Center
+Distance Constraint pruning (Algorithm 2) and reconstruction-based
+verification (Algorithm 3).  Both return exactly ``D_q = {g : q ⊆ g}``.
 
 ``insert`` / ``delete`` implement the Section 7.1 maintenance scheme:
 occurrences of existing features are updated in place, and the index
@@ -26,7 +27,16 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.flow import hot_path
 from repro.analysis.guards import guarded_by
@@ -44,15 +54,15 @@ from repro.core.statistics import IndexStats, QueryResult
 from repro.core.verification import VerificationStats, verify_candidate
 from repro.exceptions import BudgetExceeded, GraphError, IndexError_
 from repro.graphs.distances import DistanceOracle
-from repro.graphs.graph import GraphDatabase, LabeledGraph
+from repro.graphs.graph import Edge, GraphDatabase, LabeledGraph
 from repro.graphs.isomorphism import is_subgraph_isomorphic, subgraph_monomorphisms
 from repro.mining.patterns import MinedPattern
 from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
 from repro.mining.subtree_miner import FrequentSubtreeMiner, _chunk
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
-from repro.trees.canonical import tree_canonical_string
-from repro.trees.center import tree_center
+from repro.trees.canonical import edge_subset_canonical_form, tree_canonical_string
+from repro.trees.center import Center, tree_center
 
 if TYPE_CHECKING:
     from repro.storage.segments import CompactionPlan, SegmentStore
@@ -62,56 +72,111 @@ if TYPE_CHECKING:
 CENTER_PRUNE_CHECKS = 2000
 
 
+#: The serving planner canonicalizes at most this many edge subsets per
+#: query edge, then filters on the keys found so far (sound: fewer keys
+#: only loosen the filter).  Workload queries need about 30 per edge; at
+#: η = 5 a single-label K8 would need about 1,600.
+SUBSETS_PER_EDGE = 64
+
+#: One subset of the enumeration: (edge mask, vertex mask, vertices, edges).
+_Subset = Tuple[int, int, Tuple[int, ...], Tuple[Edge, ...]]
+
+
+def _subtree_levels(
+    query: LabeledGraph,
+    max_size: int,
+    limit: Optional[int] = None,
+    memo: Optional[SubsetMemo] = None,
+) -> Iterator[List[str]]:
+    """Canonical keys of the query's subtrees, one list per size ``1..max_size``.
+
+    Level 1 holds one key per query edge, in ``query.edges()`` order.
+    Level ``k`` holds the distinct keys of every connected acyclic
+    ``k``-edge subset, grown breadth-first: each ``k-1``-edge subset gains
+    one edge to a vertex it does not touch yet (an edge between two
+    touched vertices would close a cycle), so every subset grown is a
+    tree and is canonicalized exactly once.
+
+    ``limit`` caps how many subsets get canonicalized; level 1 always
+    completes, and a later level the cap cuts short is yielded partial
+    and ends the enumeration.  ``memo`` additionally records each
+    subset's canonical form for ``RP(q)`` to reuse.
+    """
+
+    def canonical(edges: Tuple[Edge, ...]) -> Tuple[str, Center]:
+        if memo is None:
+            canon = edge_subset_canonical_form(query, edges)
+        else:
+            subset = frozenset(edges)
+            if subset not in memo:
+                memo[subset] = edge_subset_canonical_form(query, subset)
+            canon = memo[subset]
+        assert canon is not None, "the enumeration only grows trees"
+        return canon
+
+    # vertex -> (neighbor's vertex bit, edge bit, neighbor, edge)
+    incident: Dict[int, List[Tuple[int, int, int, Edge]]] = {}
+    frontier: List[_Subset] = []
+    singles: List[str] = []
+    for i, (u, v, _) in enumerate(query.edges()):
+        edge, bit = (u, v), 1 << i
+        incident.setdefault(u, []).append((1 << v, bit, v, edge))
+        incident.setdefault(v, []).append((1 << u, bit, u, edge))
+        singles.append(canonical((edge,))[0])
+        frontier.append((bit, (1 << u) | (1 << v), (u, v), (edge,)))
+    yield singles
+    spent = len(singles)
+    size = 1
+    while frontier and size < max_size:
+        keys: Dict[str, None] = {}
+        seen: Set[int] = set()
+        grown: List[_Subset] = []
+        for mask, vmask, verts, edges in frontier:
+            for u in verts:
+                for vbit, bit, v, edge in incident[u]:
+                    if vmask & vbit:
+                        continue
+                    extended_mask = mask | bit
+                    if extended_mask in seen:
+                        continue
+                    if spent == limit:
+                        yield list(keys)
+                        return
+                    spent += 1
+                    seen.add(extended_mask)
+                    extended = edges + (edge,)
+                    keys[canonical(extended)[0]] = None
+                    grown.append(
+                        (extended_mask, vmask | vbit, verts + (v,), extended)
+                    )
+        yield list(keys)
+        frontier = grown
+        size += 1
+
+
 def _augmentation_keys(
     query: LabeledGraph, max_size: int, memo: SubsetMemo
 ) -> Tuple[List[str], List[str]]:
     """Canonical strings of every subtree of the query up to ``max_size`` edges.
 
-    Returns ``(single_edge_keys, larger_keys)``.  Sizes up to α are indexed
-    unconditionally (σ(s) = 1), so intersecting their supports sharpens
-    SF_q essentially for free; misses among the larger keys are ignored by
-    filtering (they may have been γ-shrunk), while a missing *single edge*
-    proves the query unanswerable.
-
-    Enumeration grows connected acyclic edge subsets breadth-first; a
-    subset that closes a cycle stops extending (supersets stay cyclic).
-    Every subset's canonical form lands in ``memo`` for ``RP(q)`` to reuse.
+    Returns ``(single_edge_keys, larger_keys)``: the first ``max_size``
+    levels of :func:`_subtree_levels`, the larger keys deduplicated and
+    sorted.  :meth:`TreePiIndex.query_paper` intersects their supports
+    into its stage-1 filter; a missing *single edge* proves the query
+    unanswerable.  Every subset's canonical form lands in ``memo`` for
+    ``RP(q)`` to reuse.
     """
-    single_edge_keys: List[str] = []
-    larger_keys: Set[str] = set()
-    frontier: List[frozenset] = []
-    seen: Set[frozenset] = set()
-    for u, v, _ in query.edges():
-        es = frozenset({(u, v)})
-        single_edge_keys.append(_subtree_key(query, es, memo))
-        seen.add(es)
-        frontier.append(es)
-
-    size = 1
-    while frontier and size < max_size:
-        next_frontier: List[frozenset] = []
-        for es in frontier:
-            touched = {w for e in es for w in e}
-            for u in touched:
-                for v in query.neighbors(u):
-                    if v in touched:
-                        continue  # the edge is in es or would close a cycle
-                    extended = es | {(u, v) if u < v else (v, u)}
-                    if extended in seen:
-                        continue
-                    seen.add(extended)
-                    larger_keys.add(_subtree_key(query, extended, memo))
-                    next_frontier.append(extended)
-        frontier = next_frontier
-        size += 1
+    levels = _subtree_levels(query, max_size, memo=memo)
+    single_edge_keys = next(levels)
+    larger_keys = {key for level in levels for key in level}
     return single_edge_keys, sorted(larger_keys)
 
 
-def _subtree_key(query: LabeledGraph, edges: frozenset, memo: SubsetMemo) -> str:
-    """Canonical key of an edge subset known to form a tree."""
-    canon = canonical_subset(query, edges, memo)
-    assert canon is not None, "augmentation only grows acyclic subsets"
-    return canon[0]
+def _check_query(query: LabeledGraph) -> None:
+    if query.num_edges == 0:
+        raise GraphError("query graphs must have at least one edge")
+    if not query.is_connected():
+        raise GraphError("query graphs must be connected")
 
 
 def _materialize_features(
@@ -134,10 +199,9 @@ class TreePiConfig:
 
     * ``support`` — the σ(s) function (α, β, η),
     * ``gamma``   — shrinking parameter γ ∈ [1, 3],
-    * ``delta``   — partition restarts δ; ``None`` uses |E(q)| per query,
-    * ``augment_small_subtrees`` — also intersect the supports of every 1-
-      and 2-edge subtree of the query (cheap canonical lookups; σ(s)=1 at
-      those sizes indexes them all, so this strengthens SF_q at no risk),
+    * ``delta``   — partition restarts δ of :meth:`TreePiIndex.
+      query_paper`'s ``RP(q)``; ``None`` uses |E(q)| per query (serving
+      enumerates SF_q deterministically and never partitions),
     * ``paths_only`` — restrict features to *path-shaped* trees.  This
       degrades TreePi into a GraphGrep-flavored index inside the same
       framework; the A4 ablation uses it to measure what branching tree
@@ -154,7 +218,7 @@ class TreePiConfig:
       and adversarial benchmarks rely on.  A runtime performance knob
       like ``workers``: it cannot change what gets built or answered, so
       it is deliberately excluded from persistence,
-    * ``seed``    — RNG seed for the randomized partition,
+    * ``seed``    — RNG seed for ``query_paper``'s randomized partition,
     * ``workers`` — process-pool width for index construction.  Mining's
       per-graph embedding enumeration and the feature-location table
       build are fanned out and merged in canonical-key order, so the
@@ -166,7 +230,6 @@ class TreePiConfig:
     support: SupportFunction
     gamma: float = 1.5
     delta: Optional[int] = None
-    augment_small_subtrees: bool = True
     paths_only: bool = False
     max_embeddings_per_graph: Optional[int] = None
     matcher_prefilters: bool = True
@@ -180,9 +243,10 @@ class QueryPlan:
 
     ``result`` is set when the pipeline short-circuited (direct hit,
     provably empty answer); otherwise ``survivors`` lists the candidate
-    graph ids still awaiting :meth:`TreePiIndex.verify`, and
-    ``partition`` is TP_q, which :meth:`TreePiIndex.query_paper` builds
-    its center constraints on.
+    graph ids still awaiting :meth:`TreePiIndex.verify`.  Only the
+    paper's planner partitions: there ``partition`` is TP_q, which
+    :meth:`TreePiIndex.query_paper` builds its center constraints on;
+    serving plans leave it ``None`` with ``partition_size`` 0.
     """
 
     query: LabeledGraph
@@ -329,7 +393,7 @@ class TreePiIndex:
         the behavior is byte-identical to the unbudgeted pipeline.
         """
         token = budget.start() if budget is not None else None
-        plan = self.plan(query)
+        plan = self.plan(query, token=token)
         if plan.result is not None:
             return plan.result
         t0 = time.perf_counter()
@@ -350,52 +414,135 @@ class TreePiIndex:
         )
 
     @hot_path
-    def plan(self, query: LabeledGraph) -> "QueryPlan":
-        """Run partition / filter, stopping short of verification.
+    def plan(
+        self, query: LabeledGraph, token: Optional[CancellationToken] = None
+    ) -> "QueryPlan":
+        """Gather SF_q and filter, stopping short of verification.
 
         Returns a :class:`QueryPlan`; when the pipeline can already prove
         the answer (direct feature hit, missing single edge, empty filter
         intersection) the plan carries a final ``result`` and an empty
         survivor list, otherwise the survivors still need :meth:`verify`.
         This staged form is what :class:`repro.core.engine.QueryEngine`
-        uses to parallelize verification across candidates.  Both stages
-        are low-order polynomial and run to completion; a query budget
-        bounds verification only.
-        """
-        if query.num_edges == 0:
-            raise GraphError("query graphs must have at least one edge")
-        if not query.is_connected():
-            raise GraphError("query graphs must be connected")
+        uses to parallelize verification across candidates.
 
+        SF_q is every indexed subtree of the query up to η edges, found
+        level by level (:func:`_subtree_levels`); after each level the
+        supports of its indexed keys are intersected into the candidates.
+        The enumeration stops once at most one candidate remains (one
+        prefiltered match decides it), after level η, after
+        :data:`SUBSETS_PER_EDGE` subsets per query edge, or when
+        ``token`` expires (polled after every level; the candidates so
+        far go to verification, which reports them unresolved).  Every
+        stop is sound: fewer keys only loosen the filter.
+        """
+        _check_query(query)
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
-        memo: SubsetMemo = {}
+        eta = self._config.support.eta
+        # Only a query of at most η edges can itself be a feature.
+        if query.num_edges <= eta:
+            hit = self._direct_hit(query, {}, phases, t0)
+            if hit is not None:
+                return hit
 
-        # Fast path: the query itself is an indexed feature tree, so its
-        # exact support set is already materialized (RP's first check).
-        whole = canonical_subset(
-            query, frozenset((u, v) for u, v, _ in query.edges()), memo
-        )
-        if whole is not None:
-            feature = self._lookup.get(whole[0])
-            if feature is not None:
-                phases["lookup"] = time.perf_counter() - t0
-                support = feature.support_set()
+        lookup = self._lookup
+        sfq: Dict[str, None] = {}
+        candidates: Optional[PostingList] = None
+        for keys in _subtree_levels(
+            query, eta, limit=SUBSETS_PER_EDGE * query.num_edges
+        ):
+            # Every single edge of the query must be an indexed feature
+            # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
+            # D_q is empty.
+            if candidates is None and any(k not in lookup for k in keys):
+                phases["partition"] = time.perf_counter() - t0
                 return QueryPlan(
                     query=query,
                     result=QueryResult(
-                        matches=support,
-                        direct_hit=True,
-                        partition_size=1,
-                        sfq_size=1,
-                        candidates_after_filter=len(support),
-                        candidates_after_prune=len(support),
-                        phase_seconds=phases,
+                        matches=frozenset(), phase_seconds=phases
                     ),
                 )
+            postings = [] if candidates is None else [candidates]
+            for key in keys:
+                if key in lookup and key not in sfq:
+                    sfq[key] = None
+                    postings.append(lookup[key].support_posting())
+            candidates = PostingList.intersect_many(postings, early_exit=True)
+            if len(candidates) <= 1 or (
+                token is not None and token.expired_now()
+            ):
+                break
+        assert candidates is not None, "level 1 always yields"
+        # Filtering is interleaved with the enumeration, so one phase
+        # covers both.
+        phases["partition"] = time.perf_counter() - t0
+        plan = QueryPlan(
+            query=query,
+            sfq_size=len(sfq),
+            candidates_after_filter=len(candidates),
+            phase_seconds=phases,
+        )
+        if not candidates:
+            plan.result = QueryResult(
+                matches=frozenset(),
+                sfq_size=plan.sfq_size,
+                phase_seconds=phases,
+            )
+        else:
+            plan.survivors = list(candidates)
+        return plan
 
-        # Every single edge of the query must be an indexed feature (σ(1)=1
-        # and size-1 trees are never shrunk); a miss proves D_q is empty.
+    def _direct_hit(
+        self,
+        query: LabeledGraph,
+        memo: SubsetMemo,
+        phases: Dict[str, float],
+        t0: float,
+    ) -> Optional["QueryPlan"]:
+        """The final plan when the query itself is an indexed feature tree.
+
+        Its exact support set is already materialized, so no filtering
+        or verification is needed.
+        """
+        whole = canonical_subset(
+            query, frozenset((u, v) for u, v, _ in query.edges()), memo
+        )
+        feature = self._lookup.get(whole[0]) if whole is not None else None
+        if feature is None:
+            return None
+        phases["lookup"] = time.perf_counter() - t0
+        support = feature.support_set()
+        return QueryPlan(
+            query=query,
+            result=QueryResult(
+                matches=support,
+                direct_hit=True,
+                partition_size=1,
+                sfq_size=1,
+                candidates_after_filter=len(support),
+                candidates_after_prune=len(support),
+                phase_seconds=phases,
+            ),
+        )
+
+    def _plan_paper(self, query: LabeledGraph) -> "QueryPlan":
+        """The paper's planner: ``RP(q)`` run δ times, then Algorithm 1.
+
+        Augments SF_q with every query subtree of up to ``max(3, α)``
+        edges and filters on those first (stage 1), then runs the
+        randomized Feature-Tree-Partition δ times (fewer when stage 1
+        already leaves at most 8 candidates) for TP_q and the rest of
+        SF_q.  :meth:`query_paper` builds its center constraints on TP_q.
+        """
+        _check_query(query)
+        phases: Dict[str, float] = {}
+        t0 = time.perf_counter()
+        memo: SubsetMemo = {}
+        hit = self._direct_hit(query, memo, phases, t0)
+        if hit is not None:
+            return hit
+
         # Enumerate up to 3-edge subtrees even when α < 3: lookups whose
         # keys are absent (infrequent or shrunk) are skipped soundly, and
         # present ones buy the same filter power gIndex gets from its
@@ -412,30 +559,19 @@ class TreePiIndex:
                         matches=frozenset(), phase_seconds=phases
                     ),
                 )
-        extra_keys = single_edge_keys + larger_keys
 
-        # Stage-1 filter on the augmentation subtrees alone.  Cheap (pure
-        # lookups and posting-list merges), and when it already leaves only
-        # a handful of candidates the partition budget δ can shrink: SF_q
-        # diversity buys nothing on a near-final candidate set, while TP_q
-        # for verification needs only a few restarts.  ``stage1`` is the
-        # ``P_q ← D`` initializer handed to Algorithm 1; when augmentation
-        # features exist their intersection bounds it without ever copying
-        # the database id set.
-        stage1: Optional[PostingList] = None
-        if self._config.augment_small_subtrees:
-            # dict.fromkeys dedups while keeping list order; intersection
-            # is order-free and intersect_many runs smallest-first with
-            # the Algorithm 1 early exit.
-            postings = [
-                self._lookup[k].support_posting()
-                for k in dict.fromkeys(extra_keys)
-                if k in self._lookup
-            ]
-            if postings:
-                stage1 = PostingList.intersect_many(postings, early_exit=True)
-        if stage1 is None:
-            stage1 = self._db.universe_posting()
+        # Stage 1: the ``P_q ← D`` initializer handed to Algorithm 1 is
+        # the intersection of the augmentation subtrees' supports, which
+        # bounds it without ever copying the database id set; when it
+        # already leaves only a handful of candidates, SF_q diversity
+        # buys nothing and TP_q needs only a few restarts.
+        # dict.fromkeys dedups while keeping list order.
+        postings = [
+            self._lookup[k].support_posting()
+            for k in dict.fromkeys(single_edge_keys + larger_keys)
+            if k in self._lookup
+        ]
+        stage1 = PostingList.intersect_many(postings, early_exit=True)
 
         rng = random.Random(self._config.seed)
         delta = self._config.delta or max(1, query.num_edges)
@@ -487,8 +623,12 @@ class TreePiIndex:
         for distinct candidates of the same plan.  With a ``token``, an
         expired budget unwinds the search with
         :class:`~repro.exceptions.BudgetExceeded` — the candidate is then
-        *unresolved*, never silently matched or rejected.
+        *unresolved*, never silently matched or rejected.  The token is
+        polled before the search starts, so no candidate is verified
+        after expiry, however quickly its search would finish.
         """
+        if token is not None:
+            token.poll()
         return is_subgraph_isomorphic(
             plan.query,
             self._db[gid],
@@ -499,8 +639,8 @@ class TreePiIndex:
     def query_paper(self, query: LabeledGraph) -> QueryResult:
         """The paper's Section 5 pipeline: Algorithms 1, 2 and 3 in turn.
 
-        Partition and filter exactly as :meth:`plan`, then Center
-        Distance Constraint pruning (Algorithm 2, at most
+        Plans with ``RP(q)`` and Algorithm 1 (:meth:`_plan_paper`), then
+        Center Distance Constraint pruning (Algorithm 2, at most
         :data:`CENTER_PRUNE_CHECKS` distance checks per graph; a graph
         that runs out is kept) and reconstruction-based verification of
         every survivor (Algorithm 3).  The answer equals :meth:`query`'s;
@@ -508,7 +648,7 @@ class TreePiIndex:
         the survivors kept by the check cap.  Unbudgeted: the figures and
         ablations that call it measure the algorithm, not a service.
         """
-        plan = self.plan(query)
+        plan = self._plan_paper(query)
         if plan.result is not None:
             return plan.result
         assert plan.partition is not None

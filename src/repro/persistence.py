@@ -125,7 +125,6 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
         "eta": config.support.eta,
         "gamma": config.gamma,
         "delta": config.delta,
-        "augment_small_subtrees": config.augment_small_subtrees,
         "paths_only": config.paths_only,
         "max_embeddings_per_graph": config.max_embeddings_per_graph,
         "seed": config.seed,
@@ -134,15 +133,15 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
 
 def config_from_json(data: Dict[str, Any]) -> TreePiConfig:
     # Files written by older builds may carry retired keys: "feature_index"
-    # (the choice of key structure) and "enable_center_prune",
+    # (the choice of key structure), "enable_center_prune",
     # "direct_verification_max_edges", "center_prune_budget" (the choice
-    # of verification path).  None of them affected answers, so they are
-    # ignored.
+    # of verification path) and "augment_small_subtrees" (a switch on a
+    # filter serving now always computes).  None of them affected
+    # answers, so they are ignored.
     return TreePiConfig(
         support=SupportFunction(data["alpha"], data["beta"], data["eta"]),
         gamma=data["gamma"],
         delta=data["delta"],
-        augment_small_subtrees=data["augment_small_subtrees"],
         paths_only=data.get("paths_only", False),
         max_embeddings_per_graph=data["max_embeddings_per_graph"],
         seed=data["seed"],

@@ -1,8 +1,9 @@
-"""The serving pipeline is partition → filter → prefiltered direct match.
+"""The serving pipeline is SF_q enumeration → filter → prefiltered match.
 
-Center pruning (Algorithm 2) and anchored reconstruction (Algorithm 3)
-belong to :meth:`TreePiIndex.query_paper` only.  Here both are replaced
-with functions that raise, so any serving call that reaches them fails.
+The randomized partition ``RP(q)``, center pruning (Algorithm 2) and
+anchored reconstruction (Algorithm 3) belong to
+:meth:`TreePiIndex.query_paper` only.  Here all three are replaced with
+functions that raise, so any serving call that reaches them fails.
 The answers must still equal the sequential scan on 8-, 12- and 16-edge
 queries, where the paper's pipeline would prune and reconstruct.
 """
@@ -40,6 +41,7 @@ def corpus():
 
 @pytest.fixture(autouse=True)
 def no_paper_algorithms(monkeypatch):
+    monkeypatch.setattr(treepi, "run_partitions", _forbidden)
     monkeypatch.setattr(treepi, "center_prune", _forbidden)
     monkeypatch.setattr(treepi, "verify_candidate", _forbidden)
 

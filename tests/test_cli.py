@@ -76,7 +76,37 @@ class TestBuildQueryInfo:
         out = capsys.readouterr().out
         assert "query 0:" in out
         assert "total query time" in out
-        assert "P'q=" in out
+        assert "|SFq|=" in out
+        assert "Pq=" in out
+
+    def test_query_stats_report_the_serving_filter(
+        self, tmp_path, db_file, index_file, capsys
+    ):
+        # Serving enumerates SF_q and never partitions or prunes, so the
+        # stats show |SFq| and Pq, not the paper's |TPq| and P'q.
+        queries = tmp_path / "queries.txt"
+        main([
+            "generate", "--kind", "queries", "--database", str(db_file),
+            "--edges", "6", "--count", "3", "--out", str(queries),
+        ])
+        capsys.readouterr()
+        assert main([
+            "query", "--index", str(index_file), "--queries", str(queries),
+            "--stats",
+        ]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("query ")
+        ]
+        assert len(lines) == 3
+        for line in lines:
+            assert "|TPq|" not in line and "P'q" not in line
+            fields = dict(
+                f.split("=") for f in line.split() if f.count("=") == 1
+            )
+            matches = int(line.split(":")[1].split()[0])
+            assert int(fields["|SFq|"]) >= 1
+            assert int(fields["Pq"]) >= matches
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_query_rejects_a_bad_deadline(

@@ -345,6 +345,7 @@ RETIRED_KEYS = {
     "enable_center_prune": False,
     "direct_verification_max_edges": 0,
     "center_prune_budget": 0,
+    "augment_small_subtrees": False,
 }
 
 
@@ -357,8 +358,9 @@ class TestRetiredConfigKeys:
     """Files from builds that chose a verification path still load.
 
     Older builds wrote ``enable_center_prune``, ``direct_verification_
-    max_edges`` and ``center_prune_budget`` into every config; none of
-    them affected answers, so readers ignore them and writers omit them.
+    max_edges``, ``center_prune_budget`` and ``augment_small_subtrees``
+    into every config; none of them affected answers, so readers ignore
+    them and writers omit them.
     """
 
     def test_writer_omits_and_reader_ignores_them(self, small_index):
