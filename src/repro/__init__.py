@@ -3,7 +3,10 @@
 A full reproduction of the TreePi graph-indexing system: build an index
 of frequent subtrees over a database of undirected labeled graphs, then
 answer containment queries (find every database graph that contains the
-query) through partition → filter → center-distance prune → reconstruct.
+query): enumerate the query's indexed subtrees SF_q, filter the database
+by their support sets, then verify each candidate with a prefiltered
+direct subgraph-isomorphism match.  The paper's partition → center-distance
+prune → reconstruct pipeline stays available as ``TreePiIndex.query_paper``.
 
 Quickstart::
 

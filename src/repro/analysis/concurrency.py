@@ -10,7 +10,7 @@ For every class that owns locks, the analyzer
 
 1. finds the **lock fields** (attributes assigned from ``Lock``/
    ``RLock``/``Condition``/``Semaphore`` constructors or anything whose
-   constructor name contains "lock", e.g. ``_ReadWriteLock`` and
+   constructor name contains "lock", e.g. ``ReadWriteLock`` and
    :class:`repro.analysis.guards.TrackedLock`), plus locks named by
    :func:`repro.analysis.guards.guarded_by` declarations;
 2. computes, per statement, the **lexically held** lock set from

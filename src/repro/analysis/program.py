@@ -2,11 +2,10 @@
 
 PR 6's :class:`~repro.analysis.flow.FileFlow` sees one file at a time;
 cross-file calls were approximated by the hard-coded ``TOKEN_CALLEES``
-name registry.  The degradation-soundness contract the serving tier
+name registry.  The degradation-soundness contract the query engine
 guarantees (``matches ⊆ exact ⊆ matches ∪ unresolved``) spans
-``serving/sharded.py`` → ``core/engine.py`` → ``core/treepi.py`` →
-``graphs/isomorphism.py``, so checking it needs the real project-wide
-call graph.  This module builds it:
+``core/engine.py`` → ``core/treepi.py`` → ``graphs/isomorphism.py``, so
+checking it needs the real project-wide call graph.  This module builds it:
 
 * every file is parsed **once** into a shared AST table (the lint
   driver hands the same trees to the per-file rules);
@@ -21,8 +20,8 @@ call graph.  This module builds it:
   ``self._attr = <typed value>`` patterns, with method lookup walking
   base classes across files;
 * the token/loop/checkpoint fixpoints and the hot set re-run over the
-  global graph (serving-layer spine functions seed hotness alongside
-  the ``repro/core`` spine and ``@hot_path`` marks).
+  global graph (``repro/core`` spine functions and ``@hot_path`` marks
+  seed hotness).
 
 Known limits (documented in docs/ANALYSIS.md): dynamic dispatch through
 containers of callables, monkey-patching, ``getattr`` calls and
@@ -63,11 +62,10 @@ __all__ = [
     "single_file_program",
 ]
 
-#: Packages whose spine-named functions seed the *global* hot set.  The
-#: per-file REPRO3xx hot set stays scoped to ``repro/core`` (plus
-#: ``@hot_path`` marks) for compatibility; the whole-program REPRO4xx
-#: family additionally treats the serving tier's entry points as hot.
-_HOT_SEED_PREFIXES: Tuple[str, ...] = ("repro/core", "repro/serving")
+#: Packages whose spine-named functions seed the *global* hot set — the
+#: same ``repro/core`` scope as the per-file REPRO3xx hot set; the global
+#: set differs only in following calls across files.
+_HOT_SEED_PREFIXES: Tuple[str, ...] = ("repro/core",)
 
 _ANN_WRAPPERS = frozenset({"Optional", "Final", "ClassVar", "Annotated"})
 
@@ -81,7 +79,7 @@ class Binding(NamedTuple):
 
 
 def _dotted_name(module_path: str) -> str:
-    """``repro/serving/sharded.py`` → ``repro.serving.sharded``."""
+    """``repro/core/engine.py`` → ``repro.core.engine``."""
     name = module_path
     if name.endswith(".py"):
         name = name[: -len(".py")]

@@ -1,12 +1,12 @@
 """REPRO4xx — exception-flow, resource-safety and degradation-soundness rules.
 
-The serving tier's headline contract is the degradation bracket
-``matches ⊆ exact ⊆ matches ∪ unresolved``: a failed or timed-out shard
-must surface as *unresolved universe*, never as a silently smaller
-answer.  The flows that can break it — a swallowed shard exception, an
-executor leaked on a raise path, a ``Future`` joined without a timeout,
-a ``token=`` dropped at a file boundary — span multiple modules, so
-these rules run on the whole-program model
+The query engine's headline contract is the degradation bracket
+``matches ⊆ exact ⊆ matches ∪ unresolved``: a failed or timed-out
+verification must surface as *unresolved* candidates, never as a
+silently smaller answer.  The flows that can break it — a swallowed
+verify exception, an executor leaked on a raise path, a ``Future``
+joined without a timeout, a ``token=`` dropped at a file boundary —
+span multiple modules, so these rules run on the whole-program model
 (:mod:`repro.analysis.program`); standalone single-file lints fall back
 to a one-file model so fixtures stay checkable.
 
@@ -18,7 +18,7 @@ to a one-file model so fixtures stay checkable.
   degraded away), or a bare/overbroad ``except`` on the query spine
   that neither re-raises nor records the failure for a
   ``complete=False`` result.
-* **REPRO403** — unsound failure path: a ``serving``/``core`` failure
+* **REPRO403** — unsound failure path: a ``repro/core`` failure
   handler that returns a ``QueryResult`` without contributing the
   failed universe to ``unresolved`` or setting ``degraded_reason``
   (directly or through a one-level helper).
@@ -26,8 +26,9 @@ to a one-file model so fixtures stay checkable.
   generalized through the resolved call graph — a globally-hot function
   with an in-scope token calls a token-accepting, looping callee in
   another file without forwarding it.
-* **REPRO405** — scatter hygiene: ``Future.result()`` with no timeout,
-  or a timeout handler that abandons the future without ``cancel()``.
+* **REPRO405** — scatter hygiene on pooled fan-outs: ``Future.result()``
+  with no timeout, or a timeout handler that abandons the future without
+  ``cancel()``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _RESOURCE_CTORS = frozenset(
 #: Calls that release such a resource.
 _CLEANUP_ATTRS = frozenset({"shutdown", "close", "release", "terminate"})
 #: Modules whose query spine carries the degradation contract.
-_SPINE_PREFIXES: Tuple[str, ...] = ("repro/serving", "repro/core")
+_SPINE_PREFIXES: Tuple[str, ...] = ("repro/core",)
 #: Overbroad handler types on the spine (REPRO402b).
 _BROAD_EXCEPTS = frozenset({"Exception", "BaseException", "ReproError"})
 #: Handler types that mark a failure-catching region (REPRO403).
@@ -302,7 +303,7 @@ def _contract_findings(
                     node,
                     f"overbroad handler ({caught}) on query-spine function "
                     f"{fn.qualname} neither re-raises nor records the "
-                    "failure; a swallowed shard/verify error silently "
+                    "failure; a swallowed verify error silently "
                     "shrinks the answer instead of degrading it",
                 )
             )
@@ -451,7 +452,7 @@ def _scatter_findings(fn: FunctionInfo, out: List[Finding]) -> None:
                     "REPRO405",
                     node,
                     f"Future.result() without a timeout in {fn.qualname} "
-                    "joins a shard unboundedly; a hung worker then stalls "
+                    "joins a worker unboundedly; a hung worker then stalls "
                     "the whole gather past its deadline",
                 )
             )
@@ -525,8 +526,7 @@ class ResourceLeakOnException(_SoundnessRule):
         "Executors, files and locks acquired outside `with` must be "
         "released in a finally: any exception between acquire and a "
         "fall-through release leaks threads, fds, or leaves a lock held "
-        "— exactly the edges fault injection exercises on the scatter "
-        "path."
+        "— exactly the edges a failing verification worker exercises."
     )
 
 
@@ -539,7 +539,7 @@ class ContractSeveredByException(_SoundnessRule):
     rationale = (
         "ContractViolation is a correctness signal and must re-raise "
         "through every layer; an overbroad except on the query spine "
-        "that neither re-raises nor records the failure turns a shard "
+        "that neither re-raises nor records the failure turns a verify "
         "error into a silently smaller answer, breaking the "
         "matches ⊆ exact ⊆ matches ∪ unresolved bracket."
     )
@@ -552,7 +552,7 @@ class UnsoundFailurePath(_SoundnessRule):
     rule_id = "REPRO403"
     name = "unsound-failure-path"
     rationale = (
-        "A caught shard/verify failure must contribute the failed "
+        "A caught verify failure must contribute the failed "
         "universe to unresolved (or set degraded_reason); returning a "
         "bare QueryResult from a failure handler claims completeness "
         "the engine no longer has."
@@ -567,7 +567,7 @@ class CrossModuleTokenDrop(_SoundnessRule):
     name = "cross-module-token-drop"
     rationale = (
         "REPRO301 generalized through the resolved project call graph: "
-        "serving-tier functions reached across files are hot too, and a "
+        "functions the query spine reaches across files are hot too, and a "
         "token= dropped at a module boundary makes every loop below it "
         "uncancellable — invisible to per-file analysis."
     )
@@ -580,8 +580,8 @@ class ScatterHygiene(_SoundnessRule):
     rule_id = "REPRO405"
     name = "scatter-hygiene"
     rationale = (
-        "The scatter path must never block past deadline + grace: every "
+        "A pooled fan-out must never block past its deadline: every "
         "Future.result() needs a timeout, and a timed-out future must "
-        "be cancelled so queued shard work stops consuming pool threads "
+        "be cancelled so queued work stops consuming pool threads "
         "after the answer has already degraded."
     )

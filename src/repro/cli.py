@@ -11,8 +11,7 @@ Commands
               a :class:`repro.core.engine.QueryEngine` (``--cache-size``
               memoizes isomorphic queries, ``--workers`` parallelizes
               candidate verification, ``--deadline-ms``/``--verify-budget``
-              bound each query and degrade gracefully on expiry,
-              ``--shards K`` serves through the scatter-gather tier),
+              bound each query and degrade gracefully on expiry),
 ``info``      summarize a saved index,
 ``bench``     run one of the paper-figure experiments and print its table.
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.core import QueryBudget, QueryEngine, TreePiConfig, TreePiIndex
 from repro.datasets import (
@@ -43,7 +42,6 @@ from repro.exceptions import ConfigError
 from repro.graphs import GraphDatabase, load_database, save_database
 from repro.mining import SupportFunction
 from repro.persistence import load_index, save_index
-from repro.serving import ShardedEngine
 
 
 def _add_sigma_arguments(parser: argparse.ArgumentParser) -> None:
@@ -116,21 +114,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     index = load_index(args.index)
-    engine: "Union[QueryEngine, ShardedEngine]"
-    if args.shards > 1:
-        # Re-partition the saved index's database across K shards; each
-        # shard rebuilds its slice with the index's own config.
-        engine = ShardedEngine(
-            index.database,
-            index.config,
-            args.shards,
-            cache_size=args.cache_size,
-            verify_workers=args.workers,
-        )
-    else:
-        engine = QueryEngine(
-            index, cache_size=args.cache_size, verify_workers=args.workers
-        )
+    engine = QueryEngine(
+        index, cache_size=args.cache_size, verify_workers=args.workers
+    )
     queries = load_database(args.queries)
     total = 0.0
     degraded = 0
@@ -163,19 +149,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "incomplete; retry with a larger --deadline-ms/--verify-budget"
         )
     if args.stats:
-        if isinstance(engine, ShardedEngine):
-            tier_view = engine.stats
-            stats = tier_view.rollup
-            sizes = engine.shard_sizes()
-            print(
-                f"shards: {len(sizes)} "
-                f"(sizes {dict(sorted(sizes.items()))}), "
-                f"{tier_view.tier.fanouts} fan-outs, "
-                f"{tier_view.tier.shard_timeouts} shard timeouts, "
-                f"{tier_view.tier.shard_faults} shard faults"
-            )
-        else:
-            stats = engine.stats
+        stats = engine.stats
         print(
             f"engine: {stats.cache_hits} cache hits / {stats.queries} queries, "
             f"{stats.verifications_run} verifications"
@@ -388,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-budget", type=int, default=None,
         help="cap on verification work units per query (machine-independent "
              "twin of --deadline-ms; same degradation contract)",
-    )
-    query.add_argument(
-        "--shards", type=int, default=1,
-        help="serve through a K-shard scatter-gather tier instead of one "
-             "engine (answers are identical; --deadline-ms becomes a "
-             "per-shard deadline — see docs/SERVING.md)",
     )
     query.set_defaults(func=_cmd_query)
 

@@ -81,10 +81,9 @@ class ReadWriteLock:
     so an ordering cycle raises instead of deadlocking; the internal
     condition variable is deliberately untracked meta-state.
 
-    Shared infrastructure: :class:`QueryEngine` guards each shardable
-    index with one, and :class:`repro.serving.ShardedEngine` reuses the
-    same class (same discipline, same tracker visibility) for its
-    tier-level scatter/rebalance lock.
+    :class:`QueryEngine` guards its served index with one: queries take
+    the read side; inserts, deletes and the final splice of a rebuild or
+    compaction take the write side.
     """
 
     def __init__(self, name: str = "ReadWriteLock") -> None:
@@ -126,10 +125,6 @@ class ReadWriteLock:
                 self._writer_active = False
                 self._cond.notify_all()
             note_release(self)
-
-
-#: Backwards-compatible private alias (the class predates the serving tier).
-_ReadWriteLock = ReadWriteLock
 
 
 @dataclass
@@ -254,11 +249,10 @@ class QueryEngine:
             return self._counters.snapshot()
 
     def graph_ids(self) -> List[int]:
-        """Sorted ids of the graphs currently served (read-locked snapshot).
+        """Sorted ids of the graphs currently served.
 
-        A shard-embeddable hook: the sharded tier brackets a failed
-        shard's contribution with exactly this universe, so it must be a
-        consistent snapshot, not a live view.
+        Taken under the read lock, so the list is a consistent snapshot
+        that a concurrent insert or delete cannot change half-way.
         """
         with self._rw.read_locked():
             return self._index.database.graph_ids()
@@ -355,18 +349,10 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # maintenance (write-locked; every mutation invalidates the cache)
     # ------------------------------------------------------------------
-    def insert(
-        self, graph: LabeledGraph, graph_id: Optional[int] = None
-    ) -> int:
-        """Add a graph through the index's maintenance path.
-
-        ``graph_id`` may pin a specific unused id — the shard-embeddable
-        hook :class:`repro.serving.ShardedEngine` uses to keep one global
-        id space across per-shard databases (so per-shard answer sets
-        union without translation).
-        """
+    def insert(self, graph: LabeledGraph) -> int:
+        """Add a graph through the index's maintenance path; returns its id."""
         with self._rw.write_locked():
-            gid = self._index.insert(graph, graph_id=graph_id)
+            gid = self._index.insert(graph)
             self._invalidate("inserts")
             self._note_maintenance()
         return gid

@@ -738,9 +738,9 @@ class TreePiIndex:
     ) -> int:
         """Add a graph: update support sets and center positions in place.
 
-        ``graph_id`` may pin a specific unused database id (the sharded
-        serving tier allocates ids globally and pins them per shard so
-        per-shard answer sets stay directly unionable).
+        ``graph_id`` may pin a specific unused database id, e.g. to keep
+        the id a graph already has in another database; by default the
+        database allocates the next free id.
 
         Edge types never seen before are materialized as fresh single-edge
         features first — the completeness floor (σ(1)=1, every database

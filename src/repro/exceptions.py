@@ -32,21 +32,6 @@ class ConfigError(ReproError):
     """Invalid parameter combination (e.g. a support function with eta < alpha)."""
 
 
-class AdmissionError(ReproError):
-    """The sharded serving tier refused a query before dispatch.
-
-    Raised only under ``admission="reject"`` when the configured
-    in-flight cap is already saturated (see
-    :class:`repro.serving.ShardedEngine`); under ``admission="degrade"``
-    the tier instead returns a sound, fully-unresolved degraded result.
-    The query was never dispatched, so retrying is always safe.
-    """
-
-    def __init__(self, reason: str = "admission cap reached") -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 class BudgetExceeded(ReproError):
     """A query's :class:`repro.core.budget.QueryBudget` ran out mid-pipeline.
 

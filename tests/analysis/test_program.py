@@ -261,21 +261,21 @@ def test_cross_module_recursion_cycle_detected():
 def test_serving_spine_seeds_global_hot_set():
     program = build(
         {
-            "src/repro/serving/tier.py": (
-                "from repro.core.work import scan\n\n"
+            "src/repro/core/engine.py": (
+                "from repro.graphs.work import scan\n\n"
                 "def query(g):\n    return scan(g)\n"
             ),
-            "src/repro/core/work.py": (
+            "src/repro/graphs/work.py": (
                 "def scan(g):\n    for x in g:\n        pass\n"
             ),
         }
     )
-    query = fn_of(program, "src/repro/serving/tier.py", "query")
-    scan = fn_of(program, "src/repro/core/work.py", "scan")
+    query = fn_of(program, "src/repro/core/engine.py", "query")
+    scan = fn_of(program, "src/repro/graphs/work.py", "scan")
     assert program.is_hot_global(query)
-    assert program.is_hot_global(scan)  # reached from the serving spine
+    assert program.is_hot_global(scan)  # reached from the core spine
     # ... but the per-file REPRO3xx hot set stays scoped to repro/core
-    assert not program.flow_for("src/repro/serving/tier.py").is_hot(query)
+    assert not program.flow_for("src/repro/graphs/work.py").is_hot(scan)
 
 
 def test_external_info_reports_token_governed_looping_only():

@@ -1,5 +1,5 @@
 """Each REPRO4xx rule fires on a minimal fixture and stays quiet on the
-fix, plus the seeded-mutation gate on the real ``ShardedEngine``.
+fix.
 
 Single-file fixtures lint through the standalone one-file program
 (``lint_source`` with no driver-attached model); the cross-module
@@ -19,14 +19,14 @@ from repro.analysis.engine import lint_paths
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
-SERVING_PATH = "src/repro/serving/fixture.py"
+SPINE_PATH = "src/repro/core/fixture.py"
 
 
-def rule_ids(source: str, path: str = SERVING_PATH):
+def rule_ids(source: str, path: str = SPINE_PATH):
     return [v.rule_id for v in lint_source(source, path, select=("REPRO4",))]
 
 
-def messages(source: str, path: str = SERVING_PATH):
+def messages(source: str, path: str = SPINE_PATH):
     return [v.message for v in lint_source(source, path, select=("REPRO4",))]
 
 
@@ -351,11 +351,25 @@ def scan(g, token=None):
 """
 
 
+_ENGINE = """\
+from repro.graphs.tier import query as tier_query
+
+def query(g, token=None):
+    return tier_query(g, token=token)
+"""
+
+
 def _mini_package(tmp_path: Path, tier_source: str) -> Path:
+    """``core/engine.py`` (the spine) → ``graphs/tier.py`` → ``core/work.py``.
+
+    ``tier.query`` is hot only through the cross-file call from the
+    spine, so the per-file REPRO301 hot set never sees it.
+    """
     root = tmp_path / "proj"
-    (root / "repro" / "serving").mkdir(parents=True)
+    (root / "repro" / "graphs").mkdir(parents=True)
     (root / "repro" / "core").mkdir(parents=True)
-    (root / "repro" / "serving" / "tier.py").write_text(tier_source)
+    (root / "repro" / "core" / "engine.py").write_text(_ENGINE)
+    (root / "repro" / "graphs" / "tier.py").write_text(tier_source)
     (root / "repro" / "core" / "work.py").write_text(_WORK)
     return root
 
@@ -442,40 +456,6 @@ def gather(futures, limit):
     return outs
 """
     assert rule_ids(src) == []
-
-
-# ----------------------------------------------------------------------
-# the real serving tier: clean as shipped, caught when broken
-# ----------------------------------------------------------------------
-SHARDED = SRC / "repro" / "serving" / "sharded.py"
-
-
-def test_real_sharded_engine_is_repro4_clean():
-    source = SHARDED.read_text(encoding="utf-8")
-    violations = lint_source(source, str(SHARDED), select=("REPRO4",))
-    assert violations == [], "\n".join(v.format() for v in violations)
-
-
-def test_seeded_scatter_pool_leak_is_caught():
-    """Deleting the gather's pool release (the seeded mutation from the
-    fault-injection harness) must flip ``sharded.py`` clean → REPRO401."""
-    source = SHARDED.read_text(encoding="utf-8")
-    release = "pool.shutdown(wait=False, cancel_futures=True)"
-    assert source.count(release) == 1
-    mutated = source.replace(release, "pass")
-    violations = lint_source(mutated, str(SHARDED), select=("REPRO4",))
-    assert [v.rule_id for v in violations] == ["REPRO401"]
-    assert "'pool'" in violations[0].message
-
-
-def test_seeded_unbounded_gather_is_caught():
-    """Stripping the gather's timeout re-introduces the unbounded join."""
-    source = SHARDED.read_text(encoding="utf-8")
-    bounded = "future.result(timeout=wait_s)"
-    assert source.count(bounded) == 1
-    mutated = source.replace(bounded, "future.result()")
-    violations = lint_source(mutated, str(SHARDED), select=("REPRO4",))
-    assert [v.rule_id for v in violations] == ["REPRO405"]
 
 
 # ----------------------------------------------------------------------

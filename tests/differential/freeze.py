@@ -24,13 +24,6 @@ except ImportError:  # run as a script with PYTHONPATH=src:tests
 FROZEN_KIND = "chemical"
 FROZEN_SEED = 999
 
-#: Shard counts the sharded differential suite replays against the same
-#: frozen corpus, and the router seed fixing every shard layout.  Kept
-#: in the metadata (not hard-coded in two suites) so the single-engine
-#: and sharded suites can never drift onto different parameterizations.
-FROZEN_SHARD_COUNTS = [1, 2, 4, 8]
-FROZEN_ROUTER_SEED = 2007
-
 
 def main() -> None:
     db, queries = make_corpus(FROZEN_KIND, FROZEN_SEED)
@@ -44,8 +37,6 @@ def main() -> None:
             {
                 "kind": FROZEN_KIND,
                 "seed": FROZEN_SEED,
-                "shard_counts": FROZEN_SHARD_COUNTS,
-                "router_seed": FROZEN_ROUTER_SEED,
                 "answers": answers,
             },
             indent=2,

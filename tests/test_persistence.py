@@ -1,6 +1,7 @@
 """Unit tests for index persistence (save/load without re-mining)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from repro.persistence import (
     load_index,
     save_index,
 )
-from repro.serving import ShardedEngine
 
 
 class TestLabels:
@@ -394,11 +394,21 @@ class TestRetiredConfigKeys:
         assert not set(RETIRED_KEYS) & set(json.loads(resaved.read_text())["config"])
 
     def test_sharded_tier_manifest(self, small_index, tmp_path):
-        tier = ShardedEngine(small_index.database, small_index.config, 2)
-        tier.save_segments(tmp_path)
-        manifest = tmp_path / "shards.json"
-        doc = json.loads(manifest.read_text())
-        assert not set(RETIRED_KEYS) & set(doc["config"])
-        doc["config"].update(RETIRED_KEYS)
-        manifest.write_text(json.dumps(doc))
-        _answers_like(ShardedEngine.open_segments(tmp_path), small_index)
+        """The retired sharded tier saved a ``shards.json`` beside one
+        ``shard-NNN/`` v3 directory per shard.  The root is not an index;
+        each shard directory is a standalone v3 index."""
+        save_index(small_index, tmp_path / "shard-000", version=3)
+        doc = {
+            "format": "treepi-shards",
+            "version": 1,
+            "num_shards": 1,
+            "config": dict(config_to_json(small_index.config), **RETIRED_KEYS),
+            "shards": {"0": "shard-000"},
+        }
+        (tmp_path / "shards.json").write_text(json.dumps(doc))
+
+        with pytest.raises(SerializationError, match=re.escape(str(tmp_path))):
+            load_index(tmp_path)
+        shard = load_index(tmp_path / "shard-000")
+        _answers_like(shard, small_index)
+        shard.segment_store.close()
