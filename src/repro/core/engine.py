@@ -8,27 +8,35 @@ hot queries arrive over and over, batches contain isomorphic duplicates,
 and reads vastly outnumber writes.  :class:`QueryEngine` adds that
 serving layer:
 
-* **Result caching.**  Answers are memoized in an LRU cache keyed on the
-  query's *canonical label*, so isomorphic queries share one entry.  Any
-  maintenance operation (``insert``/``delete``/``rebuild``) invalidates
-  the whole cache; a generation counter guarantees a result computed
-  against the pre-mutation index can never be stored afterwards.
+* **Result caching.**  Answers are memoized in an LRU cache of
+  isomorphism classes.  Lookup is two-step: a cheap invariant key
+  (:func:`query_cache_key`, no search) picks a small bucket, and a hit
+  must then be *confirmed* exactly against an entry of that bucket —
+  by tree canonical string for trees, by a token-bounded isomorphism
+  test otherwise — because equal keys do not imply isomorphism.  So
+  isomorphic queries share one entry and non-isomorphic ones never do.
+  Any maintenance operation (``insert``/``delete``/``rebuild``)
+  invalidates the whole cache; a generation counter guarantees a result
+  computed against the pre-mutation index can never be stored afterwards.
 * **Concurrency.**  A readers-writer lock lets any number of queries run
   simultaneously while maintenance gets exclusive access.  Verification
   of independent candidates — the pipeline's dominant cost on non-trivial
   queries — fans out over a thread pool when ``verify_workers > 1``.
 * **Batching.**  :meth:`query_batch` deduplicates isomorphic queries up
-  front and verifies the candidates of *all* member queries on one pool.
+  front (same key, then confirmed) and verifies the candidates of *all*
+  member queries on one pool.
 * **Observability.**  Per-stage counters (:class:`EngineStats`) are kept
   under the engine lock and surfaced through the wrapped index's
   :class:`~repro.core.statistics.IndexStats` as ``stats.engine``.
 * **Deadlines.**  :meth:`query`/:meth:`query_batch` accept a
-  :class:`~repro.core.budget.QueryBudget`; on expiry the call returns
-  *degraded but sound* results — verified matches found so far plus the
-  unresolved candidate ids, flagged ``complete=False`` and never cached
-  — instead of letting one adversarial verification hold the read lock
-  unboundedly (which, with a writer-preferring RW lock, would freeze
-  every other caller behind a waiting writer).
+  :class:`~repro.core.budget.QueryBudget` whose clock starts before the
+  cache key is computed, so it covers keying and hit confirmation too.
+  On expiry the call returns *degraded but sound* results — verified
+  matches found so far plus the unresolved candidate ids, flagged
+  ``complete=False`` and never cached — instead of letting one
+  adversarial verification hold the read lock unboundedly (which, with a
+  writer-preferring RW lock, would freeze every other caller behind a
+  waiting writer).
 
 The engine never changes answers: every *complete* result is exactly what
 the wrapped :meth:`TreePiIndex.query` would return (the differential
@@ -53,20 +61,27 @@ from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.statistics import EngineStats, QueryResult
 from repro.core.treepi import QueryPlan, TreePiIndex
 from repro.exceptions import BudgetExceeded, IndexError_
-from repro.graphs.canonical import canonical_label
 from repro.graphs.graph import LabeledGraph
+from repro.graphs.isomorphism import are_isomorphic
 from repro.trees.canonical import tree_canonical_string
 
 
 def query_cache_key(query: LabeledGraph) -> str:
-    """The cache key of a query: its canonical label, scheme-prefixed.
+    """The cache key of a query: a cheap isomorphism invariant, scheme-prefixed.
 
-    Trees use the cheap tree canonicalization, general graphs the minimum
-    DFS code; the prefix keeps the two namespaces from colliding.
+    The sorted label-pair multiset of the query's
+    :class:`~repro.graphs.matcher_index.MatcherIndex` plus its sorted
+    degree sequence, prefixed ``t:`` for trees and ``g:`` otherwise.  No
+    search, O(m log m); the ``MatcherIndex`` is cached on the query, so
+    verification reuses it on a miss.
+
+    Isomorphic queries always share a key, but equal keys do **not**
+    imply isomorphism (a single-label K3,3 and triangular prism collide),
+    so the engine confirms every hit exactly before serving it.
     """
-    if query.is_tree():
-        return "t:" + tree_canonical_string(query)
-    return "g:" + canonical_label(query)
+    pairs = ";".join(sorted(map(repr, query.matcher_index().pair_counts.items())))
+    degrees = ",".join(map(str, sorted(map(query.degree, query.vertices()))))
+    return ("t:" if query.is_tree() else "g:") + pairs + "|" + degrees
 
 
 class ReadWriteLock:
@@ -143,36 +158,98 @@ class _PlanOutcome:
     unresolved: List[int] = field(default_factory=list)
 
 
-class _LRUCache:
-    """A size-bounded mapping with least-recently-used eviction.
+class _CacheEntry:
+    """A query under its cache key, with the answer once one is cached.
 
-    Not internally synchronized — the engine guards every access with its
-    own mutex.
+    An entry that carries no result is a lookup probe.  :meth:`same_class`
+    is the exact confirmation of a key match and runs outside the
+    engine's mutex: trees compare their polynomial canonical strings
+    (each computed lazily, at most once per entry), other graphs run a
+    token-bounded isomorphism test.
+    """
+
+    __slots__ = ("key", "query", "result", "_tree_string")
+
+    def __init__(self, key: str, query: LabeledGraph) -> None:
+        self.key = key
+        self.query = query
+        self.result: Optional[QueryResult] = None
+        self._tree_string: Optional[str] = None
+
+    def tree_string(self) -> str:
+        # Racing threads compute the same string; either write is fine.
+        if self._tree_string is None:
+            self._tree_string = tree_canonical_string(self.query)
+        return self._tree_string
+
+    def same_class(
+        self, other: "_CacheEntry", token: Optional[CancellationToken]
+    ) -> bool:
+        """Is ``other``'s query isomorphic to this one?  (Same key assumed.)"""
+        if self.key.startswith("t:"):
+            return self.tree_string() == other.tree_string()
+        return are_isomorphic(self.query, other.query, token=token)
+
+
+def _confirm(
+    probe: _CacheEntry,
+    entries: Sequence[_CacheEntry],
+    token: Optional[CancellationToken],
+) -> Tuple[Optional[_CacheEntry], bool]:
+    """``(entry isomorphic to the probe or None, whether all were checked)``.
+
+    A budget that runs out mid-confirmation stops the scan: the probe
+    counts as unmatched, and the ``False`` flag tells the caller it may
+    not cache the probe's answer as a new isomorphism class.
+    """
+    try:
+        for entry in entries:
+            if probe.same_class(entry, token):
+                return entry, True
+    except BudgetExceeded:
+        return None, False
+    return None, True
+
+
+class _ResultCache:
+    """A size-bounded LRU of isomorphism classes, bucketed by cache key.
+
+    ``capacity`` counts entries, and no two entries are isomorphic, so it
+    bounds distinct isomorphism classes.  Not internally synchronized —
+    the engine guards every access with its own mutex and hands buckets
+    out as tuple snapshots for confirmation outside it.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._data: "OrderedDict[str, QueryResult]" = OrderedDict()
+        self._lru: "OrderedDict[_CacheEntry, None]" = OrderedDict()
+        self._buckets: Dict[str, List[_CacheEntry]] = {}
 
-    def get(self, key: str) -> Optional[QueryResult]:
-        result = self._data.get(key)
-        if result is not None:
-            self._data.move_to_end(key)
-        return result
+    def bucket(self, key: str) -> Tuple[_CacheEntry, ...]:
+        return tuple(self._buckets.get(key, ()))
 
-    def put(self, key: str, value: QueryResult) -> None:
+    def touch(self, entry: _CacheEntry) -> None:
+        if entry in self._lru:
+            self._lru.move_to_end(entry)
+
+    def put(self, entry: _CacheEntry) -> None:
         if self.capacity <= 0:
             return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        self._buckets.setdefault(entry.key, []).append(entry)
+        self._lru[entry] = None
+        while len(self._lru) > self.capacity:
+            evicted, _ = self._lru.popitem(last=False)
+            bucket = self._buckets[evicted.key]
+            bucket.remove(evicted)
+            if not bucket:
+                del self._buckets[evicted.key]
 
     def clear(self) -> None:
-        self._data.clear()
+        self._lru.clear()
+        self._buckets.clear()
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._lru)
 
 
 class QueryEngine:
@@ -210,7 +287,7 @@ class QueryEngine:
         # tracker verifies that discipline under REPRO_CONTRACTS=1.
         self._rw = ReadWriteLock("QueryEngine._rw")
         self._mutex = TrackedLock("QueryEngine._mutex")
-        self._cache = _LRUCache(cache_size)
+        self._cache = _ResultCache(cache_size)
         self._caching = cache_size > 0  # immutable: the capacity never changes
         self._generation = 0
         self._counters = EngineStats()
@@ -276,23 +353,26 @@ class QueryEngine:
     ) -> QueryResult:
         """Answer one query, serving from cache when possible.
 
-        ``budget`` bounds the call (deadline and/or work caps); on expiry
-        a degraded-but-sound result comes back (``complete=False``, never
-        cached — see :mod:`repro.core.budget`).  A cached *complete*
-        result may serve a budgeted call: it is exact, which is strictly
-        better than the degradation contract requires.
+        ``budget`` bounds the call (deadline and/or work caps) from before
+        the cache key is computed; on expiry a degraded-but-sound result
+        comes back (``complete=False``, never cached — see
+        :mod:`repro.core.budget`).  A confirmed cached *complete* result
+        may serve a budgeted call: it is exact, which is strictly better
+        than the degradation contract requires.
         """
-        # With caching off nothing reads the key, and on cyclic queries it
-        # costs a minimum-DFS-code search, so skip computing it.
-        key = query_cache_key(query) if self._caching else None
-        cached, generation = self._cache_lookup(key)
-        if cached is not None:
-            return cached
         token = budget.start() if budget is not None else None
+        # With caching off nothing reads the key, so skip computing it.
+        probe = (
+            _CacheEntry(query_cache_key(query), query) if self._caching else None
+        )
+        cached, generation, checked = self._cache_lookup(probe, token)
+        if cached is not None:
+            self._count_degradation([cached], token)  # confirmation work
+            return cached
         with self._rw.read_locked():
             result = self._execute(query, token=token)
         self._count_degradation([result], token)
-        self._cache_store(key, result, generation)
+        self._cache_store(probe, result, generation, checked)
         return result
 
     def query_batch(
@@ -302,49 +382,60 @@ class QueryEngine:
     ) -> List[QueryResult]:
         """Answer many queries at once.
 
-        Isomorphic duplicates are detected by canonical label and computed
-        once; the verification work of every distinct uncached query is
-        flattened into independent (query, candidate) tasks and run on a
-        single thread pool.
+        Isomorphic duplicates (same cache key, then confirmed exactly)
+        are computed once; the verification work of every distinct
+        uncached query is flattened into independent (query, candidate)
+        tasks and run on a single thread pool.
 
-        ``budget`` bounds the *call*: the whole batch shares one deadline
-        clock and one work cap.  Members the budget could not finish come
-        back individually flagged ``complete=False`` with their own
-        unresolved candidate lists — retry just those stragglers with a
-        fresh budget (they were never cached, so a retry recomputes).
+        ``budget`` bounds the *call*, keying and confirmation included:
+        the whole batch shares one deadline clock and one work cap.
+        Members the budget could not finish come back individually
+        flagged ``complete=False`` with their own unresolved candidate
+        lists — retry just those stragglers with a fresh budget (they
+        were never cached, so a retry recomputes).
         """
-        keys = [query_cache_key(q) for q in queries]
-        resolved: Dict[str, QueryResult] = {}
-        pending: List[Tuple[str, LabeledGraph]] = []
-        generation = 0
-        with self._mutex:
-            self._counters.batch_queries += len(queries)
-            self._counters.queries += len(queries)
-            generation = self._generation
-            seen_in_batch = set()
-            for key, query in zip(keys, queries):
-                if key in seen_in_batch:
-                    self._counters.batch_dedup_hits += 1
-                    continue
-                seen_in_batch.add(key)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._counters.cache_hits += 1
-                    resolved[key] = cached
+        token = budget.start() if budget is not None else None
+        # Each member is confirmed against the batch's earlier distinct
+        # members under its key first, then looked up in the cache.
+        peers: Dict[str, List[_CacheEntry]] = {}
+        owners: List[_CacheEntry] = []
+        resolved: Dict[_CacheEntry, QueryResult] = {}
+        pending: List[Tuple[_CacheEntry, int, Optional[Tuple[_CacheEntry, ...]]]] = []
+        dedup_hits = 0
+        for query in queries:
+            probe = _CacheEntry(query_cache_key(query), query)
+            same_key = peers.setdefault(probe.key, [])
+            twin, peers_checked = _confirm(probe, same_key, token)
+            if twin is not None:
+                owners.append(twin)
+                dedup_hits += 1
+                continue
+            cached, generation, checked = self._cache_lookup(probe, token)
+            if cached is not None:
+                resolved[probe] = cached
+            else:
+                if checked is not None and peers_checked:
+                    checked += tuple(same_key)
                 else:
-                    self._counters.cache_misses += 1
-                    pending.append((key, query))
+                    checked = None
+                pending.append((probe, generation, checked))
+            owners.append(probe)
+            same_key.append(probe)
+        with self._mutex:  # the lookups counted the distinct members
+            self._counters.batch_queries += len(queries)
+            self._counters.queries += dedup_hits
+            self._counters.batch_dedup_hits += dedup_hits
+        computed: List[QueryResult] = []
         if pending:
-            token = budget.start() if budget is not None else None
             with self._rw.read_locked():
                 computed = self._execute_batch(
-                    [q for _, q in pending], token=token
+                    [probe.query for probe, _, _ in pending], token=token
                 )
-            self._count_degradation(computed, token)
-            for (key, _), result in zip(pending, computed):
-                resolved[key] = result
-                self._cache_store(key, result, generation)
-        return [resolved[key] for key in keys]
+        self._count_degradation(computed, token)
+        for (probe, generation, checked), result in zip(pending, computed):
+            resolved[probe] = result
+            self._cache_store(probe, result, generation, checked)
+        return [resolved[owner] for owner in owners]
 
     # ------------------------------------------------------------------
     # maintenance (write-locked; every mutation invalidates the cache)
@@ -455,36 +546,64 @@ class QueryEngine:
     # internals
     # ------------------------------------------------------------------
     def _cache_lookup(
-        self, key: Optional[str]
-    ) -> Tuple[Optional[QueryResult], int]:
-        """Count the query and return ``(cached result, generation)``.
+        self, probe: Optional[_CacheEntry], token: Optional[CancellationToken]
+    ) -> Tuple[Optional[QueryResult], int, Optional[Tuple[_CacheEntry, ...]]]:
+        """Count the query; return ``(result, generation, checked)``.
 
-        A ``None`` key (caching off) always counts as a miss.
+        The probe key's bucket is snapshotted under the mutex and
+        confirmed outside it.  ``result`` is the confirmed cached answer
+        or ``None``; on a miss ``checked`` holds the entries the probe was
+        proven non-isomorphic to, or is ``None`` when its answer may not
+        be stored (caching off, or the budget cut confirmation short).
         """
         with self._mutex:
-            self._counters.queries += 1
-            cached = self._cache.get(key) if key is not None else None
-            if cached is not None:
-                self._counters.cache_hits += 1
-            else:
+            generation = self._generation
+            bucket = self._cache.bucket(probe.key) if probe is not None else ()
+            if not bucket:
+                self._counters.queries += 1
                 self._counters.cache_misses += 1
-            return cached, self._generation
+                return None, generation, (() if self._caching else None)
+        entry, checked_all = _confirm(probe, bucket, token)
+        with self._mutex:
+            self._counters.queries += 1
+            if entry is None:
+                self._counters.cache_misses += 1
+            else:
+                self._counters.cache_hits += 1
+                self._cache.touch(entry)
+        if entry is not None:
+            return entry.result, generation, None
+        return None, generation, (bucket if checked_all else None)
 
     def _cache_store(
-        self, key: Optional[str], result: QueryResult, generation: int
+        self,
+        probe: Optional[_CacheEntry],
+        result: QueryResult,
+        generation: int,
+        checked: Optional[Tuple[_CacheEntry, ...]],
     ) -> None:
         """Memoize ``result`` unless the index changed since it started.
 
         Degraded results (``complete=False``) are *never* stored: their
         answer depends on the budget that produced them, and caching one
         would let a timeout masquerade as the exact answer for every
-        later (possibly unbudgeted) isomorphic query.
+        later (possibly unbudgeted) isomorphic query.  The probe is known
+        to be non-isomorphic to every entry in ``checked``; if any other
+        entry joined its bucket meanwhile (a concurrent caller's store,
+        possibly of the same class) the store is skipped, so the cache
+        never holds two entries of one isomorphism class.
         """
-        if key is None or not result.complete:
+        if probe is None or checked is None or not result.complete:
             return
+        # A private copy: the caller may mutate its graph afterwards.
+        probe.query = probe.query.copy()
+        probe.result = result
         with self._mutex:
-            if self._generation == generation:
-                self._cache.put(key, result)
+            if self._generation != generation:
+                return
+            if any(entry not in checked for entry in self._cache.bucket(probe.key)):
+                return
+            self._cache.put(probe)
 
     def _invalidate(self, counter: str) -> None:
         """Bump the generation and drop every cached answer.

@@ -284,7 +284,7 @@ class LabeledGraph:
         return g
 
     # ------------------------------------------------------------------
-    # equality / fingerprints
+    # equality
     # ------------------------------------------------------------------
     def structure_equal(self, other: "LabeledGraph") -> bool:
         """Exact equality of vertex ids, labels and edges (not isomorphism)."""
@@ -294,23 +294,6 @@ class LabeledGraph:
             other.has_edge(u, v) and other.edge_label(u, v) == label
             for u, v, label in self.edges()
         )
-
-    def label_multiset_signature(self) -> Tuple[Tuple, Tuple]:
-        """A cheap isomorphism-invariant: sorted vertex labels and edge triples.
-
-        Two isomorphic graphs always share this signature; unequal signatures
-        prove non-isomorphism quickly.
-        """
-        vsig = tuple(sorted(map(repr, self._vlabels)))
-        esig = tuple(
-            sorted(
-                (min(repr(self._vlabels[u]), repr(self._vlabels[v])),
-                 max(repr(self._vlabels[u]), repr(self._vlabels[v])),
-                 repr(label))
-                for u, v, label in self.edges()
-            )
-        )
-        return (vsig, esig)
 
     def __repr__(self) -> str:
         gid = f" id={self.graph_id}" if self.graph_id is not None else ""

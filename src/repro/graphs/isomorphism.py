@@ -41,6 +41,7 @@ tests and worst-case benchmarking).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow import hot_path
@@ -66,6 +67,12 @@ def _matching_order(pattern: LabeledGraph, seeded: Tuple[int, ...]) -> List[int]
     the frontier emptied, which could interleave components and strand
     levels without an anchor mid-component.
     """
+    adj = pattern._adj  # read-only; runs once per matcher call
+    n = len(adj)
+    degree = [len(nbrs) for nbrs in adj]
+    # Max degree, then smallest id, as one int: a total order, so the
+    # iteration order of the sets below cannot change the result.
+    rank = [degree[v] * n + (n - 1 - v) for v in range(n)]
     order: List[int] = list(seeded)
     placed = set(order)
     components = pattern.connected_components()
@@ -82,25 +89,20 @@ def _matching_order(pattern: LabeledGraph, seeded: Tuple[int, ...]) -> List[int]
             queue.append(ci)
     rest = [ci for ci in range(len(components)) if ci not in enqueued]
     rest.sort(
-        key=lambda ci: (
-            -max(pattern.degree(v) for v in components[ci]),
-            components[ci][0],
-        )
+        key=lambda ci: (-max(degree[v] for v in components[ci]), components[ci][0])
     )
     queue.extend(rest)
     for ci in queue:
-        remaining = [v for v in components[ci] if v not in placed]
+        remaining = {v for v in components[ci] if v not in placed}
+        # Unplaced vertices adjacent to the placed prefix, kept incrementally.
+        frontier = {v for v in remaining if any(w in placed for w in adj[v])}
         while remaining:
-            frontier = [
-                v
-                for v in remaining
-                if any(w in placed for w in pattern.neighbors(v))
-            ]
-            pool = frontier or remaining
-            nxt = max(pool, key=lambda v: (pattern.degree(v), -v))
+            nxt = max(frontier or remaining, key=rank.__getitem__)
             order.append(nxt)
             placed.add(nxt)
-            remaining.remove(nxt)
+            remaining.discard(nxt)
+            frontier.discard(nxt)
+            frontier.update(adj[nxt].keys() - placed)
     return order
 
 
@@ -489,7 +491,12 @@ def are_isomorphic(
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return False
-    if g1.label_multiset_signature() != g2.label_multiset_signature():
+    # Cheap refutations: isomorphic graphs share their vertex-label
+    # multiset and the label-pair counts of their (cached, and reused by
+    # the matcher) MatcherIndex.
+    if Counter(g1.vertex_labels()) != Counter(g2.vertex_labels()):
+        return False
+    if g1.matcher_index().pair_counts != g2.matcher_index().pair_counts:
         return False
     return is_subgraph_isomorphic(g1, g2, token=token)
 

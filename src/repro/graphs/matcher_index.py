@@ -43,7 +43,6 @@ using them to refute candidates never changes an answer set — the
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # structural typing avoids a module cycle with graph.py
@@ -151,19 +150,21 @@ class MatcherIndex:
         for s in range(n):
             base = s * n
             even[base + s] = 0
-            queue = deque([(s, 0)])
-            while queue:
-                v, p = queue.popleft()
-                row = even if p == 0 else odd
-                d = row[base + v] + 1
-                if d > 254:
-                    continue  # deeper layers stay clamped at PARITY_INF
-                nrow = odd if p == 0 else even
-                for w in adj[v]:
-                    idx = base + w
-                    if nrow[idx] == PARITY_INF:
-                        nrow[idx] = d
-                        queue.append((w, p ^ 1))
+            # Layered BFS over (vertex, parity) states: layer d holds the
+            # vertices first reached by a walk of length d with parity
+            # d % 2; lengths past 254 stay clamped at PARITY_INF.
+            layer = [s]
+            d = 0
+            while layer and d < PARITY_INF - 1:
+                d += 1
+                row = odd if d & 1 else even
+                reached = []
+                for v in layer:
+                    for w in adj[v]:
+                        if row[base + w] == PARITY_INF:
+                            row[base + w] = d
+                            reached.append(w)
+                layer = reached
         return even, odd
 
 

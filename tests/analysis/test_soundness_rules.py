@@ -395,9 +395,7 @@ def test_repro404_defers_to_per_file_repro301(tmp_path):
     root = tmp_path / "proj"
     (root / "repro" / "core").mkdir(parents=True)
     (root / "repro" / "core" / "work.py").write_text(_WORK)
-    (root / "repro" / "core" / "tier.py").write_text(_TIER_DROP.replace(
-        "repro.core.work", "repro.core.work"
-    ))
+    (root / "repro" / "core" / "tier.py").write_text(_TIER_DROP)
     report = lint_paths([root])
     ids = [v.rule_id for v in report.violations]
     assert "REPRO404" not in ids

@@ -1,18 +1,22 @@
 """Unit tests for :class:`repro.core.engine.QueryEngine`.
 
 Answer correctness is locked down by the differential suite; these tests
-pin the serving-layer semantics — cache hits/misses/eviction, generation
-invalidation on maintenance, batch deduplication, and counter arithmetic.
+pin the serving-layer semantics — cache hits/misses/eviction, exact
+confirmation of key matches, generation invalidation on maintenance,
+batch deduplication, and counter arithmetic.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.baselines.scan import SequentialScan
 from repro.core import QueryEngine, TreePiConfig, TreePiIndex, query_cache_key
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.exceptions import IndexError_
-from repro.graphs import LabeledGraph
+from repro.graphs import GraphDatabase, LabeledGraph, are_isomorphic
 from repro.mining import SupportFunction
 
 
@@ -57,6 +61,78 @@ def test_cache_key_cyclic_uses_graph_namespace(triangle):
 def test_cache_key_tree_vs_cycle_never_collide():
     tree = LabeledGraph(["a", "a"], [(0, 1, 1)])
     assert query_cache_key(tree).startswith("t:")
+
+
+def _k33():
+    return LabeledGraph(["a"] * 6, [(u, v, 1) for u in range(3) for v in range(3, 6)])
+
+
+def _prism():
+    """Two triangles joined by a perfect matching: 3-regular like K3,3."""
+    edges = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)]
+    return LabeledGraph(["a"] * 6, edges + [(i, i + 3, 1) for i in range(3)])
+
+
+def _shuffled(graph, seed):
+    perm = list(range(graph.num_vertices))
+    random.Random(seed).shuffle(perm)
+    return graph.relabeled(perm)
+
+
+def test_equal_keys_do_not_imply_isomorphism():
+    assert query_cache_key(_k33()) == query_cache_key(_prism())
+    assert query_cache_key(_k33()).startswith("g:")
+    assert not are_isomorphic(_k33(), _prism())
+
+
+# ----------------------------------------------------------------------
+# exact confirmation of key matches
+# ----------------------------------------------------------------------
+def test_key_collision_is_confirmed_as_a_miss():
+    hexagon = LabeledGraph(["a"] * 6, [(i, (i + 1) % 6, 1) for i in range(6)])
+    db = GraphDatabase([_k33(), _prism(), hexagon, _k33()])
+    engine = QueryEngine(build_index(db), cache_size=8)
+    scan = SequentialScan(db)
+    bipartite = engine.query(_k33())
+    prism = engine.query(_prism())
+    assert bipartite.matches == scan.support_set(_k33()) == frozenset({0, 3})
+    assert prism.matches == scan.support_set(_prism()) == frozenset({1})
+    stats = engine.stats
+    assert (stats.cache_hits, stats.cache_misses) == (0, 2)
+    assert engine.cached_results == 2  # two classes under one key
+    # Relabeled repeats of each confirm against their own entry.
+    assert engine.query(_shuffled(_prism(), 1)) is prism
+    assert engine.query(_shuffled(_k33(), 2)) is bipartite
+    assert engine.stats.cache_hits == 2
+
+
+def test_relabeled_repeats_hit_without_planning(engine, queries, monkeypatch):
+    tree = next(q for q in queries if q.is_tree())
+    cyclic = LabeledGraph(
+        ["C", "C", "C", "O"], [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2)]
+    )
+    first = [engine.query(tree), engine.query(cyclic)]
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a confirmed hit must not plan")
+
+    monkeypatch.setattr(TreePiIndex, "plan", no_plan)
+    for seed in range(3):
+        assert engine.query(_shuffled(tree, seed)) is first[0]
+        assert engine.query(_shuffled(cyclic, seed)) is first[1]
+    stats = engine.stats
+    assert (stats.cache_hits, stats.cache_misses) == (6, 2)
+    assert engine.cached_results == 2
+
+
+def test_cached_entry_survives_caller_mutation(engine, db):
+    query = LabeledGraph(["C", "C", "C"], [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    first = engine.query(query)
+    query.add_vertex("C")
+    query.add_edge(2, 3, 1)  # the engine keeps its own copy
+    assert engine.query(query).matches == SequentialScan(db).support_set(query)
+    triangle = LabeledGraph(["C", "C", "C"], [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    assert engine.query(triangle) is first
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +295,22 @@ def test_batch_deduplicates_isomorphic_queries(engine, queries):
     assert stats.batch_queries == 4
     assert stats.batch_dedup_hits == 2
     assert stats.cache_misses == 2   # only two distinct pipelines ran
+
+
+def test_batch_confirms_relabeled_and_colliding_members():
+    db = GraphDatabase([_k33(), _prism()])
+    engine = QueryEngine(build_index(db), cache_size=8)
+    members = [_k33(), _shuffled(_k33(), 3), _prism(), _shuffled(_prism(), 4)]
+    results = engine.query_batch(members)
+    assert [r.matches for r in results] == [
+        frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1})
+    ]
+    stats = engine.stats
+    assert (stats.batch_dedup_hits, stats.cache_misses) == (2, 2)
+    assert engine.cached_results == 2
+    again = engine.query_batch([_shuffled(_prism(), 5), _shuffled(_k33(), 6)])
+    assert again[0] is results[2] and again[1] is results[0]
+    assert engine.stats.cache_hits == 2
 
 
 def test_batch_serves_cached_entries(engine, queries):

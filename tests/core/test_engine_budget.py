@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.baselines.scan import SequentialScan
 from repro.core import QueryBudget, QueryEngine, TreePiConfig, TreePiIndex
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import GraphDatabase, LabeledGraph
@@ -194,6 +195,26 @@ class TestAdversarialDeadline:
         assert result.matches == frozenset()  # nothing falsely matched
         assert result.unresolved  # the work it gave up on is visible
 
+    def test_cyclic_query_keys_and_confirms_under_the_deadline(self, chem):
+        """A single-label K7 once spent ~2 s in a minimum-DFS-code cache
+        key computed before the clock started.  The key is now a cheap
+        invariant under the deadline, and so is the confirmation of the
+        repeat's cache hit."""
+        db, _ = chem
+        k7 = LabeledGraph(
+            ["C"] * 7, [(u, v, 1) for u in range(7) for v in range(u + 1, 7)]
+        )
+        engine = build_engine(db, cache_size=32)
+        exact = SequentialScan(engine.index.database).support_set(k7)
+        for _ in range(2):
+            t0 = time.perf_counter()
+            result = engine.query(
+                k7, budget=QueryBudget(deadline_ms=self.DEADLINE_MS)
+            )
+            elapsed_ms = (time.perf_counter() - t0) * 1000
+            assert elapsed_ms < 5 * self.DEADLINE_MS
+            assert result.matches <= exact <= result.matches | result.unresolved
+
     def test_concurrent_maintenance_completes_despite_runaway_query(
         self, adversarial
     ):
@@ -229,26 +250,38 @@ class TestAdversarialDeadline:
 # matcher prefilters vs the same adversary
 # ----------------------------------------------------------------------
 class TestPrefiltersDefuseAdversary:
-    DEADLINE_MS = 50.0
+    #: A machine-independent bound: about 16x the work the prefiltered
+    #: matcher spends refuting the instance, and a small fraction of what
+    #: the unfiltered search needs.
+    VERIFY_STEPS = 10_000
 
     def test_prefilters_complete_within_deadline(self, adversarial):
-        """With prefilters on (the default), the adversarial workload is
-        refuted exactly — no degradation, same (empty) answer."""
+        """Under one verification-step cap (the deadline's machine-
+        independent twin), prefilters (the default) refute the adversary
+        exactly — no degradation, same (empty) answer — while the
+        unprefiltered matcher runs out of budget."""
         db, config, query = adversarial
+        budget = QueryBudget(verify_steps=self.VERIFY_STEPS)
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-                seed=5,
+            seed=5,
         )
         assert fast_config.matcher_prefilters  # the default
         engine = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
-        result = engine.query(
-            query, budget=QueryBudget(deadline_ms=self.DEADLINE_MS)
-        )
+        result = engine.query(query, budget=budget)
         assert result.complete
         assert result.matches == frozenset()
         assert result.unresolved == frozenset()
         assert engine.stats.timeouts == 0
+
+        slow = QueryEngine(TreePiIndex.build(db, config), cache_size=0)
+        degraded = slow.query(query, budget=budget)
+        assert not degraded.complete
+        assert degraded.degraded_reason == "verify-budget"
+        assert degraded.matches == frozenset()
+        assert degraded.unresolved
+        assert slow.stats.timeouts == 1
 
     def test_prefilters_do_not_change_answers(self, adversarial):
         db, config, query = adversarial
@@ -256,7 +289,7 @@ class TestPrefiltersDefuseAdversary:
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-                seed=5,
+            seed=5,
         )
         fast = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
         assert (
@@ -274,7 +307,7 @@ class TestPrefiltersDefuseAdversary:
         fast_config = TreePiConfig(
             SupportFunction(1, 2.0, 2),
             gamma=1.1,
-                seed=5,
+            seed=5,
         )
         engine = QueryEngine(TreePiIndex.build(db, fast_config), cache_size=0)
         assert engine.stats.verify_steps == 0

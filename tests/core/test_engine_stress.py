@@ -8,12 +8,17 @@ mutators interleave inserts and deletes — and the run must end with
   queries it must observe the mutation immediately, and at quiescence
   every cached answer must equal a fresh uncached pipeline run,
 * consistent counters: hits + misses + dedup == queries, and the
-  maintenance counters equal the operations actually performed.
+  maintenance counters equal the operations actually performed,
+* exact confirmed hits: relabeled isomorphic repeats racing maintenance
+  get exactly the scan answer of the generation they were served from.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -26,6 +31,7 @@ from repro.analysis import (
 from repro.baselines.scan import SequentialScan
 from repro.core import QueryEngine, TreePiConfig, TreePiIndex
 from repro.datasets import extract_query_workload, generate_aids_like
+from repro.graphs import is_subgraph_isomorphic
 from repro.mining import SupportFunction
 
 READERS = 6
@@ -139,6 +145,95 @@ def test_short_interleaving_smoke():
         t.join()
     assert not errors, f"worker threads raised: {errors!r}"
     stats = engine.stats
+    assert stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits == stats.queries
+
+
+def test_relabeled_repeats_match_the_scan_of_their_generation():
+    """Readers replay random relabelings of tree and cyclic queries (one
+    query, or a two-member batch of relabelings) while one mutator
+    inserts and deletes.  The generation is the engine's invalidation
+    count; an answer whose call saw the same count before and after was
+    served from that generation, and must equal its scan answer."""
+    engine, pool = build_engine()
+    db = engine.index.database
+    cyclic = [
+        q for q in extract_query_workload(db, 8, 12, seed=9) if not q.is_tree()
+    ]
+    pool = pool[:4] + cyclic[:4]
+    assert any(q.is_tree() for q in pool) and any(not q.is_tree() for q in pool)
+    states = {0: {gid: db[gid] for gid in db.graph_ids()}}
+    records = []
+    errors = []
+    start = threading.Barrier(READERS // 2 + 1)
+
+    def mutator():
+        try:
+            start.wait()
+            live = dict(states[0])
+            for i in range(2 * MUTATOR_ROUNDS):
+                graph = pool[i % len(pool)]
+                gid = engine.insert(graph)
+                live[gid] = graph
+                states[engine.stats.invalidations] = dict(live)
+                time.sleep(0.005)
+                engine.delete(gid)
+                del live[gid]
+                states[engine.stats.invalidations] = dict(live)
+                time.sleep(0.005)
+        except Exception as exc:  # noqa: REPRO121 - collected and re-raised below
+            errors.append(exc)
+
+    def reader(seed):
+        rng = random.Random(seed)
+
+        def relabel(query):
+            perm = list(range(query.num_vertices))
+            rng.shuffle(perm)
+            return query.relabeled(perm)
+
+        try:
+            start.wait()
+            for i in range(3 * len(pool)):
+                query = pool[(seed + i) % len(pool)]
+                before = engine.stats.invalidations
+                if i % 3:
+                    answers = [engine.query(relabel(query)).matches]
+                else:
+                    batch = engine.query_batch([relabel(query), relabel(query)])
+                    answers = [r.matches for r in batch]
+                if engine.stats.invalidations == before:
+                    records.extend((query, before, a) for a in answers)
+        except Exception as exc:  # noqa: REPRO121 - collected and re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=mutator)] + [
+        threading.Thread(target=reader, args=(i,)) for i in range(READERS // 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside confirmation
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    assert not errors, f"worker threads raised: {errors!r}"
+    assert records, "no answer was served from a single generation"
+    expected = {}
+    for query, generation, answer in records:
+        key = (id(query), generation)
+        if key not in expected:
+            expected[key] = frozenset(
+                gid
+                for gid, graph in states[generation].items()
+                if is_subgraph_isomorphic(query, graph)
+            )
+        assert answer == expected[key], f"wrong answer at generation {generation}"
+    stats = engine.stats
+    assert stats.cache_hits > 0
     assert stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits == stats.queries
 
 

@@ -207,6 +207,13 @@ class TestIsomorphism:
         other = LabeledGraph(["a"] * 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)])
         assert not are_isomorphic(c4, other)
 
+    def test_isolated_vertex_labels_count(self):
+        """Equal label-pair counts, different labels on isolated vertices."""
+        g1 = LabeledGraph(["a", "a", "b"], [(0, 1, 1)])
+        g2 = LabeledGraph(["a", "a", "c"], [(0, 1, 1)])
+        assert not are_isomorphic(g1, g2)
+        assert are_isomorphic(g1, LabeledGraph(["b", "a", "a"], [(1, 2, 1)]))
+
 
 class TestAutomorphisms:
     def test_identity_always_present(self, small_tree):
