@@ -8,8 +8,8 @@ the lint set plus the analyzer's own sources.  ``--select``/``--ignore``
 filtering happens at read time, so one cached entry serves every family
 selection (the CI matrix shares a single analysis pass).
 
-Keying on the whole-run fingerprint is deliberate: whole-program rules
-(REPRO3xx via the resolved surface, all of REPRO4xx) depend on *other*
+Keying on the whole-run fingerprint is deliberate: the project model
+(REPRO3xx through cross-file callees, all of REPRO4xx) depends on *other*
 files, so any content change anywhere invalidates everything — correct
 first, fast second.  The warm path (nothing changed) skips parsing
 entirely.

@@ -29,7 +29,7 @@ from repro.analysis.cache import (
     file_digest,
     run_fingerprint,
 )
-from repro.analysis.program import ProgramModel, build_program
+from repro.analysis.program import ProgramModel, build_program, single_file_program
 from repro.analysis.rules import FileContext, matches_rule_patterns, rules_for
 from repro.analysis.violations import Violation
 
@@ -105,9 +105,9 @@ def lint_source_full(
     exempts the CLI).  Both lists are sorted by location.
 
     ``tree`` lets the caller share one parse per file (the driver parses
-    every file exactly once for the whole-program model); ``program``
-    attaches that model so cross-module rules resolve real call targets
-    instead of per-file approximations.
+    every file exactly once for the project model); ``program`` is the
+    model the file belongs to.  Without one, the file is linted as a
+    one-module program.
     """
     if tree is None:
         try:
@@ -125,8 +125,9 @@ def lint_source_full(
                 ],
                 [],
             )
-    ctx = FileContext(path, source, tree)
-    ctx.program = program
+    if program is None:
+        program = single_file_program(path, source, tree)
+    ctx = FileContext(path, source, tree, program)
     raw: List[Violation] = []
     for rule in rules_for(ctx, select=select, ignore=ignore):
         raw.extend(rule.run())
@@ -208,20 +209,18 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    whole_program: bool = True,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and aggregate a report.
 
-    Every file is parsed once; the shared trees feed a whole-program
-    model (:mod:`repro.analysis.program`) so cross-module rules resolve
-    real call targets.  ``whole_program=False`` keeps the legacy
-    per-file mode (``TOKEN_CALLEES`` fallback surface) — used by the
-    registry-vs-resolution differential test.
+    Every file is parsed once; the shared trees feed one project model
+    (:mod:`repro.analysis.program`) so cross-module rules resolve real
+    call targets.  Each file is linted under every rule, and
+    ``select``/``ignore`` filter the findings afterwards.
 
-    With ``cache_dir`` set, per-file *full-rule* findings are cached by
-    content hash (see :mod:`repro.analysis.cache`); ``select``/
-    ``ignore`` filtering happens at read time so one entry serves every
-    family selection.
+    With ``cache_dir`` set, those per-file findings are cached by
+    content hash (see :mod:`repro.analysis.cache`), so one entry serves
+    every family selection.  Without it, every file is a miss and
+    nothing is stored.
     """
     report = LintReport()
     select = list(select) if select else None
@@ -231,68 +230,37 @@ def lint_paths(
         (str(f), Path(f).read_text(encoding="utf-8")) for f in files
     ]
 
-    if cache_dir is None:
-        program: Optional[ProgramModel] = None
-        trees: Dict[str, Optional[ast.Module]] = {
-            path: _parse_or_none(src) for path, src in sources
-        }
-        if whole_program:
-            program = build_program(
-                [(path, src, trees[path]) for path, src in sources]
-            )
-        for path, src in sources:
-            report.files_checked += 1
-            kept, suppressed = lint_source_full(
-                src,
-                path,
-                select=select,
-                ignore=ignore,
-                tree=trees[path],
-                program=program,
-            )
-            report.violations.extend(kept)
-            report.suppressed_violations.extend(suppressed)
-    else:
-        cache = LintCache(cache_dir)
+    cache = LintCache(cache_dir) if cache_dir is not None else None
+    keys: Dict[str, str] = {}
+    results: Dict[str, Tuple[List[Violation], List[Violation]]] = {}
+    if cache is not None:
         digests = {path: file_digest(src) for path, src in sources}
         fingerprint = run_fingerprint(digests.items())
-        keys = {
-            path: entry_key(path, digests[path], fingerprint)
-            for path, _ in sources
-        }
-        results: Dict[str, Tuple[List[Violation], List[Violation]]] = {}
-        missing: List[Tuple[str, str]] = []
-        for path, src in sources:
-            hit = cache.load(keys[path])
-            if hit is None:
-                missing.append((path, src))
-            else:
-                results[path] = hit
-        if missing:
-            trees = {path: _parse_or_none(src) for path, src in sources}
-            shared = build_program(
-                [(path, src, trees[path]) for path, src in sources]
-            )
-            for path, src in missing:
-                kept, suppressed = lint_source_full(
-                    src,
-                    path,
-                    select=None,
-                    ignore=None,
-                    tree=trees[path],
-                    program=shared,
-                )
-                cache.store(keys[path], kept, suppressed)
-                results[path] = (kept, suppressed)
         for path, _src in sources:
-            report.files_checked += 1
-            kept, suppressed = results[path]
-            report.violations.extend(
-                v for v in kept if _selected(v.rule_id, select, ignore)
+            keys[path] = entry_key(path, digests[path], fingerprint)
+            hit = cache.load(keys[path])
+            if hit is not None:
+                results[path] = hit
+    missing = [(path, src) for path, src in sources if path not in results]
+    if missing:
+        trees = {path: _parse_or_none(src) for path, src in sources}
+        program = build_program([(path, src, trees[path]) for path, src in sources])
+        for path, src in missing:
+            kept, suppressed = lint_source_full(
+                src, path, tree=trees[path], program=program
             )
-            report.suppressed_violations.extend(
-                v for v in suppressed if _selected(v.rule_id, select, ignore)
-            )
+            if cache is not None:
+                cache.store(keys[path], kept, suppressed)
+            results[path] = (kept, suppressed)
+    for path, _src in sources:
+        report.files_checked += 1
+        kept, suppressed = results[path]
+        report.violations.extend(
+            v for v in kept if _selected(v.rule_id, select, ignore)
+        )
+        report.suppressed_violations.extend(
+            v for v in suppressed if _selected(v.rule_id, select, ignore)
+        )
 
     report.violations.sort()
     report.suppressed_violations.sort()

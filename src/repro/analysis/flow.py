@@ -1,4 +1,4 @@
-"""Interprocedural flow model shared by the REPRO3xx hot-path rules.
+"""Per-file tables behind the analyzer's project call graph.
 
 The REPRO1xx/2xx families are lexical: they judge one statement (or one
 class) at a time.  The budget discipline introduced with
@@ -10,32 +10,25 @@ every 64 backtracking steps.  Whether a
 given loop is cancellable is a property of the *call graph*, not of any
 single line.
 
-This module builds that model for one file:
+:class:`FileFlow` holds what one file contributes to that graph:
 
 * a function table (module functions, methods, nested closures) with
   qualified names and lexical parent links;
+* the ownership scan: every node a function owns (nested defs excluded)
+  with its enclosing loops, its own loops, calls, checkpoint touches
+  and assignment origins;
 * in-file call resolution — ``self.m()`` to the owning class's method,
   bare ``f()`` through the lexical scope chain (own nested defs, then
   enclosing functions' nested defs, then module level);
 * cancellation-token bindings (parameters named/annotated as tokens,
   locals assigned from ``budget.start()``-style expressions, closure
   captures) and per-call forwarding detection (keyword ``token=`` or a
-  positional token name);
-* two fixpoints over resolved calls: *transitively loops* (has a
-  ``for``/``while``, calls something that does, or recurses) and
-  *transitively checkpoints* (touches ``token.poll/charge/...``,
-  forwards the token, or calls an in-file function that does);
-* the *hot set*: functions marked :func:`hot_path`, spine methods of
-  the serving layer, everything reachable from them through resolved
-  calls, and their nested closures.
+  positional token name).
 
-Only in-file edges are resolved here; cross-file calls are answered by
-a pluggable :class:`ExternalSurface`.  When a file is analyzed inside a
-whole-program run (:mod:`repro.analysis.program`), the surface resolves
-the call through the real project-wide call graph.  When a file is
-analyzed standalone, the surface falls back to the legacy
-:data:`TOKEN_CALLEES` name registry — kept only as a deprecation shim;
-the registry approximates what real resolution now computes.
+Cross-file resolution and every derived fact — loops, call cycles,
+checkpoints and the hot sets — live in
+:class:`~repro.analysis.program.ProgramModel`; a standalone lint is a
+one-module program.
 
 The :func:`hot_path` decorator is the runtime half: a zero-cost marker
 that production code puts on its hot functions so the analyzer (and
@@ -49,10 +42,8 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -73,27 +64,6 @@ SPINE_FUNCTIONS = frozenset(
         "_execute",
         "_execute_batch",
         "_verify_plans",
-    }
-)
-
-#: .. deprecated:: whole-program analysis
-#:    The hard-coded plan→prune→verify name registry.  It survives only
-#:    as the *fallback* surface for standalone single-file analysis
-#:    (fixtures, ``lint_source``); whole-program runs resolve cross-file
-#:    calls for real via :mod:`repro.analysis.program`.  Every name here
-#:    denotes an exported spine function that loops internally and
-#:    accepts a ``token`` parameter.
-TOKEN_CALLEES = frozenset(
-    {
-        "verify",
-        "verify_candidate",
-        "subgraph_monomorphisms",
-        "is_subgraph_isomorphic",
-        "count_embeddings",
-        "are_isomorphic",
-        "automorphisms",
-        "center_prune",
-        "check_center_constraints",
     }
 )
 
@@ -136,62 +106,6 @@ def _annotation_is_token(annotation: Optional[ast.expr]) -> bool:
     if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
         return "CancellationToken" in annotation.value
     return "CancellationToken" in ast.unparse(annotation)
-
-
-class ExternalInfo(NamedTuple):
-    """What a surface knows about a call that escapes the current file.
-
-    ``loops`` is scoped to the cancellation discipline: it reports
-    *token-governed* looping (the callee both accepts a token and
-    transitively loops), which is exactly what the legacy registry
-    asserted for its members.  A cross-file callee that loops but cannot
-    take a token is not a severed cancellation chain, so surfaces report
-    it as non-looping here; the whole-program model still tracks its
-    true looping status for the REPRO4xx family.
-    """
-
-    accepts_token: bool
-    loops: bool
-
-
-class ExternalSurface:
-    """Answers "what does this unresolved (cross-file) call reach?".
-
-    The default implementation knows nothing; see
-    :class:`LegacyTokenRegistry` for the standalone fallback and
-    ``repro.analysis.program.ResolvedSurface`` for real whole-program
-    resolution.
-    """
-
-    def info(
-        self,
-        site: "CallSite",
-        fn: Optional["FunctionInfo"],
-        module_path: str,
-    ) -> Optional[ExternalInfo]:
-        return None
-
-
-class LegacyTokenRegistry(ExternalSurface):
-    """Deprecation shim: the old :data:`TOKEN_CALLEES` name registry.
-
-    Used only when a file is analyzed without a whole-program model.
-    Every registered name is assumed to accept a token and loop — the
-    approximation real resolution replaces.
-    """
-
-    def __init__(self, names: Optional[Iterable[str]] = None) -> None:
-        self._names = frozenset(TOKEN_CALLEES if names is None else names)
-
-    def info(
-        self,
-        site: "CallSite",
-        fn: Optional["FunctionInfo"],
-        module_path: str,
-    ) -> Optional[ExternalInfo]:
-        if site.name in self._names:
-            return ExternalInfo(accepts_token=True, loops=True)
-        return None
 
 
 class CallSite:
@@ -323,14 +237,9 @@ def _value_origin(value: ast.expr) -> str:
 
 
 class FileFlow:
-    """The interprocedural model of one source file."""
+    """What one source file contributes to the program model."""
 
-    def __init__(
-        self,
-        tree: ast.Module,
-        module_path: str,
-        surface: Optional[ExternalSurface] = None,
-    ) -> None:
+    def __init__(self, tree: ast.Module, module_path: str) -> None:
         self.module_path = module_path
         self.functions: List[FunctionInfo] = []
         self.module_functions: Dict[str, FunctionInfo] = {}
@@ -339,20 +248,9 @@ class FileFlow:
         for fn in self.functions:
             self._scan(fn)
         self._resolved: Dict[int, Optional[FunctionInfo]] = {}
-        self._site_owner: Dict[int, FunctionInfo] = {}
         for fn in self.functions:
             for site in fn.calls:
                 self._resolved[id(site)] = self._resolve(fn, site)
-                self._site_owner[id(site)] = fn
-        self._surface = surface if surface is not None else LegacyTokenRegistry()
-        self._surface_cache: Dict[int, Optional[ExternalInfo]] = {}
-        # Fixpoints are lazy: a whole-program model builds every file's
-        # flow first (local tables only), computes its global facts, and
-        # only then do surface-dependent fixpoints run on demand.
-        self._loops: Optional[Dict[FunctionInfo, bool]] = None
-        self._cycles: Optional[Set[FunctionInfo]] = None
-        self._checkpoints: Optional[Dict[FunctionInfo, bool]] = None
-        self._hot: Optional[Set[FunctionInfo]] = None
 
     # ------------------------------------------------------------------
     # table construction
@@ -484,15 +382,6 @@ class FileFlow:
     def resolved(self, site: CallSite) -> Optional[FunctionInfo]:
         return self._resolved.get(id(site))
 
-    def external(self, site: CallSite) -> Optional[ExternalInfo]:
-        """Surface knowledge about a call the in-file tables cannot see."""
-        key = id(site)
-        if key not in self._surface_cache:
-            self._surface_cache[key] = self._surface.info(
-                site, self._site_owner.get(key), self.module_path
-            )
-        return self._surface_cache[key]
-
     # ------------------------------------------------------------------
     # token plumbing
     # ------------------------------------------------------------------
@@ -505,178 +394,3 @@ class FileFlow:
         return any(
             isinstance(a, ast.Name) and a.id in names for a in site.node.args
         )
-
-    def accepts_token(self, site: CallSite) -> bool:
-        """Can the callee take a token (resolved signature or surface)?"""
-        target = self.resolved(site)
-        if target is not None:
-            return bool(target.token_params)
-        info = self.external(site)
-        return info.accepts_token if info is not None else False
-
-    # ------------------------------------------------------------------
-    # fixpoints
-    # ------------------------------------------------------------------
-    def _loop_fixpoint(self) -> Dict[FunctionInfo, bool]:
-        loops: Dict[FunctionInfo, bool] = {}
-        for fn in self.functions:
-            external_loop = False
-            for site in fn.calls:
-                if self.resolved(site) is not None:
-                    continue
-                info = self.external(site)
-                if info is not None and info.loops:
-                    external_loop = True
-                    break
-            loops[fn] = bool(fn.own_loops) or external_loop
-        changed = True
-        while changed:
-            changed = False
-            for fn in self.functions:
-                if loops[fn]:
-                    continue
-                for site in fn.calls:
-                    target = self.resolved(site)
-                    if target is not None and loops[target]:
-                        loops[fn] = True
-                        changed = True
-                        break
-        return loops
-
-    def _cycle_set(self) -> Set[FunctionInfo]:
-        cyclic: Set[FunctionInfo] = set()
-        for fn in self.functions:
-            seen: Set[FunctionInfo] = set()
-            frontier = [
-                t
-                for t in (self.resolved(s) for s in fn.calls)
-                if t is not None
-            ]
-            while frontier:
-                cur = frontier.pop()
-                if cur is fn:
-                    cyclic.add(fn)
-                    break
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                frontier.extend(
-                    t
-                    for t in (self.resolved(s) for s in cur.calls)
-                    if t is not None
-                )
-        return cyclic
-
-    def _checkpoint_fixpoint(self) -> Dict[FunctionInfo, bool]:
-        cp: Dict[FunctionInfo, bool] = {}
-        for fn in self.functions:
-            cp[fn] = bool(fn.checkpoint_nodes) or any(
-                self.forwards_token(fn, site) for site in fn.calls
-            )
-        changed = True
-        while changed:
-            changed = False
-            for fn in self.functions:
-                if cp[fn]:
-                    continue
-                for site in fn.calls:
-                    target = self.resolved(site)
-                    if target is not None and target is not fn and cp[target]:
-                        cp[fn] = True
-                        changed = True
-                        break
-        return cp
-
-    def _hot_set(self) -> Set[FunctionInfo]:
-        in_core = self.module_path.startswith("repro/core")
-        hot: Set[FunctionInfo] = set()
-        frontier: List[FunctionInfo] = []
-        for fn in self.functions:
-            if fn.marked_hot or (in_core and fn.name in SPINE_FUNCTIONS):
-                hot.add(fn)
-                frontier.append(fn)
-        while frontier:
-            fn = frontier.pop()
-            nexts = [self.resolved(site) for site in fn.calls]
-            nexts.extend(fn.children.values())
-            for target in nexts:
-                if target is not None and target not in hot:
-                    hot.add(target)
-                    frontier.append(target)
-        return hot
-
-    # ------------------------------------------------------------------
-    # queries used by the rules
-    # ------------------------------------------------------------------
-    @property
-    def hot(self) -> Set[FunctionInfo]:
-        if self._hot is None:
-            self._hot = self._hot_set()
-        return self._hot
-
-    def _loops_map(self) -> Dict[FunctionInfo, bool]:
-        if self._loops is None:
-            self._loops = self._loop_fixpoint()
-        return self._loops
-
-    def _cycles_set(self) -> Set[FunctionInfo]:
-        if self._cycles is None:
-            self._cycles = self._cycle_set()
-        return self._cycles
-
-    def _checkpoints_map(self) -> Dict[FunctionInfo, bool]:
-        if self._checkpoints is None:
-            self._checkpoints = self._checkpoint_fixpoint()
-        return self._checkpoints
-
-    def transitively_loops(self, fn: FunctionInfo) -> bool:
-        return self._loops_map()[fn] or fn in self._cycles_set()
-
-    def transitively_checkpoints(self, fn: FunctionInfo) -> bool:
-        return self._checkpoints_map()[fn]
-
-    def is_recursive(self, fn: FunctionInfo) -> bool:
-        return fn in self._cycles_set()
-
-    def is_hot(self, fn: FunctionInfo) -> bool:
-        return fn in self.hot
-
-    def call_loops(self, site: CallSite) -> bool:
-        """Does the call target loop (resolved fixpoint or surface)?"""
-        target = self.resolved(site)
-        if target is not None:
-            return self.transitively_loops(target)
-        info = self.external(site)
-        return info.loops if info is not None else False
-
-    def subtree_checkpoints(self, fn: FunctionInfo, root: ast.AST) -> bool:
-        """Is there a token checkpoint lexically inside ``root``?
-
-        Counts direct ``token.poll/charge/...`` touches, token-forwarding
-        calls, and calls to in-file functions that transitively
-        checkpoint.  Nested function *definitions* inside ``root`` do
-        not count (defining is not calling).
-        """
-        inside: Set[int] = set()
-
-        def collect(node: ast.AST) -> None:
-            inside.add(id(node))
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, _FUNC_NODES + (ast.Lambda,)):
-                    continue
-                collect(child)
-
-        collect(root)
-        for node in fn.checkpoint_nodes:
-            if id(node) in inside:
-                return True
-        for site in fn.calls:
-            if id(site.node) not in inside:
-                continue
-            if self.forwards_token(fn, site):
-                return True
-            target = self.resolved(site)
-            if target is not None and target is not fn:
-                if self.transitively_checkpoints(target):
-                    return True
-        return False

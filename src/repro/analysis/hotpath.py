@@ -8,7 +8,7 @@ those disciplines true: a refactor can drop the ``token=`` argument from
 one call, quietly re-materialize a support set, or slip an f-string into
 the 64-step checkpoint window, and every test still passes — the code is
 just slower, or uncancellable.  These rules check the disciplines on the
-interprocedural model built by :mod:`repro.analysis.flow`.
+project model built by :mod:`repro.analysis.program`.
 
 * **REPRO301** — a hot loop (or call into a looping callee) severs the
   cancellation chain: the token parameter is dropped, shadowed, or not
@@ -29,8 +29,11 @@ interprocedural model built by :mod:`repro.analysis.flow`.
 
 Hot functions are the ones marked :func:`~repro.analysis.flow.hot_path`,
 the ``repro.core`` spine methods, and everything they reach through
-in-file calls (nested closures included).  All five rules share one
-cached model per file, mirroring the REPRO2xx family's design.
+in-file calls (nested closures included); REPRO404 covers what only
+cross-file edges reach.  Loop, cycle and checkpoint facts come from the
+same model, so a standalone lint (a one-module program) and a
+whole-program run judge a file the same way.  All five rules share one
+findings list per file, mirroring the REPRO2xx family's design.
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set, Tuple
 
-from repro.analysis.flow import (
-    TOKEN_PARAM_NAMES,
-    FileFlow,
-    FunctionInfo,
-)
+from repro.analysis.flow import TOKEN_PARAM_NAMES, FunctionInfo
+from repro.analysis.program import ModuleInfo, ProgramModel
 from repro.analysis.rules import FileContext, Rule, register
 
 __all__ = [
@@ -96,25 +96,20 @@ def _file_findings(ctx: FileContext) -> List[Finding]:
     cached = getattr(ctx, "_repro3_findings", None)
     if cached is not None:
         return cached
-    flow = None
-    if ctx.program is not None:
-        # Whole-program run: reuse the model's per-file flow, whose
-        # external surface resolves cross-module calls for real instead
-        # of consulting the legacy TOKEN_CALLEES registry.
-        flow = ctx.program.flow_for(ctx.path)
-    if flow is None:
-        flow = FileFlow(ctx.tree, ctx.module_path)
+    program = ctx.program
+    info = program.modules[ctx.path]
+    hot = [fn for fn in info.flow.functions if program.is_hot_in_file(fn)]
     findings: List[Finding] = []
-    _cancellation_findings(flow, findings)
+    _cancellation_findings(program, info, hot, findings)
     _budget_swallow_findings(ctx.tree, findings)
     if ctx.module_path.startswith("repro/core"):
         # The complete-flag contract belongs to the serving layer; memo
         # caches in the miner etc. hold no degradable results.
-        _budget_cache_findings(flow, findings)
+        _budget_cache_findings(info.flow.functions, findings)
     if ctx.module_path.startswith(_COLUMNAR_PREFIXES):
-        _columnar_findings(flow, findings)
-    _quadratic_findings(flow, findings)
-    _checkpoint_window_findings(flow, findings)
+        _columnar_findings(info.flow.functions, findings)
+    _quadratic_findings(program, hot, findings)
+    _checkpoint_window_findings(hot, findings)
     ctx._repro3_findings = findings  # type: ignore[attr-defined]
     return findings
 
@@ -122,10 +117,14 @@ def _file_findings(ctx: FileContext) -> List[Finding]:
 # ----------------------------------------------------------------------
 # REPRO301 — cancellation flow
 # ----------------------------------------------------------------------
-def _cancellation_findings(flow: FileFlow, out: List[Finding]) -> None:
-    for fn in flow.functions:
-        if not flow.is_hot(fn):
-            continue
+def _cancellation_findings(
+    program: ProgramModel,
+    info: ModuleInfo,
+    hot: List[FunctionInfo],
+    out: List[Finding],
+) -> None:
+    flow = info.flow
+    for fn in hot:
         for node, name in fn.shadow_nodes:
             out.append(
                 (
@@ -136,7 +135,7 @@ def _cancellation_findings(flow: FileFlow, out: List[Finding]) -> None:
                     "discarded",
                 )
             )
-        if fn.token_params and flow.transitively_loops(fn):
+        if fn.token_params and program.governed_loops(fn):
             read = {
                 n.id
                 for n in ast.walk(fn.node)
@@ -157,9 +156,11 @@ def _cancellation_findings(flow: FileFlow, out: List[Finding]) -> None:
         if not fn.token_names():
             continue
         for site in fn.calls:
+            target = program.resolved(info, site)
             if (
-                flow.accepts_token(site)
-                and flow.call_loops(site)
+                target is not None
+                and target.token_params
+                and program.call_loops(info, site)
                 and not flow.forwards_token(fn, site)
             ):
                 out.append(
@@ -175,10 +176,10 @@ def _cancellation_findings(flow: FileFlow, out: List[Finding]) -> None:
         for loop in fn.own_loops:
             drives_looping_callee = any(
                 any(enclosing is loop for enclosing in site.statement_loops())
-                and flow.call_loops(site)
+                and program.call_loops(info, site)
                 for site in fn.calls
             )
-            if drives_looping_callee and not flow.subtree_checkpoints(fn, loop):
+            if drives_looping_callee and not program.subtree_checkpoints(fn, loop):
                 out.append(
                     (
                         "REPRO301",
@@ -251,13 +252,15 @@ def _is_result_name(expr: ast.expr) -> bool:
     )
 
 
-def _budget_cache_findings(flow: FileFlow, out: List[Finding]) -> None:
+def _budget_cache_findings(
+    functions: List[FunctionInfo], out: List[Finding]
+) -> None:
     message = (
         "result stored into a cache by a function that never checks "
         ".complete; a degraded partial answer must not be cached as a "
         "full one"
     )
-    for fn in flow.functions:
+    for fn in functions:
         reads_complete = any(
             isinstance(node, ast.Attribute) and node.attr == "complete"
             for node, _ in fn.owned
@@ -311,8 +314,8 @@ def _materializer_kind(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _columnar_findings(flow: FileFlow, out: List[Finding]) -> None:
-    for fn in flow.functions:
+def _columnar_findings(functions: List[FunctionInfo], out: List[Finding]) -> None:
+    for fn in functions:
         fired: List[Tuple[ast.Call, str]] = []
         for node, _ in fn.owned:
             if fn.name != "locations" and isinstance(node, ast.Attribute):
@@ -426,11 +429,11 @@ def _is_fresh_container(expr: ast.expr) -> bool:
     )
 
 
-def _quadratic_findings(flow: FileFlow, out: List[Finding]) -> None:
-    for fn in flow.functions:
-        if not flow.is_hot(fn):
-            continue
-        recursive = flow.is_recursive(fn)
+def _quadratic_findings(
+    program: ProgramModel, hot: List[FunctionInfo], out: List[Finding]
+) -> None:
+    for fn in hot:
+        recursive = program.is_recursive(fn)
         for node, stack in fn.owned:
             in_loop = bool(stack)
             if isinstance(node, ast.Compare) and in_loop:
@@ -551,10 +554,8 @@ def _window_work(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _checkpoint_window_findings(flow: FileFlow, out: List[Finding]) -> None:
-    for fn in flow.functions:
-        if not flow.is_hot(fn):
-            continue
+def _checkpoint_window_findings(hot: List[FunctionInfo], out: List[Finding]) -> None:
+    for fn in hot:
         charge_loops: Set[int] = set()
         for node, stack in fn.owned:
             if (

@@ -1,14 +1,15 @@
-"""Whole-program (cross-module) analysis model.
+"""The project model: one call graph and every fact derived from it.
 
-PR 6's :class:`~repro.analysis.flow.FileFlow` sees one file at a time;
-cross-file calls were approximated by the hard-coded ``TOKEN_CALLEES``
-name registry.  The degradation-soundness contract the query engine
-guarantees (``matches ⊆ exact ⊆ matches ∪ unresolved``) spans
-``core/engine.py`` → ``core/treepi.py`` → ``graphs/isomorphism.py``, so
-checking it needs the real project-wide call graph.  This module builds it:
+The degradation-soundness contract the query engine guarantees
+(``matches ⊆ exact ⊆ matches ∪ unresolved``) and the cancellation chain
+both span ``core/engine.py`` → ``core/treepi.py`` →
+``graphs/isomorphism.py``, so checking them needs the real project-wide
+call graph.  This module builds it:
 
 * every file is parsed **once** into a shared AST table (the lint
-  driver hands the same trees to the per-file rules);
+  driver hands the same trees to the per-file rules), and contributes a
+  :class:`~repro.analysis.flow.FileFlow` (function table, ownership
+  scan, in-file call resolution, token bindings);
 * per-module symbol tables: top-level functions, classes (with base
   lists and inferred ``self.<attr>`` types), and import bindings
   (``import m``, ``from m import f``, aliases, and re-export chains
@@ -19,23 +20,21 @@ checking it needs the real project-wide call graph.  This module builds it:
   annotations, ``x = ClassName(...)`` assignments, and
   ``self._attr = <typed value>`` patterns, with method lookup walking
   base classes across files;
-* the token/loop/checkpoint fixpoints and the hot set re-run over the
-  global graph (``repro/core`` spine functions and ``@hot_path`` marks
-  seed hotness).
+* the facts every rule family reads: transitive looping, call cycles
+  (Tarjan), transitive checkpoints, and two hot sets from one seed set
+  (``@hot_path`` marks and ``repro/core`` spine names) — one following
+  in-file edges only (REPRO3xx), one following cross-file edges too
+  (REPRO4xx).
+
+A standalone single-file lint is a one-module program
+(:func:`single_file_program`), so it computes exactly what a
+whole-program run computes for that file alone.
 
 Known limits (documented in docs/ANALYSIS.md): dynamic dispatch through
 containers of callables, monkey-patching, ``getattr`` calls and
 ``functools.partial`` are not resolved; an attribute whose inferred
 types conflict is treated as untyped.  Resolution is a *best-effort
-under-approximation* — an unresolved call contributes no edge, exactly
-like the registry it replaces.
-
-Per-file REPRO3xx analysis keeps its per-file fixpoints for
-compatibility, but its :class:`~repro.analysis.flow.ExternalSurface` is
-now :class:`ResolvedSurface` — real resolution standing where the
-registry used to guess (the differential test in
-``tests/analysis/test_program.py`` proves findings are unchanged on
-``src/repro``).
+under-approximation* — an unresolved call contributes no edge.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ import ast
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.flow import (
+    _FUNC_NODES,
     SPINE_FUNCTIONS,
     CallSite,
-    ExternalInfo,
-    ExternalSurface,
     FileFlow,
     FunctionInfo,
 )
@@ -57,14 +55,11 @@ __all__ = [
     "ClassInfo",
     "ModuleInfo",
     "ProgramModel",
-    "ResolvedSurface",
     "build_program",
     "single_file_program",
 ]
 
-#: Packages whose spine-named functions seed the *global* hot set — the
-#: same ``repro/core`` scope as the per-file REPRO3xx hot set; the global
-#: set differs only in following calls across files.
+#: Packages whose spine-named functions seed both hot sets.
 _HOT_SEED_PREFIXES: Tuple[str, ...] = ("repro/core",)
 
 _ANN_WRAPPERS = frozenset({"Optional", "Final", "ClassVar", "Annotated"})
@@ -196,9 +191,7 @@ def _param_annotation_name(fn: FunctionInfo, param: str) -> Optional[str]:
 class ModuleInfo:
     """One parsed source file with its symbol tables."""
 
-    def __init__(
-        self, path: str, source: str, tree: ast.Module, program: "ProgramModel"
-    ) -> None:
+    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
@@ -206,9 +199,7 @@ class ModuleInfo:
         self.name = _dotted_name(self.module_path)
         is_init = self.module_path.endswith("/__init__.py")
         self.package = self.name if is_init else self.name.rpartition(".")[0]
-        self.flow = FileFlow(
-            tree, self.module_path, surface=ResolvedSurface(program, self)
-        )
+        self.flow = FileFlow(tree, self.module_path)
         self.imports: Dict[str, Binding] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self._collect_imports()
@@ -266,39 +257,18 @@ class ModuleInfo:
         return self._parents
 
 
-class ResolvedSurface(ExternalSurface):
-    """Real cross-module resolution behind the per-file flow model.
-
-    Reports token-governed looping only (see
-    :class:`~repro.analysis.flow.ExternalInfo`), preserving the scope
-    the legacy registry gave REPRO3xx while replacing its guesses with
-    the resolved call graph.
-    """
-
-    def __init__(self, program: "ProgramModel", module: "ModuleInfo") -> None:
-        self._program = program
-        self._module = module
-
-    def info(
-        self,
-        site: CallSite,
-        fn: Optional[FunctionInfo],
-        module_path: str,
-    ) -> Optional[ExternalInfo]:
-        return self._program.external_info(site)
-
-
 _Symbol = Union[FunctionInfo, ClassInfo, ModuleInfo, None]
+_EdgeMap = Dict[FunctionInfo, List[FunctionInfo]]
 
 
 class ProgramModel:
-    """The project-wide call graph and its fixpoints."""
+    """The project-wide call graph and the facts derived from it."""
 
     def __init__(self, entries: Sequence[Tuple[str, str, ast.Module]]) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.by_name: Dict[str, ModuleInfo] = {}
         for path, source, tree in entries:
-            info = ModuleInfo(path, source, tree, self)
+            info = ModuleInfo(path, source, tree)
             self.modules[path] = info
             self.by_name.setdefault(info.name, info)
         self.owner: Dict[FunctionInfo, ModuleInfo] = {}
@@ -311,11 +281,38 @@ class ProgramModel:
                 for site in fn.calls:
                     if info.flow.resolved(site) is None:
                         self._cross[id(site)] = self._cross_resolve(info, fn, site)
-        self._edges: Dict[FunctionInfo, List[FunctionInfo]] = self._edge_map()
-        self._gloops: Dict[FunctionInfo, bool] = self._global_loops()
-        self._gcycles: Set[FunctionInfo] = self._global_cycles()
-        self._gcheckpoints: Dict[FunctionInfo, bool] = self._global_checkpoints()
-        self._ghot: Set[FunctionInfo] = self._global_hot()
+        self._edges, self._in_file = self._edge_maps()
+        self._cycles: Set[FunctionInfo] = self._call_cycles()
+        self._loops = self._propagate(
+            {fn: bool(fn.own_loops) for fn in self._edges}, self._edges
+        )
+        self._governed_loops = self._propagate(
+            {
+                fn: bool(fn.own_loops)
+                or any(self._cross_call_loops(site) for site in fn.calls)
+                for fn in self._edges
+            },
+            self._in_file,
+        )
+        self._checkpoints = self._propagate(
+            {
+                fn: bool(fn.checkpoint_nodes)
+                or any(info.flow.forwards_token(fn, site) for site in fn.calls)
+                for fn, info in self.owner.items()
+            },
+            self._edges,
+        )
+        seeds = [
+            fn
+            for fn, info in self.owner.items()
+            if fn.marked_hot
+            or (
+                info.module_path.startswith(_HOT_SEED_PREFIXES)
+                and fn.name in SPINE_FUNCTIONS
+            )
+        ]
+        self._hot_in_file: Set[FunctionInfo] = self._reach(seeds, cross_file=False)
+        self._hot: Set[FunctionInfo] = self._reach(seeds, cross_file=True)
 
     # ------------------------------------------------------------------
     # symbol lookup through import bindings and re-export chains
@@ -486,36 +483,36 @@ class ProgramModel:
         return None
 
     # ------------------------------------------------------------------
-    # global fixpoints
+    # derived facts
     # ------------------------------------------------------------------
-    def _edge_map(self) -> Dict[FunctionInfo, List[FunctionInfo]]:
-        edges: Dict[FunctionInfo, List[FunctionInfo]] = {}
+    def _edge_maps(self) -> Tuple[_EdgeMap, _EdgeMap]:
+        """Every resolved call, and the subset in-file resolution finds."""
+        edges: _EdgeMap = {}
+        in_file: _EdgeMap = {}
         for info in self.modules.values():
             for fn in info.flow.functions:
-                outs: List[FunctionInfo] = []
-                for site in fn.calls:
-                    target = info.flow.resolved(site)
-                    if target is None:
-                        target = self._cross.get(id(site))
-                    if target is not None:
-                        outs.append(target)
-                edges[fn] = outs
-        return edges
+                local = [t for t in map(info.flow.resolved, fn.calls) if t is not None]
+                cross = [t for t in map(self.cross_resolved, fn.calls) if t is not None]
+                in_file[fn] = local
+                edges[fn] = local + cross
+        return edges, in_file
 
-    def _global_loops(self) -> Dict[FunctionInfo, bool]:
-        loops = {fn: bool(fn.own_loops) for fn in self._edges}
+    @staticmethod
+    def _propagate(
+        facts: Dict[FunctionInfo, bool], edges: _EdgeMap
+    ) -> Dict[FunctionInfo, bool]:
+        """Close ``facts`` over ``edges``: a caller of a true function is
+        true."""
         changed = True
         while changed:
             changed = False
-            for fn, outs in self._edges.items():
-                if loops[fn]:
-                    continue
-                if any(loops[t] for t in outs):
-                    loops[fn] = True
+            for fn, outs in edges.items():
+                if not facts[fn] and any(facts[t] for t in outs):
+                    facts[fn] = True
                     changed = True
-        return loops
+        return facts
 
-    def _global_cycles(self) -> Set[FunctionInfo]:
+    def _call_cycles(self) -> Set[FunctionInfo]:
         """Functions on a call cycle (Tarjan SCC, iterative)."""
         index: Dict[FunctionInfo, int] = {}
         low: Dict[FunctionInfo, int] = {}
@@ -567,43 +564,25 @@ class ProgramModel:
                         cyclic.add(component[0])
         return cyclic
 
-    def _global_checkpoints(self) -> Dict[FunctionInfo, bool]:
-        cp: Dict[FunctionInfo, bool] = {}
-        for info in self.modules.values():
-            for fn in info.flow.functions:
-                cp[fn] = bool(fn.checkpoint_nodes) or any(
-                    info.flow.forwards_token(fn, site) for site in fn.calls
-                )
-        changed = True
-        while changed:
-            changed = False
-            for fn, outs in self._edges.items():
-                if cp[fn]:
-                    continue
-                if any(t is not fn and cp[t] for t in outs):
-                    cp[fn] = True
-                    changed = True
-        return cp
+    def _reach(
+        self, seeds: Iterable[FunctionInfo], cross_file: bool
+    ) -> Set[FunctionInfo]:
+        """``seeds`` plus everything they call or define, transitively.
 
-    def _global_hot(self) -> Set[FunctionInfo]:
-        hot: Set[FunctionInfo] = set()
-        frontier: List[FunctionInfo] = []
-        for fn, info in self.owner.items():
-            seeded = fn.marked_hot or (
-                info.module_path.startswith(_HOT_SEED_PREFIXES)
-                and fn.name in SPINE_FUNCTIONS
-            )
-            if seeded:
-                hot.add(fn)
-                frontier.append(fn)
+        Follows in-file call edges and nested closures; with
+        ``cross_file`` it also follows the edges only cross-module
+        resolution finds.
+        """
+        reached: Set[FunctionInfo] = set(seeds)
+        frontier = list(reached)
         while frontier:
             fn = frontier.pop()
-            nexts = list(self._edges.get(fn, ())) + list(fn.children.values())
-            for target in nexts:
-                if target not in hot:
-                    hot.add(target)
+            edges = self._edges if cross_file else self._in_file
+            for target in edges[fn] + list(fn.children.values()):
+                if target not in reached:
+                    reached.add(target)
                     frontier.append(target)
-        return hot
+        return reached
 
     # ------------------------------------------------------------------
     # queries
@@ -626,25 +605,76 @@ class ProgramModel:
             return target
         return self._cross.get(id(site))
 
-    def loops_global(self, fn: FunctionInfo) -> bool:
-        return self._gloops.get(fn, False) or fn in self._gcycles
+    def loops(self, fn: FunctionInfo) -> bool:
+        """Does ``fn`` loop, recurse, or call something that does?"""
+        return self._loops[fn] or fn in self._cycles
 
-    def checkpoints_global(self, fn: FunctionInfo) -> bool:
-        return self._gcheckpoints.get(fn, False)
+    def governed_loops(self, fn: FunctionInfo) -> bool:
+        """Does ``fn`` loop where a token can stop it (REPRO301)?
 
-    def is_hot_global(self, fn: FunctionInfo) -> bool:
-        return fn in self._ghot
+        Like :meth:`loops`, except that a callee in another file counts
+        only if it takes a token: a token-less callee elsewhere is
+        outside the cancellation discipline, so its loops are not a
+        severed chain.
+        """
+        return self._governed_loops[fn] or fn in self._cycles
 
-    def external_info(self, site: CallSite) -> Optional[ExternalInfo]:
-        """Surface view of a cross-module call (token-governed looping)."""
+    def call_loops(self, info: ModuleInfo, site: CallSite) -> bool:
+        """Does this call reach a loop a token can stop?"""
+        target = info.flow.resolved(site)
+        if target is not None:
+            return self.governed_loops(target)
+        return self._cross_call_loops(site)
+
+    def _cross_call_loops(self, site: CallSite) -> bool:
         target = self._cross.get(id(site))
-        if target is None:
-            return None
-        accepts = bool(target.token_params)
-        return ExternalInfo(
-            accepts_token=accepts,
-            loops=accepts and self.loops_global(target),
-        )
+        return target is not None and bool(target.token_params) and self.loops(target)
+
+    def is_recursive(self, fn: FunctionInfo) -> bool:
+        return fn in self._cycles
+
+    def checkpoints(self, fn: FunctionInfo) -> bool:
+        """Does ``fn`` touch or forward a token, or call what does?"""
+        return self._checkpoints[fn]
+
+    def is_hot(self, fn: FunctionInfo) -> bool:
+        """Reached from a hot seed through any resolved call (REPRO4xx)."""
+        return fn in self._hot
+
+    def is_hot_in_file(self, fn: FunctionInfo) -> bool:
+        """Reached from a hot seed through in-file calls only (REPRO3xx)."""
+        return fn in self._hot_in_file
+
+    def subtree_checkpoints(self, fn: FunctionInfo, root: ast.AST) -> bool:
+        """Is there a token checkpoint lexically inside ``root``?
+
+        Counts direct ``token.poll/charge/...`` touches, token-forwarding
+        calls, and calls to functions that transitively checkpoint.
+        Nested function *definitions* inside ``root`` do not count
+        (defining is not calling).
+        """
+        inside: Set[int] = set()
+
+        def collect(node: ast.AST) -> None:
+            inside.add(id(node))
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, _FUNC_NODES + (ast.Lambda,)):
+                    continue
+                collect(child)
+
+        collect(root)
+        if any(id(node) in inside for node in fn.checkpoint_nodes):
+            return True
+        info = self.owner[fn]
+        for site in fn.calls:
+            if id(site.node) not in inside:
+                continue
+            if info.flow.forwards_token(fn, site):
+                return True
+            target = self.resolved(info, site)
+            if target is not None and target is not fn and self.checkpoints(target):
+                return True
+        return False
 
     def functions(self) -> Iterable[Tuple[ModuleInfo, FunctionInfo]]:
         for info in self.modules.values():
@@ -665,5 +695,5 @@ def build_program(
 
 
 def single_file_program(path: str, source: str, tree: ast.Module) -> ProgramModel:
-    """A one-file model, for standalone ``lint_source`` runs (fixtures)."""
+    """A one-module program, for standalone ``lint_source`` runs."""
     return ProgramModel([(path, source, tree)])

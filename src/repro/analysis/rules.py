@@ -60,17 +60,18 @@ _PRINT_ALLOWED_PREFIXES: Tuple[str, ...] = (
 class FileContext:
     """Everything a rule needs to inspect one source file."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self, path: str, source: str, tree: ast.Module, program: "ProgramModel"
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
         #: repo-relative module path, normalized to ``repro/...`` form so
         #: path-scoped rules work no matter where the repo is checked out.
         self.module_path = _module_path(path)
-        #: shared whole-program model when linting a file set; None for
-        #: standalone single-file lints (rules then fall back to
-        #: per-file approximations).
-        self.program: Optional["ProgramModel"] = None
+        #: the project model this file belongs to (a one-module program
+        #: for a standalone lint).
+        self.program = program
         self.parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):

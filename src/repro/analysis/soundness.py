@@ -6,9 +6,9 @@ verification must surface as *unresolved* candidates, never as a
 silently smaller answer.  The flows that can break it — a swallowed
 verify exception, an executor leaked on a raise path, a ``Future``
 joined without a timeout, a ``token=`` dropped at a file boundary —
-span multiple modules, so these rules run on the whole-program model
-(:mod:`repro.analysis.program`); standalone single-file lints fall back
-to a one-file model so fixtures stay checkable.
+span multiple modules, so these rules run on the project model
+(:mod:`repro.analysis.program`); a standalone single-file lint is a
+one-module program.
 
 * **REPRO401** — resource leak on exception edges: an executor, file,
   or lock acquired without ``with`` whose release is missing or sits on
@@ -23,9 +23,10 @@ to a one-file model so fixtures stay checkable.
   failed universe to ``unresolved`` or setting ``degraded_reason``
   (directly or through a one-level helper).
 * **REPRO404** — cross-module token-forwarding drop: REPRO301
-  generalized through the resolved call graph — a globally-hot function
-  with an in-scope token calls a token-accepting, looping callee in
-  another file without forwarding it.
+  generalized through the resolved call graph — a function hot only
+  through cross-file edges, holding an in-scope token, calls a
+  token-accepting, looping callee in another file without forwarding
+  it.
 * **REPRO405** — scatter hygiene on pooled fan-outs: ``Future.result()``
   with no timeout, or a timeout handler that abandons the future without
   ``cancel()``.
@@ -37,11 +38,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow import FunctionInfo
-from repro.analysis.program import (
-    ModuleInfo,
-    ProgramModel,
-    single_file_program,
-)
+from repro.analysis.program import ModuleInfo, ProgramModel
 from repro.analysis.rules import FileContext, Rule, register
 
 __all__ = [
@@ -292,7 +289,7 @@ def _contract_findings(
         broad = node.type is None or any(n in _BROAD_EXCEPTS for n in names)
         if (
             broad
-            and program.is_hot_global(fn)
+            and program.is_hot(fn)
             and not _has_raise(node)
             and not _handler_records(node)
         ):
@@ -376,7 +373,11 @@ def _unsound_findings(
 def _token_drop_findings(
     program: ProgramModel, info: ModuleInfo, fn: FunctionInfo, out: List[Finding]
 ) -> None:
-    if not program.is_hot_global(fn) or not fn.token_names():
+    # A function hot through in-file edges is REPRO301's: 404 adds only
+    # the functions that cross-file edges make hot.
+    if program.is_hot_in_file(fn) or not program.is_hot(fn):
+        return
+    if not fn.token_names():
         return
     flow = info.flow
     for site in fn.calls:
@@ -385,14 +386,9 @@ def _token_drop_findings(
         target = program.cross_resolved(site)
         if target is None or not target.token_params:
             continue
-        if not program.loops_global(target):
+        if not program.loops(target):
             continue
         if flow.forwards_token(fn, site):
-            continue
-        if flow.is_hot(fn):
-            # The per-file model (REPRO301, resolution-backed surface)
-            # already reports this exact drop; 404 adds the functions
-            # only the global hot set can see.
             continue
         owner = program.owner.get(target)
         where = owner.module_path if owner is not None else "another module"
@@ -496,10 +492,7 @@ def _soundness_findings(ctx: FileContext) -> List[Finding]:
     cached = getattr(ctx, "_repro4_findings", None)
     if cached is not None:
         return cached  # type: ignore[no-any-return]
-    program = ctx.program
-    if program is None:
-        program = single_file_program(ctx.path, ctx.source, ctx.tree)
-    findings = _program_findings(program).get(ctx.path, [])
+    findings = _program_findings(ctx.program).get(ctx.path, [])
     ctx._repro4_findings = findings  # type: ignore[attr-defined]
     return findings
 
@@ -508,7 +501,7 @@ def _soundness_findings(ctx: FileContext) -> List[Finding]:
 # rule classes (thin reporters over the shared findings)
 # ----------------------------------------------------------------------
 class _SoundnessRule(Rule):
-    """Report the cached whole-program findings matching this rule."""
+    """Report the cached program-wide findings matching this rule."""
 
     def visit_Module(self, node: ast.Module) -> None:
         for rule_id, where, message in _soundness_findings(self.ctx):
@@ -569,7 +562,7 @@ class CrossModuleTokenDrop(_SoundnessRule):
         "REPRO301 generalized through the resolved project call graph: "
         "functions the query spine reaches across files are hot too, and a "
         "token= dropped at a module boundary makes every loop below it "
-        "uncancellable — invisible to per-file analysis."
+        "uncancellable — invisible to the in-file hot set REPRO301 judges."
     )
 
 

@@ -1,4 +1,5 @@
-"""Engine behavior: noqa suppression, parse errors, select/ignore, reports."""
+"""Engine behavior: noqa suppression, parse errors, select/ignore, reports,
+and agreement between standalone and whole-program lints."""
 
 from __future__ import annotations
 
@@ -96,3 +97,27 @@ def test_render_json_round_trips(tmp_path):
     payload = json.loads(render_json(lint_paths([tmp_path])))
     assert payload["ok"] is False
     assert payload["violations"][0]["rule"] == "REPRO111"
+
+
+#: A hot loop that polls its token and calls ``verify`` on an untyped
+#: receiver: nothing resolves the call, so nothing may guess it loops.
+UNTYPED_VERIFY = """\
+from repro.analysis.flow import hot_path
+
+
+@hot_path
+def check_all(items, signer, token=None):
+    for item in items:
+        if token is not None:
+            token.poll()
+        signer.verify(item)
+"""
+
+
+def test_standalone_and_whole_program_lints_agree(tmp_path):
+    fixture = tmp_path / "src" / "repro" / "core" / "fixture.py"
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text(UNTYPED_VERIFY)
+    standalone = lint_source(UNTYPED_VERIFY, str(fixture))
+    assert standalone == lint_paths([fixture]).violations
+    assert standalone == []

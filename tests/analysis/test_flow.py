@@ -1,31 +1,67 @@
-"""Unit tests for the interprocedural model behind the REPRO3xx rules.
+"""Unit tests for the per-file tables and the facts the model derives.
 
-These exercise :class:`repro.analysis.flow.FileFlow` directly: call
-resolution through the lexical scope chain, the loop/checkpoint
-fixpoints, token-forwarding detection (the parameter-forwarding
-contract: a token threaded through a helper keeps the chain intact, a
-dropped token severs it), hot-set propagation, and closure-aware
-assignment origins.
+:class:`repro.analysis.flow.FileFlow` is exercised directly for what a
+file contributes: call resolution through the lexical scope chain,
+token-forwarding detection (the parameter-forwarding contract: a token
+threaded through a helper keeps the chain intact, a dropped token severs
+it) and closure-aware assignment origins.  The loop/checkpoint facts and
+hot-set propagation live on :class:`repro.analysis.program.ProgramModel`;
+those tests build a one-module program, or a two-module one when the
+callee lives in another file.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from repro.analysis.flow import FileFlow, hot_path
+from repro.analysis.program import ProgramModel, build_program
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+FIXTURE = "src/repro/core/fixture.py"
+
+#: A looping, token-taking spine callee in a second module.
+VERIFICATION = (
+    "src/repro/core/verification.py",
+    """
+def verify_candidate(problem, graph, token=None):
+    for node in graph:
+        if token is not None:
+            token.poll()
+    return True
+""",
+)
 
 
 def build(source: str, module_path: str = "repro/core/fixture.py") -> FileFlow:
     return FileFlow(ast.parse(source), module_path)
 
 
-def fn(flow: FileFlow, qualname: str):
+def model(source: str, path: str = FIXTURE, *others) -> ProgramModel:
+    """A program of ``source`` at ``path`` plus ``(path, source)`` rows."""
+    rows = [(path, source)] + list(others)
+    return build_program([(p, s, ast.parse(s)) for p, s in rows])
+
+
+def fn(flow, qualname: str, path: str = FIXTURE):
+    if isinstance(flow, ProgramModel):
+        flow = flow.flow_for(path)
     for info in flow.functions:
         if info.qualname == qualname:
             return info
     raise AssertionError(
         f"{qualname} not in {[f.qualname for f in flow.functions]}"
     )
+
+
+def target(program: ProgramModel, caller, site):
+    """The call's resolved target, in this file or another."""
+    return program.resolved(program.owner[caller], site)
+
+
+def call_loops(program: ProgramModel, caller, site) -> bool:
+    return program.call_loops(program.owner[caller], site)
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +133,10 @@ def run(oracle):
 
 
 # ----------------------------------------------------------------------
-# loop and recursion fixpoints
+# loop and recursion facts
 # ----------------------------------------------------------------------
 def test_loops_propagate_through_resolved_calls():
-    flow = build(
+    program = model(
         """
 def leaf(xs):
     total = 0
@@ -118,14 +154,14 @@ def flat(x):
     return x
 """
     )
-    assert flow.transitively_loops(fn(flow, "leaf"))
-    assert flow.transitively_loops(fn(flow, "middle"))
-    assert flow.transitively_loops(fn(flow, "top"))
-    assert not flow.transitively_loops(fn(flow, "flat"))
+    assert program.loops(fn(program, "leaf"))
+    assert program.loops(fn(program, "middle"))
+    assert program.loops(fn(program, "top"))
+    assert not program.loops(fn(program, "flat"))
 
 
 def test_recursion_counts_as_looping():
-    flow = build(
+    program = model(
         """
 def search(pos):
     if pos == 0:
@@ -133,18 +169,22 @@ def search(pos):
     return search(pos - 1)
 """
     )
-    assert flow.is_recursive(fn(flow, "search"))
-    assert flow.transitively_loops(fn(flow, "search"))
+    assert program.is_recursive(fn(program, "search"))
+    assert program.loops(fn(program, "search"))
 
 
-def test_registry_call_counts_as_looping():
-    flow = build(
+def test_cross_file_token_callee_counts_as_looping():
+    program = model(
         """
+from repro.core.verification import verify_candidate
+
 def run(problem, graph):
     return verify_candidate(problem, graph)
-"""
+""",
+        FIXTURE,
+        VERIFICATION,
     )
-    assert flow.transitively_loops(fn(flow, "run"))
+    assert program.loops(fn(program, "run"))
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +192,7 @@ def run(problem, graph):
 # ----------------------------------------------------------------------
 def test_token_forwarded_through_helper_checkpoints():
     """token → helper → poll(): the whole chain transitively checkpoints."""
-    flow = build(
+    program = model(
         """
 def helper(xs, token):
     for x in xs:
@@ -162,19 +202,20 @@ def run(xs, token):
     helper(xs, token)
 """
     )
-    assert flow.transitively_checkpoints(fn(flow, "helper"))
-    assert flow.transitively_checkpoints(fn(flow, "run"))
-    run = fn(flow, "run")
+    flow = program.flow_for(FIXTURE)
+    assert program.checkpoints(fn(program, "helper"))
+    assert program.checkpoints(fn(program, "run"))
+    run = fn(program, "run")
     (site,) = run.calls
     assert flow.forwards_token(run, site)
-    assert flow.accepts_token(site)
+    assert target(program, run, site).token_params
 
 
 def test_dropped_token_severs_the_chain():
     """``helper(xs)`` without the token is exactly what REPRO301 flags:
     the callee accepts a token, loops, and the call does not forward one.
     """
-    flow = build(
+    program = model(
         """
 def helper(xs, token):
     for x in xs:
@@ -184,33 +225,42 @@ def run(xs, token):
     helper(xs)
 """
     )
-    run = fn(flow, "run")
+    flow = program.flow_for(FIXTURE)
+    run = fn(program, "run")
     (site,) = run.calls
     assert not flow.forwards_token(run, site)
-    assert flow.accepts_token(site)
-    assert flow.call_loops(site)
+    assert target(program, run, site).token_params
+    assert call_loops(program, run, site)
 
 
 def test_keyword_forwarding_counts():
-    flow = build(
+    program = model(
         """
+from repro.core.verification import verify_candidate
+
 def run(xs, token):
     verify_candidate(xs, token=token)
-"""
+""",
+        FIXTURE,
+        VERIFICATION,
     )
-    run = fn(flow, "run")
+    run = fn(program, "run")
     (site,) = run.calls
-    assert flow.forwards_token(run, site)
-    assert flow.accepts_token(site)  # registry fallback for unresolved calls
+    assert program.flow_for(FIXTURE).forwards_token(run, site)
+    assert target(program, run, site).token_params  # resolved across files
 
 
 def test_matcher_wrappers_are_token_accepting_callees():
     """count_embeddings / are_isomorphic / automorphisms joined the
     token-accepting surface when they gained ``token=`` pass-through, so
     a caller that holds a token and drops it is a severed chain on every
-    one of them — not just on the raw enumerator."""
-    flow = build(
+    one of them — not just on the raw enumerator.  The callees are the
+    real ``repro.graphs.isomorphism`` definitions."""
+    isomorphism = SRC / "repro" / "graphs" / "isomorphism.py"
+    program = model(
         """
+from repro.graphs.isomorphism import are_isomorphic, automorphisms, count_embeddings
+
 def tally(pattern, graphs, token):
     total = 0
     for g in graphs:
@@ -218,13 +268,17 @@ def tally(pattern, graphs, token):
         if are_isomorphic(pattern, g):
             total += len(automorphisms(g))
     return total
-"""
+""",
+        FIXTURE,
+        ("src/repro/graphs/isomorphism.py", isomorphism.read_text()),
     )
-    tally = fn(flow, "tally")
+    flow = program.flow_for(FIXTURE)
+    tally = fn(program, "tally")
     by_name = {site.name: site for site in tally.calls}
     for name in ("count_embeddings", "are_isomorphic", "automorphisms"):
-        assert flow.accepts_token(by_name[name]), name
-        assert flow.call_loops(by_name[name]), name
+        callee = target(program, tally, by_name[name])
+        assert callee is not None and callee.token_params, name
+        assert call_loops(program, tally, by_name[name]), name
     assert flow.forwards_token(tally, by_name["count_embeddings"])
     # The dropped-token calls are exactly what REPRO301 exists to flag.
     assert not flow.forwards_token(tally, by_name["are_isomorphic"])
@@ -232,19 +286,24 @@ def tally(pattern, graphs, token):
 
 
 def test_closure_captured_token_forwards_positionally():
-    flow = build(
+    program = model(
         """
+from repro.core.verification import verify_candidate
+
 def outer(xs, token):
     def inner():
         return verify_candidate(xs, token)
 
     return inner()
-"""
+""",
+        FIXTURE,
+        VERIFICATION,
     )
-    inner = fn(flow, "outer.inner")
+    inner = fn(program, "outer.inner")
     assert "token" in inner.token_names()
     (site,) = inner.calls
-    assert flow.forwards_token(inner, site)
+    assert program.flow_for(FIXTURE).forwards_token(inner, site)
+    assert target(program, inner, site).token_params
 
 
 def test_annotation_marks_a_token_parameter():
@@ -260,7 +319,7 @@ def run(xs, deadline: "CancellationToken"):
 
 
 def test_checkpoint_attrs_inside_nested_def_do_not_leak_out():
-    flow = build(
+    program = model(
         """
 def run(xs, token):
     def later():
@@ -272,17 +331,17 @@ def run(xs, token):
     return total
 """
     )
-    run = fn(flow, "run")
+    run = fn(program, "run")
     loop = run.own_loops[0]
     # defining a checkpointing closure is not the same as calling one
-    assert not flow.subtree_checkpoints(run, loop)
+    assert not program.subtree_checkpoints(run, loop)
 
 
 # ----------------------------------------------------------------------
 # hot-set propagation
 # ----------------------------------------------------------------------
 def test_hotness_reaches_callees_and_closures():
-    flow = build(
+    program = model(
         """
 from repro.analysis.flow import hot_path
 
@@ -300,10 +359,10 @@ def entry(x):
     return reached(closure(x))
 """
     )
-    assert flow.is_hot(fn(flow, "entry"))
-    assert flow.is_hot(fn(flow, "entry.closure"))
-    assert flow.is_hot(fn(flow, "reached"))
-    assert not flow.is_hot(fn(flow, "cold"))
+    assert program.is_hot_in_file(fn(program, "entry"))
+    assert program.is_hot_in_file(fn(program, "entry.closure"))
+    assert program.is_hot_in_file(fn(program, "reached"))
+    assert not program.is_hot_in_file(fn(program, "cold"))
 
 
 def test_spine_names_are_hot_only_under_core():
@@ -311,14 +370,14 @@ def test_spine_names_are_hot_only_under_core():
 def query(x):
     return x
 """
-    hot_flow = build(src, "repro/core/engine.py")
-    assert hot_flow.is_hot(fn(hot_flow, "query"))
-    cold_flow = build(src, "repro/mining/miner.py")
-    assert not cold_flow.is_hot(fn(cold_flow, "query"))
+    hot = model(src, "src/repro/core/engine.py")
+    assert hot.is_hot_in_file(fn(hot, "query", "src/repro/core/engine.py"))
+    cold = model(src, "src/repro/mining/miner.py")
+    assert not cold.is_hot_in_file(fn(cold, "query", "src/repro/mining/miner.py"))
 
 
 def test_stacked_decorators_still_mark_hot():
-    flow = build(
+    program = model(
         """
 from repro.analysis.flow import hot_path
 
@@ -329,7 +388,7 @@ class P:
         return lists
 """
     )
-    assert flow.is_hot(fn(flow, "P.intersect_many"))
+    assert program.is_hot_in_file(fn(program, "P.intersect_many"))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import ast
+
 from repro.analysis import lint_source, lint_source_full
+from repro.analysis.program import build_program
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -27,6 +30,28 @@ def rule_ids(source: str, path: str = PATH):
 
 def messages(source: str, path: str = PATH):
     return [v.message for v in lint_source(source, path, select=("REPRO3",))]
+
+
+#: The spine callee the verify fixtures call, in its own module.
+VERIFICATION = """
+def verify_candidate(problem, graph, token=None):
+    for node in graph:
+        if token is not None:
+            token.poll()
+    return True
+"""
+
+
+def program_findings(source: str):
+    """REPRO3 findings for ``source`` at ``PATH`` in a two-module program
+    whose other module defines ``verify_candidate``."""
+    rows = [(PATH, source), ("src/repro/core/verification.py", VERIFICATION)]
+    trees = {path: ast.parse(src) for path, src in rows}
+    program = build_program([(path, src, trees[path]) for path, src in rows])
+    kept, _ = lint_source_full(
+        source, PATH, select=("REPRO3",), tree=trees[PATH], program=program
+    )
+    return kept
 
 
 def _run_cli(*argv, cwd=REPO_ROOT):
@@ -78,6 +103,7 @@ def test_repro301_token_dropped_from_spine_callee_fires():
     """The seeded regression: removing ``token=`` from one call flips it."""
     src = """
 from repro.analysis.flow import hot_path
+from repro.core.verification import verify_candidate
 
 @hot_path
 def verify(plans, graph, token=None):
@@ -89,13 +115,15 @@ def verify(plans, graph, token=None):
             hits.append(problem)
     return hits
 """
-    assert rule_ids(src) == ["REPRO301"]
-    assert "verify_candidate" in messages(src)[0]
+    found = program_findings(src)
+    assert [v.rule_id for v in found] == ["REPRO301"]
+    assert "verify_candidate" in found[0].message
 
 
 def test_repro301_token_forwarded_to_spine_callee_is_clean():
     src = """
 from repro.analysis.flow import hot_path
+from repro.core.verification import verify_candidate
 
 @hot_path
 def verify(plans, graph, token=None):
@@ -107,7 +135,7 @@ def verify(plans, graph, token=None):
             hits.append(problem)
     return hits
 """
-    assert rule_ids(src) == []
+    assert program_findings(src) == []
 
 
 def test_repro301_shadowed_token_fires():

@@ -1,5 +1,5 @@
-"""Whole-program model: cross-module resolution, global fixpoints, and
-the registry-vs-resolution differential gate.
+"""Project model: cross-module resolution, the facts derived from the
+call graph, and how the REPRO301/REPRO404 split reads them.
 
 Fixtures are small in-memory module sets handed straight to
 :func:`build_program`; paths follow the real tree layout so
@@ -15,9 +15,6 @@ from pathlib import Path
 from repro.analysis.engine import lint_paths
 from repro.analysis.flow import FileFlow
 from repro.analysis.program import build_program
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC = REPO_ROOT / "src"
 
 
 def build(files):
@@ -219,7 +216,7 @@ def test_unresolvable_dynamic_call_contributes_no_edge():
 
 
 # ----------------------------------------------------------------------
-# global fixpoints
+# derived facts
 # ----------------------------------------------------------------------
 def test_loop_fact_propagates_across_modules():
     program = build(
@@ -235,8 +232,8 @@ def test_loop_fact_propagates_across_modules():
     )
     caller = fn_of(program, "src/repro/pkg/b.py", "caller")
     worker = fn_of(program, "src/repro/pkg/a.py", "worker")
-    assert program.loops_global(worker)
-    assert program.loops_global(caller)
+    assert program.loops(worker)
+    assert program.loops(caller)
 
 
 def test_cross_module_recursion_cycle_detected():
@@ -254,8 +251,8 @@ def test_cross_module_recursion_cycle_detected():
     )
     ping = fn_of(program, "src/repro/pkg/a.py", "ping")
     pong = fn_of(program, "src/repro/pkg/b.py", "pong")
-    assert program.loops_global(ping)
-    assert program.loops_global(pong)
+    assert program.loops(ping)
+    assert program.loops(pong)
 
 
 def test_serving_spine_seeds_global_hot_set():
@@ -272,40 +269,66 @@ def test_serving_spine_seeds_global_hot_set():
     )
     query = fn_of(program, "src/repro/core/engine.py", "query")
     scan = fn_of(program, "src/repro/graphs/work.py", "scan")
-    assert program.is_hot_global(query)
-    assert program.is_hot_global(scan)  # reached from the core spine
-    # ... but the per-file REPRO3xx hot set stays scoped to repro/core
-    assert not program.flow_for("src/repro/graphs/work.py").is_hot(scan)
+    assert program.is_hot(query)
+    assert program.is_hot(scan)  # reached from the core spine
+    # ... but the in-file REPRO3xx hot set stays scoped to repro/core
+    assert program.is_hot_in_file(query)
+    assert not program.is_hot_in_file(scan)
 
 
-def test_external_info_reports_token_governed_looping_only():
-    program = build(
-        {
-            "src/repro/pkg/a.py": (
-                "def cancellable(xs, token=None):\n"
-                "    for x in xs:\n"
-                "        pass\n\n"
-                "def plain(xs):\n"
-                "    for x in xs:\n"
-                "        pass\n"
-            ),
-            "src/repro/pkg/b.py": (
-                "from repro.pkg.a import cancellable, plain\n\n"
-                "def caller(xs, token=None):\n"
-                "    cancellable(xs)\n"
-                "    plain(xs)\n"
-            ),
-        }
-    )
-    caller = fn_of(program, "src/repro/pkg/b.py", "caller")
-    info_c = program.external_info(site_named(caller, "cancellable"))
-    assert info_c is not None
-    assert info_c.accepts_token and info_c.loops
-    info_p = program.external_info(site_named(caller, "plain"))
-    # loops but cannot be governed by a token: the surface reports no
-    # token-relevant looping, matching the legacy registry's scope
-    assert info_p is not None
-    assert not info_p.accepts_token and not info_p.loops
+_LOOPERS = """\
+def cancellable(xs, token=None):
+    for x in xs:
+        pass
+
+def plain(xs):
+    for x in xs:
+        pass
+"""
+
+_SPINE = """\
+from repro.graphs.tier import relay
+from repro.graphs.work import {callee}
+
+def query(batches, token=None):
+    for xs in batches:
+        if token is not None:
+            token.poll()
+        {callee}(xs)
+    return relay(batches, token=token)
+"""
+
+_TIER = """\
+from repro.graphs.work import {callee}
+
+def relay(batches, token=None):
+    return {callee}(batches)
+"""
+
+
+def _token_drop_ids(tmp_path, callee):
+    """REPRO3/4 ids for a spine function (hot in its own file) and a
+    relay (hot only across files), both calling ``callee`` without
+    forwarding their token."""
+    root = tmp_path / callee
+    (root / "repro" / "core").mkdir(parents=True)
+    (root / "repro" / "graphs").mkdir(parents=True)
+    (root / "repro" / "core" / "engine.py").write_text(_SPINE.format(callee=callee))
+    (root / "repro" / "graphs" / "tier.py").write_text(_TIER.format(callee=callee))
+    (root / "repro" / "graphs" / "work.py").write_text(_LOOPERS)
+    report = lint_paths([root], select=["REPRO3", "REPRO4"])
+    return sorted((Path(v.path).name, v.rule_id) for v in report.violations)
+
+
+def test_token_less_cross_file_callee_raises_neither_301_nor_404(tmp_path):
+    """A cross-file callee that loops but cannot take a token is outside
+    the cancellation discipline; the same call into a token-taking
+    callee is a drop, reported once by the rule that owns the caller."""
+    assert _token_drop_ids(tmp_path, "plain") == []
+    assert _token_drop_ids(tmp_path, "cancellable") == [
+        ("engine.py", "REPRO301"),
+        ("tier.py", "REPRO404"),
+    ]
 
 
 def test_single_parse_is_shared_with_per_file_flow():
@@ -315,21 +338,3 @@ def test_single_parse_is_shared_with_per_file_flow():
     flow = program.flow_for("src/repro/pkg/a.py")
     assert isinstance(flow, FileFlow)
     assert program.module_for("src/repro/pkg/a.py").tree is tree
-
-
-# ----------------------------------------------------------------------
-# the differential gate: deleting the registry changed nothing
-# ----------------------------------------------------------------------
-def test_resolved_surface_matches_legacy_registry_on_src_tree():
-    """REPRO3xx findings on ``src/repro`` are identical whether external
-    calls go through the deprecated ``TOKEN_CALLEES`` registry or the
-    real cross-module resolution — the registry can be deleted without
-    moving the gate."""
-    resolved = lint_paths([SRC / "repro"], select=["REPRO3"], whole_program=True)
-    legacy = lint_paths([SRC / "repro"], select=["REPRO3"], whole_program=False)
-    assert resolved.files_checked == legacy.files_checked
-
-    def key(report):
-        return [(v.path, v.line, v.col, v.rule_id, v.message) for v in report.violations]
-
-    assert key(resolved) == key(legacy)
