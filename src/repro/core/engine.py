@@ -62,7 +62,7 @@ from repro.core.statistics import EngineStats, QueryResult
 from repro.core.treepi import QueryPlan, TreePiIndex
 from repro.exceptions import BudgetExceeded, IndexError_
 from repro.graphs.graph import LabeledGraph
-from repro.graphs.isomorphism import are_isomorphic
+from repro.graphs.isomorphism import CompiledPattern, are_isomorphic
 from repro.trees.canonical import tree_canonical_string
 
 
@@ -165,16 +165,18 @@ class _CacheEntry:
     is the exact confirmation of a key match and runs outside the
     engine's mutex: trees compare their polynomial canonical strings
     (each computed lazily, at most once per entry), other graphs run a
-    token-bounded isomorphism test.
+    token-bounded isomorphism test with the probe's query compiled once
+    for the whole bucket.
     """
 
-    __slots__ = ("key", "query", "result", "_tree_string")
+    __slots__ = ("key", "query", "result", "_tree_string", "_compiled")
 
     def __init__(self, key: str, query: LabeledGraph) -> None:
         self.key = key
         self.query = query
         self.result: Optional[QueryResult] = None
         self._tree_string: Optional[str] = None
+        self._compiled: Optional[CompiledPattern] = None
 
     def tree_string(self) -> str:
         # Racing threads compute the same string; either write is fine.
@@ -182,13 +184,26 @@ class _CacheEntry:
             self._tree_string = tree_canonical_string(self.query)
         return self._tree_string
 
+    def compiled(self) -> CompiledPattern:
+        # Racing threads compile the same tables; either write is fine.
+        if self._compiled is None:
+            self._compiled = CompiledPattern(self.query)
+        return self._compiled
+
     def same_class(
         self, other: "_CacheEntry", token: Optional[CancellationToken]
     ) -> bool:
-        """Is ``other``'s query isomorphic to this one?  (Same key assumed.)"""
+        """Is ``other``'s query isomorphic to this one?  (Same key assumed.)
+
+        Equal keys mean equal label-pair counts, so the matcher's
+        label-pair refutation never rejects a bucket entry: compiling
+        before it wastes nothing.
+        """
         if self.key.startswith("t:"):
             return self.tree_string() == other.tree_string()
-        return are_isomorphic(self.query, other.query, token=token)
+        return are_isomorphic(
+            self.query, other.query, token=token, compiled=self.compiled()
+        )
 
 
 def _confirm(
@@ -595,8 +610,10 @@ class QueryEngine:
         """
         if probe is None or checked is None or not result.complete:
             return
-        # A private copy: the caller may mutate its graph afterwards.
+        # A private copy: the caller may mutate its graph afterwards.  The
+        # compiled tables describe the caller's graph, so they go too.
         probe.query = probe.query.copy()
+        probe._compiled = None
         probe.result = result
         with self._mutex:
             if self._generation != generation:

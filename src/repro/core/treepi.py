@@ -55,7 +55,12 @@ from repro.core.verification import VerificationStats, verify_candidate
 from repro.exceptions import BudgetExceeded, GraphError, IndexError_
 from repro.graphs.distances import DistanceOracle
 from repro.graphs.graph import Edge, GraphDatabase, LabeledGraph
-from repro.graphs.isomorphism import is_subgraph_isomorphic, subgraph_monomorphisms
+from repro.graphs.isomorphism import (
+    CompiledPattern,
+    is_subgraph_isomorphic,
+    label_pair_refuted,
+    subgraph_monomorphisms,
+)
 from repro.mining.patterns import MinedPattern
 from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
 from repro.mining.subtree_miner import FrequentSubtreeMiner, _chunk
@@ -257,6 +262,12 @@ class QueryPlan:
     sfq_size: int = 0
     candidates_after_filter: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+    #: The query compiled for the matcher, built by the first
+    #: :meth:`TreePiIndex.verify` whose candidate survives label-pair
+    #: refutation and reused for every later candidate of this plan.
+    compiled: Optional[CompiledPattern] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class TreePiIndex:
@@ -619,7 +630,9 @@ class TreePiIndex:
 
         One prefiltered monomorphism search (label-pair index, neighbour-
         label signatures, walk parity; see :mod:`repro.graphs.
-        matcher_index`).  Safe to call concurrently from several threads
+        matcher_index`) with the plan's :attr:`QueryPlan.compiled`
+        pattern, so the query's tables are built once per plan, not once
+        per candidate.  Safe to call concurrently from several threads
         for distinct candidates of the same plan.  With a ``token``, an
         expired budget unwinds the search with
         :class:`~repro.exceptions.BudgetExceeded` — the candidate is then
@@ -629,11 +642,18 @@ class TreePiIndex:
         """
         if token is not None:
             token.poll()
+        target = self._db[gid]
+        prefilter = self._config.matcher_prefilters
+        compiled = plan.compiled
+        if compiled is None:
+            # Refute before compiling: a plan whose candidates all fail
+            # the label-pair check never builds the tables.  Racing
+            # threads may each compile; either write is fine.
+            if label_pair_refuted(plan.query, target, prefilter):
+                return False
+            compiled = plan.compiled = CompiledPattern(plan.query)
         return is_subgraph_isomorphic(
-            plan.query,
-            self._db[gid],
-            token=token,
-            prefilter=self._config.matcher_prefilters,
+            plan.query, target, token=token, prefilter=prefilter, compiled=compiled
         )
 
     def query_paper(self, query: LabeledGraph) -> QueryResult:

@@ -12,7 +12,23 @@ This module provides
   seeded with a partial assignment (used by center-anchored verification),
 * :func:`is_subgraph_isomorphic` / :func:`count_embeddings`,
 * :func:`are_isomorphic` and :func:`automorphisms` (Section 5.3.1 builds
-  canonical reconstruction forms from automorphism groups).
+  canonical reconstruction forms from automorphism groups),
+* :class:`CompiledPattern` and :func:`label_pair_refuted`, for callers
+  that match one pattern against many targets.
+
+A search is *refute, compile, search*.  :func:`label_pair_refuted` runs
+the size checks and the whole-pattern label-pair refutation first, so a
+pattern is never compiled for a target that refutes it.  A
+:class:`CompiledPattern` then holds every table that depends only on the
+pattern: the matching order, wanted labels and degrees, back-edges by
+position, neighbourhood label pairs and walk-parity bounds.  The search
+keeps per target only what reads the target: the seed check, the label
+pairs mapped into the target's bit space, the rarest-anchor ranking of
+levels with several back-edges, and the label buckets of anchorless
+levels.  A caller that passes one compiled pattern to many searches
+(a serving plan's verification, a cache probe's confirmations) builds
+the pattern's tables once; every search, and its step count, is the one
+a per-call compile would run.
 
 The matcher orders pattern vertices connectivity-first (component by
 component for disconnected patterns) so candidates can be drawn from
@@ -46,6 +62,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow import hot_path
 from repro.graphs.graph import LabeledGraph
+from repro.graphs.matcher_index import pair_subsumed
 
 if TYPE_CHECKING:  # runtime use is duck-typed to avoid a core<->graphs cycle
     from repro.core.budget import CancellationToken
@@ -106,6 +123,144 @@ def _matching_order(pattern: LabeledGraph, seeded: Tuple[int, ...]) -> List[int]
     return order
 
 
+class CompiledPattern:
+    """The target-independent half of a monomorphism search.
+
+    Everything the matcher derives from the pattern alone, built once
+    and shared by every target the pattern is matched against: the
+    matching order, each level's wanted label and degree, its back-edges
+    to earlier levels (sorted by position), the vertex and edge labels
+    of its neighbourhood, and — on first prefiltered use — its
+    walk-parity bounds against earlier levels.  ``seeded`` fixes the
+    pattern vertices a seed will pre-assign (the order starts with them
+    in this order); a compiled pattern serves only seeds with exactly
+    these keys.
+
+    Holds nothing about any target, so one instance may be shared by
+    concurrent searches; racing threads that build the parity bounds
+    compute the same table, and either write is fine.  Nothing caches
+    it on the pattern: its owner (a query plan, a cache-lookup probe)
+    decides how long it lives.
+    """
+
+    __slots__ = (
+        "pattern",
+        "seeded",
+        "order",
+        "want_labels",
+        "want_degrees",
+        "primary_pos",
+        "primary_elabel",
+        "rest_anchors",
+        "ranked_levels",
+        "nbr_labels",
+        "bucket_labels",
+        "_par_bounds",
+    )
+
+    def __init__(self, pattern: LabeledGraph, seeded: Tuple[int, ...] = ()) -> None:
+        p_labels = pattern._vlabels
+        p_adj = pattern._adj
+        pn = len(p_labels)
+        order = _matching_order(pattern, seeded)
+        position = [0] * pn
+        for i, v in enumerate(order):
+            position[v] = i
+        want_labels = [p_labels[v] for v in order]
+        self.pattern = pattern
+        self.seeded = seeded
+        self.order = order
+        self.want_labels = want_labels
+        self.want_degrees = [len(p_adj[v]) for v in order]
+
+        # Back-edges of each level to earlier positions, by position.  The
+        # first one is the primary anchor (its image neighbourhood is the
+        # candidate source), the rest are checked.  With prefilters on, a
+        # level with several back-edges ranks them per target by the
+        # target's count of each back-edge's label pair (rarest first);
+        # ``ranked_levels`` keeps (triple, position, edge label) for those.
+        # ``nbr_labels`` holds each level's (neighbour vertex label, edge
+        # label) pairs, OR-ed into bit signatures per target.
+        primary_pos = [-1] * pn
+        primary_elabel: List[object] = [None] * pn
+        rest_anchors: List[List[Tuple[int, object]]] = []
+        ranked_levels: List[Tuple[int, List[Tuple[object, int, object]]]] = []
+        nbr_labels: List[List[Tuple[object, object]]] = []
+        for i, v in enumerate(order):
+            row = p_adj[v]
+            backs = [(position[w], el) for w, el in row.items() if position[w] < i]  # noqa: REPRO101 - all back-edges collected, then sorted
+            if backs:
+                if len(backs) > 1:
+                    backs.sort()  # positions are distinct: labels never compared
+                    lv = want_labels[i]
+                    ranked_levels.append(
+                        (i, [((lv, el, want_labels[j]), j, el) for j, el in backs])
+                    )
+                primary_pos[i], primary_elabel[i] = backs[0]
+            rest_anchors.append(backs[1:])
+            nbr_labels.append([(p_labels[w], el) for w, el in row.items()])  # noqa: REPRO101 - OR-ed into a bitset; order-free
+        self.primary_pos = primary_pos
+        self.primary_elabel = primary_elabel
+        self.rest_anchors = rest_anchors
+        self.ranked_levels = ranked_levels
+        self.nbr_labels = nbr_labels
+        # Label buckets are only needed by levels with no matched anchor.
+        self.bucket_labels = tuple(
+            dict.fromkeys(
+                want_labels[i] for i in range(len(seeded), pn) if primary_pos[i] < 0
+            )
+        )
+        self._par_bounds: object = _MISSING
+
+    def parity_bounds(self) -> Optional[List[List[Tuple[int, int, int]]]]:
+        """Each level's walk-parity bounds against earlier positions.
+
+        ``(position, even bound, odd bound)``, finite bounds only; ``None``
+        when the pattern is too large for parity matrices.  Built on
+        first call.
+        """
+        bounds = self._par_bounds
+        if bounds is _MISSING:
+            bounds = None
+            p_par = self.pattern.matcher_index().parity_rows()
+            if p_par is not None:
+                p_even, p_odd = p_par
+                order = self.order
+                pn = len(order)
+                bounds = []
+                for i in range(pn):
+                    base = order[i] * pn
+                    level = []
+                    for j in range(i):
+                        w = order[j]
+                        be, bo = p_even[base + w], p_odd[base + w]
+                        if be < 255 or bo < 255:
+                            level.append((j, be, bo))
+                    bounds.append(level)
+            self._par_bounds = bounds
+        return bounds  # type: ignore[return-value]
+
+
+def label_pair_refuted(
+    pattern: LabeledGraph, target: LabeledGraph, prefilter: bool = True
+) -> bool:
+    """Can ``pattern`` be proven not to embed in ``target`` without search?
+
+    Size checks always; with ``prefilter``, also the whole-pattern
+    label-pair refutation: every pattern label-pair incidence needs a
+    distinct target incidence with the same triple.  An empty pattern
+    counts as refuted (the matcher yields nothing for it).  Cheap, and
+    run before a :class:`CompiledPattern` is built, so a pattern that
+    every target refutes is never compiled.
+    """
+    pn = pattern.num_vertices
+    if pn == 0 or pn > target.num_vertices or pattern.num_edges > target.num_edges:
+        return True
+    if prefilter:
+        return not pair_subsumed(pattern.matcher_index(), target.matcher_index())
+    return False
+
+
 @hot_path
 def subgraph_monomorphisms(
     pattern: LabeledGraph,
@@ -114,8 +269,13 @@ def subgraph_monomorphisms(
     limit: Optional[int] = None,
     token: Optional["CancellationToken"] = None,
     prefilter: bool = True,
+    compiled: Optional[CompiledPattern] = None,
 ) -> Iterator[Dict[int, int]]:
     """Yield injective label-preserving maps of ``pattern`` into ``target``.
+
+    Refute, compile, search: :func:`label_pair_refuted` runs first, then
+    the pattern is compiled (unless ``compiled`` is given), then
+    :func:`_search` matches it against ``target``.
 
     Parameters
     ----------
@@ -142,13 +302,41 @@ def subgraph_monomorphisms(
         answer set is identical either way; ``False`` restores the
         unfiltered search (adversarial benchmarks and deadline tests
         rely on its worst-case cost).
+    compiled:
+        A :class:`CompiledPattern` of ``pattern`` with ``seed``'s keys
+        (in ``seed``'s order), to reuse across targets; ``None``
+        compiles one for this call.  The search, and so the step count,
+        is the same either way.
 
     Yields fresh dictionaries; callers may keep or mutate them freely.
     """
-    pn = pattern.num_vertices
-    if pn == 0 or pn > target.num_vertices or pattern.num_edges > target.num_edges:
+    if label_pair_refuted(pattern, target, prefilter):
         return
-    seed = seed or {}
+    seeded = tuple(seed) if seed else ()
+    if compiled is None:
+        compiled = CompiledPattern(pattern, seeded)
+    elif compiled.pattern is not pattern or compiled.seeded != seeded:
+        raise ValueError("compiled pattern does not match the pattern and seed")
+    yield from _search(compiled, target, seed or {}, limit, token, prefilter)
+
+
+def _search(
+    cp: CompiledPattern,
+    target: LabeledGraph,
+    seed: Dict[int, int],
+    limit: Optional[int],
+    token: Optional["CancellationToken"],
+    prefilter: bool,
+) -> Iterator[Dict[int, int]]:
+    """Match one compiled pattern against one target (see :func:`subgraph_monomorphisms`).
+
+    Assumes :func:`label_pair_refuted` has passed.  The per-target work
+    is the seed check, the pattern's label pairs mapped into the target's
+    bit space, the rarest-anchor ranking of levels with several
+    back-edges, and the label buckets of anchorless levels.
+    """
+    pattern = cp.pattern
+    pn = len(cp.order)
 
     # Validate the seed up front: labels, degrees and internal edges.
     # (Pure checks over every entry — iteration order cannot change the
@@ -175,109 +363,70 @@ def subgraph_monomorphisms(
     # dominate it otherwise.  Read-only use.
     t_adj = target._adj
     t_labels = target._vlabels
-    p_labels = pattern._vlabels
-    p_adj = pattern._adj
-    tn = target.num_vertices
+    tn = len(t_labels)
+    order = cp.order
+    want_labels = cp.want_labels
+    want_degrees = cp.want_degrees
+    primary_pos = cp.primary_pos
+    primary_elabel = cp.primary_elabel
+    rest_anchors = cp.rest_anchors
 
     # ------------------------------------------------------------------
     # prefilter setup: cached per-graph invariants (l2Match / CNI)
     # ------------------------------------------------------------------
-    pair_counts = None
     t_vsig = t_esig = None
-    req_vsig = req_esig = None
+    lvl_vsig: Optional[List[int]] = None
+    lvl_esig: Optional[List[int]] = None
     t_even = t_odd = None
-    p_parity = None
+    par_bounds: Optional[List[List[Tuple[int, int, int]]]] = None
     if prefilter:
         tindex = target.matcher_index()
-        pindex = pattern.matcher_index()
-        pair_counts = tindex.pair_counts
-        # Whole-pattern refutation: every pattern label-pair incidence
-        # needs a distinct target incidence with the same triple.
-        for key, cnt in pindex.pair_counts.items():  # noqa: REPRO101 - universally-quantified check; order-free
-            if pair_counts.get(key, 0) < cnt:
-                return
         vbits = tindex.vlabel_bits
         ebits = tindex.elabel_bits
-        # Per-pattern-vertex requirements, expressed in the *target's*
-        # bit space; a label the target lacks entirely refutes the call.
-        req_vsig = [0] * pn
-        req_esig = [0] * pn
-        for pv in range(pn):
-            if p_labels[pv] not in vbits:
+        # Per-level requirements, expressed in the *target's* bit space;
+        # a label the target lacks entirely refutes the call.
+        for lbl in want_labels:
+            if lbl not in vbits:
                 return
+        lvl_vsig = []
+        lvl_esig = []
+        for pairs in cp.nbr_labels:
             sv = se = 0
-            for w, el in p_adj[pv].items():  # noqa: REPRO101 - commutative aggregation; order-free
-                vb = vbits.get(p_labels[w])
+            for vl, el in pairs:
+                vb = vbits.get(vl)
                 eb = ebits.get(el)
                 if vb is None or eb is None:
                     return
                 sv |= vb
                 se |= eb
-            req_vsig[pv] = sv
-            req_esig[pv] = se
+            lvl_vsig.append(sv)
+            lvl_esig.append(se)
         t_vsig = tindex.nbr_vsig
         t_esig = tindex.nbr_esig
-        p_par = pindex.parity_rows()
+        # The *rarest* label pair supplies a multi-anchor level's primary
+        # anchor.  The back-edges are in position order and the sort is
+        # stable, so ties keep the lower position first.
+        if cp.ranked_levels:
+            pair_count = tindex.pair_counts.get
+            primary_pos = list(primary_pos)
+            primary_elabel = list(primary_elabel)
+            rest_anchors = list(rest_anchors)
+            for i, backs in cp.ranked_levels:
+                ranked = sorted(backs, key=lambda b: pair_count(b[0], 0))
+                primary_pos[i] = ranked[0][1]
+                primary_elabel[i] = ranked[0][2]
+                rest_anchors[i] = [(j, el) for _, j, el in ranked[1:]]
         t_par = tindex.parity_rows()
-        if p_par is not None and t_par is not None:
-            p_parity = p_par
-            t_even, t_odd = t_par
+        if t_par is not None:
+            par_bounds = cp.parity_bounds()
+            if par_bounds is not None:
+                t_even, t_odd = t_par
 
-    order = _matching_order(pattern, tuple(seed))
-    position = {v: i for i, v in enumerate(order)}
     start = len(seed)
-
-    # ------------------------------------------------------------------
-    # per-level static tables
-    # ------------------------------------------------------------------
-    want_labels = [p_labels[v] for v in order]
-    want_degrees = [len(p_adj[v]) for v in order]
-    lvl_vsig = [req_vsig[v] for v in order] if req_vsig is not None else None
-    lvl_esig = [req_esig[v] for v in order] if req_esig is not None else None
-
-    # Back-edges of each level to earlier positions.  With pair counts
-    # available the *rarest* label pair supplies the primary anchor (its
-    # image neighborhood is the candidate source); the rest are checked.
-    primary_pos = [-1] * pn
-    primary_elabel: List[object] = [None] * pn
-    rest_anchors: List[List[Tuple[int, object]]] = []
-    for i in range(pn):
-        v = order[i]
-        backs = [(position[w], el) for w, el in p_adj[v].items() if position[w] < i]  # noqa: REPRO101 - all back-edges collected, then sorted
-        if pair_counts is not None and len(backs) > 1:
-            lv = want_labels[i]
-            backs.sort(
-                key=lambda b: (pair_counts.get((lv, b[1], want_labels[b[0]]), 0), b[0])
-            )
-        else:
-            backs.sort(key=lambda b: b[0])
-        if backs:
-            primary_pos[i] = backs[0][0]
-            primary_elabel[i] = backs[0][1]
-        rest_anchors.append(backs[1:])
-
-    # Walk-parity bounds of each level against every earlier position:
-    # (position, even bound, odd bound), finite bounds only.
-    par_bounds: Optional[List[List[Tuple[int, int, int]]]] = None
-    if p_parity is not None:
-        p_even, p_odd = p_parity
-        par_bounds = []
-        for i in range(pn):
-            base = order[i] * pn
-            bounds = []
-            for j in range(i):
-                w = order[j]
-                be, bo = p_even[base + w], p_odd[base + w]
-                if be < 255 or bo < 255:
-                    bounds.append((j, be, bo))
-            par_bounds.append(bounds)
-
-    # Label buckets are only needed by levels with no matched anchor.
-    label_buckets: Optional[Dict[object, List[int]]] = None
-    if any(primary_pos[i] < 0 for i in range(start, pn)):
-        label_buckets = {}
-        for tv, lbl in enumerate(t_labels):
-            label_buckets.setdefault(lbl, []).append(tv)
+    label_buckets: Dict[object, List[int]] = {
+        lbl: [tv for tv, tl in enumerate(t_labels) if tl == lbl]
+        for lbl in cp.bucket_labels
+    }
 
     mapping: Dict[int, int] = dict(seed)
     # target vertex -> level that placed it (-1 for seeds); the owner
@@ -319,7 +468,7 @@ def subgraph_monomorphisms(
             iters[i] = iter(t_adj[images[ppos]].items())  # noqa: REPRO101 - candidate order is re-filtered; answers order-free
             conflicts[i] = {ppos}
         else:
-            iters[i] = iter(label_buckets.get(want_labels[i], ()))  # type: ignore[union-attr]
+            iters[i] = iter(label_buckets.get(want_labels[i], ()))
             conflicts[i] = set()
         while True:
             # ---- seek the next viable candidate at level i ----
@@ -428,7 +577,7 @@ def subgraph_monomorphisms(
                 iters[i] = iter(t_adj[images[ppos]].items())  # noqa: REPRO101 - candidate order is re-filtered; answers order-free
                 conflicts[i] = {ppos}
             else:
-                iters[i] = iter(label_buckets.get(want_labels[i], ()))  # type: ignore[union-attr]
+                iters[i] = iter(label_buckets.get(want_labels[i], ()))
                 conflicts[i] = set()
             sol_below[i] = False
     finally:
@@ -446,15 +595,18 @@ def is_subgraph_isomorphic(
     target: LabeledGraph,
     token: Optional["CancellationToken"] = None,
     prefilter: bool = True,
+    compiled: Optional[CompiledPattern] = None,
 ) -> bool:
     """``pattern ⊆ target`` in the sense of Definition 3.
 
     ``token`` bounds the search (see :func:`subgraph_monomorphisms`);
     expiry raises :class:`~repro.exceptions.BudgetExceeded` rather than
-    guessing an answer.  ``prefilter`` is passed through to the matcher.
+    guessing an answer.  ``prefilter`` and ``compiled`` (an unseeded
+    :class:`CompiledPattern` of ``pattern``) are passed through to the
+    matcher.
     """
     for _ in subgraph_monomorphisms(
-        pattern, target, limit=1, token=token, prefilter=prefilter
+        pattern, target, limit=1, token=token, prefilter=prefilter, compiled=compiled
     ):
         return True
     return False
@@ -481,13 +633,16 @@ def are_isomorphic(
     g1: LabeledGraph,
     g2: LabeledGraph,
     token: Optional["CancellationToken"] = None,
+    compiled: Optional[CompiledPattern] = None,
 ) -> bool:
     """Exact isomorphism test (Definition 2).
 
     With equal vertex and edge counts, any monomorphism is bijective and
     must hit every edge of ``g2``, so it is a full isomorphism.
     ``token`` bounds the underlying search; expiry raises
-    :class:`~repro.exceptions.BudgetExceeded`.
+    :class:`~repro.exceptions.BudgetExceeded`.  ``compiled`` is an
+    unseeded :class:`CompiledPattern` of ``g1``, for callers that test
+    one graph against many.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return False
@@ -498,7 +653,7 @@ def are_isomorphic(
         return False
     if g1.matcher_index().pair_counts != g2.matcher_index().pair_counts:
         return False
-    return is_subgraph_isomorphic(g1, g2, token=token)
+    return is_subgraph_isomorphic(g1, g2, token=token, compiled=compiled)
 
 
 def automorphisms(

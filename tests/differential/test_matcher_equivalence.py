@@ -28,7 +28,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import pytest
 
 from repro.core import QueryBudget, QueryEngine, TreePiConfig, TreePiIndex
-from repro.graphs import LabeledGraph, path_graph
+from repro.graphs import LabeledGraph, path_graph, subgraph_monomorphisms
+from repro.graphs.isomorphism import CompiledPattern
 from repro.mining import SupportFunction
 from repro.persistence import load_index, save_index
 
@@ -181,8 +182,6 @@ def embedding_set(mappings) -> frozenset:
 
 def assert_matcher_parity(pattern, target, seed=None):
     """Reference vs new matcher, all three modes, one (pattern, target)."""
-    from repro.graphs import subgraph_monomorphisms
-
     want = embedding_set(_reference_monomorphisms(pattern, target, seed=seed))
     got_fast = embedding_set(subgraph_monomorphisms(pattern, target, seed=seed))
     assert got_fast == want, "prefiltered matcher diverged"
@@ -247,6 +246,55 @@ def test_seeded_embedding_sets_match_reference(kind, seed):
             checked += 1
             break  # one host graph per query keeps the sweep fast
     assert checked, "corpus produced no embeddable query"
+
+
+# ----------------------------------------------------------------------
+# corpus sweep: a shared compiled pattern keeps the search
+# ----------------------------------------------------------------------
+def _counted_search(pattern, target, seed=None, compiled=None):
+    """``(embeddings in yield order, steps charged)`` under a non-binding token."""
+    token = QueryBudget(verify_steps=GENEROUS).start()
+    found = list(
+        subgraph_monomorphisms(
+            pattern, target, seed=seed, token=token, compiled=compiled
+        )
+    )
+    assert not token.expired
+    return found, token.work_charged
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    corpus_params(CHEMICAL_SEEDS, "chemical")
+    + corpus_params(SYNTHETIC_SEEDS, "synthetic"),
+)
+def test_shared_compiled_pattern_keeps_step_counts(kind, seed):
+    """One :class:`CompiledPattern` per query (and seed keys), searched
+    against every graph, charges exactly the steps of a fresh per-call
+    compile and yields the same embeddings in the same order: the
+    matching order, and so the search, is the same."""
+    db, queries = make_corpus(kind, seed)
+    steps = 0
+    for qi, query in enumerate(queries):
+        shared = {(): CompiledPattern(query)}
+        for gid in db.graph_ids():
+            target = db[gid]
+            seeds = [None]
+            first = next(_reference_monomorphisms(query, target), None)
+            if first is not None:
+                items = sorted(first.items())
+                seeds += [dict(items[:1]), dict(items[:2])]
+            for anchor in seeds:
+                keys = tuple(anchor or ())
+                if keys not in shared:
+                    shared[keys] = CompiledPattern(query, keys)
+                want = _counted_search(query, target, seed=anchor)
+                got = _counted_search(
+                    query, target, seed=anchor, compiled=shared[keys]
+                )
+                assert got == want, f"query {qi} vs graph {gid}, seed {anchor}"
+                steps += want[1]
+    assert steps, "corpus charged no steps"
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,11 @@ from repro.graphs import (
     star_graph,
     subgraph_monomorphisms,
 )
-from repro.graphs.isomorphism import _matching_order
+from repro.graphs.isomorphism import (
+    CompiledPattern,
+    _matching_order,
+    label_pair_refuted,
+)
 
 
 class TestMonomorphisms:
@@ -292,3 +296,50 @@ class TestTokenPassThrough:
         assert are_isomorphic(g, g.relabeled([1, 2, 3, 4, 5, 0]), token=budget.start())
         assert count_embeddings(g, g, token=budget.start()) == 12
         assert len(automorphisms(g, token=budget.start())) == 12
+
+
+class TestCompiledPattern:
+    def test_reused_across_targets(self):
+        pattern = cycle_graph(["a"] * 4)
+        compiled = CompiledPattern(pattern)
+        targets = [cycle_graph(["a"] * 4), path_graph(["a"] * 6), cycle_graph(["a"] * 5)]
+        for target in targets:
+            assert list(
+                subgraph_monomorphisms(pattern, target, compiled=compiled)
+            ) == list(subgraph_monomorphisms(pattern, target))
+        assert is_subgraph_isomorphic(pattern, targets[0], compiled=compiled)
+        assert not is_subgraph_isomorphic(pattern, targets[1], compiled=compiled)
+
+    def test_seeded_compile_serves_seeds_with_its_keys(self):
+        pattern = path_graph(["a", "b", "a"])
+        target = star_graph("b", ["a", "a", "a"])
+        compiled = CompiledPattern(pattern, (0,))
+        assert compiled.order[0] == 0
+        got = list(subgraph_monomorphisms(pattern, target, seed={0: 1}, compiled=compiled))
+        assert got == list(subgraph_monomorphisms(pattern, target, seed={0: 1}))
+        assert len(got) == 2
+
+    def test_mismatched_compile_is_rejected(self):
+        pattern = path_graph(["a", "b", "a"])
+        target = star_graph("b", ["a", "a", "a"])
+        with pytest.raises(ValueError):
+            list(subgraph_monomorphisms(pattern, target, compiled=CompiledPattern(pattern, (0,))))
+        with pytest.raises(ValueError):
+            list(subgraph_monomorphisms(pattern.copy(), target, compiled=CompiledPattern(pattern)))
+
+    def test_label_pair_refutation(self):
+        triangle = cycle_graph(["a"] * 3)
+        assert label_pair_refuted(LabeledGraph([], []), triangle)
+        assert label_pair_refuted(path_graph(["a"] * 4), triangle)  # too many vertices
+        assert label_pair_refuted(path_graph(["a", "b"]), triangle)
+        assert not label_pair_refuted(path_graph(["a", "b"]), triangle, prefilter=False)
+        assert not label_pair_refuted(path_graph(["a"] * 3), triangle)
+
+    def test_are_isomorphic_with_compiled_probe(self):
+        g = cycle_graph(["a"] * 6)
+        compiled = CompiledPattern(g)
+        assert are_isomorphic(g, g.relabeled([1, 2, 3, 4, 5, 0]), compiled=compiled)
+        two_triangles = LabeledGraph(
+            ["a"] * 6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)]
+        )
+        assert not are_isomorphic(g, two_triangles, compiled=compiled)
