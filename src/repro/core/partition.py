@@ -31,7 +31,7 @@ from typing import (
 
 from repro.graphs.graph import Edge, LabeledGraph, edge_key
 from repro.graphs.random_subgraph import random_connected_edge_subset
-from repro.trees.canonical import edge_subset_canonical_form
+from repro.trees.canonical import SubsetCanonicalizer
 from repro.trees.center import Center
 
 
@@ -71,20 +71,26 @@ class Partition:
         return [p.key for p in self.pieces]
 
 
-#: Per-query memo: edge subset -> (canonical key, center in query
-#: coordinates), or None for a subset that is not a tree.  The paper
-#: planner's augmentation fills it and every ``RP(q)`` restart reads it,
-#: so each distinct subset is canonicalized once per query.
-SubsetMemo = Dict[FrozenSet[Edge], Optional[Tuple[str, Center]]]
+class SubsetMemo(Dict[FrozenSet[Edge], Optional[Tuple[str, Center]]]):
+    """Per-query memo: edge subset -> (canonical key, center in query
+    coordinates), or None for a subset that is not a tree.
 
+    A subset missing from the memo is canonicalized on lookup by the
+    one :class:`~repro.trees.canonical.SubsetCanonicalizer` built for
+    the query.  The paper planner's direct-hit check and augmentation
+    fill it and every ``RP(q)`` restart reads it, so each distinct
+    subset is canonicalized once per query.
+    """
 
-def canonical_subset(
-    query: LabeledGraph, edges: FrozenSet[Edge], memo: SubsetMemo
-) -> Optional[Tuple[str, Center]]:
-    """Memoized :func:`~repro.trees.canonical.edge_subset_canonical_form`."""
-    if edges not in memo:
-        memo[edges] = edge_subset_canonical_form(query, edges)
-    return memo[edges]
+    def __init__(self, query: LabeledGraph) -> None:
+        super().__init__()
+        self._form = SubsetCanonicalizer(query).form
+
+    def __missing__(
+        self, edges: FrozenSet[Edge]
+    ) -> Optional[Tuple[str, Center]]:
+        canon = self[edges] = self._form(edges)
+        return canon
 
 
 def _make_piece(
@@ -177,11 +183,11 @@ def random_partition(
     be a feature — a non-feature edge means the query's answer is empty,
     and the caller detects that from the piece's empty support).
 
-    ``memo`` is the per-query :data:`SubsetMemo`; pass the same dict to
+    ``memo`` is the query's :class:`SubsetMemo`; pass the same memo to
     later calls on the same query to skip canonicalizing subsets again.
     """
     return _random_partition(
-        query, is_feature, rng, {} if memo is None else memo, {}
+        query, is_feature, rng, SubsetMemo(query) if memo is None else memo, {}
     )
 
 
@@ -201,7 +207,7 @@ def _random_partition(
         fs = frozenset(edges)
         step = steps.get(fs)
         if step is None:
-            canon = canonical_subset(query, fs, memo)
+            canon = memo[fs]
             if canon is not None and (len(edges) == 1 or is_feature(canon[0])):
                 step = _make_piece(query, edges, canon)
             else:
@@ -255,7 +261,7 @@ def run_partitions(
     sfq: Dict[str, QueryPiece] = {}
     attempts = max(1, delta)
     if memo is None:
-        memo = {}
+        memo = SubsetMemo(query)
     steps: Dict[FrozenSet[Edge], Union[QueryPiece, _SplitView]] = {}
     for _ in range(attempts):
         partition = _random_partition(query, is_feature, rng, memo, steps)

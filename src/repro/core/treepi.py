@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -44,12 +45,7 @@ from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
 from repro.core.feature import FeatureTree
 from repro.core.filtering import filter_candidates
-from repro.core.partition import (
-    Partition,
-    SubsetMemo,
-    canonical_subset,
-    run_partitions,
-)
+from repro.core.partition import Partition, SubsetMemo, run_partitions
 from repro.core.statistics import IndexStats, QueryResult
 from repro.core.verification import VerificationStats, verify_candidate
 from repro.exceptions import BudgetExceeded, GraphError, IndexError_
@@ -66,7 +62,7 @@ from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
 from repro.mining.subtree_miner import FrequentSubtreeMiner, _chunk
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
-from repro.trees.canonical import edge_subset_canonical_form, tree_canonical_string
+from repro.trees.canonical import SubsetCanonicalizer, tree_canonical_string
 from repro.trees.center import Center, tree_center
 
 if TYPE_CHECKING:
@@ -87,11 +83,15 @@ SUBSETS_PER_EDGE = 64
 _Subset = Tuple[int, int, Tuple[int, ...], Tuple[Edge, ...]]
 
 
+#: Canonical form of an edge subset of one query, None for a non-tree.
+_SubsetForm = Callable[[Tuple[Edge, ...]], Optional[Tuple[str, Center]]]
+
+
 def _subtree_levels(
     query: LabeledGraph,
     max_size: int,
     limit: Optional[int] = None,
-    memo: Optional[SubsetMemo] = None,
+    form: Optional[_SubsetForm] = None,
 ) -> Iterator[List[str]]:
     """Canonical keys of the query's subtrees, one list per size ``1..max_size``.
 
@@ -104,21 +104,12 @@ def _subtree_levels(
 
     ``limit`` caps how many subsets get canonicalized; level 1 always
     completes, and a later level the cap cuts short is yielded partial
-    and ends the enumeration.  ``memo`` additionally records each
-    subset's canonical form for ``RP(q)`` to reuse.
+    and ends the enumeration.  ``form`` canonicalizes each subset; it
+    defaults to one :class:`~repro.trees.canonical.SubsetCanonicalizer`
+    built for the query.
     """
-
-    def canonical(edges: Tuple[Edge, ...]) -> Tuple[str, Center]:
-        if memo is None:
-            canon = edge_subset_canonical_form(query, edges)
-        else:
-            subset = frozenset(edges)
-            if subset not in memo:
-                memo[subset] = edge_subset_canonical_form(query, subset)
-            canon = memo[subset]
-        assert canon is not None, "the enumeration only grows trees"
-        return canon
-
+    if form is None:
+        form = SubsetCanonicalizer(query).form
     # vertex -> (neighbor's vertex bit, edge bit, neighbor, edge)
     incident: Dict[int, List[Tuple[int, int, int, Edge]]] = {}
     frontier: List[_Subset] = []
@@ -127,7 +118,9 @@ def _subtree_levels(
         edge, bit = (u, v), 1 << i
         incident.setdefault(u, []).append((1 << v, bit, v, edge))
         incident.setdefault(v, []).append((1 << u, bit, u, edge))
-        singles.append(canonical((edge,))[0])
+        canon = form((edge,))
+        assert canon is not None, "a single edge is a tree"
+        singles.append(canon[0])
         frontier.append((bit, (1 << u) | (1 << v), (u, v), (edge,)))
     yield singles
     spent = len(singles)
@@ -150,7 +143,9 @@ def _subtree_levels(
                     spent += 1
                     seen.add(extended_mask)
                     extended = edges + (edge,)
-                    keys[canonical(extended)[0]] = None
+                    canon = form(extended)
+                    assert canon is not None, "the enumeration only grows trees"
+                    keys[canon[0]] = None
                     grown.append(
                         (extended_mask, vmask | vbit, verts + (v,), extended)
                     )
@@ -171,7 +166,9 @@ def _augmentation_keys(
     unanswerable.  Every subset's canonical form lands in ``memo`` for
     ``RP(q)`` to reuse.
     """
-    levels = _subtree_levels(query, max_size, memo=memo)
+    levels = _subtree_levels(
+        query, max_size, form=lambda edges: memo[frozenset(edges)]
+    )
     single_edge_keys = next(levels)
     larger_keys = {key for level in levels for key in level}
     return single_edge_keys, sorted(larger_keys)
@@ -451,9 +448,11 @@ class TreePiIndex:
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
         eta = self._config.support.eta
+        form = SubsetCanonicalizer(query).form
         # Only a query of at most η edges can itself be a feature.
         if query.num_edges <= eta:
-            hit = self._direct_hit(query, {}, phases, t0)
+            whole = form(tuple((u, v) for u, v, _ in query.edges()))
+            hit = self._direct_hit(query, whole, phases, t0)
             if hit is not None:
                 return hit
 
@@ -461,7 +460,7 @@ class TreePiIndex:
         sfq: Dict[str, None] = {}
         candidates: Optional[PostingList] = None
         for keys in _subtree_levels(
-            query, eta, limit=SUBSETS_PER_EDGE * query.num_edges
+            query, eta, limit=SUBSETS_PER_EDGE * query.num_edges, form=form
         ):
             # Every single edge of the query must be an indexed feature
             # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
@@ -507,18 +506,16 @@ class TreePiIndex:
     def _direct_hit(
         self,
         query: LabeledGraph,
-        memo: SubsetMemo,
+        whole: Optional[Tuple[str, Center]],
         phases: Dict[str, float],
         t0: float,
     ) -> Optional["QueryPlan"]:
         """The final plan when the query itself is an indexed feature tree.
 
-        Its exact support set is already materialized, so no filtering
-        or verification is needed.
+        ``whole`` is the query's own canonical form (None when it is not
+        a tree).  An indexed feature's exact support set is already
+        materialized, so no filtering or verification is needed.
         """
-        whole = canonical_subset(
-            query, frozenset((u, v) for u, v, _ in query.edges()), memo
-        )
         feature = self._lookup.get(whole[0]) if whole is not None else None
         if feature is None:
             return None
@@ -549,8 +546,9 @@ class TreePiIndex:
         _check_query(query)
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
-        memo: SubsetMemo = {}
-        hit = self._direct_hit(query, memo, phases, t0)
+        memo = SubsetMemo(query)
+        whole = memo[frozenset((u, v) for u, v, _ in query.edges())]
+        hit = self._direct_hit(query, whole, phases, t0)
         if hit is not None:
             return hit
 

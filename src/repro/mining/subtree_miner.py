@@ -408,8 +408,16 @@ class FrequentSubtreeMiner:
             representative = MinedPattern(cand, key)
             candidates[key] = representative
         else:
+            # Equal canonical strings: no prefilter can refute the pair,
+            # and building the throw-away candidate's MatcherIndex and
+            # parity matrices would be the call's largest cost.  A tree
+            # pattern has no level with several back-edges, so the
+            # prefilter's anchor ranking never applies and the search
+            # finds the same first translation without it.
             translation = next(
-                subgraph_monomorphisms(cand, representative.graph, limit=1)
+                subgraph_monomorphisms(
+                    cand, representative.graph, limit=1, prefilter=False
+                )
             )
             if all(translation[v] == v for v in translation):
                 translation = None

@@ -88,68 +88,115 @@ def tree_canonical_form(tree: LabeledGraph) -> Tuple[str, Center]:
     return tree_canonical_string(tree), tree_center(tree)
 
 
+class SubsetCanonicalizer:
+    """Canonical forms of one graph's edge subsets, read from label tables.
+
+    Built once per query graph, it formats every label once: each
+    vertex's root token ``(#,Lv``, each directed edge's child token
+    ``(Le,Lv`` (leaf to parent, stored as ``child[leaf][parent]``) and
+    each edge's center prefix ``E[Le]:``.  :meth:`form` then only
+    concatenates those strings; it calls no graph accessor and no
+    ``repr``.
+    """
+
+    __slots__ = ("_graph", "_root", "_child", "_center")
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        labels = [repr(label) for label in graph.vertex_labels()]
+        self._graph = graph
+        self._root = [f"(#,{label}" for label in labels]
+        self._child: List[Dict[int, str]] = [{} for _ in labels]
+        self._center: Dict[Edge, str] = {}
+        for u, v, elabel in graph.edges():
+            le = repr(elabel)
+            self._child[u][v] = f"({le},{labels[u]}"
+            self._child[v][u] = f"({le},{labels[v]}"
+            self._center[(u, v)] = f"E[{le}]:"
+
+    def form(self, edges: Collection[Edge]) -> Optional[Tuple[str, Center]]:
+        """Canonical string and center of the subgraph ``edges`` induce.
+
+        Returns exactly ``tree_canonical_form(graph.subgraph_from_edges(
+        edges)[0])`` with the center given in the graph's vertex ids, or
+        ``None`` when the edges do not form a tree, without building the
+        subgraph.  One leaf-stripping pass finds the center and, since a
+        stripped vertex's one remaining neighbor is its parent in the
+        center-rooted tree, builds the AHU encodings bottom-up on the way.
+        """
+        root = self._root
+        if len(edges) == 1:
+            # A single edge is its own center: no stripping to do.
+            [(u, v)] = edges
+            center: Center = (u, v) if u < v else (v, u)
+            first, second = sorted(root[c] + ")" for c in center)
+            encoded = f"{self._center[center]}{first}|{second}"
+        else:
+            nbrs: Dict[int, List[int]] = {}
+            for u, v in edges:
+                if u in nbrs:
+                    nbrs[u].append(v)
+                else:
+                    nbrs[u] = [v]
+                if v in nbrs:
+                    nbrs[v].append(u)
+                else:
+                    nbrs[v] = [u]
+            remaining = len(nbrs)
+            if remaining != len(edges) + 1:
+                return None  # a tree has one vertex more than edges
+            child = self._child
+            below: Dict[int, List[str]] = {}
+            # Stripping a leaf removes it from its parent's list, so a
+            # live vertex lists exactly its live neighbors and a leaf's
+            # one entry is its parent.
+            layer = [v for v, adj in nbrs.items() if len(adj) == 1]  # noqa: REPRO101 - a layer is a set; encodings are sorted
+            while remaining > 2:
+                if not layer:
+                    return None  # a cycle never loses its vertices to stripping
+                remaining -= len(layer)
+                next_layer: List[int] = []
+                for leaf in layer:
+                    adj = nbrs[leaf]
+                    if not adj:
+                        # Its one neighbor was a leaf of this layer too: a
+                        # separate component, so the edges are no tree.
+                        return None
+                    parent = adj[0]
+                    siblings = nbrs[parent]
+                    siblings.remove(leaf)
+                    kids = below.pop(leaf, None)
+                    encoded = child[leaf][parent] + (
+                        "".join(sorted(kids)) + ")" if kids else ")"
+                    )
+                    if parent in below:
+                        below[parent].append(encoded)
+                    else:
+                        below[parent] = [encoded]
+                    if len(siblings) == 1:
+                        next_layer.append(parent)
+                layer = next_layer
+            # The last layer is what stripping left: the center, each of
+            # whose vertices has taken at least one stripped child.
+            center = tuple(sorted(layer))
+            halves = [root[c] + "".join(sorted(below[c])) + ")" for c in center]
+            if len(halves) == 1:
+                encoded = "V:" + halves[0]
+            else:
+                first, second = sorted(halves)
+                encoded = f"{self._center[center]}{first}|{second}"
+        if _contracts.contracts_enabled():
+            sub, remap = self._graph.subgraph_from_edges(edges)
+            _contracts.check_center(sub, [remap[c] for c in center])
+            _contracts.check_canonical_invariance(sub, encoded)
+        return encoded, center
+
+
 def edge_subset_canonical_form(
     graph: LabeledGraph, edges: Collection[Edge]
 ) -> Optional[Tuple[str, Center]]:
-    """Canonical string and center of the subgraph an edge subset induces.
+    """One-shot :meth:`SubsetCanonicalizer.form`.
 
-    Returns exactly ``tree_canonical_form(graph.subgraph_from_edges(edges)
-    [0])`` with the center given in ``graph``'s vertex ids, or ``None`` when
-    the edges do not form a tree — without building the subgraph.  One
-    leaf-stripping pass finds the center and, since a stripped vertex's
-    one remaining neighbor is its parent in the center-rooted tree, builds
-    the AHU encodings bottom-up on the way.
+    Formats the whole graph's label tables for one subset; canonicalize
+    many subsets of one graph through one :class:`SubsetCanonicalizer`.
     """
-    nbrs: Dict[int, List[int]] = {}
-    for u, v in edges:
-        if u in nbrs:
-            nbrs[u].append(v)
-        else:
-            nbrs[u] = [v]
-        if v in nbrs:
-            nbrs[v].append(u)
-        else:
-            nbrs[v] = [u]
-    remaining = len(nbrs)
-    if remaining != len(edges) + 1:
-        return None  # a tree has one vertex more than edges
-    vertex_label, edge_label = graph.vertex_label, graph.edge_label
-    # Live vertices hold their count of live neighbors; stripped ones -1.
-    degree = {v: len(adj) for v, adj in nbrs.items()}
-    below: Dict[int, List[str]] = {}
-    layer = [v for v, d in degree.items() if d == 1]  # noqa: REPRO101 - a layer is a set; encodings are sorted
-    while remaining > 2:
-        if not layer:
-            return None  # a cycle never loses its vertices to stripping
-        for leaf in layer:
-            degree[leaf] = -1
-        remaining -= len(layer)
-        next_layer: List[int] = []
-        for leaf in layer:
-            for parent in nbrs[leaf]:
-                if degree[parent] > 0:
-                    encoded = (
-                        f"({edge_label(leaf, parent)!r},{vertex_label(leaf)!r}"
-                        + "".join(sorted(below.pop(leaf, ()))) + ")"
-                    )
-                    below.setdefault(parent, []).append(encoded)
-                    degree[parent] -= 1
-                    if degree[parent] == 1:
-                        next_layer.append(parent)
-                    break
-        layer = next_layer
-    center: Center = tuple(sorted(v for v, d in degree.items() if d >= 0))
-    halves = [
-        f"(#,{vertex_label(c)!r}" + "".join(sorted(below.get(c, ()))) + ")"
-        for c in center
-    ]
-    if len(halves) == 1:
-        encoded = "V:" + halves[0]
-    else:
-        first, second = sorted(halves)
-        encoded = f"E[{edge_label(*center)!r}]:{first}|{second}"
-    if _contracts.contracts_enabled():
-        sub, remap = graph.subgraph_from_edges(edges)
-        _contracts.check_center(sub, [remap[c] for c in center])
-        _contracts.check_canonical_invariance(sub, encoded)
-    return encoded, center
+    return SubsetCanonicalizer(graph).form(edges)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import random_partition, run_partitions
+from repro.core.partition import SubsetMemo
 from repro.graphs import (
     LabeledGraph,
     cycle_graph,
@@ -79,7 +80,7 @@ class TestRandomPartition:
 
     def test_cache_reuse_is_equivalent(self):
         q = cycle_graph(["a", "b", "c", "a", "b", "c"])
-        cache = {}
+        cache = SubsetMemo(q)
         r1 = random_partition(q, everything_is_feature, random.Random(5), cache)
         r2 = random_partition(q, everything_is_feature, random.Random(5), cache)
         assert [p.edges for p in r1.pieces] == [p.edges for p in r2.pieces]

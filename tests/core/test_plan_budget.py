@@ -18,11 +18,11 @@ from repro.core import (
     QueryEngine,
     TreePiConfig,
     TreePiIndex,
-    treepi,
 )
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import LabeledGraph
 from repro.mining import SupportFunction
+from repro.trees.canonical import SubsetCanonicalizer
 
 
 def _all_carbon_clique(k: int) -> LabeledGraph:
@@ -47,13 +47,13 @@ def corpus():
 def subset_sizes(monkeypatch):
     """Sizes of every edge subset the planner canonicalizes."""
     sizes = []
-    original = treepi.edge_subset_canonical_form
+    original = SubsetCanonicalizer.form
 
-    def counting(graph, edges):
+    def counting(self, edges):
         sizes.append(len(edges))
-        return original(graph, edges)
+        return original(self, edges)
 
-    monkeypatch.setattr(treepi, "edge_subset_canonical_form", counting)
+    monkeypatch.setattr(SubsetCanonicalizer, "form", counting)
     return sizes
 
 

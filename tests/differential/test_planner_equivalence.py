@@ -31,6 +31,7 @@ from repro.core.partition import (
     Partition,
     PartitionRun,
     QueryPiece,
+    SubsetMemo,
     random_partition,
     run_partitions,
 )
@@ -224,7 +225,7 @@ def assert_planners_agree(
     seed: int,
     max_size: int = 3,
 ) -> None:
-    memo: Dict = {}
+    memo = SubsetMemo(query)
     assert _augmentation_keys(query, max_size, memo) == (
         _reference_augmentation_keys(query, max_size)
     )

@@ -27,6 +27,7 @@ from repro.core import QueryEngine, TreePiIndex, treepi
 from repro.core.treepi import QueryPlan
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import LabeledGraph
+from repro.trees.canonical import SubsetCanonicalizer
 
 from tests.differential.test_answer_sets import (
     CHEMICAL_SEEDS,
@@ -89,13 +90,13 @@ def test_clique_stops_at_the_subset_cap(monkeypatch):
         ["C"] * 8, [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
     )
     calls = []
-    original = treepi.edge_subset_canonical_form
+    original = SubsetCanonicalizer.form
 
-    def counting(graph, edges):
+    def counting(self, edges):
         calls.append(len(edges))
-        return original(graph, edges)
+        return original(self, edges)
 
-    monkeypatch.setattr(treepi, "edge_subset_canonical_form", counting)
+    monkeypatch.setattr(SubsetCanonicalizer, "form", counting)
     result = index.query(clique)
     assert result.complete
     assert result.matches == SequentialScan(db).support_set(clique)

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import contracts
-from repro.core.partition import canonical_subset
+from repro.core.partition import SubsetMemo
 from repro.graphs import LabeledGraph, cycle_graph, path_graph
 from repro.graphs.random_subgraph import random_connected_edge_subset
 from repro.trees import tree_canonical_string, tree_center
-from repro.trees.canonical import edge_subset_canonical_form
+from repro.trees.canonical import SubsetCanonicalizer, edge_subset_canonical_form
 
 from tests.property.strategies import connected_graphs
 
@@ -101,21 +101,19 @@ def test_contracts_check_what_the_helper_emits(monkeypatch):
 
 
 def test_memo_canonicalizes_each_subset_once(monkeypatch):
-    from repro.core import partition
-
     calls = []
-    real = partition.edge_subset_canonical_form
+    real = SubsetCanonicalizer.form
     monkeypatch.setattr(
-        partition,
-        "edge_subset_canonical_form",
-        lambda g, e: calls.append(e) or real(g, e),
+        SubsetCanonicalizer,
+        "form",
+        lambda self, e: calls.append(e) or real(self, e),
     )
     q = cycle_graph(["a", "b", "c"])
-    memo = {}
+    memo = SubsetMemo(q)
     path = frozenset({(0, 1), (1, 2)})
     ring = frozenset({(0, 1), (1, 2), (0, 2)})
-    first = canonical_subset(q, path, memo)
-    assert canonical_subset(q, path, memo) is first
-    assert canonical_subset(q, ring, memo) is None
-    assert canonical_subset(q, ring, memo) is None
+    first = memo[path]
+    assert memo[path] is first
+    assert memo[ring] is None
+    assert memo[ring] is None
     assert calls == [path, ring]
