@@ -25,8 +25,8 @@ one-module program.
 * **REPRO404** — cross-module token-forwarding drop: REPRO301
   generalized through the resolved call graph — a function hot only
   through cross-file edges, holding an in-scope token, calls a
-  token-accepting, looping callee in another file without forwarding
-  it.
+  token-accepting, looping callee, in its own file or another, without
+  forwarding it.
 * **REPRO405** — scatter hygiene on pooled fan-outs: ``Future.result()``
   with no timeout, or a timeout handler that abandons the future without
   ``cancel()``.
@@ -373,33 +373,37 @@ def _unsound_findings(
 def _token_drop_findings(
     program: ProgramModel, info: ModuleInfo, fn: FunctionInfo, out: List[Finding]
 ) -> None:
-    # A function hot through in-file edges is REPRO301's: 404 adds only
-    # the functions that cross-file edges make hot.
+    # A function hot through in-file edges is REPRO301's: 404 judges
+    # every call of the functions that only cross-file edges make hot,
+    # in-file callees included, since REPRO301 never sees them.
     if program.is_hot_in_file(fn) or not program.is_hot(fn):
         return
     if not fn.token_names():
         return
     flow = info.flow
     for site in fn.calls:
-        if flow.resolved(site) is not None:
-            continue  # in-file edge: REPRO301 territory
-        target = program.cross_resolved(site)
+        local = flow.resolved(site)
+        target = local if local is not None else program.cross_resolved(site)
         if target is None or not target.token_params:
             continue
         if not program.loops(target):
             continue
         if flow.forwards_token(fn, site):
             continue
-        owner = program.owner.get(target)
-        where = owner.module_path if owner is not None else "another module"
+        if local is not None:
+            edge, where = "in-file call", info.module_path
+        else:
+            owner = program.owner.get(target)
+            edge = "cross-module call"
+            where = owner.module_path if owner is not None else "another module"
         out.append(
             (
                 "REPRO404",
                 site.node,
-                f"cross-module call from {fn.qualname} to looping callee "
+                f"{edge} from {fn.qualname} to looping callee "
                 f"{target.qualname} ({where}) drops the in-scope "
-                "cancellation token; pass token= across the file boundary "
-                "so the callee's loops stay cancellable",
+                "cancellation token; forward token= so the callee's loops "
+                "stay cancellable",
             )
         )
 
@@ -561,8 +565,9 @@ class CrossModuleTokenDrop(_SoundnessRule):
     rationale = (
         "REPRO301 generalized through the resolved project call graph: "
         "functions the query spine reaches across files are hot too, and a "
-        "token= dropped at a module boundary makes every loop below it "
-        "uncancellable — invisible to the in-file hot set REPRO301 judges."
+        "token= they drop, at a module boundary or into a callee in their "
+        "own file, makes every loop below it uncancellable — invisible to "
+        "the in-file hot set REPRO301 judges."
     )
 
 

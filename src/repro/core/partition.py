@@ -31,7 +31,7 @@ from typing import (
 
 from repro.graphs.graph import Edge, LabeledGraph, edge_key
 from repro.graphs.random_subgraph import random_connected_edge_subset
-from repro.trees.canonical import SubsetCanonicalizer
+from repro.trees.canonical import SubsetCanonicalizer, SubsetForm
 from repro.trees.center import Center
 
 
@@ -71,33 +71,32 @@ class Partition:
         return [p.key for p in self.pieces]
 
 
-class SubsetMemo(Dict[FrozenSet[Edge], Optional[Tuple[str, Center]]]):
+class SubsetMemo(Dict[FrozenSet[Edge], Optional[SubsetForm]]):
     """Per-query memo: edge subset -> (canonical key, center in query
-    coordinates), or None for a subset that is not a tree.
+    coordinates, canonical order), or None for a subset that is not a
+    tree.
 
     A subset missing from the memo is canonicalized on lookup by the
     one :class:`~repro.trees.canonical.SubsetCanonicalizer` built for
-    the query.  The paper planner's direct-hit check and augmentation
-    fill it and every ``RP(q)`` restart reads it, so each distinct
-    subset is canonicalized once per query.
+    the query.  The paper planner's direct-hit check fills it and every
+    ``RP(q)`` restart reads it, so each distinct subset is canonicalized
+    once per query.
     """
 
     def __init__(self, query: LabeledGraph) -> None:
         super().__init__()
         self._form = SubsetCanonicalizer(query).form
 
-    def __missing__(
-        self, edges: FrozenSet[Edge]
-    ) -> Optional[Tuple[str, Center]]:
+    def __missing__(self, edges: FrozenSet[Edge]) -> Optional[SubsetForm]:
         canon = self[edges] = self._form(edges)
         return canon
 
 
 def _make_piece(
-    query: LabeledGraph, edges: Sequence[Edge], canon: Tuple[str, Center]
+    query: LabeledGraph, edges: Sequence[Edge], canon: SubsetForm
 ) -> QueryPiece:
     sub, remap = query.subgraph_from_edges(edges)
-    key, center_in_query = canon
+    key, center_in_query, _ = canon
     return QueryPiece(
         edges=tuple(sorted(edges)),
         tree=sub,

@@ -27,9 +27,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -39,12 +39,14 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.contracts import contracts_enabled
 from repro.analysis.flow import hot_path
 from repro.analysis.guards import guarded_by
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
 from repro.core.feature import FeatureTree
 from repro.core.filtering import filter_candidates
+from repro.core.lattice import FeatureLattice
 from repro.core.partition import Partition, SubsetMemo, run_partitions
 from repro.core.statistics import IndexStats, QueryResult
 from repro.core.verification import VerificationStats, verify_candidate
@@ -62,8 +64,12 @@ from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
 from repro.mining.subtree_miner import FrequentSubtreeMiner, _chunk
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
-from repro.trees.canonical import SubsetCanonicalizer, tree_canonical_string
-from repro.trees.center import Center, tree_center
+from repro.trees.canonical import (
+    SubsetCanonicalizer,
+    SubsetForm,
+    tree_canonical_string,
+)
+from repro.trees.center import tree_center
 
 if TYPE_CHECKING:
     from repro.storage.segments import CompactionPlan, SegmentStore
@@ -73,55 +79,83 @@ if TYPE_CHECKING:
 CENTER_PRUNE_CHECKS = 2000
 
 
-#: The serving planner canonicalizes at most this many edge subsets per
-#: query edge, then filters on the keys found so far (sound: fewer keys
-#: only loosen the filter).  Workload queries need about 30 per edge; at
+#: The serving planner visits at most this many edge subsets per query
+#: edge, then filters on the keys found so far (sound: fewer keys only
+#: loosen the filter).  Workload queries need about 30 per edge; at
 #: η = 5 a single-label K8 would need about 1,600.
 SUBSETS_PER_EDGE = 64
 
-#: One subset of the enumeration: (edge mask, vertex mask, vertices, edges).
-_Subset = Tuple[int, int, Tuple[int, ...], Tuple[Edge, ...]]
+#: One subset of the enumeration: (edge mask, vertex mask, vertices,
+#: canonical key, canonical positions of the vertices).
+_Subset = Tuple[int, int, Tuple[int, ...], str, Tuple[int, ...]]
+
+#: What a memo lookup returns for a step it has not seen.
+_UNSEEN = object()
 
 
-#: Canonical form of an edge subset of one query, None for a non-tree.
-_SubsetForm = Callable[[Tuple[Edge, ...]], Optional[Tuple[str, Center]]]
+def _mask_edges(mask: int, edges: List[Edge]) -> List[Edge]:
+    """The edges whose bits are set in ``mask``."""
+    return [edge for i, edge in enumerate(edges) if mask >> i & 1]
 
 
 def _subtree_levels(
     query: LabeledGraph,
     max_size: int,
+    lattice: Optional[FeatureLattice] = None,
     limit: Optional[int] = None,
-    form: Optional[_SubsetForm] = None,
+    canon: Optional[SubsetCanonicalizer] = None,
 ) -> Iterator[List[str]]:
     """Canonical keys of the query's subtrees, one list per size ``1..max_size``.
 
     Level 1 holds one key per query edge, in ``query.edges()`` order.
-    Level ``k`` holds the distinct keys of every connected acyclic
-    ``k``-edge subset, grown breadth-first: each ``k-1``-edge subset gains
-    one edge to a vertex it does not touch yet (an edge between two
+    Level ``k`` holds the distinct keys of the connected acyclic
+    ``k``-edge subsets, grown breadth-first: each ``k-1``-edge subset
+    gains one edge to a vertex it does not touch yet (an edge between two
     touched vertices would close a cycle), so every subset grown is a
-    tree and is canonicalized exactly once.
+    tree and is visited once.
 
-    ``limit`` caps how many subsets get canonicalized; level 1 always
+    Each step is looked up in ``lattice``'s grow memo (a level-1 subset
+    grows from the edge's first vertex); a miss canonicalizes the subset
+    once through ``canon`` and remembers the step.  A subset whose key
+    is not in ``lattice.keys`` is not grown further, and a child that is
+    neither in ``keys`` nor indexed adds no key, so with an index's
+    lattice a level lists exactly the keys in ``keys`` or indexed.
+    ``lattice`` defaults to an unpruned one for this call, which lists
+    every key.  ``canon`` defaults to a canonicalizer built for the query.
+
+    ``limit`` caps how many subsets get visited; level 1 always
     completes, and a later level the cap cuts short is yielded partial
-    and ends the enumeration.  ``form`` canonicalizes each subset; it
-    defaults to one :class:`~repro.trees.canonical.SubsetCanonicalizer`
-    built for the query.
+    and ends the enumeration.
     """
-    if form is None:
-        form = SubsetCanonicalizer(query).form
-    # vertex -> (neighbor's vertex bit, edge bit, neighbor, edge)
-    incident: Dict[int, List[Tuple[int, int, int, Edge]]] = {}
+    if lattice is None:
+        lattice = FeatureLattice()
+    if canon is None:
+        canon = SubsetCanonicalizer(query)
+    look = lattice.memo.get
+    grow = lattice.grow
+    checking = contracts_enabled()
+    root, child = canon.root_tokens, canon.child_tokens
+    # vertex -> (neighbor's vertex bit, edge bit, neighbor, neighbor's token)
+    incident: Dict[int, List[Tuple[int, int, int, str]]] = {}
+    edge_list: List[Edge] = []
     frontier: List[_Subset] = []
     singles: List[str] = []
     for i, (u, v, _) in enumerate(query.edges()):
         edge, bit = (u, v), 1 << i
-        incident.setdefault(u, []).append((1 << v, bit, v, edge))
-        incident.setdefault(v, []).append((1 << u, bit, u, edge))
-        canon = form((edge,))
-        assert canon is not None, "a single edge is a tree"
-        singles.append(canon[0])
-        frontier.append((bit, (1 << u) | (1 << v), (u, v), (edge,)))
+        edge_list.append(edge)
+        incident.setdefault(u, []).append((1 << v, bit, v, child[v][u]))
+        incident.setdefault(v, []).append((1 << u, bit, u, child[u][v]))
+        step = (root[u], 0, child[v][u])
+        found = look(step, _UNSEEN)
+        if found is _UNSEEN:
+            found = grow(step, canon, (edge,), (u,), (0,), v)
+        elif checking:
+            lattice.check_hit(query, canon, (edge,), (u, v), (0,), found)
+        assert found is not None, "a level-1 step keeps its key"
+        key, remap = found
+        singles.append(key)
+        if remap is not None:
+            frontier.append((bit, (1 << u) | (1 << v), (u, v), key, remap))
     yield singles
     spent = len(singles)
     size = 1
@@ -129,46 +163,73 @@ def _subtree_levels(
         keys: Dict[str, None] = {}
         seen: Set[int] = set()
         grown: List[_Subset] = []
-        for mask, vmask, verts, edges in frontier:
-            for u in verts:
-                for vbit, bit, v, edge in incident[u]:
+        last = size + 1 == max_size
+        for mask, vmask, verts, key, positions in frontier:
+            # The child's positions: the remap taken at the parent's
+            # positions, then at the new vertex's slot.
+            take = itemgetter(*positions, len(positions))
+            for u, at in zip(verts, positions):
+                for vbit, bit, v, token in incident[u]:
                     if vmask & vbit:
                         continue
-                    extended_mask = mask | bit
-                    if extended_mask in seen:
+                    extended = mask | bit
+                    if extended in seen:
                         continue
                     if spent == limit:
                         yield list(keys)
                         return
                     spent += 1
-                    seen.add(extended_mask)
-                    extended = edges + (edge,)
-                    canon = form(extended)
-                    assert canon is not None, "the enumeration only grows trees"
-                    keys[canon[0]] = None
-                    grown.append(
-                        (extended_mask, vmask | vbit, verts + (v,), extended)
-                    )
+                    seen.add(extended)
+                    step = (key, at, token)
+                    found = look(step, _UNSEEN)
+                    if found is _UNSEEN:
+                        found = grow(
+                            step,
+                            canon,
+                            _mask_edges(extended, edge_list),
+                            verts,
+                            positions,
+                            v,
+                        )
+                    elif checking:
+                        lattice.check_hit(
+                            query,
+                            canon,
+                            _mask_edges(extended, edge_list),
+                            verts + (v,),
+                            positions,
+                            found,
+                        )
+                    if found is None:
+                        continue
+                    keys[found[0]] = None
+                    remap = found[1]
+                    if remap is None or last:
+                        continue
+                    grown.append((
+                        extended,
+                        vmask | vbit,
+                        verts + (v,),
+                        found[0],
+                        take(remap),
+                    ))
         yield list(keys)
         frontier = grown
         size += 1
 
 
 def _augmentation_keys(
-    query: LabeledGraph, max_size: int, memo: SubsetMemo
+    query: LabeledGraph, max_size: int
 ) -> Tuple[List[str], List[str]]:
     """Canonical strings of every subtree of the query up to ``max_size`` edges.
 
     Returns ``(single_edge_keys, larger_keys)``: the first ``max_size``
-    levels of :func:`_subtree_levels`, the larger keys deduplicated and
-    sorted.  :meth:`TreePiIndex.query_paper` intersects their supports
-    into its stage-1 filter; a missing *single edge* proves the query
-    unanswerable.  Every subset's canonical form lands in ``memo`` for
-    ``RP(q)`` to reuse.
+    levels of :func:`_subtree_levels` through an unpruned lattice, the
+    larger keys deduplicated and sorted.  :meth:`TreePiIndex.query_paper`
+    intersects their supports into its stage-1 filter; a missing *single
+    edge* proves the query unanswerable.
     """
-    levels = _subtree_levels(
-        query, max_size, form=lambda edges: memo[frozenset(edges)]
-    )
+    levels = _subtree_levels(query, max_size)
     single_edge_keys = next(levels)
     larger_keys = {key for level in levels for key in level}
     return single_edge_keys, sorted(larger_keys)
@@ -281,6 +342,7 @@ class TreePiIndex:
         self._config = config
         self._features = features
         self._lookup: Dict[str, FeatureTree] = {f.key: f for f in features}
+        self._lattice = FeatureLattice(features, self._lookup)
         self._stats = stats
         self._build_size = len(database)
         self._churn = 0
@@ -379,6 +441,10 @@ class TreePiIndex:
         """
         return sum(f.store.nbytes() for f in self._features)
 
+    @property
+    def lattice(self) -> FeatureLattice:
+        return self._lattice
+
     def has_feature(self, key: str) -> bool:
         return key in self._lookup
 
@@ -448,10 +514,10 @@ class TreePiIndex:
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
         eta = self._config.support.eta
-        form = SubsetCanonicalizer(query).form
+        canon = SubsetCanonicalizer(query)
         # Only a query of at most η edges can itself be a feature.
         if query.num_edges <= eta:
-            whole = form(tuple((u, v) for u, v, _ in query.edges()))
+            whole = canon.form(tuple((u, v) for u, v, _ in query.edges()))
             hit = self._direct_hit(query, whole, phases, t0)
             if hit is not None:
                 return hit
@@ -460,7 +526,11 @@ class TreePiIndex:
         sfq: Dict[str, None] = {}
         candidates: Optional[PostingList] = None
         for keys in _subtree_levels(
-            query, eta, limit=SUBSETS_PER_EDGE * query.num_edges, form=form
+            query,
+            eta,
+            self._lattice,
+            limit=SUBSETS_PER_EDGE * query.num_edges,
+            canon=canon,
         ):
             # Every single edge of the query must be an indexed feature
             # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
@@ -506,7 +576,7 @@ class TreePiIndex:
     def _direct_hit(
         self,
         query: LabeledGraph,
-        whole: Optional[Tuple[str, Center]],
+        whole: Optional[SubsetForm],
         phases: Dict[str, float],
         t0: float,
     ) -> Optional["QueryPlan"]:
@@ -557,7 +627,7 @@ class TreePiIndex:
         # present ones buy the same filter power gIndex gets from its
         # exhaustive ≤3-edge enumeration.
         single_edge_keys, larger_keys = _augmentation_keys(
-            query, max(3, self._config.support.alpha), memo
+            query, max(3, self._config.support.alpha)
         )
         for key in single_edge_keys:
             if key not in self._lookup:

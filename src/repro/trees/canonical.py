@@ -19,12 +19,17 @@ the key asymmetry versus gIndex's exponential graph canonization.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis import contracts as _contracts
 from repro.exceptions import NotATreeError
 from repro.graphs.graph import Edge, LabeledGraph
 from repro.trees.center import Center, tree_center
+
+
+#: What :meth:`SubsetCanonicalizer.form` returns for a tree: the
+#: canonical key, the center in graph ids, the vertices in key pre-order.
+SubsetForm = Tuple[str, Center, Tuple[int, ...]]
 
 
 def _encode_rooted(
@@ -92,44 +97,63 @@ class SubsetCanonicalizer:
     """Canonical forms of one graph's edge subsets, read from label tables.
 
     Built once per query graph, it formats every label once: each
-    vertex's root token ``(#,Lv``, each directed edge's child token
-    ``(Le,Lv`` (leaf to parent, stored as ``child[leaf][parent]``) and
-    each edge's center prefix ``E[Le]:``.  :meth:`form` then only
-    concatenates those strings; it calls no graph accessor and no
-    ``repr``.
+    vertex's root token ``(#,Lv`` (:attr:`root_tokens`), each directed
+    edge's child token ``(Le,Lv`` (leaf to parent, stored as
+    ``child_tokens[leaf][parent]``) and each edge's center prefix
+    ``E[Le]:``.  :meth:`form` then only concatenates those strings; it
+    calls no graph accessor and no ``repr``.
     """
 
-    __slots__ = ("_graph", "_root", "_child", "_center")
+    __slots__ = ("_graph", "root_tokens", "child_tokens", "_center")
 
     def __init__(self, graph: LabeledGraph) -> None:
         labels = [repr(label) for label in graph.vertex_labels()]
         self._graph = graph
-        self._root = [f"(#,{label}" for label in labels]
-        self._child: List[Dict[int, str]] = [{} for _ in labels]
+        self.root_tokens = [f"(#,{label}" for label in labels]
+        self.child_tokens: List[Dict[int, str]] = [{} for _ in labels]
         self._center: Dict[Edge, str] = {}
         for u, v, elabel in graph.edges():
             le = repr(elabel)
-            self._child[u][v] = f"({le},{labels[u]}"
-            self._child[v][u] = f"({le},{labels[v]}"
+            self.child_tokens[u][v] = f"({le},{labels[u]}"
+            self.child_tokens[v][u] = f"({le},{labels[v]}"
             self._center[(u, v)] = f"E[{le}]:"
 
-    def form(self, edges: Collection[Edge]) -> Optional[Tuple[str, Center]]:
-        """Canonical string and center of the subgraph ``edges`` induce.
+    def form(
+        self,
+        edges: Collection[Edge],
+        rank: Optional[Mapping[int, int]] = None,
+    ) -> Optional[SubsetForm]:
+        """Canonical string, center and canonical order of a subset.
 
-        Returns exactly ``tree_canonical_form(graph.subgraph_from_edges(
-        edges)[0])`` with the center given in the graph's vertex ids, or
-        ``None`` when the edges do not form a tree, without building the
-        subgraph.  One leaf-stripping pass finds the center and, since a
-        stripped vertex's one remaining neighbor is its parent in the
-        center-rooted tree, builds the AHU encodings bottom-up on the way.
+        Returns ``(key, center, order)``: ``key`` and ``center`` are
+        exactly ``tree_canonical_form(graph.subgraph_from_edges(edges)
+        [0])`` with the center given in the graph's vertex ids; ``order``
+        lists the subset's vertices in the pre-order of ``key``, so
+        ``order[i]`` is the vertex whose ``(Le,Lv`` token opens the
+        ``i``-th node of the string.  Returns ``None`` when the edges do
+        not form a tree, without building the subgraph.
+
+        One leaf-stripping pass finds the center and, since a stripped
+        vertex's one remaining neighbor is its parent in the
+        center-rooted tree, builds the AHU encodings bottom-up on the
+        way.  Sibling subtrees with equal encodings (an automorphism
+        swaps them) are ordered by ``rank[v]``, by vertex id when
+        ``rank`` is None, so ``order`` depends only on the vertex-ranked
+        edge set, not on the order the edges arrive in.
         """
-        root = self._root
+        root = self.root_tokens
         if len(edges) == 1:
             # A single edge is its own center: no stripping to do.
             [(u, v)] = edges
             center: Center = (u, v) if u < v else (v, u)
-            first, second = sorted(root[c] + ")" for c in center)
+            a, b = center
+            first, second = root[a] + ")", root[b] + ")"
+            if second < first or (
+                second == first and rank is not None and rank[b] < rank[a]
+            ):
+                a, b, first, second = b, a, second, first
             encoded = f"{self._center[center]}{first}|{second}"
+            order: Tuple[int, ...] = (a, b)
         else:
             nbrs: Dict[int, List[int]] = {}
             for u, v in edges:
@@ -144,8 +168,11 @@ class SubsetCanonicalizer:
             remaining = len(nbrs)
             if remaining != len(edges) + 1:
                 return None  # a tree has one vertex more than edges
-            child = self._child
-            below: Dict[int, List[str]] = {}
+            child = self.child_tokens
+            # vertex -> its stripped children as (encoding, rank, vertex)
+            below: Dict[int, List[Tuple[str, int, int]]] = {}
+            # vertex -> its children in canonical order
+            ordered: Dict[int, List[int]] = {}
             # Stripping a leaf removes it from its parent's list, so a
             # live vertex lists exactly its live neighbors and a leaf's
             # one entry is its parent.
@@ -165,38 +192,65 @@ class SubsetCanonicalizer:
                     siblings = nbrs[parent]
                     siblings.remove(leaf)
                     kids = below.pop(leaf, None)
-                    encoded = child[leaf][parent] + (
-                        "".join(sorted(kids)) + ")" if kids else ")"
-                    )
-                    if parent in below:
-                        below[parent].append(encoded)
+                    if kids:
+                        kids.sort()
+                        ordered[leaf] = [kid[2] for kid in kids]
+                        encoded = (
+                            child[leaf][parent]
+                            + "".join([kid[0] for kid in kids])
+                            + ")"
+                        )
                     else:
-                        below[parent] = [encoded]
+                        encoded = child[leaf][parent] + ")"
+                    entry = (encoded, leaf if rank is None else rank[leaf], leaf)
+                    if parent in below:
+                        below[parent].append(entry)
+                    else:
+                        below[parent] = [entry]
                     if len(siblings) == 1:
                         next_layer.append(parent)
                 layer = next_layer
             # The last layer is what stripping left: the center, each of
             # whose vertices has taken at least one stripped child.
             center = tuple(sorted(layer))
-            halves = [root[c] + "".join(sorted(below[c])) + ")" for c in center]
+            halves = []
+            for c in center:
+                kids = below[c]
+                kids.sort()
+                ordered[c] = [kid[2] for kid in kids]
+                halves.append((
+                    root[c] + "".join([kid[0] for kid in kids]) + ")",
+                    c if rank is None else rank[c],
+                    c,
+                ))
             if len(halves) == 1:
-                encoded = "V:" + halves[0]
+                encoded = "V:" + halves[0][0]
             else:
-                first, second = sorted(halves)
-                encoded = f"{self._center[center]}{first}|{second}"
+                halves.sort()
+                encoded = f"{self._center[center]}{halves[0][0]}|{halves[1][0]}"
+            # Pre-order: each vertex, then its children's subtrees in
+            # canonical order; an edge center's halves in string order.
+            walk: List[int] = []
+            stack = [half[2] for half in reversed(halves)]
+            while stack:
+                vertex = stack.pop()
+                walk.append(vertex)
+                stack.extend(reversed(ordered.get(vertex, ())))
+            order = tuple(walk)
         if _contracts.contracts_enabled():
             sub, remap = self._graph.subgraph_from_edges(edges)
             _contracts.check_center(sub, [remap[c] for c in center])
             _contracts.check_canonical_invariance(sub, encoded)
-        return encoded, center
+        return encoded, center, order
 
 
 def edge_subset_canonical_form(
     graph: LabeledGraph, edges: Collection[Edge]
 ) -> Optional[Tuple[str, Center]]:
-    """One-shot :meth:`SubsetCanonicalizer.form`.
+    """One-shot :meth:`SubsetCanonicalizer.form`, without the order.
 
     Formats the whole graph's label tables for one subset; canonicalize
     many subsets of one graph through one :class:`SubsetCanonicalizer`.
     """
-    return SubsetCanonicalizer(graph).form(edges)
+    canon = SubsetCanonicalizer(graph).form(edges)
+    return None if canon is None else canon[:2]

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_source
 from repro.analysis.engine import lint_paths
 
@@ -387,6 +389,36 @@ def test_repro404_forwarded_token_is_clean(tmp_path):
     root = _mini_package(tmp_path, _TIER_FORWARD)
     report = lint_paths([root], select=["REPRO4"])
     assert report.violations == []
+
+
+_TIER_IN_FILE = """\
+def scan(g, token=None):
+    out = []
+    for x in g:
+        if token is not None and token.is_cancelled():
+            break
+        out.append(x)
+    return out
+
+def query(g, token=None):
+    return scan(g{forward})
+"""
+
+
+@pytest.mark.parametrize("forward", ["", ", token=token"])
+def test_repro404_judges_in_file_calls_of_cross_hot_functions(tmp_path, forward):
+    """``tier.query`` is hot only through the spine's cross-file call, so
+    REPRO301 never judges it; dropping its token into the looping,
+    token-taking ``scan`` of its own file is still a severed chain."""
+    root = _mini_package(tmp_path, _TIER_IN_FILE.format(forward=forward))
+    report = lint_paths([root], select=["REPRO3", "REPRO4"])
+    if forward:
+        assert report.violations == []
+        return
+    assert [v.rule_id for v in report.violations] == ["REPRO404"]
+    (v,) = report.violations
+    assert v.path.endswith("tier.py")
+    assert "in-file call" in v.message and "scan" in v.message
 
 
 def test_repro404_defers_to_per_file_repro301(tmp_path):

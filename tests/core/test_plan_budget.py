@@ -4,8 +4,9 @@ The serving planner enumerates the query's subtrees level by level and
 polls the budget's token after every level.  With an already-expired
 deadline it must stop after level 1 (the single edges, which it needs
 for the missing-edge emptiness proof) and hand the candidates found so
-far to verification, which reports them unresolved.  A counting wrapper
-on the canonicalizer proves no larger subset was ever looked at.
+far to verification, which reports them unresolved.  A recording copy
+of the index's grow memo, which every visited subset looks its step up
+in, proves no larger subset was ever looked at.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.core import (
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import LabeledGraph
 from repro.mining import SupportFunction
-from repro.trees.canonical import SubsetCanonicalizer
+
+from tests.differential.test_serving_filter import record_visits
 
 
 def _all_carbon_clique(k: int) -> LabeledGraph:
@@ -44,17 +46,9 @@ def corpus():
 
 
 @pytest.fixture
-def subset_sizes(monkeypatch):
-    """Sizes of every edge subset the planner canonicalizes."""
-    sizes = []
-    original = SubsetCanonicalizer.form
-
-    def counting(self, edges):
-        sizes.append(len(edges))
-        return original(self, edges)
-
-    monkeypatch.setattr(SubsetCanonicalizer, "form", counting)
-    return sizes
+def subset_sizes(monkeypatch, corpus):
+    """Sizes of every edge subset the planner visits."""
+    return record_visits(monkeypatch, corpus[0].lattice)
 
 
 def _assert_bracketed(result, exact):

@@ -18,7 +18,7 @@ is cut off by the per-edge subset cap and is still answered exactly.
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, List
 
 import pytest
 
@@ -26,8 +26,8 @@ from repro.baselines.scan import SequentialScan
 from repro.core import QueryEngine, TreePiIndex, treepi
 from repro.core.treepi import QueryPlan
 from repro.datasets import extract_query_workload, generate_aids_like
+from repro.core.lattice import FeatureLattice
 from repro.graphs import LabeledGraph
-from repro.trees.canonical import SubsetCanonicalizer
 
 from tests.differential.test_answer_sets import (
     CHEMICAL_SEEDS,
@@ -43,6 +43,26 @@ def _candidates(plan: QueryPlan) -> FrozenSet[int]:
     if plan.result is not None:
         return plan.result.matches
     return frozenset(plan.survivors)
+
+
+def record_visits(monkeypatch, lattice: FeatureLattice) -> List[int]:
+    """Sizes of the edge subsets the planner visits through ``lattice``.
+
+    Every visit, level 1 included, looks its step up in the grow memo
+    exactly once, hit or miss, so a copy of the memo that records its
+    lookups counts visits however warm the memo is.  A step's child has
+    as many edges as its parent has vertices, one ``(`` token each (the
+    corpora's labels hold no parentheses).
+    """
+    sizes: List[int] = []
+
+    class RecordingMemo(dict):
+        def get(self, step, default=None):
+            sizes.append(step[0].count("("))
+            return super().get(step, default)
+
+    monkeypatch.setattr(lattice, "memo", RecordingMemo(lattice.memo))
+    return sizes
 
 
 def assert_serving_filter_sound(index, db, queries):
@@ -89,15 +109,8 @@ def test_clique_stops_at_the_subset_cap(monkeypatch):
     clique = LabeledGraph(
         ["C"] * 8, [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
     )
-    calls = []
-    original = SubsetCanonicalizer.form
-
-    def counting(self, edges):
-        calls.append(len(edges))
-        return original(self, edges)
-
-    monkeypatch.setattr(SubsetCanonicalizer, "form", counting)
+    sizes = record_visits(monkeypatch, index.lattice)
     result = index.query(clique)
     assert result.complete
     assert result.matches == SequentialScan(db).support_set(clique)
-    assert len(calls) == treepi.SUBSETS_PER_EDGE * clique.num_edges
+    assert len(sizes) == treepi.SUBSETS_PER_EDGE * clique.num_edges

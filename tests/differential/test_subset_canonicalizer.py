@@ -8,8 +8,9 @@ and of up to 6 edges of seeded 16-edge extractions (the serving
 workload's query size), ``form(edges)`` must equal
 ``tree_canonical_form`` of the subgraph the edges induce, with the
 center mapped back to query ids, and be ``None`` exactly when the
-subset closes a cycle.  The answer must not depend on the order or
-orientation in which the edges arrive.  Each sweep must meet both
+subset closes a cycle.  Its canonical order must be a pre-order of the
+key, and nothing it returns may depend on the order or orientation in
+which the edges arrive.  Each sweep must meet both
 vertex- and edge-centered trees.
 
 Labels that ``repr`` renders with the characters the encoding itself
@@ -73,16 +74,66 @@ def reference_form(
     return key, tuple(sorted(back[c] for c in center))
 
 
+def assert_canonical_order(
+    graph: LabeledGraph,
+    edges: FrozenSet[Edge],
+    key: str,
+    center: Center,
+    order: Tuple[int, ...],
+) -> None:
+    """``order`` must be a pre-order of ``key`` over the subset's vertices.
+
+    Re-emits the string walking the subset from ``order[0]`` with every
+    vertex's children in ascending ``order`` position (an edge center's
+    other half after the first): the walk must visit the vertices in
+    ``order`` and spell ``key``.
+    """
+    position = {vertex: i for i, vertex in enumerate(order)}
+    adjacent: Dict[int, List[int]] = {vertex: [] for vertex in order}
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    walk: List[int] = []
+
+    def emit(vertex: int, parent: Optional[int], incoming: str) -> str:
+        walk.append(vertex)
+        kids = sorted(
+            (w for w in adjacent[vertex] if w != parent), key=position.__getitem__
+        )
+        return (
+            f"({incoming},{graph.vertex_label(vertex)!r}"
+            + "".join(emit(w, vertex, repr(graph.edge_label(vertex, w))) for w in kids)
+            + ")"
+        )
+
+    assert len(order) == len(edges) + 1 == len(position)
+    first = order[0]
+    if len(center) == 1:
+        assert center == (first,)
+        emitted = "V:" + emit(first, None, "#")
+    else:
+        assert first in center
+        second = center[1] if first == center[0] else center[0]
+        emitted = (
+            f"E[{graph.edge_label(first, second)!r}]:"
+            f"{emit(first, second, '#')}|{emit(second, first, '#')}"
+        )
+    assert (emitted, tuple(walk)) == (key, order), sorted(edges)
+
+
 def assert_forms_match(graph: LabeledGraph, max_size: int) -> Counter:
     """Check every connected subset; tally vertex/edge-centered and cyclic."""
     form = SubsetCanonicalizer(graph).form
     kinds: Counter = Counter()
     for subset in connected_subsets(graph, max_size):
         expected = reference_form(graph, subset)
-        assert form(subset) == expected, sorted(subset)
-        # Reversed order, flipped orientation: the same form.
+        got = form(subset)
+        assert (got if got is None else got[:2]) == expected, sorted(subset)
+        if got is not None:
+            assert_canonical_order(graph, subset, *got)
+        # Reversed order, flipped orientation: the same form and order.
         flipped = tuple((v, u) for u, v in sorted(subset, reverse=True))
-        assert form(flipped) == expected, sorted(subset)
+        assert form(flipped) == got, sorted(subset)
         kinds["cyclic" if expected is None else expected[0][0]] += 1
     return kinds
 
