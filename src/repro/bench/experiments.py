@@ -27,21 +27,18 @@ never builds the same index twice.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.gindex import GIndexBaseline, GIndexConfig
 from repro.baselines.scan import SequentialScan
 from repro.bench.harness import Scale, Table
-from repro.core.engine import QueryEngine
 from repro.core.treepi import TreePiConfig, TreePiIndex
 from repro.datasets.chemical import generate_aids_like
 from repro.datasets.queries import QueryWorkload, extract_query_workload
 from repro.datasets.synthetic import synthetic_database
 from repro.graphs.graph import GraphDatabase
 from repro.mining.support import SupportFunction
-from repro.persistence import index_to_json
 
 _DB_CACHE: Dict[Tuple, GraphDatabase] = {}
 _TREEPI_CACHE: Dict[Tuple, TreePiIndex] = {}
@@ -686,75 +683,4 @@ def ablation_partition_restarts(scale: Scale, dataset: str = "chemical") -> Tabl
         ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
         n = max(1, len(workload))
         table.add_row(delta, tpq / n, sfq / n, ms)
-    return table
-
-
-def experiment_parallel_scaling(
-    scale: Scale,
-    workers: Sequence[int] = (1, 2, 4),
-    dataset: str = "chemical",
-) -> Table:
-    """Parallel index construction: build time and output identity vs workers.
-
-    Builds the same database once per worker count (no memoization — each
-    row is a fresh, timed build) and certifies that every build serializes
-    to byte-identical JSON once the two wall-clock timing fields are
-    normalized out.  ``engine_cached_ms`` rides along as the serving-side
-    counterpart: mean latency of replaying the standard workload against a
-    :class:`~repro.core.engine.QueryEngine` whose cache is already warm.
-    """
-    size = scale.query_db_size
-    db = get_database(dataset, size, scale)
-    workload = _workloads(db, scale)[-1]
-    table = Table(
-        title=f"Extension — parallel build scaling ({dataset}, scale={scale.name})",
-        columns=[
-            "workers",
-            "build_seconds",
-            "speedup_vs_1",
-            "byte_identical",
-            "engine_cold_ms",
-            "engine_cached_ms",
-        ],
-        notes=[
-            "byte_identical: serialized index JSON equals the workers=1",
-            "build after normalizing the two timing fields",
-            "(process pools only pay off with >1 physical core)",
-        ],
-    )
-
-    def fingerprint(index: TreePiIndex) -> str:
-        doc = index_to_json(index)
-        doc["stats"]["build_seconds"] = 0.0
-        doc["stats"]["mining"]["elapsed_seconds"] = 0.0
-        return json.dumps(doc, sort_keys=True)
-
-    baseline_seconds: Optional[float] = None
-    baseline_doc: Optional[str] = None
-    for count in workers:
-        config = treepi_config(scale, db_size=size, workers=count)
-        t0 = time.perf_counter()
-        index = TreePiIndex.build(db, config)
-        build_seconds = time.perf_counter() - t0
-        doc = fingerprint(index)
-        if baseline_seconds is None:
-            baseline_seconds = build_seconds
-            baseline_doc = doc
-        engine = QueryEngine(index, cache_size=4 * max(1, len(workload)))
-        t0 = time.perf_counter()
-        for query in workload:
-            engine.query(query)
-        cold_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
-        t0 = time.perf_counter()
-        for query in workload:
-            engine.query(query)
-        cached_ms = (time.perf_counter() - t0) * 1000 / max(1, len(workload))
-        table.add_row(
-            count,
-            build_seconds,
-            baseline_seconds / max(build_seconds, 1e-9),
-            int(doc == baseline_doc),
-            cold_ms,
-            cached_ms,
-        )
     return table

@@ -4,25 +4,23 @@ Commands
 --------
 ``generate``  write a benchmark database (chemical / synthetic) in gSpan
               text format,
-``build``     mine + build a TreePi index over a database file and save it
-              (``--workers N`` parallelizes construction; the saved index
-              is byte-identical for every N),
+``build``     mine + build a TreePi index over a database file and save it,
 ``query``     run query graphs (gSpan file) against a saved index through
               a :class:`repro.core.engine.QueryEngine` (``--cache-size``
-              memoizes isomorphic queries, ``--workers`` parallelizes
-              candidate verification, ``--deadline-ms``/``--verify-budget``
-              bound each query and degrade gracefully on expiry),
+              memoizes isomorphic queries, ``--deadline-ms``/
+              ``--verify-budget`` bound each query and degrade gracefully
+              on expiry),
 ``info``      summarize a saved index,
 ``bench``     run one of the paper-figure experiments and print its table.
 
 Example session::
 
     python -m repro generate --kind chemical --count 100 --out db.txt
-    python -m repro build --database db.txt --out index.json --eta 5 --workers 4
+    python -m repro build --database db.txt --out index.json --eta 5
     python -m repro generate --kind queries --database db.txt \\
         --edges 6 --count 10 --out queries.txt
     python -m repro query --index index.json --queries queries.txt \\
-        --stats --cache-size 64 --workers 4
+        --stats --cache-size 64
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         support=SupportFunction(args.alpha, args.beta, args.eta),
         gamma=args.gamma,
         seed=args.seed,
-        workers=args.workers,
     )
     start = time.perf_counter()
     index = TreePiIndex.build(database, config)
@@ -114,9 +111,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     index = load_index(args.index)
-    engine = QueryEngine(
-        index, cache_size=args.cache_size, verify_workers=args.workers
-    )
+    engine = QueryEngine(index, cache_size=args.cache_size)
     queries = load_database(args.queries)
     total = 0.0
     degraded = 0
@@ -326,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", required=True, help="output index JSON")
     _add_sigma_arguments(build)
     build.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for parallel construction "
-             "(the saved index is identical for every value)",
-    )
-    build.add_argument(
         "--mmap", action="store_true",
         help="save as a memory-mapped segment directory (format v3): "
              "--out becomes a directory, loads are O(manifest) cold and "
@@ -347,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--cache-size", type=int, default=128,
         help="LRU result-cache capacity (0 disables caching)",
-    )
-    query.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool width for candidate verification",
     )
     query.add_argument(
         "--deadline-ms", type=float, default=None,

@@ -100,8 +100,10 @@ class CancellationToken:
     """Shared cancellation state for one budgeted call, safe across threads.
 
     One token is created per ``query()``/``query_batch()`` call and
-    handed to every pipeline stage — including verification workers on
-    the engine's thread pool, so the state is cross-thread by design:
+    handed to every pipeline stage.  The engine runs those stages on the
+    caller's thread, but another thread may :meth:`cancel` the token or
+    read :attr:`expired` while the call runs, so the state is
+    cross-thread by design:
 
     * ``_deadline`` / ``_verify_cap`` are immutable after construction;
     * ``_expired`` is a :class:`threading.Event` (its own internal lock);

@@ -19,12 +19,13 @@ serving layer:
   invalidates the whole cache; a generation counter guarantees a result
   computed against the pre-mutation index can never be stored afterwards.
 * **Concurrency.**  A readers-writer lock lets any number of queries run
-  simultaneously while maintenance gets exclusive access.  Verification
-  of independent candidates — the pipeline's dominant cost on non-trivial
-  queries — fans out over a thread pool when ``verify_workers > 1``.
+  simultaneously while maintenance gets exclusive access.  The engine
+  starts no threads of its own: each caller verifies its candidates
+  inline (a thread pool over pure-Python matching lost to one thread
+  under the GIL).
 * **Batching.**  :meth:`query_batch` deduplicates isomorphic queries up
-  front (same key, then confirmed) and verifies the candidates of *all*
-  member queries on one pool.
+  front (same key, then confirmed) and runs each distinct member's
+  pipeline once.
 * **Observability.**  Per-stage counters (:class:`EngineStats`) are kept
   under the engine lock and surfaced through the wrapped index's
   :class:`~repro.core.statistics.IndexStats` as ``stats.engine``.
@@ -50,9 +51,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flow import hot_path
@@ -146,16 +146,13 @@ class ReadWriteLock:
 class _PlanOutcome:
     """Per-plan verification attribution (one plan's own work, no sharing).
 
-    ``elapsed`` is the sum of the plan's own task durations — on a pooled
-    batch that is the plan's *attributed* verification cost, independent
-    of how many other plans shared the pool (the pre-fix code charged
-    every plan the batch-wide wall time and one shared counter record).
+    ``elapsed`` times the plan's own candidates only, so a batch member
+    reports what a run of that plan alone would.
     """
 
-    matches: FrozenSet[int] = frozenset()
-    elapsed: float = 0.0
-    matched: Set[int] = field(default_factory=set)
-    unresolved: List[int] = field(default_factory=list)
+    matches: FrozenSet[int]
+    elapsed: float
+    unresolved: List[int]
 
 
 class _CacheEntry:
@@ -280,8 +277,8 @@ class QueryEngine:
         Maximum number of distinct (up to isomorphism) query results kept;
         ``0`` disables caching.
     verify_workers:
-        Thread-pool width for candidate verification.  ``1`` verifies
-        inline; answers are identical either way.
+        Retired; to be deleted once no caller passes it.  Only ``1`` is
+        accepted, and it changes nothing: candidates are verified inline.
     """
 
     def __init__(
@@ -292,12 +289,12 @@ class QueryEngine:
     ) -> None:
         if cache_size < 0:
             raise IndexError_(f"cache_size must be >= 0, got {cache_size}")
-        if verify_workers < 1:
+        if verify_workers != 1:
             raise IndexError_(
-                f"verify_workers must be >= 1, got {verify_workers}"
+                "verify_workers must be 1: the verification pool was removed, "
+                f"got {verify_workers}"
             )
         self._index = index
-        self._verify_workers = verify_workers
         # Lock order is _rw -> _mutex (never the reverse); the guards
         # tracker verifies that discipline under REPRO_CONTRACTS=1.
         self._rw = ReadWriteLock("QueryEngine._rw")
@@ -398,9 +395,8 @@ class QueryEngine:
         """Answer many queries at once.
 
         Isomorphic duplicates (same cache key, then confirmed exactly)
-        are computed once; the verification work of every distinct
-        uncached query is flattened into independent (query, candidate)
-        tasks and run on a single thread pool.
+        are computed once; every distinct uncached query runs its own
+        pipeline, and its result carries only its own verification work.
 
         ``budget`` bounds the *call*, keying and confirmation included:
         the whole batch shares one deadline clock and one work cap.
@@ -486,13 +482,12 @@ class QueryEngine:
     def rebuild(self) -> None:
         """Reconstruct the index from the current database state in place.
 
-        The expensive build (mining + feature materialization, possibly a
-        process pool) runs under the *read* lock, concurrently with
-        queries — holding the writer lock across it would stall every
-        reader for the whole build (REPRO202).  The writer lock is taken
-        only for the swap; if maintenance raced the build (generation
-        moved), the stale build is discarded and retried against the new
-        database state.
+        The expensive build (mining + feature materialization) runs under
+        the *read* lock, concurrently with queries — holding the writer
+        lock across it would stall every reader for the whole build
+        (REPRO202).  The writer lock is taken only for the swap; if
+        maintenance raced the build (generation moved), the stale build is
+        discarded and retried against the new database state.
         """
         while True:
             with self._mutex:
@@ -694,12 +689,11 @@ class QueryEngine:
         queries: Sequence[LabeledGraph],
         token: Optional[CancellationToken] = None,
     ) -> List[QueryResult]:
-        """Run pipelines for distinct queries, pooling their verification.
+        """Run pipelines for distinct queries.
 
-        Verification time is attributed *per plan* (the summed durations
-        of its own tasks), so every member's :class:`QueryResult` reports
-        exactly what :meth:`query` would have reported for it alone —
-        pooling changes wall-clock, never attribution.
+        Verification time is attributed *per plan*, so every member's
+        :class:`QueryResult` reports exactly what :meth:`query` would have
+        reported for it alone.
         """
         plans = [self._index.plan(query, token=token) for query in queries]
         open_plans = [plan for plan in plans if plan.result is None]
@@ -737,50 +731,30 @@ class QueryEngine:
     def _verify_plans(
         self, plans: List[QueryPlan], token: Optional[CancellationToken] = None
     ) -> List["_PlanOutcome"]:
-        """Verify the survivors of every plan, fanning out when configured.
+        """Verify the survivors of every plan, one plan after another.
 
-        Tasks are independent ``(plan, candidate)`` pairs; each worker
-        times its own task and the time is added *to the owning plan's
-        outcome*, so each plan's totals match a serial run of that plan
-        regardless of batching or pool width.  A task cut short by the
-        budget (:class:`~repro.exceptions.BudgetExceeded`) marks its
-        candidate unresolved; once the shared token expires, the
-        remaining queued tasks short-circuit at their first checkpoint.
+        Each plan's outcome is timed over its own candidates only.  A
+        candidate cut short by the budget
+        (:class:`~repro.exceptions.BudgetExceeded`) is marked unresolved;
+        once the shared token expires, every later candidate
+        short-circuits at its first checkpoint.
         """
-        tasks: List[Tuple[int, int]] = [
-            (plan_idx, gid)
-            for plan_idx, plan in enumerate(plans)
-            for gid in plan.survivors
-        ]
-
-        def run_one(
-            task: Tuple[int, int]
-        ) -> Tuple[int, int, Optional[bool], float]:
-            plan_idx, gid = task
+        outcomes: List[_PlanOutcome] = []
+        for plan in plans:
             t0 = time.perf_counter()
-            ok: Optional[bool]
-            try:
-                ok = self._index.verify(plans[plan_idx], gid, token=token)
-            except BudgetExceeded:
-                ok = None  # unresolved: neither matched nor rejected
-            return plan_idx, gid, ok, time.perf_counter() - t0
-
-        if self._verify_workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self._verify_workers) as pool:
-                raw = list(pool.map(run_one, tasks))
-        else:
-            raw = [run_one(task) for task in tasks]
-
-        outcomes = [_PlanOutcome() for _ in plans]
-        for plan_idx, gid, ok, seconds in raw:
-            outcome = outcomes[plan_idx]
-            outcome.elapsed += seconds
-            if ok is None:
-                outcome.unresolved.append(gid)
-            elif ok:
-                outcome.matched.add(gid)
-        for outcome in outcomes:
-            outcome.matches = frozenset(outcome.matched)
+            matched: Set[int] = set()
+            unresolved: List[int] = []
+            for gid in plan.survivors:
+                try:
+                    if self._index.verify(plan, gid, token=token):
+                        matched.add(gid)
+                except BudgetExceeded:
+                    unresolved.append(gid)  # neither matched nor rejected
+            outcomes.append(
+                _PlanOutcome(
+                    frozenset(matched), time.perf_counter() - t0, unresolved
+                )
+            )
         return outcomes
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -59,9 +58,8 @@ from repro.graphs.isomorphism import (
     label_pair_refuted,
     subgraph_monomorphisms,
 )
-from repro.mining.patterns import MinedPattern
 from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
-from repro.mining.subtree_miner import FrequentSubtreeMiner, _chunk
+from repro.mining.subtree_miner import FrequentSubtreeMiner
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
 from repro.trees.canonical import (
@@ -242,20 +240,6 @@ def _check_query(query: LabeledGraph) -> None:
         raise GraphError("query graphs must be connected")
 
 
-def _materialize_features(
-    items: List[Tuple[int, MinedPattern]]
-) -> List[FeatureTree]:
-    """Build feature-location tables for a chunk of (id, pattern) pairs.
-
-    A pure function of its input, so chunks can be fanned out over a
-    process pool; feature ids are assigned by the caller in canonical-key
-    order, making the merged list independent of chunking.
-    """
-    return [
-        FeatureTree.from_mined_pattern(fid, pattern) for fid, pattern in items
-    ]
-
-
 @dataclass(frozen=True)
 class TreePiConfig:
     """Build/query knobs (paper defaults in Section 6.1 commentary).
@@ -278,16 +262,10 @@ class TreePiConfig:
       sets are identical either way (every filter is a necessary
       condition — the differential suites pin this); ``False`` restores
       the unfiltered matcher, whose worst-case cost the deadline tests
-      and adversarial benchmarks rely on.  A runtime performance knob
-      like ``workers``: it cannot change what gets built or answered, so
-      it is deliberately excluded from persistence,
-    * ``seed``    — RNG seed for ``query_paper``'s randomized partition,
-    * ``workers`` — process-pool width for index construction.  Mining's
-      per-graph embedding enumeration and the feature-location table
-      build are fanned out and merged in canonical-key order, so the
-      built index (and its serialized JSON) is byte-identical for every
-      value; ``workers`` is a runtime knob, not part of index identity,
-      and is deliberately excluded from persistence.
+      and adversarial benchmarks rely on.  A runtime performance knob:
+      it cannot change what gets built or answered, so it is
+      deliberately excluded from persistence,
+    * ``seed``    — RNG seed for ``query_paper``'s randomized partition.
     """
 
     support: SupportFunction
@@ -297,7 +275,6 @@ class TreePiConfig:
     max_embeddings_per_graph: Optional[int] = None
     matcher_prefilters: bool = True
     seed: int = 2007
-    workers: int = 1
 
 
 @dataclass
@@ -366,14 +343,11 @@ class TreePiIndex:
         """Database preprocessing: mine, shrink, materialize features."""
         if len(database) == 0:
             raise IndexError_("cannot build an index over an empty database")
-        if config.workers < 1:
-            raise IndexError_(f"workers must be >= 1, got {config.workers}")
         start = time.perf_counter()
         miner = FrequentSubtreeMiner(
             database,
             config.support,
             max_embeddings_per_graph=config.max_embeddings_per_graph,
-            workers=config.workers,
         )
         mined = miner.mine()
         shrink = shrink_feature_set(mined.patterns, config.gamma)
@@ -383,19 +357,10 @@ class TreePiIndex:
                 p for p in kept
                 if all(p.graph.degree(v) <= 2 for v in p.graph.vertices())
             ]
-        enumerated = list(enumerate(kept))
-        if config.workers > 1 and len(enumerated) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                parts = list(
-                    pool.map(
-                        _materialize_features,
-                        _chunk(enumerated, config.workers),
-                    )
-                )
-            features = [f for part in parts for f in part]
-            features.sort(key=lambda f: f.feature_id)
-        else:
-            features = _materialize_features(enumerated)
+        features = [
+            FeatureTree.from_mined_pattern(fid, pattern)
+            for fid, pattern in enumerate(kept)
+        ]
         by_size: Dict[int, int] = {}
         for f in features:
             by_size[f.size] = by_size.get(f.size, 0) + 1
@@ -498,7 +463,7 @@ class TreePiIndex:
         intersection) the plan carries a final ``result`` and an empty
         survivor list, otherwise the survivors still need :meth:`verify`.
         This staged form is what :class:`repro.core.engine.QueryEngine`
-        uses to parallelize verification across candidates.
+        uses to time and budget verification per plan.
 
         SF_q is every indexed subtree of the query up to η edges, found
         level by level (:func:`_subtree_levels`); after each level the

@@ -51,12 +51,6 @@ class VerificationStats:
     piece_embeddings_enumerated: int = 0  # anchored embeddings expanded
     memo_hits: int = 0
 
-    def merge(self, other: "VerificationStats") -> None:
-        """Fold another counter set into this one (parallel verification)."""
-        self.assignments_tried += other.assignments_tried
-        self.piece_embeddings_enumerated += other.piece_embeddings_enumerated
-        self.memo_hits += other.memo_hits
-
 
 def _anchor_seeds(piece_center: Center, assigned: Center) -> List[Dict[int, int]]:
     """Seed mappings pinning the piece's center onto the assigned location.

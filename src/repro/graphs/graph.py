@@ -106,27 +106,13 @@ class LabeledGraph:
         never removed in place; database-level removal discards the
         whole graph object).  Derived state only: it is never persisted
         (v1/v2/v3 loaders reconstruct graphs from columns, so a loaded
-        graph rebuilds its index lazily) and never pickled (see
-        ``__getstate__``).
+        graph rebuilds its index lazily).
         """
         if self._matcher_cache is None:
             from repro.graphs.matcher_index import MatcherIndex
 
             self._matcher_cache = MatcherIndex(self)
         return self._matcher_cache
-
-    # ------------------------------------------------------------------
-    # pickling (process-pool builds ship graphs to workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Tuple:
-        # The matcher cache is derived state — cheap to rebuild and big
-        # enough (parity matrices) that shipping it to pool workers would
-        # only slow the byte-identical parallel build down.
-        return (self._vlabels, self._adj, self._num_edges, self.graph_id)
-
-    def __setstate__(self, state: Tuple) -> None:
-        self._vlabels, self._adj, self._num_edges, self.graph_id = state
-        self._matcher_cache = None
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < len(self._vlabels):

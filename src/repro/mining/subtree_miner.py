@@ -18,26 +18,23 @@ the memory pressure Section 4.1 discusses.  With a cap the mine becomes
 approximate (a graph whose retained embeddings all miss an extension can
 be undercounted at the next level); the default is exact.
 
-Each level is split into two phases so the expensive part parallelizes:
+Each level runs in two phases:
 
-1. **Site enumeration** (:func:`_extension_sites_chunk`) walks the stored
+1. **Site enumeration** (:func:`_extension_sites`) walks the stored
    embeddings of one database graph and records, per pattern, every
    one-edge extension *descriptor* together with the raw extended
-   embeddings.  This is a pure function of ``(graph, embeddings)`` — with
-   ``workers > 1`` chunks of graphs are fanned out over a
-   :class:`~concurrent.futures.ProcessPoolExecutor`.
+   embeddings.
 2. **Deterministic merge** (:meth:`FrequentSubtreeMiner._merge_level`)
    folds the per-graph sites into candidate patterns in sorted
    (pattern-key, descriptor, graph-id, embedding) order.  Representatives
    and embedding translations are a function of that canonical order, not
    of discovery order, so the mined result — and everything downstream,
-   feature ids included — is identical for every worker count.
+   feature ids included — does not depend on hash seeds or dict order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
@@ -88,19 +85,6 @@ def _single_edge_sites(graph: LabeledGraph) -> SingleEdgeSites:
     return sites
 
 
-def _single_edges_chunk(
-    graphs: List[LabeledGraph],
-) -> List[Tuple[int, SingleEdgeSites]]:
-    """Phase 1 of level 1 for a chunk of graphs (process-pool task)."""
-    out: List[Tuple[int, SingleEdgeSites]] = []
-    for graph in graphs:
-        gid = graph.graph_id
-        if gid is None:
-            raise ValueError("database graphs must carry a graph_id")
-        out.append((gid, _single_edge_sites(graph)))
-    return out
-
-
 def _extension_sites(
     graph: LabeledGraph, embeddings_by_key: Dict[str, List[Embedding]]
 ) -> ExtensionSites:
@@ -117,33 +101,6 @@ def _extension_sites(
                     descriptor: Descriptor = (pv, elabel, graph.vertex_label(w))
                     per_descriptor.setdefault(descriptor, set()).add(emb + (w,))
     return sites
-
-
-def _extension_sites_chunk(
-    items: List[Tuple[LabeledGraph, Dict[str, List[Embedding]]]],
-) -> List[Tuple[int, ExtensionSites]]:
-    """Phase 1 of one extension level for a chunk of graphs (pool task)."""
-    out: List[Tuple[int, ExtensionSites]] = []
-    for graph, embeddings_by_key in items:
-        gid = graph.graph_id
-        if gid is None:
-            raise ValueError("database graphs must carry a graph_id")
-        out.append((gid, _extension_sites(graph, embeddings_by_key)))
-    return out
-
-
-def _chunk(items: List, chunks: int) -> List[List]:
-    """Split ``items`` into at most ``chunks`` contiguous, balanced runs."""
-    n = len(items)
-    chunks = max(1, min(chunks, n))
-    size, extra = divmod(n, chunks)
-    out: List[List] = []
-    start = 0
-    for i in range(chunks):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
 
 
 @dataclass
@@ -210,10 +167,6 @@ class FrequentSubtreeMiner:
     max_embeddings_per_graph:
         Optional cap on stored embeddings per (pattern, graph); ``None``
         (default) keeps mining exact.
-    workers:
-        Process-pool width for the per-graph embedding enumeration.  The
-        merge order is canonical, so the mined patterns — embeddings,
-        supports, representatives — are identical for every value.
     """
 
     def __init__(
@@ -221,14 +174,10 @@ class FrequentSubtreeMiner:
         database: GraphDatabase,
         support: SupportFunction,
         max_embeddings_per_graph: Optional[int] = None,
-        workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self._db = database
         self._support = support
         self._cap = max_embeddings_per_graph
-        self._workers = workers
 
     # ------------------------------------------------------------------
     def mine(self) -> MiningResult:
@@ -236,65 +185,41 @@ class FrequentSubtreeMiner:
         start = time.perf_counter()
         stats = MiningStats()
 
-        pool: Optional[ProcessPoolExecutor] = None
-        if self._workers > 1 and len(self._db) > 1:
-            pool = ProcessPoolExecutor(max_workers=self._workers)
-        try:
-            current = self._mine_single_edges(pool)
-            threshold = self._support(1)
-            # Canonical-key order throughout: every level's pattern dict is
-            # sorted, so feature ids and reports never depend on discovery
-            # order.
-            current = {
-                k: p for k, p in sorted(current.items()) if p.support >= threshold
-            }
-            all_frequent: Dict[str, MinedPattern] = dict(current)
-            stats.patterns_per_level[1] = len(current)
+        current = self._mine_single_edges()
+        threshold = self._support(1)
+        # Canonical-key order throughout: every level's pattern dict is
+        # sorted, so feature ids and reports never depend on discovery
+        # order.
+        current = {
+            k: p for k, p in sorted(current.items()) if p.support >= threshold
+        }
+        all_frequent: Dict[str, MinedPattern] = dict(current)
+        stats.patterns_per_level[1] = len(current)
 
-            size = 1
-            while current and size < self._support.max_size:
-                size += 1
-                threshold = self._support(size)
-                candidates = self._extend_level(current, pool)
-                stats.candidates_per_level[size] = len(candidates)
-                current = {
-                    key: pat
-                    for key, pat in sorted(candidates.items())
-                    if pat.support >= threshold
-                }
-                stats.patterns_per_level[size] = len(current)
-                all_frequent.update(current)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        size = 1
+        while current and size < self._support.max_size:
+            size += 1
+            threshold = self._support(size)
+            candidates = self._extend_level(current)
+            stats.candidates_per_level[size] = len(candidates)
+            current = {
+                key: pat
+                for key, pat in sorted(candidates.items())
+                if pat.support >= threshold
+            }
+            stats.patterns_per_level[size] = len(current)
+            all_frequent.update(current)
 
         stats.elapsed_seconds = time.perf_counter() - start
         return MiningResult(patterns=all_frequent, stats=stats)
 
     # ------------------------------------------------------------------
-    def _graphs_sorted(self) -> List[LabeledGraph]:
-        return [self._db[gid] for gid in self._db.graph_ids()]
-
-    def _mine_single_edges(
-        self, pool: Optional[ProcessPoolExecutor]
-    ) -> Dict[str, MinedPattern]:
+    def _mine_single_edges(self) -> Dict[str, MinedPattern]:
         """Level 1: every distinct labeled edge, with all its occurrences."""
-        chunks = _chunk(self._graphs_sorted(), self._workers)
-        if pool is None:
-            chunk_results = [_single_edges_chunk(c) for c in chunks]
-        else:
-            chunk_results = list(pool.map(_single_edges_chunk, chunks))
-
-        sites_by_gid: Dict[int, SingleEdgeSites] = {}
-        for chunk_result in chunk_results:
-            for gid, sites in chunk_result:
-                sites_by_gid[gid] = sites
-
         patterns: Dict[str, MinedPattern] = {}
-        for gid in sorted(sites_by_gid):
-            for key, (labels, elabel, embeddings) in sorted(
-                sites_by_gid[gid].items()
-            ):
+        for gid in self._db.graph_ids():
+            sites = _single_edge_sites(self._db[gid])
+            for key, (labels, elabel, embeddings) in sorted(sites.items()):
                 pattern = patterns.get(key)
                 if pattern is None:
                     # The representative is derived from the labels alone,
@@ -315,35 +240,21 @@ class FrequentSubtreeMiner:
 
     # ------------------------------------------------------------------
     def _extend_level(
-        self,
-        current: Dict[str, MinedPattern],
-        pool: Optional[ProcessPoolExecutor],
+        self, current: Dict[str, MinedPattern]
     ) -> Dict[str, MinedPattern]:
         """Grow every pattern of the current level by one edge."""
-        # Phase 1: per-graph extension sites, optionally fanned out.
-        work: List[Tuple[LabeledGraph, Dict[str, List[Embedding]]]] = []
-        for graph in self._graphs_sorted():
-            gid = graph.graph_id
+        # Phase 1: per-graph extension sites.
+        sites_by_gid: Dict[int, ExtensionSites] = {}
+        for gid in self._db.graph_ids():
             embeddings_by_key: Dict[str, List[Embedding]] = {}
             for key, pattern in sorted(current.items()):
                 bucket = pattern.embeddings.get(gid)
                 if bucket:
                     embeddings_by_key[key] = sorted(bucket)
             if embeddings_by_key:
-                work.append((graph, embeddings_by_key))
+                sites_by_gid[gid] = _extension_sites(self._db[gid], embeddings_by_key)
 
-        chunks = _chunk(work, self._workers)
-        if pool is None:
-            chunk_results = [_extension_sites_chunk(c) for c in chunks]
-        else:
-            chunk_results = list(pool.map(_extension_sites_chunk, chunks))
-
-        sites_by_gid: Dict[int, ExtensionSites] = {}
-        for chunk_result in chunk_results:
-            for gid, sites in chunk_result:
-                sites_by_gid[gid] = sites
-
-        # Phase 2: canonical-order merge (independent of worker count).
+        # Phase 2: canonical-order merge.
         return self._merge_level(current, sites_by_gid)
 
     def _merge_level(

@@ -115,10 +115,8 @@ def graph_from_json(data: Dict[str, Any], graph_id: Optional[int] = None) -> Lab
 # config / stats
 # ----------------------------------------------------------------------
 def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
-    # ``workers`` is deliberately absent: it is a runtime knob that cannot
-    # change what gets built (the parallel build merges in canonical-key
-    # order), and serializing it would break the guarantee that indexes
-    # built with any worker count are byte-identical on disk.
+    # ``matcher_prefilters`` is deliberately absent: it is a runtime knob
+    # that changes neither what gets built nor what gets answered.
     return {
         "alpha": config.support.alpha,
         "beta": config.support.beta,

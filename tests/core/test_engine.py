@@ -143,9 +143,12 @@ def test_rejects_negative_cache_size(engine):
         QueryEngine(engine.index, cache_size=-1)
 
 
-def test_rejects_zero_verify_workers(engine):
-    with pytest.raises(IndexError_):
-        QueryEngine(engine.index, verify_workers=0)
+def test_verify_workers_is_retired(engine, queries):
+    for width in (0, 2):
+        with pytest.raises(IndexError_, match="verification pool was removed"):
+            QueryEngine(engine.index, verify_workers=width)
+    serial = QueryEngine(engine.index, cache_size=0, verify_workers=1)
+    assert serial.query(queries[0]).matches == engine.query(queries[0]).matches
 
 
 # ----------------------------------------------------------------------
@@ -228,13 +231,6 @@ def test_zero_cache_size_skips_the_cache_key(queries, monkeypatch):
 def test_results_match_raw_index(engine, queries):
     for q in queries:
         assert engine.query(q).matches == engine.index.query(q).matches
-
-
-def test_verify_workers_do_not_change_answers(db, queries):
-    serial = QueryEngine(build_index(db), cache_size=0, verify_workers=1)
-    pooled = QueryEngine(build_index(db), cache_size=0, verify_workers=4)
-    for q in queries:
-        assert serial.query(q).matches == pooled.query(q).matches
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +318,7 @@ def test_batch_serves_cached_entries(engine, queries):
 
 
 def test_batch_matches_sequential_answers(db, queries):
-    batch_engine = QueryEngine(build_index(db), cache_size=0, verify_workers=2)
+    batch_engine = QueryEngine(build_index(db), cache_size=0)
     batched = batch_engine.query_batch(queries)
     for q, result in zip(queries, batched):
         assert result.matches == batch_engine.index.query(q).matches

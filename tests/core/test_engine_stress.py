@@ -47,7 +47,7 @@ def build_engine():
     )
     pool = list(extract_query_workload(db, 3, 4, seed=6))
     pool += list(extract_query_workload(db, 5, 4, seed=7))
-    return QueryEngine(index, cache_size=16, verify_workers=2), pool
+    return QueryEngine(index, cache_size=16), pool
 
 
 @pytest.mark.slow

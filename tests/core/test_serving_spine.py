@@ -58,9 +58,8 @@ def test_index_query(corpus):
     assert [index.query(q).matches for q in queries] == truth
 
 
-@pytest.mark.parametrize("verify_workers", [1, 3])
-def test_engine_query_and_batch(corpus, verify_workers):
+def test_engine_query_and_batch(corpus):
     index, queries, truth = corpus
-    engine = QueryEngine(index, cache_size=0, verify_workers=verify_workers)
+    engine = QueryEngine(index, cache_size=0)
     assert [engine.query(q).matches for q in queries] == truth
     assert [r.matches for r in engine.query_batch(queries)] == truth

@@ -33,12 +33,11 @@ def corpus():
     return db, queries
 
 
-def build_engine(db, **kwargs):
-    kwargs.setdefault("cache_size", 0)  # isolate pipelines from caching
+def build_engine(db):
     index = TreePiIndex.build(
         db, TreePiConfig(SupportFunction(2, 2.0, 5), seed=5)
     )
-    return QueryEngine(index, **kwargs)
+    return QueryEngine(index, cache_size=0)  # isolate pipelines from caching
 
 
 def assert_same_stats(single, batched):
@@ -75,14 +74,6 @@ class TestSingletonBatchEquivalence:
         db, queries = corpus
         singles = build_engine(db)
         batches = build_engine(db)
-        batch_results = batches.query_batch(queries)
-        for query, batched in zip(queries, batch_results):
-            assert_same_stats(singles.query(query), batched)
-
-    def test_pooled_batch_members_equal_serial_singletons(self, corpus):
-        db, queries = corpus
-        singles = build_engine(db)
-        batches = build_engine(db, verify_workers=4)
         batch_results = batches.query_batch(queries)
         for query, batched in zip(queries, batch_results):
             assert_same_stats(singles.query(query), batched)

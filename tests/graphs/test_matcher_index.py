@@ -3,13 +3,11 @@
 Covers the three invariants of :class:`repro.graphs.matcher_index.
 MatcherIndex` — label-pair counts, neighboring-label signatures, and
 walk-parity distance matrices — plus the cache lifecycle on
-:class:`~repro.graphs.graph.LabeledGraph`: lazy build, mutation
-invalidation, and exclusion from pickles.
+:class:`~repro.graphs.graph.LabeledGraph`: lazy build and mutation
+invalidation.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -181,16 +179,6 @@ class TestCacheLifecycle:
         before = triangle.matcher_index()
         triangle.add_vertex("O")
         assert triangle.matcher_index() is not before
-
-    def test_pickle_excludes_cache_and_rebuilds(self, triangle):
-        built = triangle.matcher_index()
-        clone = pickle.loads(pickle.dumps(triangle))
-        assert clone._matcher_cache is None
-        rebuilt = clone.matcher_index()
-        assert rebuilt is not built
-        assert rebuilt.pair_counts == built.pair_counts
-        assert rebuilt.nbr_vsig == built.nbr_vsig
-        assert rebuilt.nbr_esig == built.nbr_esig
 
     def test_direct_construction_matches_cached(self, triangle):
         direct = MatcherIndex(triangle)

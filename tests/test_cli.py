@@ -241,3 +241,17 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "--figure", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--database", "db.txt", "--out", "index.json"],
+            ["query", "--index", "index.json", "--queries", "q.txt"],
+        ],
+        ids=["build", "query"],
+    )
+    def test_workers_flag_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

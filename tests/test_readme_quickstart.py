@@ -27,29 +27,6 @@ def test_readme_quickstart():
     assert engine.stats.cache_hits == 1
 
 
-def test_readme_parallel_build_claim():
-    """`workers` must not change the built index (README's byte-identity line)."""
-    import json
-
-    from repro.persistence import index_to_json
-
-    g0 = LabeledGraph(["C", "C", "O"], [(0, 1, 1), (1, 2, 2)])
-    g1 = LabeledGraph(["C", "C", "N"], [(0, 1, 1), (1, 2, 1)])
-    database = GraphDatabase([g0, g1])
-    docs = []
-    for workers in (1, 2):
-        config = TreePiConfig(
-            support=SupportFunction(alpha=2, beta=2.0, eta=4),
-            gamma=1.2,
-            workers=workers,
-        )
-        doc = index_to_json(TreePiIndex.build(database, config))
-        doc["stats"]["build_seconds"] = 0.0
-        doc["stats"]["mining"]["elapsed_seconds"] = 0.0
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
-
-
 def test_readme_architecture_paths_exist():
     import pathlib
 
