@@ -14,12 +14,13 @@ This package enforces those properties two ways:
 
 1. :mod:`repro.analysis.rules` + :mod:`repro.analysis.engine` — an
    AST-based lint framework with repo-specific rules (determinism, RNG
-   hygiene, API hygiene, REPRO2xx concurrency safety, and the REPRO3xx
+   hygiene, API hygiene, REPRO2xx concurrency safety, the REPRO3xx
    hot-path/budget family built on the :mod:`repro.analysis.flow`
-   interprocedural model), runnable as
-   ``python -m repro.analysis lint src/``.  Violations can be suppressed
-   per line with ``# noqa: REPRO1xx``, or wholesale via a committed
-   baseline file (:mod:`repro.analysis.baseline`).
+   interprocedural model, and the REPRO4xx exception-flow soundness
+   family built on the :mod:`repro.analysis.program` project model),
+   runnable as ``python -m repro.analysis lint src/``.  Violations can
+   be suppressed per line with ``# noqa: REPRO1xx``; that is the one
+   suppression path.
 2. :mod:`repro.analysis.contracts` — debug-toggleable runtime assertions
    wired into :mod:`repro.trees`, :mod:`repro.graphs.canonical` and
    :mod:`repro.mining.support` (enable with ``REPRO_CONTRACTS=1`` or
@@ -31,11 +32,6 @@ new violation is either fixed or explicitly justified with a ``noqa``.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.contracts import (
     ContractViolation,
     contract_scope,
@@ -70,7 +66,6 @@ __all__ = [
     "TrackedLock",
     "Violation",
     "all_rules",
-    "apply_baseline",
     "contract_scope",
     "contracts_enabled",
     "disable_contracts",
@@ -81,12 +76,10 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_source_full",
-    "load_baseline",
     "lock_is_held",
     "lock_order_edges",
     "note_acquire",
     "note_release",
     "reset_lock_order",
     "rule_catalog",
-    "write_baseline",
 ]

@@ -18,15 +18,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.contracts import ContractViolation, self_test
 from repro.analysis.engine import PARSE_ERROR_RULE, lint_paths
-from repro.analysis.report import render_json, render_sarif, render_text
+from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import REGISTRY, rule_catalog
 
 
@@ -49,36 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids or family prefixes to skip",
     )
     lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
+        "--format", choices=("text", "json"), default="text", dest="fmt"
     )
     lint.add_argument(
         "--statistics",
         action="store_true",
         help="append a per-rule violation count summary",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract the findings recorded in this committed baseline "
-        "file from the failure set (see docs/ANALYSIS.md)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the --baseline file from the current findings "
-        "and exit 0",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=".repro-lint-cache",
-        help="directory for the incremental lint cache "
-        "(default: %(default)s)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental lint cache (always re-analyze)",
     )
 
     sub.add_parser("rules", help="print the rule catalog")
@@ -110,39 +80,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.update_baseline and not args.baseline:
-            print(
-                "error: --update-baseline requires --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
         try:
-            report = lint_paths(
-                args.paths,
-                select=select,
-                ignore=ignore,
-                cache_dir=None if args.no_cache else args.cache_dir,
-            )
+            report = lint_paths(args.paths, select=select, ignore=ignore)
         except OSError as exc:
             print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
             return 2
-        if args.update_baseline:
-            count = write_baseline(args.baseline, report)
-            print(
-                f"baseline: wrote {count} fingerprint(s) covering "
-                f"{len(report.violations)} finding(s) to {args.baseline}"
-            )
-            return 0
-        if args.baseline:
-            try:
-                apply_baseline(report, load_baseline(args.baseline))
-            except BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
         if args.fmt == "json":
             print(render_json(report))
-        elif args.fmt == "sarif":
-            print(render_sarif(report))
         else:
             print(render_text(report, statistics=args.statistics))
         return 0 if report.ok else 1

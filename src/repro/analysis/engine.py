@@ -23,14 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import repro.analysis.concurrency  # noqa: F401 - registers the REPRO2xx rule family
 import repro.analysis.hotpath  # noqa: F401 - registers the REPRO3xx rule family
 import repro.analysis.soundness  # noqa: F401 - registers the REPRO4xx rule family
-from repro.analysis.cache import (
-    LintCache,
-    entry_key,
-    file_digest,
-    run_fingerprint,
-)
 from repro.analysis.program import ProgramModel, build_program, single_file_program
-from repro.analysis.rules import FileContext, matches_rule_patterns, rules_for
+from repro.analysis.rules import FileContext, rules_for
 from repro.analysis.violations import Violation
 
 _NOQA_RE = re.compile(
@@ -48,25 +42,16 @@ class LintReport:
 
     ``suppressed_violations`` keeps the hits silenced by ``noqa`` so the
     JSON report (a CI artifact) can audit what was waived, not just what
-    failed.  ``baselined_violations`` holds findings subtracted by a
-    committed baseline file (:mod:`repro.analysis.baseline`);
-    ``baseline_applied`` records that a baseline pass ran, so renderers
-    know to include the extra fields.
+    failed.
     """
 
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed_violations: List[Violation] = field(default_factory=list)
-    baselined_violations: List[Violation] = field(default_factory=list)
-    baseline_applied: bool = False
 
     @property
     def suppressed(self) -> int:
         return len(self.suppressed_violations)
-
-    @property
-    def baselined(self) -> int:
-        return len(self.baselined_violations)
 
     @property
     def ok(self) -> bool:
@@ -181,22 +166,6 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return sorted(seen)
 
 
-def _selected(
-    rule_id: str,
-    select: Optional[List[str]],
-    ignore: Optional[List[str]],
-) -> bool:
-    """Mirror of :func:`rules_for`'s select/ignore semantics by rule id
-    (REPRO001 parse errors are always reported, as in lint_source)."""
-    if rule_id == PARSE_ERROR_RULE:
-        return True
-    if select is not None and not matches_rule_patterns(rule_id, select):
-        return False
-    if ignore and matches_rule_patterns(rule_id, ignore):
-        return False
-    return True
-
-
 def _parse_or_none(source: str) -> Optional[ast.Module]:
     try:
         return ast.parse(source)
@@ -208,19 +177,12 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and aggregate a report.
 
     Every file is parsed once; the shared trees feed one project model
     (:mod:`repro.analysis.program`) so cross-module rules resolve real
-    call targets.  Each file is linted under every rule, and
-    ``select``/``ignore`` filter the findings afterwards.
-
-    With ``cache_dir`` set, those per-file findings are cached by
-    content hash (see :mod:`repro.analysis.cache`), so one entry serves
-    every family selection.  Without it, every file is a miss and
-    nothing is stored.
+    call targets.
     """
     report = LintReport()
     select = list(select) if select else None
@@ -229,38 +191,15 @@ def lint_paths(
     sources: List[Tuple[str, str]] = [
         (str(f), Path(f).read_text(encoding="utf-8")) for f in files
     ]
-
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-    keys: Dict[str, str] = {}
-    results: Dict[str, Tuple[List[Violation], List[Violation]]] = {}
-    if cache is not None:
-        digests = {path: file_digest(src) for path, src in sources}
-        fingerprint = run_fingerprint(digests.items())
-        for path, _src in sources:
-            keys[path] = entry_key(path, digests[path], fingerprint)
-            hit = cache.load(keys[path])
-            if hit is not None:
-                results[path] = hit
-    missing = [(path, src) for path, src in sources if path not in results]
-    if missing:
-        trees = {path: _parse_or_none(src) for path, src in sources}
-        program = build_program([(path, src, trees[path]) for path, src in sources])
-        for path, src in missing:
-            kept, suppressed = lint_source_full(
-                src, path, tree=trees[path], program=program
-            )
-            if cache is not None:
-                cache.store(keys[path], kept, suppressed)
-            results[path] = (kept, suppressed)
-    for path, _src in sources:
+    trees = {path: _parse_or_none(src) for path, src in sources}
+    program = build_program([(path, src, trees[path]) for path, src in sources])
+    for path, src in sources:
         report.files_checked += 1
-        kept, suppressed = results[path]
-        report.violations.extend(
-            v for v in kept if _selected(v.rule_id, select, ignore)
+        kept, suppressed = lint_source_full(
+            src, path, select=select, ignore=ignore, tree=trees[path], program=program
         )
-        report.suppressed_violations.extend(
-            v for v in suppressed if _selected(v.rule_id, select, ignore)
-        )
+        report.violations.extend(kept)
+        report.suppressed_violations.extend(suppressed)
 
     report.violations.sort()
     report.suppressed_violations.sort()

@@ -3,34 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import List
 
 from repro.analysis.engine import LintReport
-from repro.analysis.violations import Violation
-
-#: SARIF constants for GitHub code scanning uploads.
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _driver_version() -> str:
-    """The installed distribution version, falling back to the package
-    constant for source-tree (PYTHONPATH=src) runs."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - Python < 3.8
-        pass
-    else:
-        try:
-            return version("repro")
-        except PackageNotFoundError:
-            pass
-    import repro
-
-    return getattr(repro, "__version__", "0.0.0")
 
 
 def render_text(report: LintReport, statistics: bool = False) -> str:
@@ -39,22 +14,16 @@ def render_text(report: LintReport, statistics: bool = False) -> str:
     if statistics:
         for rule_id, count in report.counts_by_rule().items():
             lines.append(f"{count:5d}  {rule_id}")
-    baseline_note = (
-        f" ({report.baselined} baselined)" if report.baseline_applied else ""
-    )
     if report.files_checked == 0:
         # An empty input set is not a pass by omission: say so explicitly
         # (and still exit 0 — nothing was checked, nothing failed).
         lines.append("OK: 0 files checked (no Python files found under the given paths)")
     elif report.ok:
-        lines.append(
-            f"OK: {report.files_checked} file(s) checked, "
-            f"0 violations{baseline_note}"
-        )
+        lines.append(f"OK: {report.files_checked} file(s) checked, 0 violations")
     else:
         lines.append(
             f"FAIL: {report.files_checked} file(s) checked, "
-            f"{len(report.violations)} violation(s){baseline_note}"
+            f"{len(report.violations)} violation(s)"
         )
     return "\n".join(lines)
 
@@ -65,10 +34,7 @@ def render_json(report: LintReport) -> str:
     Stable schema: top-level keys are sorted, record lists are ordered by
     (path, line, col, rule) — two runs over the same tree serialize
     byte-identically.  ``suppressed`` lists the hits silenced by ``noqa``
-    so waived findings stay auditable.  The ``baselined`` /
-    ``baselined_count`` keys appear only when a baseline file was
-    applied, keeping the classic schema byte-stable for existing
-    consumers.
+    so waived findings stay auditable.
     """
     payload = {
         "files_checked": report.files_checked,
@@ -77,88 +43,5 @@ def render_json(report: LintReport) -> str:
         "suppressed_count": report.suppressed,
         "counts_by_rule": report.counts_by_rule(),
         "ok": report.ok,
-    }
-    if report.baseline_applied:
-        payload["baselined"] = [
-            v.to_dict() for v in report.baselined_violations
-        ]
-        payload["baselined_count"] = report.baselined
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_result(violation: Violation, suppression: str = "") -> Dict:
-    result: Dict = {
-        "ruleId": violation.rule_id,
-        "level": "error",
-        "message": {"text": violation.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": violation.path.replace("\\", "/"),
-                    },
-                    "region": {
-                        "startLine": max(violation.line, 1),
-                        "startColumn": max(violation.col, 1),
-                    },
-                }
-            }
-        ],
-    }
-    if suppression:
-        result["suppressions"] = [{"kind": suppression}]
-    return result
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 log for GitHub code scanning.
-
-    One run, every registered rule in the driver metadata (so rule help
-    renders even for rules with no findings this run), one result per
-    violation.  ``noqa``-suppressed findings are emitted with an
-    ``inSource`` suppression and baselined findings with an ``external``
-    one — code scanning then shows them as suppressed instead of open.
-    """
-    from repro.analysis.rules import all_rules
-
-    seen_rule_ids = set()
-    rules = []
-    for cls in all_rules():
-        if cls.rule_id in seen_rule_ids:
-            continue
-        seen_rule_ids.add(cls.rule_id)
-        rules.append(
-            {
-                "id": cls.rule_id,
-                "name": cls.name,
-                "shortDescription": {"text": cls.name},
-                "fullDescription": {"text": cls.rationale},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    results = [_sarif_result(v) for v in report.violations]
-    results.extend(
-        _sarif_result(v, suppression="inSource")
-        for v in report.suppressed_violations
-    )
-    results.extend(
-        _sarif_result(v, suppression="external")
-        for v in report.baselined_violations
-    )
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-analysis",
-                        "version": _driver_version(),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

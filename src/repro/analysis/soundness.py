@@ -4,11 +4,10 @@ The query engine's headline contract is the degradation bracket
 ``matches ⊆ exact ⊆ matches ∪ unresolved``: a failed or timed-out
 verification must surface as *unresolved* candidates, never as a
 silently smaller answer.  The flows that can break it — a swallowed
-verify exception, an executor leaked on a raise path, a ``Future``
-joined without a timeout, a ``token=`` dropped at a file boundary —
-span multiple modules, so these rules run on the project model
-(:mod:`repro.analysis.program`); a standalone single-file lint is a
-one-module program.
+verify exception, an executor leaked on a raise path, a ``token=``
+dropped at a file boundary — span multiple modules, so these rules run
+on the project model (:mod:`repro.analysis.program`); a standalone
+single-file lint is a one-module program.
 
 * **REPRO401** — resource leak on exception edges: an executor, file,
   or lock acquired without ``with`` whose release is missing or sits on
@@ -27,9 +26,6 @@ one-module program.
   through cross-file edges, holding an in-scope token, calls a
   token-accepting, looping callee, in its own file or another, without
   forwarding it.
-* **REPRO405** — scatter hygiene on pooled fan-outs: ``Future.result()``
-  with no timeout, or a timeout handler that abandons the future without
-  ``cancel()``.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ __all__ = [
     "ContractSeveredByException",
     "UnsoundFailurePath",
     "CrossModuleTokenDrop",
-    "ScatterHygiene",
 ]
 
 Finding = Tuple[str, ast.AST, str]
@@ -69,7 +64,6 @@ _BROAD_EXCEPTS = frozenset({"Exception", "BaseException", "ReproError"})
 _FAILURE_EXCEPTS = _BROAD_EXCEPTS | frozenset(
     {"TimeoutError", "FuturesTimeout", "BudgetExceeded", "OSError"}
 )
-_TIMEOUT_EXCEPTS = frozenset({"TimeoutError", "FuturesTimeout"})
 _CONTRACT_EXC = "ContractViolation"
 #: Handler statements that count as recording a failure for a later
 #: degraded merge (mirrors REPRO302's conversion logic).
@@ -409,70 +403,6 @@ def _token_drop_findings(
 
 
 # ----------------------------------------------------------------------
-# REPRO405 — scatter hygiene
-# ----------------------------------------------------------------------
-def _result_has_timeout(call: ast.Call) -> bool:
-    for kw in call.keywords:
-        if kw.arg is None:
-            return True
-        if kw.arg == "timeout":
-            return not (
-                isinstance(kw.value, ast.Constant) and kw.value.value is None
-            )
-    if call.args:
-        first = call.args[0]
-        return not (isinstance(first, ast.Constant) and first.value is None)
-    return False
-
-
-def _scatter_findings(fn: FunctionInfo, out: List[Finding]) -> None:
-    has_cancel = any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "cancel"
-        for node, _stack in fn.owned
-    )
-    joins_future = any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "result"
-        and "fut" in ast.unparse(node.func.value).lower()
-        for node, _stack in fn.owned
-    )
-    for node, _stack in fn.owned:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "result"
-            and "fut" in ast.unparse(node.func.value).lower()
-            and not _result_has_timeout(node)
-        ):
-            out.append(
-                (
-                    "REPRO405",
-                    node,
-                    f"Future.result() without a timeout in {fn.qualname} "
-                    "joins a worker unboundedly; a hung worker then stalls "
-                    "the whole gather past its deadline",
-                )
-            )
-        elif isinstance(node, ast.ExceptHandler) and joins_future:
-            # Only meaningful where the function actually joins futures;
-            # a timeout handler around ordinary work is not a scatter.
-            names = _handler_names(node)
-            if any(n in _TIMEOUT_EXCEPTS for n in names) and not has_cancel:
-                out.append(
-                    (
-                        "REPRO405",
-                        node,
-                        f"timeout handler in {fn.qualname} abandons the "
-                        "timed-out future without cancel(); queued work "
-                        "keeps a pool thread busy after the deadline",
-                    )
-                )
-
-
-# ----------------------------------------------------------------------
 # shared per-program computation, cached on the model and the context
 # ----------------------------------------------------------------------
 def _program_findings(program: ProgramModel) -> Dict[str, List[Finding]]:
@@ -486,7 +416,6 @@ def _program_findings(program: ProgramModel) -> Dict[str, List[Finding]]:
         _contract_findings(program, info, fn, out)
         if info.module_path.startswith(_SPINE_PREFIXES):
             _unsound_findings(program, info, fn, out)
-            _scatter_findings(fn, out)
         _token_drop_findings(program, info, fn, out)
     setattr(program, "_repro4_table", table)
     return table
@@ -568,18 +497,4 @@ class CrossModuleTokenDrop(_SoundnessRule):
         "token= they drop, at a module boundary or into a callee in their "
         "own file, makes every loop below it uncancellable — invisible to "
         "the in-file hot set REPRO301 judges."
-    )
-
-
-@register
-class ScatterHygiene(_SoundnessRule):
-    """REPRO405: unbounded Future joins / abandoned futures."""
-
-    rule_id = "REPRO405"
-    name = "scatter-hygiene"
-    rationale = (
-        "A pooled fan-out must never block past its deadline: every "
-        "Future.result() needs a timeout, and a timed-out future must "
-        "be cancelled so queued work stops consuming pool threads "
-        "after the answer has already degraded."
     )

@@ -8,8 +8,13 @@ determinism rules.
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from repro.analysis import lint_source
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 PATH = "src/repro/core/fixture.py"
 
 
@@ -525,3 +530,76 @@ def helper(engine):
     return engine._count
 """
     assert rule_ids(src) == []
+
+
+# ----------------------------------------------------------------------
+# the real serving engine: one seeded bug per rule
+# ----------------------------------------------------------------------
+ENGINE = REPO_ROOT / "src" / "repro" / "core" / "engine.py"
+
+#: (rule id, original text, mutated text) — each a one-line bug the
+#: runtime engine suites do not catch, so the static rule is the guard.
+ENGINE_MUTATIONS = [
+    pytest.param(
+        "REPRO201",
+        '        """Number of answers currently cached."""\n'
+        "        with self._mutex:\n"
+        "            return len(self._cache)\n",
+        '        """Number of answers currently cached."""\n'
+        "        return len(self._cache)\n",
+        id="cached_results-without-mutex",
+    ),
+    pytest.param(
+        "REPRO201",
+        "    def _count_pipeline(self, plan: QueryPlan) -> None:\n"
+        "        with self._mutex:\n"
+        "            self._counters.candidates_filtered += plan.candidates_after_filter\n"
+        "            self._counters.verifications_run += len(plan.survivors)\n",
+        "    def _count_pipeline(self, plan: QueryPlan) -> None:\n"
+        "        self._counters.candidates_filtered += plan.candidates_after_filter\n"
+        "        self._counters.verifications_run += len(plan.survivors)\n",
+        id="count_pipeline-without-mutex",
+    ),
+    pytest.param(
+        "REPRO202",
+        "            with self._rw.read_locked():\n"
+        "                rebuilt = self._index.rebuild()\n",
+        "            with self._rw.write_locked():\n"
+        "                rebuilt = self._index.rebuild()\n",
+        id="rebuild-under-writer-lock",
+    ),
+    pytest.param(
+        "REPRO203",
+        "            return self._counters.snapshot()\n",
+        "            return self._counters\n",
+        id="stats-returns-live-counters",
+    ),
+    pytest.param(
+        "REPRO204",
+        "        with self._mutex:\n"
+        "            if self._generation != generation:\n"
+        "                return\n"
+        "            if any(entry not in checked",
+        "        with self._mutex:\n"
+        "            if any(entry not in checked",
+        id="cache_store-without-generation-check",
+    ),
+]
+
+
+def _engine_rule_ids(source: str):
+    found = lint_source(source, "src/repro/core/engine.py", select=("REPRO2",))
+    return {v.rule_id for v in found}
+
+
+def test_real_engine_is_clean_under_repro2():
+    assert _engine_rule_ids(ENGINE.read_text(encoding="utf-8")) == set()
+
+
+@pytest.mark.parametrize("rule_id, original, mutated", ENGINE_MUTATIONS)
+def test_seeded_engine_bug_is_reported_by_its_rule(rule_id, original, mutated):
+    """A refactor that moves the guarded code fails the exact-match
+    assertion; one that blinds the rule to this class fails the lint."""
+    source = ENGINE.read_text(encoding="utf-8")
+    assert source.count(original) == 1, "mutation site moved; update the fixture"
+    assert _engine_rule_ids(source.replace(original, mutated)) == {rule_id}

@@ -78,6 +78,26 @@ def test_lint_paths_walks_directories(tmp_path):
     assert report.counts_by_rule() == {"REPRO111": 1}
 
 
+def test_lint_paths_select_and_ignore_filter_kept_and_suppressed(tmp_path):
+    pkg = tmp_path / "repro" / "mining"
+    pkg.mkdir(parents=True)
+    (pkg / "dirty.py").write_text(DIRTY)
+    (pkg / "waived.py").write_text(
+        "def f(xs):\n    return list(set(xs))  # noqa: REPRO102 - fixture\n"
+    )
+    everything = lint_paths([tmp_path])
+    assert [v.rule_id for v in everything.violations] == ["REPRO111"]
+    assert [v.rule_id for v in everything.suppressed_violations] == ["REPRO102"]
+
+    selected = lint_paths([tmp_path], select=iter(["REPRO10"]))
+    assert selected.violations == []
+    assert selected.suppressed_violations == everything.suppressed_violations
+
+    ignored = lint_paths([tmp_path], ignore=["REPRO1"])
+    assert ignored.files_checked == 2
+    assert ignored.violations == ignored.suppressed_violations == []
+
+
 def test_render_text_ok_and_fail(tmp_path):
     pkg = tmp_path / "repro" / "mining"
     pkg.mkdir(parents=True)

@@ -673,7 +673,7 @@ def test_cli_fires_on_each_hotpath_fixture(tmp_path):
 
 
 def test_cli_hotpath_family_clean_on_src():
-    """The CI `hotpath-lint` gate: src/ has no REPRO3xx violations."""
+    """The CI `lint` job's REPRO3 family: src/ has no REPRO3xx violations."""
     proc = _run_cli("lint", "--select", "REPRO3", "src/")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "OK:" in proc.stdout

@@ -126,7 +126,7 @@ def test_cli_lint_exits_nonzero_on_each_concurrency_fixture(tmp_path):
 
 
 def test_cli_lint_concurrency_family_clean_on_src():
-    """The CI `concurrency-lint` gate: src/ has no REPRO2xx violations."""
+    """The CI `lint` job's REPRO2 family: src/ has no REPRO2xx violations."""
     proc = _run_cli("lint", "--select", "REPRO2", "src/")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "OK:" in proc.stdout
@@ -139,6 +139,19 @@ def test_cli_lint_zero_python_files_exits_zero(tmp_path):
     proc = _run_cli("lint", str(empty))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 files checked" in proc.stdout
+
+
+def test_cli_lint_writes_nothing_to_disk(tmp_path):
+    """A lint run is read-only: no cache, report or state file appears."""
+    bad = tmp_path / "repro" / "mining" / "fixture.py"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("def f(d):\n    for p in d.values():\n        use(p)\n")
+    before = sorted(tmp_path.rglob("*"))
+    for fmt in ("text", "json"):
+        proc = _run_cli("lint", "--format", fmt, "repro", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "REPRO101" in proc.stdout
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_noqa_comments_are_specific_and_justified():
