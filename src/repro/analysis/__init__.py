@@ -12,12 +12,10 @@ TreePi's correctness rests on invariants the test suite can only sample:
 
 This package enforces those properties two ways:
 
-1. :mod:`repro.analysis.rules` + :mod:`repro.analysis.engine` — an
-   AST-based lint framework with repo-specific rules (determinism, RNG
-   hygiene, API hygiene, REPRO2xx concurrency safety, the REPRO3xx
-   hot-path/budget family built on the :mod:`repro.analysis.flow`
-   interprocedural model, and the REPRO4xx exception-flow soundness
-   family built on the :mod:`repro.analysis.program` project model),
+1. :mod:`repro.analysis.engine` — an AST-based lint framework with
+   repo-specific rules (:mod:`repro.analysis.rules`: RNG and API
+   hygiene; :mod:`repro.analysis.concurrency`: REPRO2xx concurrency
+   safety; :mod:`repro.analysis.hotpath`: REPRO3xx hot-path costs),
    runnable as ``python -m repro.analysis lint src/``.  Violations can
    be suppressed per line with ``# noqa: REPRO1xx``; that is the one
    suppression path.
@@ -25,6 +23,10 @@ This package enforces those properties two ways:
    wired into :mod:`repro.trees`, :mod:`repro.graphs.canonical` and
    :mod:`repro.mining.support` (enable with ``REPRO_CONTRACTS=1`` or
    :func:`enable_contracts`).
+
+This package re-exports only the runtime halves — contracts, the lock
+guards and the :func:`hot_path` marker — so importing the library does
+not load the linter; lint callers import :mod:`repro.analysis.engine`.
 
 The lint gate is part of CI: it must exit 0 on the repository, so every
 new violation is either fixed or explicitly justified with a ``noqa``.
@@ -39,47 +41,29 @@ from repro.analysis.contracts import (
     disable_contracts,
     enable_contracts,
 )
-from repro.analysis.engine import (
-    LintReport,
-    lint_file,
-    lint_paths,
-    lint_source,
-    lint_source_full,
-)
-from repro.analysis.flow import hot_path
 from repro.analysis.guards import (
     TrackedLock,
     guarded_by,
+    hot_path,
     lock_is_held,
     lock_order_edges,
     note_acquire,
     note_release,
     reset_lock_order,
 )
-from repro.analysis.rules import Rule, all_rules, rule_catalog
-from repro.analysis.violations import Violation
 
 __all__ = [
     "ContractViolation",
-    "LintReport",
-    "Rule",
     "TrackedLock",
-    "Violation",
-    "all_rules",
     "contract_scope",
     "contracts_enabled",
     "disable_contracts",
     "enable_contracts",
     "guarded_by",
     "hot_path",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "lint_source_full",
     "lock_is_held",
     "lock_order_edges",
     "note_acquire",
     "note_release",
     "reset_lock_order",
-    "rule_catalog",
 ]

@@ -22,8 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import repro.analysis.concurrency  # noqa: F401 - registers the REPRO2xx rule family
 import repro.analysis.hotpath  # noqa: F401 - registers the REPRO3xx rule family
-import repro.analysis.soundness  # noqa: F401 - registers the REPRO4xx rule family
-from repro.analysis.program import ProgramModel, build_program, single_file_program
 from repro.analysis.rules import FileContext, rules_for
 from repro.analysis.violations import Violation
 
@@ -80,39 +78,29 @@ def lint_source_full(
     path: str = "<string>",
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    tree: Optional[ast.Module] = None,
-    program: Optional[ProgramModel] = None,
 ) -> Tuple[List[Violation], List[Violation]]:
     """Lint one source string; returns ``(kept, noqa_suppressed)`` lists.
 
     ``path`` matters: several rules scope themselves by module location
-    (e.g. REPRO101 only fires inside order-sensitive packages, REPRO122
-    exempts the CLI).  Both lists are sorted by location.
-
-    ``tree`` lets the caller share one parse per file (the driver parses
-    every file exactly once for the project model); ``program`` is the
-    model the file belongs to.  Without one, the file is linted as a
-    one-module program.
+    (e.g. REPRO122 exempts the CLI, REPRO303 judges only the query
+    path).  Both lists are sorted by location.
     """
-    if tree is None:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return (
-                [
-                    Violation(
-                        path=path,
-                        line=exc.lineno or 0,
-                        col=(exc.offset or 0),
-                        rule_id=PARSE_ERROR_RULE,
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                ],
-                [],
-            )
-    if program is None:
-        program = single_file_program(path, source, tree)
-    ctx = FileContext(path, source, tree, program)
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return (
+            [
+                Violation(
+                    path=path,
+                    line=exc.lineno or 0,
+                    col=(exc.offset or 0),
+                    rule_id=PARSE_ERROR_RULE,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            ],
+            [],
+        )
+    ctx = FileContext(path, source, tree)
     raw: List[Violation] = []
     for rule in rules_for(ctx, select=select, ignore=ignore):
         raw.extend(rule.run())
@@ -166,13 +154,6 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return sorted(seen)
 
 
-def _parse_or_none(source: str) -> Optional[ast.Module]:
-    try:
-        return ast.parse(source)
-    except SyntaxError:
-        return None
-
-
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
@@ -180,23 +161,15 @@ def lint_paths(
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and aggregate a report.
 
-    Every file is parsed once; the shared trees feed one project model
-    (:mod:`repro.analysis.program`) so cross-module rules resolve real
-    call targets.
+    Every rule judges one file at a time, so each file is linted alone.
     """
     report = LintReport()
     select = list(select) if select else None
     ignore = list(ignore) if ignore else None
-    files = iter_python_files(paths)
-    sources: List[Tuple[str, str]] = [
-        (str(f), Path(f).read_text(encoding="utf-8")) for f in files
-    ]
-    trees = {path: _parse_or_none(src) for path, src in sources}
-    program = build_program([(path, src, trees[path]) for path, src in sources])
-    for path, src in sources:
+    for f in iter_python_files(paths):
         report.files_checked += 1
         kept, suppressed = lint_source_full(
-            src, path, select=select, ignore=ignore, tree=trees[path], program=program
+            Path(f).read_text(encoding="utf-8"), str(f), select=select, ignore=ignore
         )
         report.violations.extend(kept)
         report.suppressed_violations.extend(suppressed)

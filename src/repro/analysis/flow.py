@@ -1,56 +1,31 @@
-"""Per-file tables behind the analyzer's project call graph.
+"""Per-file function tables behind the REPRO3xx hot-path rules.
 
 The REPRO1xx/2xx families are lexical: they judge one statement (or one
-class) at a time.  The budget discipline introduced with
-:class:`~repro.core.budget.QueryBudget` cannot be checked that way — a
-``CancellationToken`` is *threaded*: ``QueryEngine.query`` creates it,
-forwards it through ``verify`` and down into the enumerator loops of
-:mod:`repro.graphs.isomorphism`, where ``token.charge()`` finally runs
-every 64 backtracking steps.  Whether a
-given loop is cancellable is a property of the *call graph*, not of any
-single line.
+class) at a time.  The hot-path rules need one more fact — *which*
+functions are hot — and that is a property of the call graph: a
+function is hot when it is marked :func:`~repro.analysis.guards.hot_path`,
+when it is a serving-spine stage under ``repro/core``, or when a hot
+function in the same file calls or defines it.
 
-:class:`FileFlow` holds what one file contributes to that graph:
+:class:`FileFlow` holds what one file needs for that:
 
 * a function table (module functions, methods, nested closures) with
   qualified names and lexical parent links;
 * the ownership scan: every node a function owns (nested defs excluded)
-  with its enclosing loops, its own loops, calls, checkpoint touches
-  and assignment origins;
+  with its enclosing loops, its calls and its assignment origins;
 * in-file call resolution — ``self.m()`` to the owning class's method,
   bare ``f()`` through the lexical scope chain (own nested defs, then
   enclosing functions' nested defs, then module level);
-* cancellation-token bindings (parameters named/annotated as tokens,
-  locals assigned from ``budget.start()``-style expressions, closure
-  captures) and per-call forwarding detection (keyword ``token=`` or a
-  positional token name).
+* the hot set, and whether a function sits on an in-file call cycle.
 
-Cross-file resolution and every derived fact — loops, call cycles,
-checkpoints and the hot sets — live in
-:class:`~repro.analysis.program.ProgramModel`; a standalone lint is a
-one-module program.
-
-The :func:`hot_path` decorator is the runtime half: a zero-cost marker
-that production code puts on its hot functions so the analyzer (and
-human readers) know the REPRO304/305 complexity rules apply.
+Calls into other files contribute no edge: every file is judged alone,
+so a standalone lint and a whole-tree run agree.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    TypeVar,
-)
-
-_F = TypeVar("_F", bound=Callable[..., Any])
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Serving-layer entry points and spine stages: any function with one of
 #: these names defined under ``repro/core`` is hot by inference, without
@@ -67,28 +42,13 @@ SPINE_FUNCTIONS = frozenset(
     }
 )
 
-#: Parameter names that bind a cancellation token.
+#: Names a cancellation token is bound to (REPRO305 finds charge loops
+#: by ``token.charge()``).
 TOKEN_PARAM_NAMES = frozenset({"token", "cancellation_token"})
-
-#: Attribute accesses on a token that count as a checkpoint.
-CHECKPOINT_ATTRS = frozenset({"poll", "charge", "expired_now", "expired"})
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 _COMP_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-def hot_path(fn: _F) -> _F:
-    """Mark ``fn`` as hot-path code for the REPRO3xx analyzer.
-
-    Runtime no-op (sets ``__repro_hot_path__`` and returns ``fn``
-    unchanged — no wrapper, no call overhead).  The static analyzer
-    matches the decorator lexically, so stacking under ``@staticmethod``
-    or over ``@guarded_by`` both work; everything the marked function
-    calls in the same file inherits hotness through the call graph.
-    """
-    setattr(fn, "__repro_hot_path__", True)
-    return fn
 
 
 def _decorator_name(dec: ast.expr) -> Optional[str]:
@@ -98,36 +58,6 @@ def _decorator_name(dec: ast.expr) -> Optional[str]:
     if isinstance(target, ast.Attribute):
         return target.attr
     return None
-
-
-def _annotation_is_token(annotation: Optional[ast.expr]) -> bool:
-    if annotation is None:
-        return False
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return "CancellationToken" in annotation.value
-    return "CancellationToken" in ast.unparse(annotation)
-
-
-class CallSite:
-    """One call expression owned by a function, with its loop context."""
-
-    __slots__ = ("node", "name", "is_self_method", "loop_stack")
-
-    def __init__(
-        self,
-        node: ast.Call,
-        name: Optional[str],
-        is_self_method: bool,
-        loop_stack: Tuple[ast.AST, ...],
-    ) -> None:
-        self.node = node
-        self.name = name
-        self.is_self_method = is_self_method
-        self.loop_stack = loop_stack
-
-    def statement_loops(self) -> Tuple[ast.AST, ...]:
-        """Enclosing ``for``/``while`` statements (comprehensions excluded)."""
-        return tuple(n for n in self.loop_stack if isinstance(n, _LOOP_NODES))
 
 
 class FunctionInfo:
@@ -144,35 +74,21 @@ class FunctionInfo:
         self.parent = parent
         self.class_name = class_name
         self.children: Dict[str, "FunctionInfo"] = {}
-        self.params: List[str] = []
-        self.token_params: Set[str] = set()
-        self.local_tokens: Set[str] = set()
-        self.shadow_nodes: List[Tuple[ast.AST, str]] = []
-        self.calls: List[CallSite] = []
-        self.own_loops: List[ast.AST] = []
-        self.checkpoint_nodes: List[ast.AST] = []
+        args = node.args  # type: ignore[attr-defined]
+        self.params: List[str] = [
+            a.arg
+            for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+        ] + [extra.arg for extra in (args.vararg, args.kwarg) if extra is not None]
+        self.calls: List[ast.Call] = []
         #: every owned node (nested defs excluded) with its loop stack
         self.owned: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = []
         #: single-name assignment origins: name -> set of kinds seen
-        #: ("list", "set", "setcall", "dict", "str", "other")
+        #: ("list", "set", "setcall", "dict", "other")
         self.origins: Dict[str, Set[str]] = {}
         self.marked_hot = any(
             _decorator_name(d) == "hot_path"
             for d in node.decorator_list  # type: ignore[attr-defined]
         )
-        self._collect_params()
-
-    # ------------------------------------------------------------------
-    def _collect_params(self) -> None:
-        args = self.node.args  # type: ignore[attr-defined]
-        all_args = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        for a in all_args:
-            self.params.append(a.arg)
-            if a.arg in TOKEN_PARAM_NAMES or _annotation_is_token(a.annotation):
-                self.token_params.add(a.arg)
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                self.params.append(extra.arg)
 
     @property
     def qualname(self) -> str:
@@ -187,16 +103,6 @@ class FunctionInfo:
             anc = anc.parent
         return ".".join(parts)
 
-    # ------------------------------------------------------------------
-    # scope-chain lookups
-    # ------------------------------------------------------------------
-    def token_names(self) -> Set[str]:
-        """Token bindings visible in this function (closures included)."""
-        names = set(self.token_params) | set(self.local_tokens)
-        if self.parent is not None:
-            names |= self.parent.token_names()
-        return names
-
     def origin_of(self, name: str) -> Optional[Set[str]]:
         """Assignment-origin kinds of ``name``, searching the closure chain."""
         fn: Optional[FunctionInfo] = self
@@ -208,13 +114,6 @@ class FunctionInfo:
             fn = fn.parent
         return None
 
-    def owned_of_type(
-        self, *types: type
-    ) -> Iterator[Tuple[ast.AST, Tuple[ast.AST, ...]]]:
-        for node, stack in self.owned:
-            if isinstance(node, types):
-                yield node, stack
-
 
 def _value_origin(value: ast.expr) -> str:
     if isinstance(value, (ast.List, ast.ListComp)):
@@ -223,8 +122,6 @@ def _value_origin(value: ast.expr) -> str:
         return "set"
     if isinstance(value, (ast.Dict, ast.DictComp)):
         return "dict"
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return "str"
     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
         builtin = value.func.id
         if builtin in ("list", "sorted"):
@@ -237,20 +134,25 @@ def _value_origin(value: ast.expr) -> str:
 
 
 class FileFlow:
-    """What one source file contributes to the program model."""
+    """One source file's functions, in-file call graph and hot set."""
 
     def __init__(self, tree: ast.Module, module_path: str) -> None:
-        self.module_path = module_path
         self.functions: List[FunctionInfo] = []
         self.module_functions: Dict[str, FunctionInfo] = {}
         self.class_methods: Dict[str, Dict[str, FunctionInfo]] = {}
         self._collect(tree, parent=None, class_name=None)
         for fn in self.functions:
             self._scan(fn)
-        self._resolved: Dict[int, Optional[FunctionInfo]] = {}
-        for fn in self.functions:
-            for site in fn.calls:
-                self._resolved[id(site)] = self._resolve(fn, site)
+        self._callees: Dict[FunctionInfo, List[FunctionInfo]] = {
+            fn: [t for t in (self.resolved(fn, c) for c in fn.calls) if t is not None]
+            for fn in self.functions
+        }
+        self.hot: Set[FunctionInfo] = self._reach(
+            fn
+            for fn in self.functions
+            if fn.marked_hot
+            or (module_path.startswith("repro/core") and fn.name in SPINE_FUNCTIONS)
+        )
 
     # ------------------------------------------------------------------
     # table construction
@@ -292,7 +194,7 @@ class FileFlow:
                 if isinstance(child, _FUNC_NODES + (ast.Lambda, ast.ClassDef)):
                     continue
                 fn.owned.append((child, tuple(stack)))
-                self._note(fn, child, stack)
+                self._note(fn, child)
                 if isinstance(child, _LOOP_NODES + _COMP_NODES):
                     stack.append(child)
                     walk(child)
@@ -302,7 +204,7 @@ class FileFlow:
 
         for stmt in fn.node.body:  # type: ignore[attr-defined]
             fn.owned.append((stmt, ()))
-            self._note(fn, stmt, stack)
+            self._note(fn, stmt)
             if isinstance(stmt, _LOOP_NODES):
                 stack.append(stmt)
                 walk(stmt)
@@ -310,87 +212,71 @@ class FileFlow:
             elif not isinstance(stmt, _FUNC_NODES + (ast.ClassDef,)):
                 walk(stmt)
 
-    def _note(self, fn: FunctionInfo, node: ast.AST, stack: List[ast.AST]) -> None:
-        if isinstance(node, _LOOP_NODES):
-            fn.own_loops.append(node)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name: Optional[str] = None
-            is_self = False
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-                is_self = isinstance(func.value, ast.Name) and func.value.id == "self"
-            fn.calls.append(CallSite(node, name, is_self, tuple(stack)))
+    @staticmethod
+    def _note(fn: FunctionInfo, node: ast.AST) -> None:
+        name: Optional[str] = None
+        value: Optional[ast.expr] = None
+        if isinstance(node, ast.Call):
+            fn.calls.append(node)
         elif isinstance(node, ast.Assign):
             if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                self._note_binding(fn, node, node.targets[0].id, node.value)
+                name, value = node.targets[0].id, node.value
         elif isinstance(node, ast.AnnAssign):
             if isinstance(node.target, ast.Name) and node.value is not None:
-                self._note_binding(fn, node, node.target.id, node.value)
+                name, value = node.target.id, node.value
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             if isinstance(node.target, ast.Name):
-                self._note_binding(fn, node, node.target.id, None)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if (
-                node.attr in CHECKPOINT_ATTRS
-                and isinstance(node.value, ast.Name)
-                and node.value.id in TOKEN_PARAM_NAMES
-            ):
-                fn.checkpoint_nodes.append(node)
-
-    def _note_binding(
-        self,
-        fn: FunctionInfo,
-        node: ast.AST,
-        name: str,
-        value: Optional[ast.expr],
-    ) -> None:
-        if name in TOKEN_PARAM_NAMES:
-            if name in fn.token_params:
-                fn.shadow_nodes.append((node, name))
-            else:
-                fn.local_tokens.add(name)
-        kind = _value_origin(value) if value is not None else "other"
-        fn.origins.setdefault(name, set()).add(kind)
+                name = node.target.id
+        if name is not None:
+            kind = _value_origin(value) if value is not None else "other"
+            fn.origins.setdefault(name, set()).add(kind)
 
     # ------------------------------------------------------------------
-    # call resolution
+    # in-file call graph
     # ------------------------------------------------------------------
-    def _resolve(
-        self, fn: FunctionInfo, site: CallSite
-    ) -> Optional[FunctionInfo]:
-        if site.name is None:
-            return None
-        if site.is_self_method:
+    def resolved(self, fn: FunctionInfo, call: ast.Call) -> Optional[FunctionInfo]:
+        """The in-file function ``call`` (owned by ``fn``) runs, if any."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            # Only ``self.m()`` resolves; other receivers are untyped.
+            if not (isinstance(func.value, ast.Name) and func.value.id == "self"):
+                return None
             anc: Optional[FunctionInfo] = fn
             while anc is not None and anc.class_name is None:
                 anc = anc.parent
-            if anc is not None:
-                return self.class_methods.get(anc.class_name, {}).get(site.name)
+            if anc is None or anc.class_name is None:
+                return None
+            return self.class_methods.get(anc.class_name, {}).get(func.attr)
+        if not isinstance(func, ast.Name):
             return None
-        if isinstance(site.node.func, ast.Attribute):
-            return None  # non-self attribute receiver: out of scope
         scope: Optional[FunctionInfo] = fn
         while scope is not None:
-            if site.name in scope.children:
-                return scope.children[site.name]
+            if func.id in scope.children:
+                return scope.children[func.id]
             scope = scope.parent
-        return self.module_functions.get(site.name)
+        return self.module_functions.get(func.id)
 
-    def resolved(self, site: CallSite) -> Optional[FunctionInfo]:
-        return self._resolved.get(id(site))
+    def _reach(self, seeds: Iterable[FunctionInfo]) -> Set[FunctionInfo]:
+        """``seeds`` plus everything they call or define, transitively."""
+        reached: Set[FunctionInfo] = set(seeds)
+        frontier = list(reached)
+        while frontier:
+            fn = frontier.pop()
+            for target in self._callees[fn] + list(fn.children.values()):
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        return reached
 
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-    def forwards_token(self, fn: FunctionInfo, site: CallSite) -> bool:
-        """Does this call pass a token binding on (keyword or positional)?"""
-        for kw in site.node.keywords:
-            if kw.arg in TOKEN_PARAM_NAMES:
+    def is_recursive(self, fn: FunctionInfo) -> bool:
+        """Is ``fn`` on a cycle of in-file calls?"""
+        seen: Set[FunctionInfo] = set()
+        frontier = list(self._callees[fn])
+        while frontier:
+            target = frontier.pop()
+            if target is fn:
                 return True
-        names = fn.token_names()
-        return any(
-            isinstance(a, ast.Name) and a.id in names for a in site.node.args
-        )
+            if target not in seen:
+                seen.add(target)
+                frontier.extend(self._callees[target])
+        return False

@@ -1,8 +1,8 @@
-"""Lock-discipline declarations and the runtime lock-order tracker.
+"""Code declarations the analyzer reads, and the runtime lock-order tracker.
 
 The static side of concurrency safety lives in
 :mod:`repro.analysis.concurrency` (the REPRO2xx lint family); this module
-is its runtime half:
+is its runtime half, plus the hot-path marker of the REPRO3xx family:
 
 * :func:`guarded_by` — a declaration decorator.  ``@guarded_by("_lock")``
   on a method states the caller must hold ``self._lock`` for the whole
@@ -16,6 +16,8 @@ is its runtime half:
   :class:`~repro.core.engine.QueryEngine` attaches its lock.
 * :class:`TrackedLock` — a mutex whose acquisitions feed the tracker, a
   drop-in for ``threading.Lock`` used as a context manager.
+* :func:`hot_path` — a zero-cost marker for hot functions; the REPRO3xx
+  rules (:mod:`repro.analysis.hotpath`) judge what it marks.
 * The **lock-order tracker** — a process-wide record of the
   lock-acquisition graph.  Every tracked acquisition made while other
   tracked locks are held adds held→acquiring edges; an edge that closes a
@@ -217,6 +219,19 @@ def guarded_by(lock_attr: str, mode: str = "exclusive") -> Callable[[_F], _F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
+
+
+def hot_path(fn: _F) -> _F:
+    """Mark ``fn`` as hot-path code for the REPRO3xx analyzer.
+
+    Runtime no-op (sets ``__repro_hot_path__`` and returns ``fn``
+    unchanged — no wrapper, no call overhead).  The static analyzer
+    matches the decorator by name, so stacking under ``@staticmethod``
+    or over ``@guarded_by`` both work; everything the marked function
+    calls in the same file inherits hotness through the call graph.
+    """
+    setattr(fn, "__repro_hot_path__", True)
+    return fn
 
 
 class TrackedLock:

@@ -1,38 +1,28 @@
-"""REPRO3xx — hot-path and budget-discipline rules.
+"""REPRO3xx — hot-path cost rules.
 
-Verification dominates hard TreePi queries, which is why the serving
-layer threads a :class:`~repro.core.budget.CancellationToken` through
-the plan→verify spine and why the storage layer replaced
-dict-of-frozensets supports with posting lists.  Nothing lexical keeps
-those disciplines true: a refactor can drop the ``token=`` argument from
-one call, quietly re-materialize a support set, or slip an f-string into
-the 64-step checkpoint window, and every test still passes — the code is
-just slower, or uncancellable.  These rules check the disciplines on the
-project model built by :mod:`repro.analysis.program`.
+Verification dominates hard TreePi queries, which is why the storage
+layer replaced dict-of-frozensets supports with posting lists and why
+the enumerator charges its cancellation token only every 64 steps.
+Nothing functional keeps those costs down: a refactor can quietly
+re-materialize a support set, probe a list per candidate, or slip an
+f-string into the checkpoint window, and every test still passes — the
+code is just slower.  These rules check the costs lexically, on the
+per-file tables of :mod:`repro.analysis.flow`.
 
-* **REPRO301** — a hot loop (or call into a looping callee) severs the
-  cancellation chain: the token parameter is dropped, shadowed, or not
-  forwarded, or a loop that drives a looping callee has no checkpoint.
-* **REPRO302** — ``BudgetExceeded`` swallowed without conversion, or a
-  result stored into a cache by a function that never looks at
-  ``.complete`` (a degraded partial answer must not be cached as full).
 * **REPRO303** — columnar-storage bypass in ``repro.core`` /
-  ``repro.baselines``: the deprecated ``locations``/``to_mapping()``
-  materializers, Python materializers over ``graph_ids()`` or a
-  ``universe``, and per-element membership filtering where
-  ``PostingList.intersect`` applies.
+  ``repro.baselines``: the ``to_mapping()`` materializer, Python
+  materializers over ``graph_ids()`` or a ``universe``, and
+  per-element membership filtering where ``PostingList.intersect``
+  applies.
 * **REPRO304** — accidental quadratics in hot functions: membership
-  tests against lists in loops, repeated list/str concatenation,
+  tests against lists in loops, repeated list concatenation,
   containers rebuilt per iteration, per-iteration slicing.
 * **REPRO305** — allocation or logging/str-format work lexically inside
   a ``token.charge()`` loop, the enumerator's 64-step checkpoint window.
 
-Hot functions are the ones marked :func:`~repro.analysis.flow.hot_path`,
+Hot functions are the ones marked :func:`~repro.analysis.guards.hot_path`,
 the ``repro.core`` spine methods, and everything they reach through
-in-file calls (nested closures included); REPRO404 covers what only
-cross-file edges reach.  Loop, cycle and checkpoint facts come from the
-same model, so a standalone lint (a one-module program) and a
-whole-program run judge a file the same way.  All five rules share one
+in-file calls (nested closures included).  All three rules share one
 findings list per file, mirroring the REPRO2xx family's design.
 """
 
@@ -41,13 +31,10 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set, Tuple
 
-from repro.analysis.flow import TOKEN_PARAM_NAMES, FunctionInfo
-from repro.analysis.program import ModuleInfo, ProgramModel
+from repro.analysis.flow import TOKEN_PARAM_NAMES, FileFlow, FunctionInfo
 from repro.analysis.rules import FileContext, Rule, register
 
 __all__ = [
-    "HotLoopUncancellable",
-    "BudgetSwallowed",
     "ColumnarBypass",
     "HotPathQuadratic",
     "CheckpointWindowWork",
@@ -67,23 +54,6 @@ _PY_MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "tuple"})
 #: caught by the membership check.
 _UNIVERSE_MATERIALIZERS = frozenset({"set", "sorted", "list", "tuple"})
 
-_BUDGET_EXCEPTION = "BudgetExceeded"
-_HANDLED_NODES = (
-    ast.Raise,
-    ast.Return,
-    ast.Assign,
-    ast.AugAssign,
-    ast.AnnAssign,
-    ast.Break,
-    ast.Continue,
-)
-_MUTATOR_METHODS = frozenset(
-    {"append", "add", "update", "extend", "insert", "setdefault", "discard"}
-)
-_RESULT_NAMES = frozenset({"result", "results", "res", "outcome"})
-#: stored-value positional index per cache-store method
-_CACHE_STORE_ARG = {"put": 1, "setdefault": 1, "insert": 1, "add": 0, "append": 0}
-
 _LOG_METHODS = frozenset(
     {"debug", "info", "warning", "error", "exception", "critical", "log"}
 )
@@ -96,195 +66,15 @@ def _file_findings(ctx: FileContext) -> List[Finding]:
     cached = getattr(ctx, "_repro3_findings", None)
     if cached is not None:
         return cached
-    program = ctx.program
-    info = program.modules[ctx.path]
-    hot = [fn for fn in info.flow.functions if program.is_hot_in_file(fn)]
+    flow = FileFlow(ctx.tree, ctx.module_path)
+    hot = [fn for fn in flow.functions if fn in flow.hot]
     findings: List[Finding] = []
-    _cancellation_findings(program, info, hot, findings)
-    _budget_swallow_findings(ctx.tree, findings)
-    if ctx.module_path.startswith("repro/core"):
-        # The complete-flag contract belongs to the serving layer; memo
-        # caches in the miner etc. hold no degradable results.
-        _budget_cache_findings(info.flow.functions, findings)
     if ctx.module_path.startswith(_COLUMNAR_PREFIXES):
-        _columnar_findings(info.flow.functions, findings)
-    _quadratic_findings(program, hot, findings)
+        _columnar_findings(flow.functions, findings)
+    _quadratic_findings(flow, hot, findings)
     _checkpoint_window_findings(hot, findings)
     ctx._repro3_findings = findings  # type: ignore[attr-defined]
     return findings
-
-
-# ----------------------------------------------------------------------
-# REPRO301 — cancellation flow
-# ----------------------------------------------------------------------
-def _cancellation_findings(
-    program: ProgramModel,
-    info: ModuleInfo,
-    hot: List[FunctionInfo],
-    out: List[Finding],
-) -> None:
-    flow = info.flow
-    for fn in hot:
-        for node, name in fn.shadow_nodes:
-            out.append(
-                (
-                    "REPRO301",
-                    node,
-                    f"cancellation token parameter {name!r} of {fn.qualname} "
-                    "is reassigned; the caller's deadline is silently "
-                    "discarded",
-                )
-            )
-        if fn.token_params and program.governed_loops(fn):
-            read = {
-                n.id
-                for n in ast.walk(fn.node)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            }
-            for param in sorted(fn.token_params):
-                if param not in read:
-                    out.append(
-                        (
-                            "REPRO301",
-                            fn.node,
-                            f"{fn.qualname} loops but never reads its "
-                            f"cancellation token parameter {param!r}; thread "
-                            "it into the loops (poll/charge or forward it) "
-                            "or drop the parameter",
-                        )
-                    )
-        if not fn.token_names():
-            continue
-        for site in fn.calls:
-            target = program.resolved(info, site)
-            if (
-                target is not None
-                and target.token_params
-                and program.call_loops(info, site)
-                and not flow.forwards_token(fn, site)
-            ):
-                out.append(
-                    (
-                        "REPRO301",
-                        site.node,
-                        f"call to looping callee {site.name!r} from "
-                        f"{fn.qualname} does not forward the in-scope "
-                        "cancellation token; pass token= so the callee's "
-                        "loops stay cancellable",
-                    )
-                )
-        for loop in fn.own_loops:
-            drives_looping_callee = any(
-                any(enclosing is loop for enclosing in site.statement_loops())
-                and program.call_loops(info, site)
-                for site in fn.calls
-            )
-            if drives_looping_callee and not program.subtree_checkpoints(fn, loop):
-                out.append(
-                    (
-                        "REPRO301",
-                        loop,
-                        f"loop in {fn.qualname} drives a looping callee with "
-                        "no CancellationToken checkpoint on any path; "
-                        "poll/charge the token in the loop or forward it "
-                        "into the callee",
-                    )
-                )
-
-
-# ----------------------------------------------------------------------
-# REPRO302 — budget discipline
-# ----------------------------------------------------------------------
-def _catches_budget(handler: ast.ExceptHandler) -> bool:
-    exc = handler.type
-    if exc is None:
-        return False
-    candidates = list(exc.elts) if isinstance(exc, ast.Tuple) else [exc]
-    for node in candidates:
-        if isinstance(node, ast.Name) and node.id == _BUDGET_EXCEPTION:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == _BUDGET_EXCEPTION:
-            return True
-    return False
-
-
-def _handler_converts(handler: ast.ExceptHandler) -> bool:
-    for stmt in handler.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, _HANDLED_NODES):
-                return True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                return True
-    return False
-
-
-def _budget_swallow_findings(tree: ast.Module, out: List[Finding]) -> None:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        if _catches_budget(node) and not _handler_converts(node):
-            out.append(
-                (
-                    "REPRO302",
-                    node,
-                    "BudgetExceeded caught and swallowed; re-raise it or "
-                    "convert to a degraded (complete=False) result so the "
-                    "caller can tell the answer is partial",
-                )
-            )
-
-
-def _is_cache_receiver(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.Name):
-        return "cache" in expr.id.lower()
-    if isinstance(expr, ast.Attribute):
-        return "cache" in expr.attr.lower()
-    return False
-
-
-def _is_result_name(expr: ast.expr) -> bool:
-    return isinstance(expr, ast.Name) and (
-        expr.id.lower() in _RESULT_NAMES or expr.id.lower().endswith("_result")
-    )
-
-
-def _budget_cache_findings(
-    functions: List[FunctionInfo], out: List[Finding]
-) -> None:
-    message = (
-        "result stored into a cache by a function that never checks "
-        ".complete; a degraded partial answer must not be cached as a "
-        "full one"
-    )
-    for fn in functions:
-        reads_complete = any(
-            isinstance(node, ast.Attribute) and node.attr == "complete"
-            for node, _ in fn.owned
-        )
-        if reads_complete:
-            continue
-        for node, _ in fn.owned:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Subscript)
-                and _is_cache_receiver(node.targets[0].value)
-                and _is_result_name(node.value)
-            ):
-                out.append(("REPRO302", node, message))
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _CACHE_STORE_ARG
-                and _is_cache_receiver(node.func.value)
-            ):
-                idx = _CACHE_STORE_ARG[node.func.attr]
-                if idx < len(node.args) and _is_result_name(node.args[idx]):
-                    out.append(("REPRO302", node, message))
 
 
 # ----------------------------------------------------------------------
@@ -318,62 +108,48 @@ def _columnar_findings(functions: List[FunctionInfo], out: List[Finding]) -> Non
     for fn in functions:
         fired: List[Tuple[ast.Call, str]] = []
         for node, _ in fn.owned:
-            if fn.name != "locations" and isinstance(node, ast.Attribute):
-                if node.attr == "locations" and isinstance(node.ctx, ast.Load):
-                    out.append(
-                        (
-                            "REPRO303",
-                            node,
-                            "the .locations compat property materializes the "
-                            "whole occurrence table; use "
-                            "store.graph_ids()/centers_in(gid) columnar reads",
-                        )
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "to_mapping":
+                out.append(
+                    (
+                        "REPRO303",
+                        node,
+                        "to_mapping() materializes the whole occurrence "
+                        "table (debug/compat only); use columnar reads "
+                        "on the hot path",
                     )
-            if fn.name != "locations" and isinstance(node, ast.Call):
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "to_mapping"
-                ):
-                    out.append(
-                        (
-                            "REPRO303",
-                            node,
-                            "to_mapping() materializes the whole occurrence "
-                            "table (debug/compat only); use columnar reads "
-                            "on the hot path",
-                        )
+                )
+            kind = _materializer_kind(node)
+            if kind is None:
+                continue
+            if _contains_graph_ids_call(node.args):
+                fired.append(
+                    (
+                        node,
+                        "materializing graph_ids() into a fresh "
+                        "container; graph_ids() is already a sorted "
+                        "zero-copy PostingList (use universe_posting() "
+                        "for the whole database)",
                     )
-            if isinstance(node, ast.Call):
-                kind = _materializer_kind(node)
-                if kind is None:
-                    continue
-                if _contains_graph_ids_call(node.args):
-                    fired.append(
-                        (
-                            node,
-                            "materializing graph_ids() into a fresh "
-                            "container; graph_ids() is already a sorted "
-                            "zero-copy PostingList (use universe_posting() "
-                            "for the whole database)",
-                        )
+                )
+            elif (
+                kind == "py"
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _UNIVERSE_MATERIALIZERS
+                and any(
+                    isinstance(a, ast.Name) and a.id == "universe"
+                    for a in node.args
+                )
+            ):
+                fired.append(
+                    (
+                        node,
+                        "seeding from set(universe)-style "
+                        "materialization; intersect against a "
+                        "PostingList(universe) column instead",
                     )
-                elif (
-                    kind == "py"
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _UNIVERSE_MATERIALIZERS
-                    and any(
-                        isinstance(a, ast.Name) and a.id == "universe"
-                        for a in node.args
-                    )
-                ):
-                    fired.append(
-                        (
-                            node,
-                            "seeding from set(universe)-style "
-                            "materialization; intersect against a "
-                            "PostingList(universe) column instead",
-                        )
-                    )
+                )
         # A wrapper chain like from_sorted(sorted(graph_ids())) is one
         # bypass, not two: keep only the outermost firing call.
         inner: Set[int] = set()
@@ -430,10 +206,10 @@ def _is_fresh_container(expr: ast.expr) -> bool:
 
 
 def _quadratic_findings(
-    program: ProgramModel, hot: List[FunctionInfo], out: List[Finding]
+    flow: FileFlow, hot: List[FunctionInfo], out: List[Finding]
 ) -> None:
     for fn in hot:
-        recursive = program.is_recursive(fn)
+        recursive = flow.is_recursive(fn)
         for node, stack in fn.owned:
             in_loop = bool(stack)
             if isinstance(node, ast.Compare) and in_loop:
@@ -482,22 +258,6 @@ def _quadratic_findings(
                             "O(1) amortized",
                         )
                     )
-            elif (
-                isinstance(node, ast.AugAssign)
-                and isinstance(node.op, ast.Add)
-                and in_loop
-                and isinstance(node.target, ast.Name)
-                and fn.origin_of(node.target.id) == {"str"}
-            ):
-                out.append(
-                    (
-                        "REPRO304",
-                        node,
-                        f"repeated str concatenation onto "
-                        f"{node.target.id!r} inside a loop of hot function "
-                        f"{fn.qualname}; collect parts and join once",
-                    )
-                )
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 outer = [s for s in stack if isinstance(s, _LOOP_STMTS)]
                 if (
@@ -600,35 +360,6 @@ class _HotPathRule(Rule):
 
 
 @register
-class HotLoopUncancellable(_HotPathRule):
-    """REPRO301: a hot loop escapes the cancellation token."""
-
-    rule_id = "REPRO301"
-    name = "hot-loop-uncancellable"
-    rationale = (
-        "QueryBudget deadlines only work if every loop reachable from "
-        "QueryEngine.query on the plan->verify spine checkpoints "
-        "the CancellationToken. A dropped, shadowed, or unforwarded "
-        "token (or a loop driving a looping callee with no "
-        "poll/charge on any path) makes the query uncancellable."
-    )
-
-
-@register
-class BudgetSwallowed(_HotPathRule):
-    """REPRO302: budget exhaustion loses its degraded-result contract."""
-
-    rule_id = "REPRO302"
-    name = "budget-swallowed"
-    rationale = (
-        "BudgetExceeded is the degradation signal: handlers must "
-        "re-raise or convert it into a complete=False result, and "
-        "partial results must never be cached as full answers. "
-        "Swallowing either silently turns a timeout into a wrong answer."
-    )
-
-
-@register
 class ColumnarBypass(_HotPathRule):
     """REPRO303: query-path code bypasses the columnar storage layer."""
 
@@ -636,7 +367,7 @@ class ColumnarBypass(_HotPathRule):
     name = "columnar-bypass"
     rationale = (
         "The query path reads supports as zero-copy PostingList columns. "
-        "Touching the deprecated locations/to_mapping() materializers, "
+        "Touching the deprecated to_mapping() materializer, "
         "wrapping graph_ids() or a universe into fresh Python "
         "containers, or filtering by per-element membership rebuilds "
         "the dict-of-frozensets costs the columnar layer removed."
@@ -656,7 +387,7 @@ class HotPathQuadratic(_HotPathRule):
     rationale = (
         "Functions marked @hot_path (or reached from the engine spine) "
         "run per candidate graph inside the verification loops; an "
-        "O(n) membership probe, a copying list/str concatenation, a "
+        "O(n) membership probe, a copying list concatenation, a "
         "container rebuilt per iteration, or a per-iteration slice "
         "turns them quadratic exactly where the paper's timings are "
         "measured."

@@ -1,6 +1,6 @@
 """Repo-specific lint rules for the TreePi reproduction.
 
-Three families, numbered like a rule catalog:
+The lexical families, numbered like a rule catalog:
 
 * **REPRO10x — determinism.**  The index pipeline turns graphs into
   canonical strings, feature ids and ordered reports; any step that
@@ -13,6 +13,9 @@ Three families, numbered like a rule catalog:
 * **REPRO12x — API hygiene.**  Broad exception handlers, stray prints
   outside the CLI/bench layers, and mutation of graphs owned by a built
   index (indexes assume immutability; see ``TreePiIndex._oracles``).
+* **REPRO402 — contract soundness.**  A ``ContractViolation`` caught in
+  ``repro.core`` without re-raise.  It sits beside REPRO121 because it
+  is the same kind of check: one handler at a time.
 
 Every rule carries ``rule_id``, ``name`` and ``rationale`` and is
 registered in :data:`REGISTRY`; ``python -m repro.analysis rules`` prints
@@ -23,12 +26,9 @@ justification.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.analysis.violations import Violation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.program import ProgramModel
 
 #: Packages whose dict-iteration order feeds canonical strings, feature
 #: ids, or embedding bookkeeping (REPRO101 is scoped to these).
@@ -60,18 +60,13 @@ _PRINT_ALLOWED_PREFIXES: Tuple[str, ...] = (
 class FileContext:
     """Everything a rule needs to inspect one source file."""
 
-    def __init__(
-        self, path: str, source: str, tree: ast.Module, program: "ProgramModel"
-    ) -> None:
+    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
         #: repo-relative module path, normalized to ``repro/...`` form so
         #: path-scoped rules work no matter where the repo is checked out.
         self.module_path = _module_path(path)
-        #: the project model this file belongs to (a one-module program
-        #: for a standalone lint).
-        self.program = program
         self.parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
@@ -169,16 +164,6 @@ def _is_dict_view_call(node: ast.AST) -> bool:
     )
 
 
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
-
-
 def _comp_over(
     node: ast.AST, predicate: Callable[[ast.AST], bool]
 ) -> Optional[ast.AST]:
@@ -238,58 +223,6 @@ class DictOrderMaterialized(Rule):
 
     visit_ListComp = _check_comp
     visit_GeneratorExp = _check_comp
-
-
-@register
-class SetIterationOrdered(Rule):
-    """REPRO102: ordered output drawn directly from a set."""
-
-    rule_id = "REPRO102"
-    name = "set-iteration-ordered"
-    rationale = (
-        "Set iteration order depends on hashes — for str labels it varies "
-        "per process under hash randomization. Any for-loop, ordered "
-        "comprehension, or list()/tuple()/enumerate() over a set "
-        "construction is run-to-run nondeterministic; sort it first."
-    )
-
-    def visit_For(self, node: ast.For) -> None:
-        if _is_set_expr(node.iter):
-            self.report(
-                node.iter,
-                "loop over a set construction has nondeterministic order; "
-                "use sorted(...)",
-            )
-        self.generic_visit(node)
-
-    def _check_comp(self, node: ast.AST) -> None:
-        offender = _comp_over(node, _is_set_expr)
-        if offender is not None:
-            wrapper = self.ctx.parent_call_name(node)
-            if wrapper not in ORDER_INSENSITIVE_WRAPPERS:
-                self.report(
-                    offender,
-                    "ordered comprehension over a set construction; "
-                    "wrap it in sorted(...)",
-                )
-        self.generic_visit(node)
-
-    visit_ListComp = _check_comp
-    visit_GeneratorExp = _check_comp
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple", "enumerate")
-            and node.args
-            and _is_set_expr(node.args[0])
-        ):
-            self.report(
-                node.args[0],
-                f"{node.func.id}() over a set construction has "
-                "nondeterministic order; use sorted(...)",
-            )
-        self.generic_visit(node)
 
 
 @register
@@ -442,6 +375,49 @@ class BroadExcept(Rule):
             return htype.id in ("Exception", "BaseException")
         if isinstance(htype, ast.Tuple):
             return any(BroadExcept._is_broad(e) for e in htype.elts)
+        return False
+
+
+@register
+class ContractSeveredByException(Rule):
+    """REPRO402: a ContractViolation caught and not re-raised."""
+
+    rule_id = "REPRO402"
+    name = "contract-severed-by-exception"
+    rationale = (
+        "ContractViolation is a correctness signal and must re-raise "
+        "through every layer of repro.core; a handler that catches it "
+        "without re-raising turns a broken invariant into a quietly "
+        "wrong answer that no runtime test sees, because the contracts "
+        "only run under REPRO_CONTRACTS=1."
+    )
+
+    @classmethod
+    def applies_to(cls, ctx: FileContext) -> bool:
+        return ctx.module_path.startswith("repro/core")
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        if self._catches_contract(node.type) and not any(
+            isinstance(n, ast.Raise) for n in ast.walk(node)
+        ):
+            self.report(
+                node,
+                "ContractViolation caught without re-raise; contract "
+                "violations are correctness bugs and must surface, never "
+                "degrade into a partial answer",
+            )
+        self.generic_visit(node)
+
+    @staticmethod
+    def _catches_contract(htype: Optional[ast.AST]) -> bool:
+        if isinstance(htype, ast.Tuple):
+            return any(
+                ContractSeveredByException._catches_contract(e) for e in htype.elts
+            )
+        if isinstance(htype, ast.Name):
+            return htype.id == "ContractViolation"
+        if isinstance(htype, ast.Attribute):
+            return htype.attr == "ContractViolation"
         return False
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 from repro.core.budget import CancellationToken
 from repro.core.feature import FeatureTree
 from repro.exceptions import ConfigError

@@ -55,8 +55,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow import hot_path
-from repro.analysis.guards import TrackedLock, guarded_by, note_acquire, note_release
+from repro.analysis.guards import (
+    TrackedLock,
+    guarded_by,
+    hot_path,
+    note_acquire,
+    note_release,
+)
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.statistics import EngineStats, QueryResult
 from repro.core.treepi import QueryPlan, TreePiIndex

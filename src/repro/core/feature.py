@@ -89,16 +89,6 @@ class FeatureTree:
         """``|D_t|`` — the number of graphs containing this tree."""
         return len(self.store)
 
-    @property
-    def locations(self) -> Dict[int, CenterSet]:
-        """The classic dict-of-frozensets view, materialized on demand.
-
-        Compatibility/introspection surface only — hot paths read the
-        columnar ``store`` directly via :meth:`support_posting`,
-        :meth:`centers_in`, and :meth:`support_set`.
-        """
-        return self.store.to_mapping()
-
     def support_set(self) -> FrozenSet[int]:
         return self.store.graph_ids().to_frozenset()
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 from repro.core.feature import FeatureTree
 from repro.core.partition import QueryPiece
 from repro.storage import PostingList

@@ -39,8 +39,7 @@ from typing import (
 )
 
 from repro.analysis.contracts import contracts_enabled
-from repro.analysis.flow import hot_path
-from repro.analysis.guards import guarded_by
+from repro.analysis.guards import guarded_by, hot_path
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
 from repro.core.feature import FeatureTree

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 from repro.core.budget import CancellationToken
 from repro.core.center_prune import CenterConstraintProblem
 from repro.graphs.distances import DistanceOracle

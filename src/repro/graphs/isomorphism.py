@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.matcher_index import pair_subsumed
 

@@ -1,7 +1,7 @@
 """Columnar per-feature center-location tables (Section 4.2.1).
 
-An :class:`OccurrenceStore` replaces the dict-of-frozensets
-``FeatureTree.locations`` with three parallel columns:
+An :class:`OccurrenceStore` replaces a dict-of-frozensets
+center-location table with three parallel columns:
 
 * ``gids``    — sorted graph ids (the support set; shared zero-copy with
   :class:`~repro.storage.posting.PostingList` snapshots),

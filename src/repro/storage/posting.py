@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Set, Union
 
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 if TYPE_CHECKING:
     from repro.storage.segments import MmapColumn

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis.engine import lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PATH = "src/repro/core/fixture.py"

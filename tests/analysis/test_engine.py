@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis import lint_paths, lint_source
-from repro.analysis.engine import PARSE_ERROR_RULE
+from repro.analysis.engine import PARSE_ERROR_RULE, lint_paths, lint_source
 from repro.analysis.report import render_json, render_text
 
 DIRTY = "import random\n\ndef f(xs):\n    return random.choice(xs)\n"
@@ -83,11 +82,11 @@ def test_lint_paths_select_and_ignore_filter_kept_and_suppressed(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "dirty.py").write_text(DIRTY)
     (pkg / "waived.py").write_text(
-        "def f(xs):\n    return list(set(xs))  # noqa: REPRO102 - fixture\n"
+        "def f(xs):\n    return sorted(xs, key=id)  # noqa: REPRO103 - fixture\n"
     )
     everything = lint_paths([tmp_path])
     assert [v.rule_id for v in everything.violations] == ["REPRO111"]
-    assert [v.rule_id for v in everything.suppressed_violations] == ["REPRO102"]
+    assert [v.rule_id for v in everything.suppressed_violations] == ["REPRO103"]
 
     selected = lint_paths([tmp_path], select=iter(["REPRO10"]))
     assert selected.violations == []
@@ -122,7 +121,7 @@ def test_render_json_round_trips(tmp_path):
 #: A hot loop that polls its token and calls ``verify`` on an untyped
 #: receiver: nothing resolves the call, so nothing may guess it loops.
 UNTYPED_VERIFY = """\
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 
 @hot_path

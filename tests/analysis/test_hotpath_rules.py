@@ -13,10 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import ast
+import pytest
 
-from repro.analysis import lint_source, lint_source_full
-from repro.analysis.program import build_program
+from repro.analysis.engine import lint_source, lint_source_full
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -32,28 +31,6 @@ def messages(source: str, path: str = PATH):
     return [v.message for v in lint_source(source, path, select=("REPRO3",))]
 
 
-#: The spine callee the verify fixtures call, in its own module.
-VERIFICATION = """
-def verify_candidate(problem, graph, token=None):
-    for node in graph:
-        if token is not None:
-            token.poll()
-    return True
-"""
-
-
-def program_findings(source: str):
-    """REPRO3 findings for ``source`` at ``PATH`` in a two-module program
-    whose other module defines ``verify_candidate``."""
-    rows = [(PATH, source), ("src/repro/core/verification.py", VERIFICATION)]
-    trees = {path: ast.parse(src) for path, src in rows}
-    program = build_program([(path, src, trees[path]) for path, src in rows])
-    kept, _ = lint_source_full(
-        source, PATH, select=("REPRO3",), tree=trees[PATH], program=program
-    )
-    return kept
-
-
 def _run_cli(*argv, cwd=REPO_ROOT):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -63,216 +40,6 @@ def _run_cli(*argv, cwd=REPO_ROOT):
         capture_output=True,
         text=True,
     )
-
-
-# ----------------------------------------------------------------------
-# REPRO301 — hot loop severs the cancellation chain
-# ----------------------------------------------------------------------
-def test_repro301_token_never_read_fires():
-    src = """
-from repro.analysis.flow import hot_path
-
-@hot_path
-def verify(candidates, token=None):
-    out = []
-    for gid in candidates:
-        out.append(gid)
-    return out
-"""
-    assert rule_ids(src) == ["REPRO301"]
-    assert "never reads" in messages(src)[0]
-
-
-def test_repro301_token_polled_in_loop_is_clean():
-    src = """
-from repro.analysis.flow import hot_path
-
-@hot_path
-def verify(candidates, token=None):
-    out = []
-    for gid in candidates:
-        if token is not None:
-            token.poll()
-        out.append(gid)
-    return out
-"""
-    assert rule_ids(src) == []
-
-
-def test_repro301_token_dropped_from_spine_callee_fires():
-    """The seeded regression: removing ``token=`` from one call flips it."""
-    src = """
-from repro.analysis.flow import hot_path
-from repro.core.verification import verify_candidate
-
-@hot_path
-def verify(plans, graph, token=None):
-    hits = []
-    for problem in plans:
-        if token is not None:
-            token.poll()
-        if verify_candidate(problem, graph):
-            hits.append(problem)
-    return hits
-"""
-    found = program_findings(src)
-    assert [v.rule_id for v in found] == ["REPRO301"]
-    assert "verify_candidate" in found[0].message
-
-
-def test_repro301_token_forwarded_to_spine_callee_is_clean():
-    src = """
-from repro.analysis.flow import hot_path
-from repro.core.verification import verify_candidate
-
-@hot_path
-def verify(plans, graph, token=None):
-    hits = []
-    for problem in plans:
-        if token is not None:
-            token.poll()
-        if verify_candidate(problem, graph, token=token):
-            hits.append(problem)
-    return hits
-"""
-    assert program_findings(src) == []
-
-
-def test_repro301_shadowed_token_fires():
-    src = """
-from repro.analysis.flow import hot_path
-
-@hot_path
-def plan(query, token=None):
-    token = None
-    return query
-"""
-    assert rule_ids(src) == ["REPRO301"]
-    assert "reassigned" in messages(src)[0]
-
-
-ENUMERATOR = """
-from repro.analysis.flow import hot_path
-
-@hot_path
-def subgraph_monomorphisms(query, graph, token=None):
-    if token is not None:
-        token.poll()
-    pending = 0
-
-    def backtrack(pos, mapping):
-        nonlocal pending
-        if pos == len(query):
-            yield dict(mapping)
-            return
-        for gv in graph[pos]:
-            pending += 1
-{charge}            mapping[pos] = gv
-            yield from backtrack(pos + 1, mapping)
-            del mapping[pos]
-
-    yield from backtrack(0, {{}})
-"""
-
-CHARGE_BLOCK = (
-    "            if token is not None and pending >= 64:\n"
-    "                token.charge(pending)\n"
-    "                pending = 0\n"
-)
-
-
-def test_repro301_enumerator_with_checkpoint_is_clean():
-    """The isomorphism-style enumerator with its 64-step charge passes."""
-    assert rule_ids(ENUMERATOR.format(charge=CHARGE_BLOCK)) == []
-
-
-def test_repro301_deleting_the_charge_call_fires():
-    """Seeded regression: drop ``token.charge`` and the loop is flagged."""
-    ids = rule_ids(ENUMERATOR.format(charge=""))
-    assert ids == ["REPRO301"]
-    assert "no CancellationToken checkpoint" in (
-        messages(ENUMERATOR.format(charge=""))[0]
-    )
-
-
-def test_repro301_only_hot_functions_are_checked():
-    src = """
-def helper(candidates, token=None):
-    out = []
-    for gid in candidates:
-        out.append(gid)
-    return out
-"""
-    assert rule_ids(src, path="src/repro/mining/fixture.py") == []
-
-
-# ----------------------------------------------------------------------
-# REPRO302 — BudgetExceeded swallowed / partial result cached
-# ----------------------------------------------------------------------
-def test_repro302_swallowed_budget_fires():
-    src = """
-from repro.exceptions import BudgetExceeded
-
-def run(problem, token):
-    try:
-        return solve(problem, token)
-    except BudgetExceeded:
-        pass
-"""
-    assert rule_ids(src) == ["REPRO302"]
-    assert "swallowed" in messages(src)[0]
-
-
-def test_repro302_converted_to_degraded_result_is_clean():
-    src = """
-from repro.exceptions import BudgetExceeded
-
-def run(problem, token):
-    try:
-        return solve(problem, token)
-    except BudgetExceeded:
-        return Outcome(matches=(), complete=False)
-"""
-    assert rule_ids(src) == []
-
-
-def test_repro302_reraise_is_clean():
-    src = """
-from repro.exceptions import BudgetExceeded
-
-def run(problem, token):
-    try:
-        return solve(problem, token)
-    except BudgetExceeded:
-        raise
-"""
-    assert rule_ids(src) == []
-
-
-def test_repro302_result_cached_without_complete_check_fires():
-    src = """
-def remember(cache, key, result):
-    cache[key] = result
-"""
-    assert rule_ids(src) == ["REPRO302"]
-    assert ".complete" in messages(src)[0]
-
-
-def test_repro302_complete_checked_before_caching_is_clean():
-    src = """
-def remember(cache, key, result):
-    if result.complete:
-        cache[key] = result
-"""
-    assert rule_ids(src) == []
-
-
-def test_repro302_cache_store_outside_core_is_clean():
-    src = """
-def remember(cache, key, result):
-    cache[key] = result
-"""
-    assert rule_ids(src, path="src/repro/mining/fixture.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +95,13 @@ def constrain(result, universe):
     assert rule_ids(src) == []
 
 
-def test_repro303_locations_and_to_mapping_fire():
+def test_repro303_to_mapping_fires():
     src = """
 def dump(store):
-    table = store.locations
     return store.to_mapping()
 """
-    assert rule_ids(src) == ["REPRO303", "REPRO303"]
+    assert rule_ids(src) == ["REPRO303"]
+    assert "to_mapping()" in messages(src)[0]
 
 
 def test_repro303_off_the_query_path_is_clean():
@@ -350,7 +117,7 @@ def stage1(db):
 # ----------------------------------------------------------------------
 def test_repro304_list_membership_in_loop_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def dedup(items):
@@ -367,7 +134,7 @@ def dedup(items):
 
 def test_repro304_set_membership_in_loop_is_clean():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def dedup(items):
@@ -385,7 +152,7 @@ def dedup(items):
 
 def test_repro304_list_concat_in_loop_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def build(paths):
@@ -399,7 +166,7 @@ def build(paths):
 
 def test_repro304_list_concat_on_recursive_path_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def search(pos, placed):
@@ -413,7 +180,7 @@ def search(pos, placed):
 
 def test_repro304_append_pop_recursion_is_clean():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def search(pos, placed):
@@ -429,7 +196,7 @@ def search(pos, placed):
 
 def test_repro304_container_rebuilt_per_iteration_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def any_known(items, mapping):
@@ -444,7 +211,7 @@ def any_known(items, mapping):
 
 def test_repro304_hoisted_container_is_clean():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def any_known(items, mapping):
@@ -459,7 +226,7 @@ def any_known(items, mapping):
 
 def test_repro304_slice_in_nested_loop_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def pairs(order, check):
@@ -473,7 +240,7 @@ def pairs(order, check):
 
 def test_repro304_hoisted_slice_is_clean():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def pairs(order, check):
@@ -500,7 +267,7 @@ def dedup(items):
 
 def test_repro304_hotness_propagates_through_calls():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 def dedup(items):
     seen = []
@@ -535,7 +302,7 @@ def plan(items):
 # ----------------------------------------------------------------------
 def test_repro305_formatting_in_charge_loop_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def expand(frontier, token):
@@ -552,7 +319,7 @@ def expand(frontier, token):
 
 def test_repro305_fstring_in_charge_loop_fires():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def expand(frontier, token, log):
@@ -569,7 +336,7 @@ def expand(frontier, token, log):
 
 def test_repro305_work_outside_charge_loop_is_clean():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def expand(frontier, token):
@@ -585,7 +352,7 @@ def expand(frontier, token):
 
 def test_repro305_loops_without_charge_are_ignored():
     src = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def expand(frontier, token):
@@ -603,7 +370,7 @@ def expand(frontier, token):
 # family mechanics
 # ----------------------------------------------------------------------
 QUADRATIC = """
-from repro.analysis.flow import hot_path
+from repro.analysis.guards import hot_path
 
 @hot_path
 def dedup(items):
@@ -637,21 +404,13 @@ def test_noqa_suppresses_and_is_recorded():
 
 def test_cli_fires_on_each_hotpath_fixture(tmp_path):
     fixtures = {
-        "REPRO301": ENUMERATOR.format(charge=""),
-        "REPRO302": (
-            "def run(problem, token):\n"
-            "    try:\n"
-            "        return solve(problem, token)\n"
-            "    except BudgetExceeded:\n"
-            "        pass\n"
-        ),
         "REPRO303": (
             "def stage1(db):\n"
             "    return set(db.graph_ids())\n"
         ),
         "REPRO304": QUADRATIC,
         "REPRO305": (
-            "from repro.analysis.flow import hot_path\n\n"
+            "from repro.analysis.guards import hot_path\n\n"
             "@hot_path\n"
             "def expand(frontier, token):\n"
             "    pending = 0\n"
@@ -672,8 +431,77 @@ def test_cli_fires_on_each_hotpath_fixture(tmp_path):
         bad.unlink()
 
 
-def test_cli_hotpath_family_clean_on_src():
-    """The CI `lint` job's REPRO3 family: src/ has no REPRO3xx violations."""
-    proc = _run_cli("lint", "--select", "REPRO3", "src/")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "OK:" in proc.stdout
+# ----------------------------------------------------------------------
+# the real query path: seeded cost bugs only these rules report
+# ----------------------------------------------------------------------
+#: (rule id, module under src/repro, original text, mutated text) — each
+#: a one-line change that keeps every answer, so the runtime suite
+#: passes and only the rule sees the extra work.
+REAL_MUTATIONS = [
+    pytest.param(
+        "REPRO303",
+        "core/verification.py",
+        "        centers = feature.centers_in(graph_id)\n"
+        "        if not centers:\n"
+        "            return False\n",
+        "        centers = feature.store.to_mapping().get(graph_id)\n"
+        "        if not centers:\n"
+        "            return False\n",
+        id="verification-materializes-the-occurrence-table",
+    ),
+    pytest.param(
+        "REPRO303",
+        "core/filtering.py",
+        "return result.intersect(PostingList(universe)).to_frozenset()",
+        "return result.intersect(PostingList(sorted(universe))).to_frozenset()",
+        id="filter-sorts-the-universe",
+    ),
+    pytest.param(
+        "REPRO304",
+        "core/engine.py",
+        "if self._index.verify(plan, gid, token=token):",
+        "if gid not in unresolved and self._index.verify(plan, gid, token=token):",
+        id="verify-plans-probes-a-list",
+    ),
+    pytest.param(
+        "REPRO304",
+        "core/treepi.py",
+        "postings.append(lookup[key].support_posting())",
+        "postings = postings + [lookup[key].support_posting()]",
+        id="plan-concatenates-postings",
+    ),
+    pytest.param(
+        "REPRO304",
+        "core/treepi.py",
+        "if key in lookup and key not in sfq:",
+        "if key in set(lookup) and key not in sfq:",
+        id="plan-rebuilds-the-lookup-per-key",
+    ),
+    pytest.param(
+        "REPRO305",
+        "graphs/isomorphism.py",
+        "token.charge(steps)  # raises BudgetExceeded",
+        'token.charge(int(f"{steps}"))  # raises BudgetExceeded',
+        id="enumerator-formats-in-the-window",
+    ),
+    pytest.param(
+        "REPRO305",
+        "graphs/isomorphism.py",
+        "                if len(row) < want_degree:",
+        "                if len(sorted(row)) < want_degree:",
+        id="enumerator-sorts-in-the-window",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule_id, module, original, mutated", REAL_MUTATIONS)
+def test_seeded_query_path_cost_is_reported_by_its_rule(
+    rule_id, module, original, mutated
+):
+    """A refactor that moves the site fails the exact-match assertion;
+    one that blinds the rule to this shape fails the lint."""
+    path = SRC / "repro" / module
+    source = path.read_text(encoding="utf-8")
+    assert source.count(original) == 1, "mutation site moved; update the fixture"
+    assert rule_ids(source, str(path)) == []
+    assert set(rule_ids(source.replace(original, mutated), str(path))) == {rule_id}

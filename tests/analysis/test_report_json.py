@@ -10,8 +10,9 @@ tree serialize byte-identically.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source_full
+from repro.analysis.engine import lint_paths, lint_source_full
 from repro.analysis.report import render_json, render_text
 
 RACY = """
@@ -119,3 +120,43 @@ def test_lint_source_full_splits_kept_and_suppressed():
     )
     assert kept == []
     assert [v.rule_id for v in suppressed] == ["REPRO201"]
+
+
+#: A hot-path fixture with one noqa-waived finding and one open one.
+HOT_FIXTURE = """\
+from repro.analysis.guards import hot_path
+
+@hot_path
+def dedup(items):
+    seen = []
+    for x in items:
+        if x in seen:  # noqa: REPRO304 - fixture keeps one waived finding
+            continue
+        if x in seen:
+            continue
+        seen.append(x)
+    return seen
+"""
+
+
+def _hot_fixture(tmp_path: Path) -> Path:
+    bad = tmp_path / "repro" / "core" / "fixture.py"
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_text(HOT_FIXTURE)
+    return bad
+
+
+def test_json_schema_unchanged_without_baseline(tmp_path):
+    """The key set is frozen: a run that waives a finding adds no keys."""
+    report = lint_paths([_hot_fixture(tmp_path)], select=["REPRO3"])
+    payload = json.loads(render_json(report))
+    assert set(payload) == {
+        "counts_by_rule",
+        "files_checked",
+        "ok",
+        "suppressed",
+        "suppressed_count",
+        "violations",
+    }
+    assert payload["suppressed_count"] == 1
+    assert payload["counts_by_rule"] == {"REPRO304": 1}

@@ -7,9 +7,11 @@ itself is tested explicitly at the end.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis.engine import lint_source
 
 # A path that makes every path-scoped rule applicable.
 SENSITIVE = "src/repro/mining/fixture.py"
@@ -52,34 +54,6 @@ def test_repro101_order_insensitive_wrapper_is_clean():
 def test_repro101_scoped_to_order_sensitive_packages():
     src = "def f(d):\n    for p in d.values():\n        use(p)\n"
     assert "REPRO101" not in rule_ids(src, INSENSITIVE)
-
-
-# ----------------------------------------------------------------------
-# REPRO102 — set iteration materialized
-# ----------------------------------------------------------------------
-def test_repro102_for_over_set_literal():
-    src = "def f():\n    for x in {'a', 'b'}:\n        use(x)\n"
-    assert "REPRO102" in rule_ids(src)
-
-
-def test_repro102_list_over_set_call():
-    src = "def f(xs):\n    return list(set(xs))\n"
-    assert "REPRO102" in rule_ids(src)
-
-
-def test_repro102_comprehension_over_set_comp():
-    src = "def f(xs):\n    return [y for y in {x.key for x in xs}]\n"
-    assert "REPRO102" in rule_ids(src)
-
-
-def test_repro102_fires_everywhere():
-    src = "def f(xs):\n    return list(set(xs))\n"
-    assert "REPRO102" in rule_ids(src, INSENSITIVE)
-
-
-def test_repro102_sorted_set_is_clean():
-    src = "def f(xs):\n    return sorted(set(xs))\n"
-    assert rule_ids(src) == []
 
 
 # ----------------------------------------------------------------------
@@ -206,3 +180,90 @@ def test_repro123_mutating_a_copy_is_clean():
 def test_repro123_mutating_local_graph_is_clean():
     src = "def f():\n    g = LabeledGraph(['a', 'b'])\n    g.add_edge(0, 1, 1)\n"
     assert rule_ids(src) == []
+
+
+# ----------------------------------------------------------------------
+# the real code: seeded bugs the runtime suite does not catch
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: (rule id, module under src/repro, original text, mutated text) — each
+#: a one-line bug that gets past the runtime suite, so the rule is its
+#: only guard.
+SEEDED_BUGS = [
+    pytest.param(
+        "REPRO101",
+        "mining/shrink.py",
+        "for key, pattern in sorted(frequent.items()):",
+        "for key, pattern in frequent.items():",
+        # Feature ids then follow mining order (size, then key), and the
+        # saved index changes bytes; answers do not.
+        id="shrink-assigns-feature-ids-in-mining-order",
+    ),
+    pytest.param(
+        "REPRO103",
+        "baselines/gindex.py",
+        "by_size = sorted(mined.patterns.values(), key=lambda p: p.size)",
+        "by_size = sorted(mined.patterns.values(), key=lambda p: hash(p.key))",
+        # gIndex's discriminative selection then visits patterns in an
+        # order that changes with PYTHONHASHSEED, and so does its
+        # feature set; answers do not.
+        id="gindex-selects-features-in-hash-order",
+    ),
+    pytest.param(
+        "REPRO111",
+        "graphs/random_subgraph.py",
+        "    start = rng.randrange(n)\n",
+        "    start = random.randrange(n)\n",
+        # random_spanning_tree_edges(graph, rng) then returns a different
+        # tree for the same seeded rng.
+        id="spanning-tree-starts-from-the-global-rng",
+    ),
+    pytest.param(
+        "REPRO112",
+        "graphs/random_subgraph.py",
+        "    start = rng.randrange(n)\n",
+        "    from random import randrange; start = randrange(n)\n",
+        id="spanning-tree-imports-the-global-rng",
+    ),
+    pytest.param(
+        "REPRO121",
+        "core/engine.py",
+        "    except BudgetExceeded:\n        return None, False\n",
+        "    except Exception:\n        return None, False\n",
+        # Any error while confirming a cache hit now reads as "budget
+        # ran out" and is served as a miss instead of raising.
+        id="cache-confirmation-swallows-every-error",
+    ),
+    pytest.param(
+        "REPRO122",
+        "core/treepi.py",
+        "        plan = self.plan(query, token=token)\n"
+        "        if plan.result is not None:\n"
+        "            return plan.result\n",
+        "        plan = self.plan(query, token=token); print(plan.sfq_size)\n"
+        "        if plan.result is not None:\n"
+        "            return plan.result\n",
+        id="query-prints-to-stdout",
+    ),
+    pytest.param(
+        "REPRO123",
+        "baselines/graphgrep.py",
+        "raw = path_fingerprint(database[gid], config.max_length)",
+        "database[gid].add_vertex(0); raw = path_fingerprint(database[gid], config.max_length)",
+        # Building the baseline grows every database graph by a vertex.
+        id="graphgrep-build-mutates-database-graphs",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule_id, module, original, mutated", SEEDED_BUGS)
+def test_seeded_bug_is_reported_by_its_rule(rule_id, module, original, mutated):
+    """A refactor that moves the site fails the exact-match assertion;
+    one that blinds the rule to this shape fails the lint."""
+    path = SRC / "repro" / module
+    source = path.read_text(encoding="utf-8")
+    assert source.count(original) == 1, "mutation site moved; update the fixture"
+    before = set(rule_ids(source, str(path)))
+    after = set(rule_ids(source.replace(original, mutated), str(path)))
+    assert after - before == {rule_id}

@@ -165,6 +165,29 @@ class TestDegradedNeverCached:
         assert served.complete and served.matches == exact.matches
         assert engine.stats.cache_hits == hits_before + 1
 
+    def test_budgeted_cache_hit_charges_its_confirmation(self, chem):
+        """Confirming a cached isomorphism class runs under the call's
+        token, on the single and the batch path: the confirmation search
+        is charged to the budget, so a deadline bounds it like any other
+        stage.  (A tree confirms by canonical string, with no search, so
+        the query is a ring.)"""
+        db, _ = chem
+        ring = LabeledGraph(["C"] * 6, [(i, (i + 1) % 6, 1) for i in range(6)])
+        turned = ring.relabeled([3, 4, 5, 0, 1, 2])
+        engine = build_engine(db, cache_size=32)
+        exact = engine.query(ring)
+        served = engine.query(turned, budget=QueryBudget(verify_steps=10**6))
+        assert served.matches == exact.matches
+        assert engine.stats.cache_hits == 1
+        single_steps = engine.stats.verify_steps
+        assert single_steps > 0
+        (batched,) = engine.query_batch(
+            [turned], budget=QueryBudget(verify_steps=10**6)
+        )
+        assert batched.matches == exact.matches
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.verify_steps > single_steps
+
 
 # ----------------------------------------------------------------------
 # deadlines under adversarial load

@@ -66,7 +66,7 @@ class TestMaintenanceHooks:
     def test_add_empty_occurrences_noop(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
         feature.add_occurrences(7, [])
-        assert 7 not in feature.locations
+        assert 7 not in feature.store.to_mapping()
 
     def test_remove_graph(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)

@@ -114,7 +114,7 @@ class TestMaintenanceVsRebuild:
             if twin is None:
                 continue
             assert feature.support_set() == twin.support_set(), feature.key
-            for gid in feature.locations:
+            for gid in feature.store.to_mapping():
                 assert feature.centers_in(gid) == twin.centers_in(gid)
 
 

@@ -247,8 +247,8 @@ class TestTokenPassThrough:
 
     Pre-fix, :func:`count_embeddings`, :func:`are_isomorphic` and
     :func:`automorphisms` accepted no token at all, so budgeted callers
-    could not bound them (REPRO301's severed-chain pattern at the API
-    boundary).
+    could not bound them: a severed cancellation chain at the API
+    boundary.
     """
 
     @staticmethod

@@ -73,7 +73,7 @@ class IndexMachine(RuleBasedStateMachine):
     def feature_supports_reference_live_graphs(self):
         live = set(self.index.database.graph_ids())
         for feature in self.index.features:
-            assert set(feature.locations) <= live
+            assert set(feature.store.to_mapping()) <= live
 
     @invariant()
     def single_edges_cover_database(self):
@@ -83,7 +83,7 @@ class IndexMachine(RuleBasedStateMachine):
         # weaker but sufficient invariant: features' locations are valid
         # vertex ids.
         for feature in self.index.features:
-            for gid, centers in feature.locations.items():
+            for gid, centers in feature.store.to_mapping().items():
                 n = self.index.database[gid].num_vertices
                 for center in centers:
                     assert all(0 <= v < n for v in center)

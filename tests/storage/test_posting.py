@@ -235,8 +235,8 @@ class TestSetReplayGates:
         features = sorted(index.features, key=lambda f: (-f.support, f.key))[:8]
         assert_intersection_parity(
             db.graph_ids(),
-            [f.locations for f in features],
+            [f.store.to_mapping() for f in features],
             [f.support_posting() for f in features],
         )
-        dict_bytes = sum(deep_set_bytes(f.locations) for f in index.features)
+        dict_bytes = sum(deep_set_bytes(f.store.to_mapping()) for f in index.features)
         assert index.storage_bytes() < dict_bytes

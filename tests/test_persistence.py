@@ -84,7 +84,7 @@ class TestIndexRoundtrip:
             twin = restored.feature_by_key(original.key)
             assert twin is not None
             assert twin.center == original.center
-            assert twin.locations == original.locations
+            assert twin.store.to_mapping() == original.store.to_mapping()
 
     def test_restored_index_answers_identically(self, index):
         restored = index_from_json(index_to_json(index))
@@ -224,7 +224,7 @@ class TestVersionNegotiation:
             twin = upgraded.feature_by_key(original.key)
             assert twin is not None
             assert twin.center == original.center
-            assert twin.locations == original.locations
+            assert twin.store.to_mapping() == original.store.to_mapping()
         for query in extract_query_workload(small_index.database, 4, 6, seed=4):
             assert (
                 upgraded.query(query).matches == small_index.query(query).matches
