@@ -36,9 +36,7 @@ SPINE_FUNCTIONS = frozenset(
         "query_batch",
         "plan",
         "verify",
-        "_execute",
         "_execute_batch",
-        "_verify_plans",
     }
 )
 

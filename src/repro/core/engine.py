@@ -49,11 +49,9 @@ brackets that exact answer.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.guards import (
     TrackedLock,
@@ -145,19 +143,6 @@ class ReadWriteLock:
                 self._writer_active = False
                 self._cond.notify_all()
             note_release(self)
-
-
-@dataclass
-class _PlanOutcome:
-    """Per-plan verification attribution (one plan's own work, no sharing).
-
-    ``elapsed`` times the plan's own candidates only, so a batch member
-    reports what a run of that plan alone would.
-    """
-
-    matches: FrozenSet[int]
-    elapsed: float
-    unresolved: List[int]
 
 
 class _CacheEntry:
@@ -387,7 +372,7 @@ class QueryEngine:
             self._count_degradation([cached], token)  # confirmation work
             return cached
         with self._rw.read_locked():
-            result = self._execute(query, token=token)
+            result = self._execute_batch([query], token=token)[0]
         self._count_degradation([result], token)
         self._cache_store(probe, result, generation, checked)
         return result
@@ -674,93 +659,23 @@ class QueryEngine:
 
     @hot_path
     @guarded_by("_rw", mode="read")
-    def _execute(
-        self,
-        query: LabeledGraph,
-        token: Optional[CancellationToken] = None,
-    ) -> QueryResult:
-        """Run one full pipeline (caller holds the read lock)."""
-        plan = self._index.plan(query, token=token)
-        if plan.result is not None:
-            return plan.result
-        self._count_pipeline(plan)
-        outcome = self._verify_plans([plan], token)[0]
-        return self._finish_plan(plan, outcome, token)
-
-    @hot_path
-    @guarded_by("_rw", mode="read")
     def _execute_batch(
         self,
         queries: Sequence[LabeledGraph],
         token: Optional[CancellationToken] = None,
     ) -> List[QueryResult]:
-        """Run pipelines for distinct queries.
+        """Run pipelines for distinct queries (caller holds the read lock).
 
-        Verification time is attributed *per plan*, so every member's
-        :class:`QueryResult` reports exactly what :meth:`query` would have
-        reported for it alone.
+        Every query is planned first, then each plan runs through
+        :meth:`TreePiIndex.run`, which times its own candidates only, so
+        every member's :class:`QueryResult` reports exactly what
+        :meth:`query` would have reported for it alone.
         """
         plans = [self._index.plan(query, token=token) for query in queries]
-        open_plans = [plan for plan in plans if plan.result is None]
-        for plan in open_plans:
-            self._count_pipeline(plan)
-        outcomes = self._verify_plans(open_plans, token)
-        results: List[QueryResult] = []
-        open_index = 0
         for plan in plans:
-            if plan.result is not None:
-                results.append(plan.result)
-            else:
-                results.append(
-                    self._finish_plan(plan, outcomes[open_index], token)
-                )
-                open_index += 1
-        return results
-
-    def _finish_plan(
-        self,
-        plan: QueryPlan,
-        outcome: "_PlanOutcome",
-        token: Optional[CancellationToken],
-    ) -> QueryResult:
-        return self._index.finish(
-            plan,
-            outcome.matches,
-            outcome.elapsed,
-            unresolved=outcome.unresolved,
-            degraded_reason=token.reason if token is not None else None,
-        )
-
-    @hot_path
-    @guarded_by("_rw", mode="read")
-    def _verify_plans(
-        self, plans: List[QueryPlan], token: Optional[CancellationToken] = None
-    ) -> List["_PlanOutcome"]:
-        """Verify the survivors of every plan, one plan after another.
-
-        Each plan's outcome is timed over its own candidates only.  A
-        candidate cut short by the budget
-        (:class:`~repro.exceptions.BudgetExceeded`) is marked unresolved;
-        once the shared token expires, every later candidate
-        short-circuits at its first checkpoint.
-        """
-        outcomes: List[_PlanOutcome] = []
-        for plan in plans:
-            t0 = time.perf_counter()
-            matched: Set[int] = set()
-            unresolved: List[int] = []
-            for gid in plan.survivors:
-                try:
-                    if self._index.verify(plan, gid, token=token):
-                        matched.add(gid)
-                except BudgetExceeded:
-                    unresolved.append(gid)  # neither matched nor rejected
-            outcomes.append(
-                _PlanOutcome(
-                    frozenset(matched), time.perf_counter() - t0, unresolved
-                )
-            )
-        return outcomes
+            if plan.result is None:
+                self._count_pipeline(plan)
+        return [self._index.run(plan, token=token) for plan in plans]
 
 
 class BackgroundCompactor:

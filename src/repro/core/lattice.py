@@ -101,10 +101,6 @@ class FeatureLattice:
     ``features=None`` gives an unpruned lattice, which grows every
     subset and keeps every key: the paper planner's augmentation uses
     one per query.
-
-    Next: the Section 7.1 maintenance in :meth:`~repro.core.treepi.
-    TreePiIndex.insert` recomputes every feature's leaf-removed subtrees
-    on every insert; those parents are lattice edges too.
     """
 
     __slots__ = ("keys", "memo", "_tokens", "_indexed")

@@ -6,19 +6,22 @@ exact center locations, and a dictionary from canonical string to
 feature (the paper's prefix-tree index, Section 4.2.2, is only ever asked
 for exact keys, so a hash map answers every lookup).
 
-``TreePiIndex.query`` is the serving pipeline: a deterministic,
-level-wise enumeration of the query's indexed subtrees (the feature
-subtree set SF_q of Section 5.1) with support-set filtering after each
-level (Section 5.2.1), then one prefiltered monomorphism search per
-candidate (:func:`~repro.graphs.isomorphism.is_subgraph_isomorphic`).
+``TreePiIndex.query`` is the serving pipeline: ``plan`` runs a
+deterministic, level-wise enumeration of the query's indexed subtrees
+(the feature subtree set SF_q of Section 5.1) with support-set filtering
+after each level (Section 5.2.1), then ``run`` makes one prefiltered
+monomorphism search per candidate
+(:func:`~repro.graphs.isomorphism.is_subgraph_isomorphic`); ``run`` is
+the one verification loop, which the serving engine shares.
 ``TreePiIndex.query_paper`` runs the paper's full Section 5 pipeline:
 the randomized Feature-Tree-Partition ``RP(q)`` run δ times, Center
 Distance Constraint pruning (Algorithm 2) and reconstruction-based
 verification (Algorithm 3).  Both return exactly ``D_q = {g : q ⊆ g}``.
 
 ``insert`` / ``delete`` implement the Section 7.1 maintenance scheme:
-occurrences of existing features are updated in place, and the index
-advertises a rebuild once churn passes one quarter of the build size.
+occurrences of existing features are updated in place (one match per
+feature on insert), and the index advertises a rebuild once churn passes
+one quarter of the build size.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.graphs.isomorphism import (
     label_pair_refuted,
     subgraph_monomorphisms,
 )
-from repro.mining.shrink import leaf_removed_subtrees, shrink_feature_set
+from repro.mining.shrink import shrink_feature_set
 from repro.mining.subtree_miner import FrequentSubtreeMiner
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
@@ -431,7 +434,23 @@ class TreePiIndex:
         the behavior is byte-identical to the unbudgeted pipeline.
         """
         token = budget.start() if budget is not None else None
-        plan = self.plan(query, token=token)
+        return self.run(self.plan(query, token=token), token=token)
+
+    @hot_path
+    def run(
+        self, plan: "QueryPlan", token: Optional[CancellationToken] = None
+    ) -> QueryResult:
+        """Verify ``plan``'s survivors and assemble its result.
+
+        The one verification loop: :meth:`query` and every
+        :class:`~repro.core.engine.QueryEngine` entry point end here.  A
+        plan that already carries a ``result`` returns it unchanged.  A
+        candidate cut short by the budget
+        (:class:`~repro.exceptions.BudgetExceeded`) is marked unresolved,
+        neither matched nor rejected; any other error propagates.  The
+        verification time covers this plan's candidates only, so a batch
+        member reports what a run of that plan alone would.
+        """
         if plan.result is not None:
             return plan.result
         t0 = time.perf_counter()
@@ -442,7 +461,7 @@ class TreePiIndex:
                 if self.verify(plan, gid, token=token):
                     matches.add(gid)
             except BudgetExceeded:
-                unresolved.append(gid)
+                unresolved.append(gid)  # neither matched nor rejected
         return self.finish(
             plan,
             frozenset(matches),
@@ -460,9 +479,7 @@ class TreePiIndex:
         Returns a :class:`QueryPlan`; when the pipeline can already prove
         the answer (direct feature hit, missing single edge, empty filter
         intersection) the plan carries a final ``result`` and an empty
-        survivor list, otherwise the survivors still need :meth:`verify`.
-        This staged form is what :class:`repro.core.engine.QueryEngine`
-        uses to time and budget verification per plan.
+        survivor list, otherwise :meth:`run` verifies the survivors.
 
         SF_q is every indexed subtree of the query up to η edges, found
         level by level (:func:`_subtree_levels`); after each level the
@@ -800,9 +817,9 @@ class TreePiIndex:
         emptiness proof in :meth:`query` would turn false.  By induction no
         earlier graph can contain a type that was absent from the lookup.
 
-        Existing features are then scanned smallest-first with apriori
-        pruning: a feature whose (feature) subtrees are absent from the new
-        graph cannot occur.
+        Then every feature is matched against the new graph once.  The
+        matcher's label-pair refutation rejects a feature whose labels the
+        graph lacks before any search, so no apriori pruning is needed.
         """
         gid = self._db.add(graph, graph_id=graph_id)
         for u, v, elabel in graph.edges():
@@ -821,25 +838,13 @@ class TreePiIndex:
                     self._segment_store.adopt_feature(feature)
                 self._features.append(feature)
                 self._lookup[key] = feature
-        present: Dict[str, List[Dict[int, int]]] = {}
-        for feature in sorted(self._features, key=lambda f: f.size):
-            if feature.size >= 2:
-                prunable = False
-                for sub_key, _ in leaf_removed_subtrees(feature.tree):
-                    if sub_key in self._lookup and sub_key not in present:
-                        prunable = True
-                        break
-                if prunable:
-                    continue
-            embeddings = list(subgraph_monomorphisms(feature.tree, graph))
-            if not embeddings:
-                continue
-            present[feature.key] = embeddings
+        for feature in self._features:
             centers = {
                 tuple(sorted(emb[v] for v in feature.center))
-                for emb in embeddings
+                for emb in subgraph_monomorphisms(feature.tree, graph)
             }
-            feature.add_occurrences(gid, centers)
+            if centers:
+                feature.add_occurrences(gid, centers)
         self._churn += 1
         if self._segment_store is not None:
             self._segment_store.note_insert()

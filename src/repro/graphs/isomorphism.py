@@ -465,7 +465,7 @@ def _search(
         i = start
         ppos = primary_pos[i]
         if ppos >= 0:
-            iters[i] = iter(t_adj[images[ppos]].items())  # noqa: REPRO101 - candidate order is re-filtered; answers order-free
+            iters[i] = iter(t_adj[images[ppos]].items())
             conflicts[i] = {ppos}
         else:
             iters[i] = iter(label_buckets.get(want_labels[i], ()))
@@ -574,7 +574,7 @@ def _search(
                 continue
             ppos = primary_pos[i]
             if ppos >= 0:
-                iters[i] = iter(t_adj[images[ppos]].items())  # noqa: REPRO101 - candidate order is re-filtered; answers order-free
+                iters[i] = iter(t_adj[images[ppos]].items())
                 conflicts[i] = {ppos}
             else:
                 iters[i] = iter(label_buckets.get(want_labels[i], ()))

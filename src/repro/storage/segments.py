@@ -212,34 +212,40 @@ class Segment:
                 raise SerializationError(
                     f"cannot map segment file {self.path}: {exc}"
                 ) from exc
-        # The map must not leak if header validation throws: release it
-        # on every non-success path, lexically in the finally.
+        # The map must not leak if the header is invalid or lacks a
+        # descriptor: release it on every non-success path, lexically in
+        # the finally.
         ok = False
         try:
             header = self._parse_header(mapped)
+            self._mm = mapped
+            self._header = header
+            self._payload_start = len(MAGIC) + 8 + header["_header_len"]
+            gdesc = header["graphs"]
+            self._graph_gids = self._column(gdesc["gids"])
+            self._graph_blob_index = self._column(gdesc["blob_index"])
+            self._blob_offset = self._payload_start + gdesc["blob"]["o"]
+            self._features = [
+                SegmentFeature(
+                    feature_id=entry["id"],
+                    key=entry["key"],
+                    center=tuple(entry["center"]),
+                    tree_record=entry["tree"],
+                    gids=self._column(entry["gids"]),
+                    offsets=self._column(entry["offsets"]),
+                    centers=self._column(entry["centers"]),
+                )
+                for entry in header["features"]
+            ]
             ok = True
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"malformed segment header in {self.path}: "
+                f"missing or mistyped {exc}"
+            ) from exc
         finally:
             if not ok:
                 mapped.close()
-        self._mm = mapped
-        self._header = header
-        self._payload_start = len(MAGIC) + 8 + header["_header_len"]
-        gdesc = header["graphs"]
-        self._graph_gids = self._column(gdesc["gids"])
-        self._graph_blob_index = self._column(gdesc["blob_index"])
-        self._blob_offset = self._payload_start + gdesc["blob"]["o"]
-        self._features = [
-            SegmentFeature(
-                feature_id=entry["id"],
-                key=entry["key"],
-                center=tuple(entry["center"]),
-                tree_record=entry["tree"],
-                gids=self._column(entry["gids"]),
-                offsets=self._column(entry["offsets"]),
-                centers=self._column(entry["centers"]),
-            )
-            for entry in header["features"]
-        ]
 
     def _parse_header(self, mapped: mmap.mmap) -> Dict[str, Any]:
         if len(mapped) < len(MAGIC) + 8 or mapped[: len(MAGIC)] != MAGIC:

@@ -458,9 +458,9 @@ REAL_MUTATIONS = [
     ),
     pytest.param(
         "REPRO304",
-        "core/engine.py",
-        "if self._index.verify(plan, gid, token=token):",
-        "if gid not in unresolved and self._index.verify(plan, gid, token=token):",
+        "core/treepi.py",
+        "if self.verify(plan, gid, token=token):",
+        "if gid not in unresolved and self.verify(plan, gid, token=token):",
         id="verify-plans-probes-a-list",
     ),
     pytest.param(

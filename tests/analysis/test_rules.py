@@ -238,12 +238,9 @@ SEEDED_BUGS = [
     pytest.param(
         "REPRO122",
         "core/treepi.py",
-        "        plan = self.plan(query, token=token)\n"
-        "        if plan.result is not None:\n"
-        "            return plan.result\n",
+        "        return self.run(self.plan(query, token=token), token=token)\n",
         "        plan = self.plan(query, token=token); print(plan.sfq_size)\n"
-        "        if plan.result is not None:\n"
-        "            return plan.result\n",
+        "        return self.run(plan, token=token)\n",
         id="query-prints-to-stdout",
     ),
     pytest.param(

@@ -81,26 +81,26 @@ def tidy(rows):
 
 
 # ----------------------------------------------------------------------
-# the real serving engine: the seeded bug only the rule reports
+# the real verification loop: the seeded bug only the rule reports
 # ----------------------------------------------------------------------
-ENGINE = SRC / "repro" / "core" / "engine.py"
+TREEPI = SRC / "repro" / "core" / "treepi.py"
 HANDLER = (
-    "                except BudgetExceeded:\n"
-    "                    unresolved.append(gid)  # neither matched nor rejected\n"
+    "            except BudgetExceeded:\n"
+    "                unresolved.append(gid)  # neither matched nor rejected\n"
 )
 
 
-def test_seeded_contract_swallow_in_engine_is_reported():
-    """``_verify_plans`` swallowing ContractViolation passes the runtime
+def test_seeded_contract_swallow_in_run_is_reported():
+    """``TreePiIndex.run`` swallowing ContractViolation passes the runtime
     suite (the answers stay exact); only REPRO402 reports it."""
-    source = ENGINE.read_text(encoding="utf-8")
+    source = TREEPI.read_text(encoding="utf-8")
     assert source.count(HANDLER) == 1, "mutation site moved; update the fixture"
-    assert rule_ids(source, str(ENGINE)) == []
+    assert rule_ids(source, str(TREEPI)) == []
     mutated = source.replace(
         HANDLER,
-        HANDLER + "                except ContractViolation:\n                    pass\n",
+        HANDLER + "            except ContractViolation:\n                pass\n",
     )
-    assert rule_ids(mutated, str(ENGINE)) == ["REPRO402"]
+    assert rule_ids(mutated, str(TREEPI)) == ["REPRO402"]
 
 
 # ----------------------------------------------------------------------

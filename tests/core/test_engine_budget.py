@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+from repro.analysis.contracts import ContractViolation
 from repro.baselines.scan import SequentialScan
 from repro.core import QueryBudget, QueryEngine, TreePiConfig, TreePiIndex
+from repro.core.engine import _CacheEntry
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.mining import SupportFunction
@@ -187,6 +189,58 @@ class TestDegradedNeverCached:
         assert batched.matches == exact.matches
         assert engine.stats.cache_hits == 2
         assert engine.stats.verify_steps > single_steps
+
+
+# ----------------------------------------------------------------------
+# only BudgetExceeded degrades: every other error propagates
+# ----------------------------------------------------------------------
+class TestNonBudgetErrorsPropagate:
+    """A broken invariant during verification or cache confirmation must
+    surface, never turn into an unresolved candidate or a cache miss."""
+
+    @pytest.fixture
+    def faulty_verify(self, chem, monkeypatch):
+        """An engine whose verification raises for one candidate of a query."""
+        db, queries = chem
+        engine = build_engine(db, cache_size=0)
+        plan = next(p for p in map(engine.index.plan, queries) if p.survivors)
+        bad = plan.survivors[-1]
+        verify = TreePiIndex.verify
+
+        def failing_verify(index, plan, gid, token=None):
+            if gid == bad:
+                raise ContractViolation("seeded verification fault")
+            return verify(index, plan, gid, token=token)
+
+        monkeypatch.setattr(TreePiIndex, "verify", failing_verify)
+        return engine, plan.query
+
+    @pytest.mark.parametrize(
+        "budget", [None, QueryBudget(verify_steps=10**9)], ids=["unbudgeted", "budgeted"]
+    )
+    def test_verification_error_leaves_every_entry_point(self, faulty_verify, budget):
+        engine, query = faulty_verify
+        with pytest.raises(ContractViolation, match="seeded"):
+            engine.index.query(query, budget=budget)
+        with pytest.raises(ContractViolation, match="seeded"):
+            engine.query(query, budget=budget)
+        with pytest.raises(ContractViolation, match="seeded"):
+            engine.query_batch([query], budget=budget)
+
+    @pytest.mark.parametrize(
+        "budget", [None, QueryBudget(verify_steps=10**9)], ids=["unbudgeted", "budgeted"]
+    )
+    def test_confirmation_error_leaves_a_cached_query(self, chem, monkeypatch, budget):
+        db, queries = chem
+        engine = build_engine(db, cache_size=32)
+        engine.query(queries[0])
+
+        def failing_same_class(entry, other, token):
+            raise ContractViolation("seeded confirmation fault")
+
+        monkeypatch.setattr(_CacheEntry, "same_class", failing_same_class)
+        with pytest.raises(ContractViolation, match="seeded"):
+            engine.query(queries[0], budget=budget)
 
 
 # ----------------------------------------------------------------------

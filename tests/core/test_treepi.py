@@ -40,6 +40,14 @@ class TestBuild:
         assert chem_index.feature_by_key(feature.key) is feature
         assert chem_index.feature_by_key("missing") is None
 
+    def test_feature_ids_follow_canonical_key_order(self, chem_index):
+        # Feature ids are saved with the index and name posting columns,
+        # so they must not depend on the miner's discovery order.
+        features = chem_index.features
+        assert [f.feature_id for f in features] == list(range(len(features)))
+        keys = [f.key for f in features]
+        assert keys == sorted(keys)
+
 
 class TestQueryValidation:
     def test_empty_query_rejected(self, chem_index):

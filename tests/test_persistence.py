@@ -302,6 +302,62 @@ class TestMalformedDocuments:
         assert len(closed) == 1
 
 
+class TestMalformedSegments:
+    """A bad v3 segment file is a SerializationError naming it, and the
+    map opened to read its header is closed again."""
+
+    @staticmethod
+    def _segment(small_index, tmp_path):
+        root = tmp_path / "seg"
+        save_index(small_index, root, version=3)
+        manifest = json.loads((root / "manifest.json").read_text())
+        return root, root / manifest["segments"][0]
+
+    @staticmethod
+    def _load_recording_maps(root, monkeypatch):
+        import mmap
+
+        maps = []
+        real = mmap.mmap
+
+        def recording_mmap(*args, **kwargs):
+            maps.append(real(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        with pytest.raises(SerializationError) as excinfo:
+            load_index(root)
+        return maps, str(excinfo.value)
+
+    def test_bad_magic(self, small_index, tmp_path, monkeypatch):
+        root, segment = self._segment(small_index, tmp_path)
+        data = bytearray(segment.read_bytes())
+        data[:4] = b"XXXX"
+        segment.write_bytes(bytes(data))
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(segment) in message
+        assert len(maps) == 1 and maps[0].closed
+
+    def test_header_without_graphs(self, small_index, tmp_path, monkeypatch):
+        import struct
+
+        from repro.storage.segments import MAGIC
+
+        root, segment = self._segment(small_index, tmp_path)
+        data = segment.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start : start + header_len])
+        del header["graphs"]
+        body = json.dumps(header).encode("utf-8")
+        segment.write_bytes(
+            MAGIC + struct.pack("<Q", len(body)) + body + data[start + header_len :]
+        )
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(segment) in message and "graphs" in message
+        assert len(maps) == 1 and maps[0].closed
+
+
 class TestRetiredFeatureIndexKey:
     """Files from builds that had a ``feature_index`` setting still load."""
 
