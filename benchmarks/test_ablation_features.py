@@ -67,7 +67,7 @@ def test_ablation_maintenance(benchmark, scale):
     publish(table, "ablation_a5_maintenance")
 
     rows = {row[0]: row for row in table.rows}
-    assert rows["audit_mismatches"][2] == 0.0  # answers stayed exact
+    assert rows["audit_mismatches"][1] == 0  # answers stayed exact
     # A single maintenance op costs far less than one rebuild.
     assert rows["insert"][3] < rows["rebuild"][3]
     assert rows["delete"][3] < rows["rebuild"][3]

@@ -81,7 +81,7 @@ class FunctionInfo:
         #: every owned node (nested defs excluded) with its loop stack
         self.owned: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = []
         #: single-name assignment origins: name -> set of kinds seen
-        #: ("list", "set", "setcall", "dict", "other")
+        #: ("list", "set", "dict", "other")
         self.origins: Dict[str, Set[str]] = {}
         self.marked_hot = any(
             _decorator_name(d) == "hot_path"
@@ -125,7 +125,7 @@ def _value_origin(value: ast.expr) -> str:
         if builtin in ("list", "sorted"):
             return "list"
         if builtin in ("set", "frozenset"):
-            return "setcall"
+            return "set"
         if builtin == "dict":
             return "dict"
     return "other"

@@ -10,10 +10,8 @@ code is just slower.  These rules check the costs lexically, on the
 per-file tables of :mod:`repro.analysis.flow`.
 
 * **REPRO303** — columnar-storage bypass in ``repro.core`` /
-  ``repro.baselines``: the ``to_mapping()`` materializer, Python
-  materializers over ``graph_ids()`` or a ``universe``, and
-  per-element membership filtering where ``PostingList.intersect``
-  applies.
+  ``repro.baselines``: the ``to_mapping()`` materializer and Python
+  or posting-list materializers over ``graph_ids()``.
 * **REPRO304** — accidental quadratics in hot functions: membership
   tests against lists in loops, repeated list concatenation,
   containers rebuilt per iteration, per-iteration slicing.
@@ -48,11 +46,6 @@ _LOOP_STMTS = (ast.For, ast.AsyncFor, ast.While)
 _COLUMNAR_PREFIXES = ("repro/core", "repro/baselines")
 
 _PY_MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "tuple"})
-#: Materializers that fire over a ``universe`` argument.  ``frozenset``
-#: is exempt: converting a universe into the (frozen) result type once
-#: is sanctioned; per-element membership abuse of such a set is still
-#: caught by the membership check.
-_UNIVERSE_MATERIALIZERS = frozenset({"set", "sorted", "list", "tuple"})
 
 _LOG_METHODS = frozenset(
     {"debug", "info", "warning", "error", "exception", "critical", "log"}
@@ -92,21 +85,16 @@ def _contains_graph_ids_call(args: List[ast.expr]) -> bool:
     return False
 
 
-def _materializer_kind(call: ast.Call) -> Optional[str]:
+def _is_materializer(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Name):
-        if func.id in _PY_MATERIALIZERS:
-            return "py"
-        if func.id == "PostingList":
-            return "posting"
-    if isinstance(func, ast.Attribute) and func.attr == "from_sorted":
-        return "posting"
-    return None
+        return func.id in _PY_MATERIALIZERS or func.id == "PostingList"
+    return isinstance(func, ast.Attribute) and func.attr == "from_sorted"
 
 
 def _columnar_findings(functions: List[FunctionInfo], out: List[Finding]) -> None:
     for fn in functions:
-        fired: List[Tuple[ast.Call, str]] = []
+        fired: List[ast.Call] = []
         for node, _ in fn.owned:
             if not isinstance(node, ast.Call):
                 continue
@@ -120,76 +108,27 @@ def _columnar_findings(functions: List[FunctionInfo], out: List[Finding]) -> Non
                         "on the hot path",
                     )
                 )
-            kind = _materializer_kind(node)
-            if kind is None:
-                continue
-            if _contains_graph_ids_call(node.args):
-                fired.append(
+            if _is_materializer(node) and _contains_graph_ids_call(node.args):
+                fired.append(node)
+        # A wrapper chain like from_sorted(sorted(graph_ids())) is one
+        # bypass, not two: keep only the outermost firing call.
+        inner: Set[int] = set()
+        for call in fired:
+            for arg in call.args:
+                for sub in ast.walk(arg):
+                    inner.add(id(sub))
+        for call in fired:
+            if id(call) not in inner:
+                out.append(
                     (
-                        node,
+                        "REPRO303",
+                        call,
                         "materializing graph_ids() into a fresh "
                         "container; graph_ids() is already a sorted "
                         "zero-copy PostingList (use universe_posting() "
                         "for the whole database)",
                     )
                 )
-            elif (
-                kind == "py"
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _UNIVERSE_MATERIALIZERS
-                and any(
-                    isinstance(a, ast.Name) and a.id == "universe"
-                    for a in node.args
-                )
-            ):
-                fired.append(
-                    (
-                        node,
-                        "seeding from set(universe)-style "
-                        "materialization; intersect against a "
-                        "PostingList(universe) column instead",
-                    )
-                )
-        # A wrapper chain like from_sorted(sorted(graph_ids())) is one
-        # bypass, not two: keep only the outermost firing call.
-        inner: Set[int] = set()
-        for call, _ in fired:
-            for arg in call.args:
-                for sub in ast.walk(arg):
-                    inner.add(id(sub))
-        for call, msg in fired:
-            if id(call) not in inner:
-                out.append(("REPRO303", call, msg))
-        _membership_findings(fn, out)
-
-
-def _membership_findings(fn: FunctionInfo, out: List[Finding]) -> None:
-    for node, _ in fn.owned:
-        if not isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            continue
-        for gen in node.generators:
-            for cond in gen.ifs:
-                for sub in ast.walk(cond):
-                    if not isinstance(sub, ast.Compare):
-                        continue
-                    for op, comp in zip(sub.ops, sub.comparators):
-                        if not isinstance(op, (ast.In, ast.NotIn)):
-                            continue
-                        if not isinstance(comp, ast.Name):
-                            continue
-                        kinds = fn.origin_of(comp.id)
-                        if kinds is not None and "setcall" in kinds:
-                            out.append(
-                                (
-                                    "REPRO303",
-                                    sub,
-                                    f"per-element membership against "
-                                    f"materialized set {comp.id!r}; "
-                                    "PostingList.intersect applies here",
-                                )
-                            )
 
 
 # ----------------------------------------------------------------------
@@ -367,10 +306,9 @@ class ColumnarBypass(_HotPathRule):
     name = "columnar-bypass"
     rationale = (
         "The query path reads supports as zero-copy PostingList columns. "
-        "Touching the deprecated to_mapping() materializer, "
-        "wrapping graph_ids() or a universe into fresh Python "
-        "containers, or filtering by per-element membership rebuilds "
-        "the dict-of-frozensets costs the columnar layer removed."
+        "Touching the deprecated to_mapping() materializer or "
+        "wrapping graph_ids() into fresh containers rebuilds the "
+        "dict-of-frozensets costs the columnar layer removed."
     )
 
     @classmethod

@@ -5,16 +5,10 @@ from repro.core.center_prune import (
     CenterConstraintProblem,
     PruneDecision,
     PruneReport,
-    center_assignments,
     center_prune,
     check_center_constraints,
-    satisfies_center_constraints,
 )
-from repro.core.crf import (
-    canonical_reconstruction_form,
-    overlap_signature,
-    union_graph,
-)
+from repro.core.crf import canonical_reconstruction_form, union_graph
 from repro.core.engine import QueryEngine, query_cache_key
 from repro.core.feature import CenterSet, FeatureTree
 from repro.core.filtering import FilterOutcome, filter_candidates
@@ -35,12 +29,9 @@ __all__ = [
     "CenterConstraintProblem",
     "PruneDecision",
     "PruneReport",
-    "center_assignments",
     "center_prune",
     "check_center_constraints",
-    "satisfies_center_constraints",
     "canonical_reconstruction_form",
-    "overlap_signature",
     "union_graph",
     "CenterSet",
     "FeatureTree",

@@ -16,10 +16,9 @@ have no unique center, so gIndex cannot prune this way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.guards import hot_path
-from repro.core.budget import CancellationToken
 from repro.core.feature import FeatureTree
 from repro.exceptions import ConfigError
 from repro.core.partition import Partition, QueryPiece
@@ -62,54 +61,6 @@ class CenterConstraintProblem:
         return cls(pieces=pieces, features=features, distances=distances)
 
 
-def center_assignments(
-    problem: CenterConstraintProblem,
-    graph: LabeledGraph,
-    graph_id: int,
-    oracle: Optional[DistanceOracle] = None,
-) -> Iterator[Tuple[Center, ...]]:
-    """Yield every assignment of recorded centers satisfying all constraints.
-
-    Assignments follow the piece order of ``problem``; pieces with fewer
-    recorded locations in this graph are *checked* first internally, but
-    yielded tuples stay in piece order so verification can anchor each
-    piece at its assigned center.
-    """
-    if oracle is None:
-        oracle = DistanceOracle(graph)
-    m = len(problem.pieces)
-    location_lists: List[Sequence[Center]] = []
-    for feature in problem.features:
-        centers = feature.centers_in(graph_id)
-        if not centers:
-            return
-        location_lists.append(sorted(centers))
-
-    # Assign most-constrained pieces (fewest candidate centers) first.
-    order = sorted(range(m), key=lambda i: len(location_lists[i]))
-    assignment: List[Optional[Center]] = [None] * m
-
-    def backtrack(pos: int) -> Iterator[Tuple[Center, ...]]:
-        if pos == m:
-            yield tuple(assignment)  # type: ignore[arg-type]
-            return
-        i = order[pos]
-        earlier = order[:pos]
-        for center in location_lists[i]:
-            ok = True
-            for prev in earlier:
-                bound = problem.distances[i][prev]
-                if oracle.set_distance(center, assignment[prev]) > bound:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = center
-                yield from backtrack(pos + 1)
-                assignment[i] = None
-
-    yield from backtrack(0)
-
-
 @dataclass(frozen=True)
 class PruneDecision:
     """The explicit outcome of one per-graph center-constraint test.
@@ -137,7 +88,6 @@ def check_center_constraints(
     graph_id: int,
     oracle: Optional[DistanceOracle] = None,
     budget: Optional[int] = None,
-    token: Optional[CancellationToken] = None,
     query: Optional[LabeledGraph] = None,
 ) -> PruneDecision:
     """Algorithm 2's per-graph test, with an explicit three-way outcome.
@@ -145,11 +95,9 @@ def check_center_constraints(
     ``budget`` caps the number of pairwise distance checks (``None`` =
     unbounded; ``0`` = no checks allowed, so any graph that would need
     one is immediately *exhausted* and kept; negative values raise
-    :class:`~repro.exceptions.ConfigError`).  ``token`` is the per-query
-    cancellation token: an expired deadline behaves exactly like an
-    exhausted budget — stop checking, keep the graph — so pruning never
-    raises and never loses soundness.  A graph missing some feature
-    outright is refuted for free, before any budget is spent.
+    :class:`~repro.exceptions.ConfigError`).  An exhausted graph is
+    kept, so pruning never loses soundness.  A graph missing some
+    feature outright is refuted for free, before any budget is spent.
 
     ``query`` (optional) enables the cached label-pair refutation: a
     query whose (vertex-label, edge-label, vertex-label) incidence
@@ -178,17 +126,9 @@ def check_center_constraints(
     checks = 0
     exhausted = False
 
-    def out_of_budget() -> bool:
-        nonlocal exhausted
-        if budget is not None and checks >= budget:
-            exhausted = True
-        elif token is not None and token.expired_now():
-            exhausted = True
-        return exhausted
-
     def backtrack(pos: int) -> bool:
         """True = a full assignment exists *or* the budget ran out."""
-        nonlocal checks
+        nonlocal checks, exhausted
         if pos == m:
             return True
         i = order[pos]
@@ -196,7 +136,8 @@ def check_center_constraints(
         for center in location_lists[i]:
             ok = True
             for prev in earlier:
-                if out_of_budget():
+                if budget is not None and checks >= budget:
+                    exhausted = True
                     return True  # give up pruning: keep the graph
                 checks += 1
                 if oracle.set_distance(center, assignment[prev]) > (
@@ -216,45 +157,18 @@ def check_center_constraints(
     return PruneDecision(keep=keep, exhausted=exhausted, checks=checks)
 
 
-def satisfies_center_constraints(
-    problem: CenterConstraintProblem,
-    graph: LabeledGraph,
-    graph_id: int,
-    oracle: Optional[DistanceOracle] = None,
-    budget: Optional[int] = None,
-) -> bool:
-    """Algorithm 2's per-graph test: does any valid assignment exist?
-
-    Boolean façade over :func:`check_center_constraints` — an exhausted
-    budget answers ``True`` (the graph is kept; pruning is a sound-to-
-    skip optimization).  Callers that need to distinguish a proven
-    survivor from a budget timeout should use the richer form.
-    """
-    return check_center_constraints(
-        problem, graph, graph_id, oracle, budget=budget
-    ).keep
-
-
 @dataclass
 class PruneReport:
     """What Algorithm 2 did to one candidate set, exhaustion made visible.
 
     ``survivors`` is ``P'_q``; ``exhausted`` counts survivors kept only
-    because their per-graph budget (or the query deadline) ran out
-    before a proof either way, ``refuted`` counts graphs actually pruned,
-    and ``skipped`` counts candidates never examined because the query
-    deadline expired mid-prune (they are kept — a superset is sound).
+    because their per-graph budget ran out before a proof either way,
+    and ``refuted`` counts graphs actually pruned.
     """
 
     survivors: List[int] = field(default_factory=list)
     exhausted: int = 0
     refuted: int = 0
-    skipped: int = 0
-
-    @property
-    def degraded(self) -> bool:
-        """Did any candidate dodge a full constraint check?"""
-        return self.exhausted > 0 or self.skipped > 0
 
 
 @hot_path
@@ -264,27 +178,19 @@ def center_prune(
     graphs: Dict[int, LabeledGraph],
     oracles: Optional[Dict[int, DistanceOracle]] = None,
     budget_per_graph: Optional[int] = None,
-    token: Optional[CancellationToken] = None,
     query: Optional[LabeledGraph] = None,
 ) -> PruneReport:
     """Algorithm 2: reduce the filtered set ``P_q`` to ``P'_q``.
 
     ``oracles`` optionally supplies/receives per-graph distance oracles so
     BFS levels persist across queries (the index owns this cache);
-    ``budget_per_graph`` bounds per-graph pruning work and ``token``
-    bounds the whole pass (see :func:`check_center_constraints`) — on
-    deadline expiry the remaining candidates are kept unexamined, so a
-    budgeted prune always returns a superset of the exact ``P'_q``.
-    ``query`` (optional) adds the budget-free label-pair refutation per
-    candidate (see :func:`check_center_constraints`).
+    ``budget_per_graph`` bounds per-graph pruning work (see
+    :func:`check_center_constraints`), so a budgeted prune returns a
+    superset of the exact ``P'_q``.  ``query`` (optional) adds the
+    budget-free label-pair refutation per candidate.
     """
     report = PruneReport()
-    for pos, gid in enumerate(candidates):
-        if token is not None and token.expired_now():
-            remaining = list(candidates[pos:])
-            report.survivors.extend(remaining)
-            report.skipped += len(remaining)
-            break
+    for gid in candidates:
         graph = graphs[gid]
         oracle = None
         if oracles is not None:
@@ -298,7 +204,6 @@ def center_prune(
             gid,
             oracle,
             budget=budget_per_graph,
-            token=token,
             query=query,
         )
         if decision.keep:

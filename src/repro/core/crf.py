@@ -15,8 +15,9 @@ mechanism for keeping verification cheap.
 
 This module implements the form exactly as defined (it is part of the
 paper's contribution and is unit-tested against explicit union-graph
-isomorphism); the production verifier in :mod:`repro.core.verification`
-uses the derived :func:`overlap_signature` as its memoization key.
+isomorphism).  The verifier in :mod:`repro.core.verification` applies
+the idea as its failed-state memo, keyed by piece position, boundary
+bindings and used vertices.
 """
 
 from __future__ import annotations
@@ -84,15 +85,3 @@ def union_graph(
             union.add_edge(a, b, label)
     return union
 
-
-def overlap_signature(
-    piece_index: int, boundary: Sequence[Tuple[int, int]]
-) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Hashable memo key for a partial reconstruction state.
-
-    ``boundary`` lists ``(query_vertex, graph_vertex)`` bindings that the
-    remaining pieces can still observe; two states with equal signatures
-    extend to exactly the same completions, so a failed one need never be
-    retried — the CRF idea specialized to anchored reconstruction.
-    """
-    return (piece_index, tuple(sorted(boundary)))

@@ -677,59 +677,3 @@ class QueryEngine:
                 self._count_pipeline(plan)
         return [self._index.run(plan, token=token) for plan in plans]
 
-
-class BackgroundCompactor:
-    """A daemon thread that folds delta segments as they accumulate.
-
-    Polls :meth:`QueryEngine.needs_compaction` every ``interval`` seconds
-    and runs :meth:`QueryEngine.compact` when it trips.  All locking
-    lives in the engine (read-locked merge, write-locked publish with a
-    generation check), so the thread body is a plain poll loop; stopping
-    waits for any in-flight compaction to finish publishing.
-
-    Usable as a context manager::
-
-        with BackgroundCompactor(engine, interval=0.05):
-            ... serve traffic ...
-    """
-
-    def __init__(self, engine: QueryEngine, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise IndexError_(f"interval must be > 0, got {interval}")
-        self._engine = engine
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        if self.running:
-            raise IndexError_("compactor already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="treepi-compactor", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Signal the loop and join (waits out an in-flight compaction)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join()
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            if self._engine.needs_compaction():
-                self._engine.compact()
-
-    def __enter__(self) -> "BackgroundCompactor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -97,23 +97,14 @@ class FeatureLattice:
     the memo holds at most ``|keys| * η`` steps per child token of the
     features, plus two level-1 steps per single edge in ``keys`` or
     indexed; labels that only queries carry add none.
-
-    ``features=None`` gives an unpruned lattice, which grows every
-    subset and keeps every key: the paper planner's augmentation uses
-    one per query.
     """
 
     __slots__ = ("keys", "memo", "_tokens", "_indexed")
 
     def __init__(
-        self,
-        features: Optional[Iterable[FeatureTree]] = None,
-        indexed: Container[str] = (),
+        self, features: Iterable[FeatureTree], indexed: Container[str]
     ) -> None:
-        self.keys: Optional[Set[str]] = None
-        self._tokens: Optional[Set[str]] = None
-        if features is not None:
-            self.keys, self._tokens = _lattice_tables(features)
+        self.keys, self._tokens = _lattice_tables(features)
         self.memo: Dict[Step, Optional[Grown]] = {}
         self._indexed = indexed
 
@@ -141,11 +132,7 @@ class FeatureLattice:
         unanswerable, but is stored only for a single edge in ``keys``
         or indexed.
         """
-        if (
-            self._tokens is not None
-            and len(edges) > 1
-            and step[2] not in self._tokens
-        ):
+        if len(edges) > 1 and step[2] not in self._tokens:
             return None
         rank = dict(zip(verts, positions))
         rank[new] = len(positions)
@@ -153,7 +140,7 @@ class FeatureLattice:
         assert found is not None, "the enumeration only grows trees"
         key, _, order = found
         grown: Optional[Grown]
-        if self.keys is None or key in self.keys:
+        if key in self.keys:
             remap = [0] * len(order)
             for i, vertex in enumerate(order):
                 remap[rank[vertex]] = i
@@ -189,7 +176,7 @@ class FeatureLattice:
         assert found is not None, "the enumeration only grows trees"
         key, _, order = found
         if grown is None:
-            if self.keys is None or key in self.keys or key in self._indexed:
+            if key in self.keys or key in self._indexed:
                 raise ContractViolation(
                     f"lattice memo dropped {key!r}, which is indexed or "
                     f"in the lattice"
@@ -202,7 +189,7 @@ class FeatureLattice:
             )
         remap = grown[1]
         if remap is None:
-            if self.keys is None or key in self.keys:
+            if key in self.keys:
                 raise ContractViolation(
                     f"lattice memo stops growing {key!r}, which has an "
                     f"indexed supertree"

@@ -76,19 +76,20 @@ class SubsetMemo(Dict[FrozenSet[Edge], Optional[SubsetForm]]):
     coordinates, canonical order), or None for a subset that is not a
     tree.
 
-    A subset missing from the memo is canonicalized on lookup by the
-    one :class:`~repro.trees.canonical.SubsetCanonicalizer` built for
-    the query.  The paper planner's direct-hit check fills it and every
-    ``RP(q)`` restart reads it, so each distinct subset is canonicalized
-    once per query.
+    A subset missing from the memo is canonicalized on lookup by
+    ``canon``, the one :class:`~repro.trees.canonical.SubsetCanonicalizer`
+    built for the query, which the paper planner's stage 1 shares.  The
+    planner's direct-hit check fills the memo and every ``RP(q)``
+    restart reads it, so each distinct subset is canonicalized once per
+    query.
     """
 
     def __init__(self, query: LabeledGraph) -> None:
         super().__init__()
-        self._form = SubsetCanonicalizer(query).form
+        self.canon = SubsetCanonicalizer(query)
 
     def __missing__(self, edges: FrozenSet[Edge]) -> Optional[SubsetForm]:
-        canon = self[edges] = self._form(edges)
+        canon = self[edges] = self.canon.form(edges)
         return canon
 
 

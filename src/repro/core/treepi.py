@@ -101,9 +101,9 @@ def _mask_edges(mask: int, edges: List[Edge]) -> List[Edge]:
 def _subtree_levels(
     query: LabeledGraph,
     max_size: int,
-    lattice: Optional[FeatureLattice] = None,
+    lattice: FeatureLattice,
+    canon: SubsetCanonicalizer,
     limit: Optional[int] = None,
-    canon: Optional[SubsetCanonicalizer] = None,
 ) -> Iterator[List[str]]:
     """Canonical keys of the query's subtrees, one list per size ``1..max_size``.
 
@@ -116,21 +116,15 @@ def _subtree_levels(
 
     Each step is looked up in ``lattice``'s grow memo (a level-1 subset
     grows from the edge's first vertex); a miss canonicalizes the subset
-    once through ``canon`` and remembers the step.  A subset whose key
-    is not in ``lattice.keys`` is not grown further, and a child that is
-    neither in ``keys`` nor indexed adds no key, so with an index's
-    lattice a level lists exactly the keys in ``keys`` or indexed.
-    ``lattice`` defaults to an unpruned one for this call, which lists
-    every key.  ``canon`` defaults to a canonicalizer built for the query.
+    once through ``canon``, the query's canonicalizer, and remembers the
+    step.  A subset whose key is not in ``lattice.keys`` is not grown
+    further, and a child that is neither in ``keys`` nor indexed adds no
+    key, so a level lists exactly the keys in ``keys`` or indexed.
 
     ``limit`` caps how many subsets get visited; level 1 always
     completes, and a later level the cap cuts short is yielded partial
     and ends the enumeration.
     """
-    if lattice is None:
-        lattice = FeatureLattice()
-    if canon is None:
-        canon = SubsetCanonicalizer(query)
     look = lattice.memo.get
     grow = lattice.grow
     checking = contracts_enabled()
@@ -216,23 +210,6 @@ def _subtree_levels(
         yield list(keys)
         frontier = grown
         size += 1
-
-
-def _augmentation_keys(
-    query: LabeledGraph, max_size: int
-) -> Tuple[List[str], List[str]]:
-    """Canonical strings of every subtree of the query up to ``max_size`` edges.
-
-    Returns ``(single_edge_keys, larger_keys)``: the first ``max_size``
-    levels of :func:`_subtree_levels` through an unpruned lattice, the
-    larger keys deduplicated and sorted.  :meth:`TreePiIndex.query_paper`
-    intersects their supports into its stage-1 filter; a missing *single
-    edge* proves the query unanswerable.
-    """
-    levels = _subtree_levels(query, max_size)
-    single_edge_keys = next(levels)
-    larger_keys = {key for level in levels for key in level}
-    return single_edge_keys, sorted(larger_keys)
 
 
 def _check_query(query: LabeledGraph) -> None:
@@ -510,8 +487,8 @@ class TreePiIndex:
             query,
             eta,
             self._lattice,
+            canon,
             limit=SUBSETS_PER_EDGE * query.num_edges,
-            canon=canon,
         ):
             # Every single edge of the query must be an indexed feature
             # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
@@ -588,8 +565,9 @@ class TreePiIndex:
     def _plan_paper(self, query: LabeledGraph) -> "QueryPlan":
         """The paper's planner: ``RP(q)`` run δ times, then Algorithm 1.
 
-        Augments SF_q with every query subtree of up to ``max(3, α)``
-        edges and filters on those first (stage 1), then runs the
+        Filters first on the query's indexed subtrees of up to
+        ``max(3, α)`` edges, found through the index's lattice
+        (:func:`_subtree_levels`, stage 1), then runs the
         randomized Feature-Tree-Partition δ times (fewer when stage 1
         already leaves at most 8 candidates) for TP_q and the rest of
         SF_q.  :meth:`query_paper` builds its center constraints on TP_q.
@@ -603,34 +581,40 @@ class TreePiIndex:
         if hit is not None:
             return hit
 
-        # Enumerate up to 3-edge subtrees even when α < 3: lookups whose
-        # keys are absent (infrequent or shrunk) are skipped soundly, and
-        # present ones buy the same filter power gIndex gets from its
-        # exhaustive ≤3-edge enumeration.
-        single_edge_keys, larger_keys = _augmentation_keys(
-            query, max(3, self._config.support.alpha)
+        # Stage 1 takes SF_q's keys up to max(3, α) edges from the
+        # index's own lattice, even when α < 3: the lookups buy the same
+        # filter power gIndex gets from its exhaustive ≤3-edge
+        # enumeration.  Every single edge must be indexed; a miss proves
+        # D_q empty.
+        levels = _subtree_levels(
+            query,
+            max(3, self._config.support.alpha),
+            self._lattice,
+            memo.canon,
         )
-        for key in single_edge_keys:
-            if key not in self._lookup:
-                phases["partition"] = time.perf_counter() - t0
-                return QueryPlan(
-                    query=query,
-                    result=QueryResult(
-                        matches=frozenset(), phase_seconds=phases
-                    ),
-                )
+        single_edge_keys = next(levels)
+        if any(key not in self._lookup for key in single_edge_keys):
+            phases["partition"] = time.perf_counter() - t0
+            return QueryPlan(
+                query=query,
+                result=QueryResult(matches=frozenset(), phase_seconds=phases),
+            )
 
-        # Stage 1: the ``P_q ← D`` initializer handed to Algorithm 1 is
-        # the intersection of the augmentation subtrees' supports, which
-        # bounds it without ever copying the database id set; when it
-        # already leaves only a handful of candidates, SF_q diversity
-        # buys nothing and TP_q needs only a few restarts.
-        # dict.fromkeys dedups while keeping list order.
+        # The ``P_q ← D`` initializer handed to Algorithm 1 is the
+        # intersection of the stage-1 supports, which bounds it without
+        # ever copying the database id set; when it already leaves only
+        # a handful of candidates, SF_q diversity buys nothing and TP_q
+        # needs only a few restarts.  dict.fromkeys dedups the singles.
         postings = [
-            self._lookup[k].support_posting()
-            for k in dict.fromkeys(single_edge_keys + larger_keys)
-            if k in self._lookup
+            self._lookup[key].support_posting()
+            for key in dict.fromkeys(single_edge_keys)
         ]
+        postings.extend(
+            self._lookup[key].support_posting()
+            for level in levels
+            for key in level
+            if key in self._lookup
+        )
         stage1 = PostingList.intersect_many(postings, early_exit=True)
 
         rng = random.Random(self._config.seed)

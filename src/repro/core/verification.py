@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.guards import hot_path
-from repro.core.budget import CancellationToken
 from repro.core.center_prune import CenterConstraintProblem
 from repro.graphs.distances import DistanceOracle
 from repro.graphs.graph import LabeledGraph
@@ -106,21 +105,12 @@ def verify_candidate(
     graph_id: int,
     stats: Optional[VerificationStats] = None,
     oracle: Optional[DistanceOracle] = None,
-    token: Optional[CancellationToken] = None,
     prefilter: bool = True,
 ) -> bool:
     """Algorithm 3: is ``q ⊆ g``, reconstructing from anchored pieces?
 
     ``oracle`` optionally reuses a distance oracle (and its cached BFS
     levels) from the center-pruning pass or from previous queries.
-
-    ``token`` makes the reconstruction cooperative: the ``search``
-    recursion polls it on entry, each anchored-assignment trial charges
-    one work unit, and the piece-embedding enumerator charges per vertex
-    expansion, so an expired budget unwinds the whole recursion with
-    :class:`~repro.exceptions.BudgetExceeded` within a bounded number of
-    steps.  The caller treats such a candidate as *unresolved* — never
-    as a match or a non-match.
 
     ``prefilter`` enables the cached label-pair refutation (a query
     whose label-pair incidence multiset exceeds the graph's cannot embed
@@ -129,8 +119,6 @@ def verify_candidate(
     """
     if stats is None:
         stats = VerificationStats()
-    if token is not None:
-        token.poll()
     if prefilter and not pair_subsumed(
         query.matcher_index(), graph.matcher_index()
     ):
@@ -164,8 +152,6 @@ def verify_candidate(
         used: frozenset,
         placed_centers: List[Tuple[int, Center]],  # (piece index, center in g)
     ) -> bool:
-        if token is not None:
-            token.poll()
         if pos == m:
             return True
         boundary = tuple(
@@ -213,8 +199,6 @@ def verify_candidate(
             if not ok:
                 continue
             stats.assignments_tried += 1
-            if token is not None:
-                token.charge(1)
             for anchor in _anchor_seeds(piece.center, center):
                 seed = dict(overlap_seed)
                 conflict = False
@@ -227,7 +211,7 @@ def verify_candidate(
                 if conflict:
                     continue
                 for emb in subgraph_monomorphisms(
-                    piece.tree, graph, seed=seed, token=token, prefilter=prefilter
+                    piece.tree, graph, seed=seed, prefilter=prefilter
                 ):
                     stats.piece_embeddings_enumerated += 1
                     extended = dict(qmap)

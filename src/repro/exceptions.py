@@ -39,7 +39,7 @@ class BudgetExceeded(ReproError):
     monomorphism enumerator so deep recursions unwind cleanly.  The query
     engine catches it and returns a *degraded but sound* result
     (``complete=False``) instead of propagating; user code only sees this
-    exception when driving :func:`repro.core.verification.verify_candidate`
+    exception when driving :meth:`repro.core.treepi.TreePiIndex.verify`
     or the matcher directly with a token.
 
     ``reason`` records which bound tripped (``"deadline"``,

@@ -13,7 +13,6 @@ from repro.graphs.canonical import canonical_label, minimum_dfs_code
 from repro.graphs.distances import (
     DistanceOracle,
     bfs_distances,
-    center_distance,
     diameter,
     eccentricity,
     shortest_path_length,
@@ -62,7 +61,6 @@ __all__ = [
     "minimum_dfs_code",
     "DistanceOracle",
     "bfs_distances",
-    "center_distance",
     "diameter",
     "eccentricity",
     "shortest_path_length",

@@ -13,7 +13,7 @@ vertex *sets*, taking the minimum over endpoint pairs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.graphs.graph import LabeledGraph
 
@@ -90,19 +90,3 @@ class DistanceOracle:
                         return 0
         return best
 
-
-def center_distance(
-    graph: LabeledGraph,
-    center_a: Tuple[int, ...],
-    center_b: Tuple[int, ...],
-    oracle: Optional[DistanceOracle] = None,
-) -> float:
-    """Distance between two tree centers embedded in ``graph``.
-
-    Centers are tuples of one vertex (vertex-centered tree) or two adjacent
-    vertices (edge-centered tree); the distance is the minimum over endpoint
-    pairs, which is what the pruning inequality of Section 5.2.2 needs.
-    """
-    if oracle is None:
-        oracle = DistanceOracle(graph)
-    return oracle.set_distance(center_a, center_b)

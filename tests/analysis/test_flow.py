@@ -195,7 +195,7 @@ def run(xs):
     )
     run = fn(flow, "run")
     assert run.origin_of("a") == {"list"}
-    assert run.origin_of("b") == {"setcall"}
+    assert run.origin_of("b") == {"set"}
     assert run.origin_of("c") == {"set"}
     assert run.origin_of("d") == {"dict"}
     assert run.origin_of("e") == {"other"}
@@ -218,6 +218,6 @@ def outer(seed):
 """
     )
     inner = fn(flow, "outer.backtrack")
-    assert inner.origin_of("used") == {"setcall"}
+    assert inner.origin_of("used") == {"set"}
     outer = fn(flow, "outer")
     assert outer.origin_of("rebound") == {"list"}

@@ -65,32 +65,12 @@ def stage1(db):
     assert rule_ids(src) == []
 
 
-def test_repro303_set_universe_seeding_fires():
-    src = """
-def constrain(result, universe):
-    members = set(universe)
-    return members
-"""
-    assert rule_ids(src) == ["REPRO303"]
-    assert "set(universe)" in messages(src)[0]
-
-
-def test_repro303_membership_against_materialized_set_fires():
-    src = """
-def constrain(result, ids):
-    members = set(ids)
-    return frozenset(g for g in result if g in members)
-"""
-    assert rule_ids(src) == ["REPRO303"]
-    assert "intersect" in messages(src)[0]
-
-
 def test_repro303_posting_intersection_is_clean():
     src = """
 from repro.storage import PostingList
 
-def constrain(result, universe):
-    return result.intersect(PostingList(universe)).to_frozenset()
+def constrain(result, ids):
+    return result.intersect(PostingList(ids)).to_frozenset()
 """
     assert rule_ids(src) == []
 
@@ -451,9 +431,9 @@ REAL_MUTATIONS = [
     ),
     pytest.param(
         "REPRO303",
-        "core/filtering.py",
-        "return result.intersect(PostingList(universe)).to_frozenset()",
-        "return result.intersect(PostingList(sorted(universe))).to_frozenset()",
+        "baselines/gindex.py",
+        "candidates = self._db.universe_posting()",
+        "candidates = PostingList(sorted(self._db.graph_ids()))",
         id="filter-sorts-the-universe",
     ),
     pytest.param(

@@ -108,7 +108,7 @@ class TestAblationRunners:
     def test_maintenance(self):
         table = ablation_maintenance(MICRO)
         rows = {row[0]: row for row in table.rows}
-        assert rows["audit_mismatches"][2] == 0.0
+        assert rows["audit_mismatches"][1] == 0
 
     def test_verification_strategy(self):
         from repro.bench import ablation_verification_strategy

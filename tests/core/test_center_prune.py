@@ -11,9 +11,8 @@ import pytest
 from repro.core import (
     CenterConstraintProblem,
     FeatureTree,
-    center_assignments,
     center_prune,
-    satisfies_center_constraints,
+    check_center_constraints,
 )
 from repro.core.partition import Partition, QueryPiece
 from repro.graphs import LabeledGraph, path_graph
@@ -83,21 +82,19 @@ class TestProblemConstruction:
 
 class TestConstraintCheck:
     def test_near_graph_satisfies(self, problem, graphs):
-        assert satisfies_center_constraints(problem, graphs[0], 0)
+        assert check_center_constraints(problem, graphs[0], 0).keep
 
     def test_far_graph_pruned(self, problem, graphs):
         # Center distance 4 in the graph > 2 in the query (Figure 7(a)).
-        assert not satisfies_center_constraints(problem, graphs[1], 1)
+        assert not check_center_constraints(problem, graphs[1], 1).keep
 
     def test_graph_missing_a_feature_fails(self, problem, graphs):
-        assert not satisfies_center_constraints(problem, graphs[0], 99)
-
-    def test_assignments_enumerated(self, problem, graphs):
-        assignments = list(center_assignments(problem, graphs[0], 0))
-        assert assignments == [((1,), (3,))]
+        assert not check_center_constraints(problem, graphs[0], 99).keep
 
     def test_far_graph_has_no_assignment(self, problem, graphs):
-        assert list(center_assignments(problem, graphs[1], 1)) == []
+        # Refuted by a proof, not kept because a budget ran out.
+        decision = check_center_constraints(problem, graphs[1], 1)
+        assert not decision.keep and not decision.exhausted
 
 
 class TestCenterPrune:
@@ -105,12 +102,11 @@ class TestCenterPrune:
         report = center_prune(problem, [0, 1], graphs)
         assert report.survivors == [0]
         assert report.refuted == 1
-        assert report.exhausted == 0 and report.skipped == 0
-        assert not report.degraded
+        assert report.exhausted == 0
 
     def test_empty_candidates(self, problem, graphs):
         report = center_prune(problem, [], graphs)
-        assert report.survivors == [] and not report.degraded
+        assert report.survivors == [] and report.exhausted == 0
 
 
 class TestMultipleLocations:
@@ -125,4 +121,4 @@ class TestMultipleLocations:
         problem = CenterConstraintProblem.from_partition(
             query, Partition(pieces), lookup
         )
-        assert satisfies_center_constraints(problem, graphs[1], 1)
+        assert check_center_constraints(problem, graphs[1], 1).keep

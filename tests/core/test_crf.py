@@ -7,7 +7,7 @@ union construction plus the generic isomorphism oracle.
 
 import pytest
 
-from repro.core import canonical_reconstruction_form, overlap_signature, union_graph
+from repro.core import canonical_reconstruction_form, union_graph
 from repro.graphs import LabeledGraph, are_isomorphic, path_graph, star_graph
 
 
@@ -101,13 +101,3 @@ class TestCrfTheorem:
                 )
                 assert same_crf == same_union, (ga, gb)
 
-
-class TestOverlapSignature:
-    def test_hashable_and_order_insensitive(self):
-        sig1 = overlap_signature(2, [(5, 9), (1, 3)])
-        sig2 = overlap_signature(2, [(1, 3), (5, 9)])
-        assert sig1 == sig2
-        assert hash(sig1) == hash(sig2)
-
-    def test_piece_index_matters(self):
-        assert overlap_signature(1, [(0, 0)]) != overlap_signature(2, [(0, 0)])

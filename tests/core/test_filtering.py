@@ -6,6 +6,7 @@ from repro.core import FeatureTree, filter_candidates
 from repro.core.partition import QueryPiece
 from repro.graphs import path_graph
 from repro.mining import MinedPattern
+from repro.storage import PostingList
 from repro.trees import tree_canonical_string
 
 
@@ -38,54 +39,31 @@ def features():
     return {f.key: f for f in (f1, f2, f3)}
 
 
+def stage1(*ids):
+    return PostingList(ids)
+
+
 class TestFilterCandidates:
     def test_intersection(self, features):
         pieces = [make_piece(f) for f in features.values()]
-        outcome = filter_candidates(range(6), pieces, features)
+        outcome = filter_candidates(stage1(*range(6)), pieces, features)
         assert outcome.candidates == frozenset({2})
         assert not outcome.definitely_empty
 
     def test_universe_initializer(self, features):
+        # The stage-1 set bounds P_q from above.
         f1 = next(iter(features.values()))
-        outcome = filter_candidates([0, 1], [make_piece(f1)], features)
-        assert outcome.candidates <= {0, 1}
-
-    def test_missing_key_proves_empty(self, features):
-        ghost = make_feature(9, ["x", "y"], [0])
-        pieces = [make_piece(ghost)]
-        outcome = filter_candidates(range(6), pieces, features)
-        assert outcome.definitely_empty
-        assert outcome.missing_key == ghost.key
-        assert outcome.candidates == frozenset()
+        outcome = filter_candidates(stage1(0, 1), [make_piece(f1)], features)
+        assert outcome.candidates == frozenset({0, 1})
 
     def test_empty_intersection_is_definitely_empty(self, features):
         f2 = features[make_feature(1, ["b", "c"], [1]).key]
         f3 = features[make_feature(2, ["c", "d"], [2]).key]
-        outcome = filter_candidates([9], [make_piece(f2), make_piece(f3)], features)
+        outcome = filter_candidates(
+            stage1(9), [make_piece(f2), make_piece(f3)], features
+        )
         assert outcome.definitely_empty
 
     def test_no_pieces_returns_universe(self, features):
-        outcome = filter_candidates([4, 5], [], features)
+        outcome = filter_candidates(stage1(4, 5), [], features)
         assert outcome.candidates == frozenset({4, 5})
-
-    def test_used_features_sorted_by_support(self, features):
-        pieces = [make_piece(f) for f in features.values()]
-        outcome = filter_candidates(range(6), pieces, features)
-        supports = [f.support for f in outcome.used_features]
-        assert supports == sorted(supports)
-
-    def test_extra_keys_tighten(self, features):
-        f1 = [f for f in features.values() if f.support == 4][0]
-        f3_key = make_feature(2, ["c", "d"], [2, 5]).key
-        outcome = filter_candidates(
-            range(6), [make_piece(f1)], features, extra_keys=[f3_key]
-        )
-        assert outcome.candidates == frozenset({2})
-
-    def test_unknown_extra_keys_ignored(self, features):
-        f1 = [f for f in features.values() if f.support == 4][0]
-        outcome = filter_candidates(
-            range(6), [make_piece(f1)], features, extra_keys=["nonsense"]
-        )
-        assert outcome.candidates == frozenset({0, 1, 2, 3})
-        assert not outcome.definitely_empty

@@ -4,12 +4,10 @@ import pytest
 
 from repro.core import (
     CenterConstraintProblem,
-    QueryBudget,
     TreePiConfig,
     TreePiIndex,
     center_prune,
     check_center_constraints,
-    satisfies_center_constraints,
 )
 from repro.exceptions import ConfigError
 from repro.core import treepi
@@ -52,28 +50,30 @@ class TestBudget:
         problem = _two_piece_problem(
             query, [(1,)], [(7,)],
         )
-        assert not satisfies_center_constraints(problem, far, 0)  # unbudgeted
-        assert satisfies_center_constraints(problem, far, 0, budget=0)
+        assert not check_center_constraints(problem, far, 0).keep  # unbudgeted
+        assert check_center_constraints(problem, far, 0, budget=0).keep
 
     def test_generous_budget_matches_unbudgeted(self, query):
         near = path_graph(["a", "b", "c", "d", "e"])
         near.graph_id = 0
         problem = _two_piece_problem(query, [(1,)], [(3,)])
-        assert satisfies_center_constraints(problem, near, 0, budget=10_000)
+        assert check_center_constraints(problem, near, 0, budget=10_000).keep
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
         problem2 = _two_piece_problem(query, [(1,)], [(7,)])
-        assert not satisfies_center_constraints(problem2, far, 0, budget=10_000)
+        assert not check_center_constraints(
+            problem2, far, 0, budget=10_000
+        ).keep
 
     def test_missing_feature_fails_even_with_budget(self, query):
         graph = path_graph(["a", "b", "c", "d", "e"])
         graph.graph_id = 0
         problem = _two_piece_problem(query, [(1,)], [(3,)])
-        assert not satisfies_center_constraints(problem, graph, 99, budget=0)
+        assert not check_center_constraints(problem, graph, 99, budget=0).keep
 
 
 class TestExplicitOutcome:
-    """The three-way outcome the boolean façade used to collapse."""
+    """The three-way outcome: refuted, satisfied or exhausted."""
 
     def test_satisfied_within_budget(self, query):
         near = path_graph(["a", "b", "c", "d", "e"])
@@ -112,8 +112,6 @@ class TestExplicitOutcome:
         problem = _two_piece_problem(query, [(1,)], [(3,)])
         with pytest.raises(ConfigError):
             check_center_constraints(problem, near, 0, budget=-1)
-        with pytest.raises(ConfigError):
-            satisfies_center_constraints(problem, near, 0, budget=-1)
 
     def test_center_prune_reports_exhaustion(self, query):
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
@@ -122,19 +120,6 @@ class TestExplicitOutcome:
         report = center_prune(problem, [0], {0: far}, budget_per_graph=0)
         assert report.survivors == [0]
         assert report.exhausted == 1 and report.refuted == 0
-        assert report.degraded
-
-    def test_expired_deadline_keeps_remaining_candidates(self, query):
-        far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
-        far.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(7,)])
-        token = QueryBudget(deadline_ms=0).start()
-        report = center_prune(
-            problem, [0], {0: far}, budget_per_graph=10_000, token=token
-        )
-        # Nothing examined, everything kept: a superset is sound.
-        assert report.survivors == [0]
-        assert report.skipped == 1 and report.degraded
 
 
 class TestEndToEndWithTinyBudget:

@@ -34,12 +34,13 @@ import pytest
 
 from repro.analysis import contracts
 from repro.baselines import SequentialScan
-from repro.core import QueryEngine, TreePiIndex
+from repro.core import FeatureTree, QueryEngine, TreePiIndex
 from repro.core.lattice import FeatureLattice
 from repro.core.treepi import _subtree_levels
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import LabeledGraph
 from repro.graphs.graph import Edge
+from repro.mining import MinedPattern
 from repro.mining.shrink import leaf_removed_subtrees
 from repro.persistence import load_index, save_index
 from repro.trees.canonical import SubsetCanonicalizer, tree_canonical_string
@@ -109,6 +110,15 @@ def _reference_subtree_levels(
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
+def _levels(
+    query: LabeledGraph, lattice: FeatureLattice, limit: Optional[int] = None
+) -> Iterator[List[str]]:
+    """The serving enumeration up to η edges, through ``lattice``."""
+    return _subtree_levels(
+        query, ETA, lattice, SubsetCanonicalizer(query), limit=limit
+    )
+
+
 def _live(index: TreePiIndex, key: str) -> bool:
     return key in index.lattice.keys or index.has_feature(key)
 
@@ -116,7 +126,7 @@ def _live(index: TreePiIndex, key: str) -> bool:
 def assert_levels_match(index: TreePiIndex, query: LabeledGraph) -> None:
     expected = list(_reference_subtree_levels(query, ETA))
     expected[1:] = [[k for k in level if _live(index, k)] for level in expected[1:]]
-    got = list(_subtree_levels(query, ETA, index.lattice))
+    got = list(_levels(query, index.lattice))
     # The lattice stops at the last level with a live subset.
     got += [[]] * (len(expected) - len(got))
     assert got == expected
@@ -186,7 +196,7 @@ def test_capped_levels_keep_the_reference_keys(kind, seed):
             }
             got = {
                 key
-                for level in _subtree_levels(query, ETA, index.lattice, limit)
+                for level in _levels(query, index.lattice, limit)
                 for key in level
             }
             assert want <= got
@@ -258,7 +268,7 @@ def test_memo_values_do_not_depend_on_the_filling_subset(kind, seed):
     index = TreePiIndex.build(db, CONFIG)
     shuffled = FeatureLattice(index.features, {f.key for f in index.features})
     for query in queries:
-        list(_subtree_levels(query, ETA, index.lattice))
+        list(_levels(query, index.lattice))
     rng = random.Random(seed)
     for query in reversed(queries):
         for _ in range(3):
@@ -266,7 +276,7 @@ def test_memo_values_do_not_depend_on_the_filling_subset(kind, seed):
             rng.shuffle(order)
             relabeled = query.relabeled(order)
             assert_levels_match(index, relabeled)
-            list(_subtree_levels(relabeled, ETA, shuffled))
+            list(_levels(relabeled, shuffled))
     forward = index.lattice.memo
     common = forward.keys() & shuffled.memo.keys()
     assert len(common) > len(forward) // 2
@@ -277,13 +287,21 @@ def test_tied_siblings_are_ordered_by_position_not_vertex_id():
     # C with two O leaves, built twice: the second leaf grown has the
     # larger vertex id in one graph and the smaller in the other.  The
     # step and its stored remap must be the same for both.
+    # The lattice is built from a C with three O leaves, so the two-leaf
+    # subset is a proper subtree of a feature and its remap is stored.
+    star = LabeledGraph(["C", "O", "O", "O"], [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    feature = FeatureTree.from_mined_pattern(
+        0, MinedPattern(star, tree_canonical_string(star))
+    )
     memos = []
     for edges in ([(0, 1, 1), (0, 2, 1)], [(0, 2, 1), (0, 1, 1)]):
-        lattice = FeatureLattice()
-        list(_subtree_levels(LabeledGraph(["C", "O", "O"], edges), 2, lattice))
+        lattice = FeatureLattice([feature], {feature.key})
+        query = LabeledGraph(["C", "O", "O"], edges)
+        list(_subtree_levels(query, 2, lattice, SubsetCanonicalizer(query)))
         memos.append(lattice.memo)
     assert memos[0] == memos[1]
     assert len(memos[0]) == 2  # one level-1 step, one level-2 step
+    assert all(grown[1] is not None for grown in memos[0].values())
 
 
 @pytest.mark.parametrize(
@@ -336,7 +354,7 @@ def served():
 
 def _replay(index: TreePiIndex, queries: List[LabeledGraph]) -> None:
     for query in queries:
-        list(_subtree_levels(query, ETA, index.lattice))
+        list(_levels(query, index.lattice))
 
 
 def test_contracts_rederive_every_hit(served, monkeypatch):

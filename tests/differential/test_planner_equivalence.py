@@ -9,7 +9,9 @@ rewrite may change *how fast* a plan is made, never *which* plan: for
 every corpus of the differential sweep, plus seeded 4/8/12/16-edge
 extractions from larger molecules, both planners must produce
 
-* the same augmentation key lists,
+* the same stage-1 keys: the single-edge keys in edge order, and the
+  larger keys the index's lattice yields up to ``max(3, α)`` edges equal
+  the frozen augmentation keys restricted to the indexed ones,
 * the same ``TP_q`` — every piece's edges, key, center, query center,
   ``to_query`` map and tree,
 * the same ``SF_q``, keys in the same order,
@@ -26,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.core import TreePiIndex
+from repro.core import FeatureTree, TreePiIndex
+from repro.core.lattice import FeatureLattice
 from repro.core.partition import (
     Partition,
     PartitionRun,
@@ -35,12 +38,13 @@ from repro.core.partition import (
     random_partition,
     run_partitions,
 )
-from repro.core.treepi import _augmentation_keys
+from repro.core.treepi import _subtree_levels
 from repro.datasets import extract_query_workload, generate_aids_like
 from repro.graphs import LabeledGraph, cycle_graph, path_graph
 from repro.graphs.graph import Edge, edge_key
 from repro.graphs.random_subgraph import random_connected_edge_subset
-from repro.trees.canonical import tree_canonical_string
+from repro.mining import MinedPattern
+from repro.trees.canonical import SubsetCanonicalizer, tree_canonical_string
 from repro.trees.center import tree_center
 
 from tests.differential.test_answer_sets import (
@@ -50,6 +54,10 @@ from tests.differential.test_answer_sets import (
     make_corpus,
 )
 from tests.differential.test_matcher_equivalence import CONFIG
+from tests.differential.test_subset_canonicalizer import connected_subsets
+
+#: Stage 1's depth in the paper planner, ``max(3, α)``.
+STAGE1_SIZE = max(3, CONFIG.support.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -218,16 +226,51 @@ def _partition_facts(partition: Partition) -> List[tuple]:
     return [_piece_facts(p) for p in partition.pieces]
 
 
+def _subtree_lattice(
+    query: LabeledGraph, is_feature: Callable[[str], bool], max_size: int
+) -> FeatureLattice:
+    """A lattice over the query's own subtrees of up to ``max_size``
+    edges that ``is_feature`` accepts, each indexed."""
+    features: Dict[str, FeatureTree] = {}
+    for edges in connected_subsets(query, max_size):
+        sub, _ = query.subgraph_from_edges(edges)
+        if not sub.is_tree():
+            continue
+        key = tree_canonical_string(sub)
+        if is_feature(key) and key not in features:
+            features[key] = FeatureTree.from_mined_pattern(
+                len(features), MinedPattern(sub, key)
+            )
+    return FeatureLattice(features.values(), features.keys())
+
+
+def assert_stage1_keys_agree(
+    query: LabeledGraph,
+    lattice: FeatureLattice,
+    is_feature: Callable[[str], bool],
+    max_size: int,
+) -> None:
+    levels = _subtree_levels(
+        query, max_size, lattice, SubsetCanonicalizer(query)
+    )
+    singles = next(levels)
+    larger = {key for level in levels for key in level if is_feature(key)}
+    want_singles, want_larger = _reference_augmentation_keys(query, max_size)
+    assert singles == want_singles
+    assert sorted(larger) == [key for key in want_larger if is_feature(key)]
+
+
 def assert_planners_agree(
     query: LabeledGraph,
     is_feature: Callable[[str], bool],
     delta: int,
     seed: int,
-    max_size: int = 3,
+    max_size: int = STAGE1_SIZE,
+    lattice: Optional[FeatureLattice] = None,
 ) -> None:
-    assert _augmentation_keys(query, max_size) == (
-        _reference_augmentation_keys(query, max_size)
-    )
+    if lattice is None:
+        lattice = _subtree_lattice(query, is_feature, max_size)
+    assert_stage1_keys_agree(query, lattice, is_feature, max_size)
 
     # Filled as the paper planner's direct-hit check leaves it.
     memo = SubsetMemo(query)
@@ -270,7 +313,11 @@ def test_plans_match_reference(kind, seed):
     index = TreePiIndex.build(db, CONFIG)
     for i, query in enumerate(queries):
         assert_planners_agree(
-            query, index.has_feature, max(1, query.num_edges), seed + i
+            query,
+            index.has_feature,
+            max(1, query.num_edges),
+            seed + i,
+            lattice=index.lattice,
         )
 
 
@@ -281,7 +328,10 @@ def test_large_extractions_match_reference(seed):
     for num_edges in (4, 8, 12, 16):
         workload = extract_query_workload(db, num_edges, 6, seed=seed * 100 + num_edges)
         for i, query in enumerate(workload.queries):
-            assert_planners_agree(query, index.has_feature, num_edges, seed + i)
+            assert_planners_agree(
+                query, index.has_feature, num_edges, seed + i,
+                lattice=index.lattice,
+            )
             # No feature beyond single edges: RP splits all the way down.
             assert_planners_agree(query, lambda key: False, 4, seed + i)
 

@@ -6,7 +6,6 @@ from repro.graphs import (
     DistanceOracle,
     LabeledGraph,
     bfs_distances,
-    center_distance,
     cycle_graph,
     diameter,
     eccentricity,
@@ -75,20 +74,22 @@ class TestDistanceOracle:
 
 
 class TestCenterDistance:
+    """Center distances of Section 5.2.2 through ``set_distance``."""
+
     def test_vertex_centers(self):
         p = path_graph(["a"] * 7)
-        assert center_distance(p, (0,), (6,)) == 6
+        assert DistanceOracle(p).set_distance((0,), (6,)) == 6
 
     def test_edge_centers_take_minimum(self):
         p = path_graph(["a"] * 6)
-        assert center_distance(p, (0, 1), (3, 4)) == 2
+        assert DistanceOracle(p).set_distance((0, 1), (3, 4)) == 2
 
     def test_shared_vertex_is_zero(self):
         p = path_graph(["a"] * 4)
-        assert center_distance(p, (1, 2), (2, 3)) == 0
+        assert DistanceOracle(p).set_distance((1, 2), (2, 3)) == 0
 
     def test_explicit_oracle_reused(self):
         p = path_graph(["a"] * 5)
         oracle = DistanceOracle(p)
-        assert center_distance(p, (0,), (4,), oracle) == 4
-        assert center_distance(p, (4,), (0,), oracle) == 4
+        assert oracle.set_distance((0,), (4,)) == 4
+        assert oracle.set_distance((4,), (0,)) == 4

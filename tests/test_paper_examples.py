@@ -16,8 +16,8 @@ from repro.core import (
     CenterConstraintProblem,
     TreePiConfig,
     TreePiIndex,
+    check_center_constraints,
     run_partitions,
-    satisfies_center_constraints,
 )
 from repro.core.partition import Partition
 from repro.graphs import GraphDatabase, LabeledGraph, path_graph
@@ -131,7 +131,7 @@ class TestCenterDistancePruning:
             query, Partition(pieces), lookup
         )
         # ... but no placement satisfies the center distance constraint.
-        assert not satisfies_center_constraints(problem, decoy, 99)
+        assert not check_center_constraints(problem, decoy, 99).keep
 
 
 class TestEndToEnd:
