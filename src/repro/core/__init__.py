@@ -10,7 +10,7 @@ from repro.core.center_prune import (
 )
 from repro.core.crf import canonical_reconstruction_form, union_graph
 from repro.core.engine import QueryEngine, query_cache_key
-from repro.core.feature import CenterSet, FeatureTree
+from repro.core.feature import CenterSet, FeatureTree, ShrunkTree
 from repro.core.filtering import FilterOutcome, filter_candidates
 from repro.core.partition import (
     Partition,
@@ -35,6 +35,7 @@ __all__ = [
     "union_graph",
     "CenterSet",
     "FeatureTree",
+    "ShrunkTree",
     "FilterOutcome",
     "filter_candidates",
     "Partition",

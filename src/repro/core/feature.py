@@ -15,19 +15,25 @@ A :class:`FeatureTree` is a selected frequent subtree together with
 The support set doubles as the feature's posting list: filtering
 (Algorithm 1) intersects :meth:`FeatureTree.support_posting` snapshots
 directly, with no per-query frozenset materialization.
+
+A :class:`ShrunkTree` is a frequent tree that γ-shrinking removed from
+the feature set, kept only as an *exception list* so that its exact
+support stays derivable from the features' postings (an extension
+beyond the paper).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.graphs.graph import LabeledGraph
+from repro.graphs.isomorphism import CompiledPattern
 from repro.mining.patterns import MinedPattern
-from repro.storage import OccurrenceStore, PostingList
+from repro.storage import IdStore, OccurrenceStore, PostingList
 from repro.trees.center import Center, tree_center
 
 if TYPE_CHECKING:
-    from repro.storage.segments import LsmStore
+    from repro.storage.segments import LsmIdStore, LsmStore
 
 CenterSet = FrozenSet[Center]
 
@@ -36,11 +42,33 @@ CenterSet = FrozenSet[Center]
 #: identical read/maintenance surface used below.
 StoreLike = Union[OccurrenceStore, "LsmStore"]
 
+#: An exception list's backing: a heap id column or its LSM view.
+IdStoreLike = Union[IdStore, "LsmIdStore"]
 
-class FeatureTree:
+
+class _Compiles:
+    """A tree whose :class:`CompiledPattern` is built on first use and kept.
+
+    Maintenance matches the same trees against every inserted graph, and
+    a tree never changes, so its matcher tables are built once.
+    """
+
+    __slots__ = ()
+
+    tree: LabeledGraph
+    _compiled: Optional[CompiledPattern]
+
+    def compiled(self) -> CompiledPattern:
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledPattern(self.tree)
+        return compiled
+
+
+class FeatureTree(_Compiles):
     """One indexed feature tree with its exact occurrence locations."""
 
-    __slots__ = ("feature_id", "tree", "key", "center", "store")
+    __slots__ = ("feature_id", "tree", "key", "center", "store", "_compiled")
 
     store: StoreLike
 
@@ -57,6 +85,7 @@ class FeatureTree:
         self.tree = tree
         self.key = key
         self.center = center
+        self._compiled = None
         if store is not None:
             if store.arity != len(center):
                 raise ValueError(
@@ -132,3 +161,56 @@ class FeatureTree:
     def remove_graph(self, graph_id: int) -> bool:
         """Delete-maintenance hook: purge a graph; True if it was present."""
         return self.store.remove_graph(graph_id)
+
+
+class ShrunkTree(_Compiles):
+    """A γ-shrunk frequent tree, kept as an exception list.
+
+    ``cover`` holds the ids of the features whose supports intersect to
+    ``I(t)``, the intersection over the tree's indexed proper subtrees
+    (:func:`~repro.mining.shrink.shrunk_covers`).  ``store`` holds the
+    exception list ``E(t) = I(t) − D_t``: the graphs in that
+    intersection that do not contain the tree.  So ``D_t = I(t) − E(t)``,
+    and a query that is this tree needs no verification once its plan
+    has intersected every indexed proper subtree.
+    """
+
+    __slots__ = ("key", "tree", "cover", "store", "_compiled")
+
+    def __init__(
+        self,
+        key: str,
+        tree: LabeledGraph,
+        cover: Tuple[int, ...],
+        store: IdStoreLike,
+    ) -> None:
+        self.key = key
+        self.tree = tree
+        self.cover = cover
+        self.store = store
+        self._compiled = None
+
+    def __repr__(self) -> str:
+        return (
+            f"<ShrunkTree exceptions={len(self.exceptions())} "
+            f"key={self.key[:40]!r}>"
+        )
+
+    @classmethod
+    def from_mined_pattern(
+        cls, pattern: MinedPattern, cover: Iterable[FeatureTree]
+    ) -> "ShrunkTree":
+        """The exception list of ``pattern`` against its cover's postings."""
+        cover = list(cover)
+        within = PostingList.intersect_many([f.support_posting() for f in cover])
+        support = pattern.support_set()
+        return cls(
+            pattern.key,
+            pattern.graph,
+            tuple(f.feature_id for f in cover),
+            IdStore(PostingList.from_sorted([g for g in within if g not in support])),
+        )
+
+    def exceptions(self) -> PostingList:
+        """``E(t)`` as a sorted posting-list snapshot."""
+        return self.store.graph_ids()

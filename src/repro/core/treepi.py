@@ -22,6 +22,11 @@ verification (Algorithm 3).  Both return exactly ``D_q = {g : q ⊆ g}``.
 occurrences of existing features are updated in place (one match per
 feature on insert), and the index advertises a rebuild once churn passes
 one quarter of the build size.
+
+Beyond the paper, the trees γ-shrinking drops are kept as exception
+lists (:class:`~repro.core.feature.ShrunkTree`): a query that is one of
+them is answered from the postings its plan intersects, minus the
+tree's exceptions, without verification.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from repro.analysis.contracts import contracts_enabled
 from repro.analysis.guards import guarded_by, hot_path
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
-from repro.core.feature import FeatureTree
+from repro.core.feature import FeatureTree, ShrunkTree
 from repro.core.filtering import filter_candidates
 from repro.core.lattice import FeatureLattice
 from repro.core.partition import Partition, SubsetMemo, run_partitions
@@ -60,7 +65,7 @@ from repro.graphs.isomorphism import (
     label_pair_refuted,
     subgraph_monomorphisms,
 )
-from repro.mining.shrink import shrink_feature_set
+from repro.mining.shrink import shrink_feature_set, shrunk_covers
 from repro.mining.subtree_miner import FrequentSubtreeMiner
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
@@ -293,11 +298,14 @@ class TreePiIndex:
         config: TreePiConfig,
         features: List[FeatureTree],
         stats: IndexStats,
+        shrunk: Sequence[ShrunkTree] = (),
     ) -> None:
         self._db = database
         self._config = config
         self._features = features
         self._lookup: Dict[str, FeatureTree] = {f.key: f for f in features}
+        self._shrunk = list(shrunk)
+        self._shrunk_by_key = {t.key: t for t in self._shrunk}
         self._lattice = FeatureLattice(features, self._lookup)
         self._stats = stats
         self._build_size = len(database)
@@ -319,7 +327,13 @@ class TreePiIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, database: GraphDatabase, config: TreePiConfig) -> "TreePiIndex":
-        """Database preprocessing: mine, shrink, materialize features."""
+        """Database preprocessing: mine, shrink, materialize features.
+
+        Every shrunk tree with a cover (:func:`~repro.mining.shrink.
+        shrunk_covers`) over the final feature set keeps its exception
+        list, unless mining was approximate (capped embeddings), where
+        supports may be short and the list would drop true matches.
+        """
         if len(database) == 0:
             raise IndexError_("cannot build an index over an empty database")
         start = time.perf_counter()
@@ -340,6 +354,15 @@ class TreePiIndex:
             FeatureTree.from_mined_pattern(fid, pattern)
             for fid, pattern in enumerate(kept)
         ]
+        shrunk: List[ShrunkTree] = []
+        if config.max_embeddings_per_graph is None:
+            by_key = {f.key: f for f in features}
+            shrunk = [
+                ShrunkTree.from_mined_pattern(
+                    mined.patterns[key], [by_key[k] for k in cover]
+                )
+                for key, cover in sorted(shrunk_covers(shrink, by_key).items())
+            ]
         by_size: Dict[int, int] = {}
         for f in features:
             by_size[f.size] = by_size.get(f.size, 0) + 1
@@ -351,7 +374,7 @@ class TreePiIndex:
             mining=mined.stats,
             shrink_removed=shrink.removed_count,
         )
-        return cls(database, config, features, stats)
+        return cls(database, config, features, stats, shrunk)
 
     # ------------------------------------------------------------------
     # accessors
@@ -375,15 +398,22 @@ class TreePiIndex:
     def feature_count(self) -> int:
         return len(self._features)
 
+    @property
+    def shrunk(self) -> List[ShrunkTree]:
+        """The exception lists of the γ-shrunk trees, in key order."""
+        return list(self._shrunk)
+
     def storage_bytes(self) -> int:
         """Resident bytes of the columnar occurrence/support storage.
 
         Counts the posting and center columns of every feature's
-        :class:`~repro.storage.occurrences.OccurrenceStore` — the part of
-        the index the storage layer owns (graphs, the key map and stats live
-        elsewhere).
+        :class:`~repro.storage.occurrences.OccurrenceStore` and every
+        shrunk tree's exception list — the part of the index the storage
+        layer owns (graphs, the key map and stats live elsewhere).
         """
-        return sum(f.store.nbytes() for f in self._features)
+        return sum(f.store.nbytes() for f in self._features) + sum(
+            t.store.nbytes() for t in self._shrunk
+        )
 
     @property
     def lattice(self) -> FeatureLattice:
@@ -454,9 +484,10 @@ class TreePiIndex:
         """Gather SF_q and filter, stopping short of verification.
 
         Returns a :class:`QueryPlan`; when the pipeline can already prove
-        the answer (direct feature hit, missing single edge, empty filter
-        intersection) the plan carries a final ``result`` and an empty
-        survivor list, otherwise :meth:`run` verifies the survivors.
+        the answer (direct feature hit, shrunk-tree hit, missing single
+        edge, empty filter intersection) the plan carries a final
+        ``result`` and an empty survivor list, otherwise :meth:`run`
+        verifies the survivors.
 
         SF_q is every indexed subtree of the query up to η edges, found
         level by level (:func:`_subtree_levels`); after each level the
@@ -467,28 +498,38 @@ class TreePiIndex:
         ``token`` expires (polled after every level; the candidates so
         far go to verification, which reports them unresolved).  Every
         stop is sound: fewer keys only loosen the filter.
+
+        A query that is a γ-shrunk tree ``t`` runs the same enumeration.
+        Once every level below ``|q|`` is intersected, the candidates are
+        ``I(t)``, and ``I(t) − E(t)`` is the exact answer
+        (:class:`~repro.core.feature.ShrunkTree`).  An enumeration that
+        stopped earlier leaves a superset of ``I(t)``, which goes to
+        verification as usual.
         """
         _check_query(query)
         phases: Dict[str, float] = {}
         t0 = time.perf_counter()
         eta = self._config.support.eta
+        limit = SUBSETS_PER_EDGE * query.num_edges
         canon = SubsetCanonicalizer(query)
+        shrunk: Optional[ShrunkTree] = None
         # Only a query of at most η edges can itself be a feature.
         if query.num_edges <= eta:
             whole = canon.form(tuple((u, v) for u, v, _ in query.edges()))
             hit = self._direct_hit(query, whole, phases, t0)
             if hit is not None:
                 return hit
+            # A tree of m edges has at most 2^m − 1 connected edge
+            # subsets; below the cap, the cap cannot cut its enumeration.
+            if whole is not None and (1 << query.num_edges) - 1 <= limit:
+                shrunk = self._shrunk_by_key.get(whole[0])
 
         lookup = self._lookup
         sfq: Dict[str, None] = {}
         candidates: Optional[PostingList] = None
-        for keys in _subtree_levels(
-            query,
-            eta,
-            self._lattice,
-            canon,
-            limit=SUBSETS_PER_EDGE * query.num_edges,
+        level = 0
+        for level, keys in enumerate(
+            _subtree_levels(query, eta, self._lattice, canon, limit=limit), 1
         ):
             # Every single edge of the query must be an indexed feature
             # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
@@ -511,6 +552,8 @@ class TreePiIndex:
                 token is not None and token.expired_now()
             ):
                 break
+        else:
+            level = eta  # every level with an indexed key was intersected
         assert candidates is not None, "level 1 always yields"
         # Filtering is interleaved with the enumeration, so one phase
         # covers both.
@@ -525,6 +568,16 @@ class TreePiIndex:
             plan.result = QueryResult(
                 matches=frozenset(),
                 sfq_size=plan.sfq_size,
+                phase_seconds=phases,
+            )
+        elif shrunk is not None and level >= query.num_edges - 1:
+            matches = candidates.difference(shrunk.exceptions())
+            plan.result = QueryResult(
+                matches=matches.to_frozenset(),
+                direct_hit=True,
+                sfq_size=plan.sfq_size,
+                candidates_after_filter=len(candidates),
+                candidates_after_prune=len(matches),
                 phase_seconds=phases,
             )
         else:
@@ -804,6 +857,12 @@ class TreePiIndex:
         Then every feature is matched against the new graph once.  The
         matcher's label-pair refutation rejects a feature whose labels the
         graph lacks before any search, so no apriori pruning is needed.
+        A feature compiles its matcher tables on its first unrefuted match
+        and keeps them.
+
+        Last, the graph lies in ``I(t)`` of a shrunk tree ``t`` exactly when
+        every feature of its cover occurs; each such ``t`` is matched once,
+        and the graph joins ``E(t)`` when ``t`` is absent.
         """
         gid = self._db.add(graph, graph_id=graph_id)
         for u, v, elabel in graph.edges():
@@ -822,13 +881,28 @@ class TreePiIndex:
                     self._segment_store.adopt_feature(feature)
                 self._features.append(feature)
                 self._lookup[key] = feature
+        present: Set[int] = set()
         for feature in self._features:
+            if label_pair_refuted(feature.tree, graph):
+                continue
             centers = {
                 tuple(sorted(emb[v] for v in feature.center))
-                for emb in subgraph_monomorphisms(feature.tree, graph)
+                for emb in subgraph_monomorphisms(
+                    feature.tree, graph, compiled=feature.compiled()
+                )
             }
             if centers:
                 feature.add_occurrences(gid, centers)
+                present.add(feature.feature_id)
+        for shrunk in self._shrunk:
+            if not present.issuperset(shrunk.cover):
+                continue
+            if label_pair_refuted(shrunk.tree, graph) or not any(
+                subgraph_monomorphisms(
+                    shrunk.tree, graph, limit=1, compiled=shrunk.compiled()
+                )
+            ):
+                shrunk.store.add_graph(gid)
         self._churn += 1
         if self._segment_store is not None:
             self._segment_store.note_insert()
@@ -836,10 +910,12 @@ class TreePiIndex:
 
     @guarded_by("_serving_lock", mode="write")
     def delete(self, graph_id: int) -> None:
-        """Remove a graph and purge its entries from every feature."""
+        """Remove a graph and purge it from every feature and exception list."""
         self._db.remove(graph_id)
         for feature in self._features:
             feature.remove_graph(graph_id)
+        for shrunk in self._shrunk:
+            shrunk.store.remove_graph(graph_id)
         self._oracles.pop(graph_id, None)
         self._churn += 1
         if self._segment_store is not None:
@@ -883,10 +959,11 @@ class TreePiIndex:
     def attach_segment_store(self, store: "SegmentStore") -> None:
         """Bind the segment directory this index was loaded from.
 
-        Hands the store the live database and the index's *own* feature
+        Hands the store the live database, the index's *own* feature
         list (so features materialized by later inserts participate in
-        flushes), after which ``insert``/``delete`` become memtable/
-        tombstone appends and ``needs_rebuild`` stays False forever.
+        flushes) and the exception lists, after which ``insert``/``delete``
+        become memtable/tombstone appends and ``needs_rebuild`` stays
+        False forever.
         """
         from repro.storage.segments import SegmentGraphDatabase
 
@@ -896,7 +973,7 @@ class TreePiIndex:
                 "backed index (load it with load_index on a v3 directory)"
             )
         self._segment_store = store
-        store.attach(self._db, self._features)
+        store.attach(self._db, self._features, self._shrunk)
 
     @guarded_by("_serving_lock", mode="write")
     def maybe_flush_segments(self) -> bool:

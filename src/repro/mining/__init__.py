@@ -1,7 +1,12 @@
 """Frequent-pattern mining: subtrees (TreePi) and subgraphs (gIndex baseline)."""
 
 from repro.mining.patterns import Embedding, MinedPattern, translate_embedding
-from repro.mining.shrink import ShrinkReport, leaf_removed_subtrees, shrink_feature_set
+from repro.mining.shrink import (
+    ShrinkReport,
+    leaf_removed_subtrees,
+    shrink_feature_set,
+    shrunk_covers,
+)
 from repro.mining.subgraph_miner import FrequentSubgraphMiner, gindex_psi
 from repro.mining.subtree_miner import (
     FrequentSubtreeMiner,
@@ -17,6 +22,7 @@ __all__ = [
     "ShrinkReport",
     "leaf_removed_subtrees",
     "shrink_feature_set",
+    "shrunk_covers",
     "FrequentSubgraphMiner",
     "gindex_psi",
     "FrequentSubtreeMiner",

@@ -10,12 +10,17 @@ maximal proper subtree's support set), so only leaf-removals are examined.
 
 Single-edge trees are never shrunk: they are the completeness floor of the
 whole index (any query can be partitioned into single edges).
+
+:func:`shrunk_covers` goes one step beyond the paper: for each removed
+tree it names the indexed features whose supports intersect to the
+intersection over the tree's indexed proper subtrees, from which the
+index keeps the tree's exact support as an exception list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.graphs.graph import LabeledGraph
 from repro.mining.patterns import MinedPattern
@@ -48,6 +53,9 @@ class ShrinkReport:
 
     kept: Dict[str, MinedPattern]
     removed: Dict[str, float]  # canonical key -> redundancy ratio
+    #: canonical key -> keys of its leaf-removed subtrees, for every
+    #: pattern whose subtrees are all frequent.
+    parents: Dict[str, List[str]]
 
     @property
     def removed_count(self) -> int:
@@ -66,6 +74,7 @@ def shrink_feature_set(
     """
     kept: Dict[str, MinedPattern] = {}
     removed: Dict[str, float] = {}
+    parents: Dict[str, List[str]] = {}
     # Canonical-key order: feature ids are assigned by enumerating `kept`,
     # so its insertion order must not depend on mining discovery order.
     for key, pattern in sorted(frequent.items()):
@@ -89,9 +98,53 @@ def shrink_feature_set(
         if not complete or intersection is None:
             kept[key] = pattern
             continue
+        parents[key] = [sub_key for sub_key, _ in subtrees]
         ratio = len(intersection) / pattern.support
         if ratio <= gamma:
             removed[key] = ratio
         else:
             kept[key] = pattern
-    return ShrinkReport(kept=kept, removed=removed)
+    return ShrinkReport(kept=kept, removed=removed, parents=parents)
+
+
+def shrunk_covers(
+    report: ShrinkReport, indexed: Container[str]
+) -> Dict[str, Tuple[str, ...]]:
+    """The indexed keys whose supports pin down each removed tree.
+
+    For a removed key ``t`` let ``I(t)`` be the intersection of the
+    supports of ``t``'s indexed proper subtrees.  The cover ``S(t)``
+    satisfies ``I(t) = ⋂_{f ∈ S(t)} D_f`` and follows the memoised
+    recurrence ``S(t) = ∪_p ({p} if p is indexed else S(p))`` over
+    ``t``'s leaf-removed parents ``p``: an indexed subtree of ``t`` lies
+    in some parent, and an indexed parent's support is inside its own
+    subtrees'.  A removed tree with a non-indexed parent whose own
+    parents are unknown gets no cover.
+    """
+    memo: Dict[str, Optional[FrozenSet[str]]] = {}
+
+    def cover(key: str) -> Optional[FrozenSet[str]]:
+        if key in memo:
+            return memo[key]
+        found: Optional[Set[str]] = None
+        parents = report.parents.get(key)
+        if parents is not None:
+            found = set()
+            for parent in parents:
+                if parent in indexed:
+                    found.add(parent)
+                    continue
+                sub = cover(parent)
+                if sub is None:
+                    found = None
+                    break
+                found |= sub
+        memo[key] = frozenset(found) if found is not None else None
+        return memo[key]
+
+    covers: Dict[str, Tuple[str, ...]] = {}
+    for key in sorted(report.removed):
+        keys = cover(key)
+        if keys:
+            covers[key] = tuple(sorted(keys))
+    return covers

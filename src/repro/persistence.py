@@ -15,7 +15,10 @@ Three format versions are understood:
   :class:`~repro.storage.LabelInterner` table per document and
   references labels by dense id everywhere; feature occurrences are the
   raw :class:`~repro.storage.OccurrenceStore` columns (sorted graph-id
-  column, offset column, delta-encoded flattened center column).
+  column, offset column, delta-encoded flattened center column).  The
+  optional ``"shrunk"`` list holds the γ-shrunk trees' exception lists
+  (:class:`~repro.core.feature.ShrunkTree`); a document without it loads
+  with none, and its shrunk-tree queries verify their candidates.
 * **v3** is not a JSON document at all: ``save_index(index, path,
   version=3)`` writes a *segment directory* (binary column files plus a
   small manifest — see :mod:`repro.storage.segments`), and
@@ -40,14 +43,15 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.core.feature import FeatureTree
+from repro.core.feature import FeatureTree, ShrunkTree
 from repro.core.statistics import IndexStats
 from repro.core.treepi import TreePiConfig, TreePiIndex
 from repro.exceptions import SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.mining.subtree_miner import MiningStats
 from repro.mining.support import SupportFunction
-from repro.storage import LabelInterner, OccurrenceStore
+from repro.storage import IdStore, LabelInterner, OccurrenceStore, PostingList
+from repro.trees.canonical import tree_canonical_string
 
 # The typed-label and interned-graph codecs are shared with the v3
 # segment writer and live below both layers; re-exported here because
@@ -61,11 +65,13 @@ from repro.storage.codec import (
 from repro.storage.segments import (
     DEFAULT_COMPACT_THRESHOLD,
     DEFAULT_MEMTABLE_LIMIT,
+    LsmIdStore,
     LsmStore,
     MANIFEST_NAME,
     SegmentGraphDatabase,
     SegmentStore,
     initialize_directory,
+    shrunk_payloads,
 )
 
 FORMAT_NAME = "treepi-index"
@@ -237,6 +243,25 @@ def _feature_from_json_v2(data: Dict[str, Any], labels: List[Any]) -> FeatureTre
     )
 
 
+def _shrunk_to_json_v2(shrunk: ShrunkTree, interner: LabelInterner) -> Dict[str, Any]:
+    # The key is the tree's canonical string; the reader recomputes it.
+    return {
+        "tree": _graph_to_columns(shrunk.tree, interner),
+        "cover": list(shrunk.cover),
+        "gids": list(shrunk.exceptions()),
+    }
+
+
+def _shrunk_from_json_v2(data: Dict[str, Any], labels: List[Any]) -> ShrunkTree:
+    tree = _graph_from_columns(data["tree"], labels)
+    return ShrunkTree(
+        key=tree_canonical_string(tree),
+        tree=tree,
+        cover=tuple(data["cover"]),
+        store=IdStore(PostingList.from_sorted(data["gids"])),
+    )
+
+
 # ----------------------------------------------------------------------
 # top level
 # ----------------------------------------------------------------------
@@ -261,15 +286,17 @@ def index_to_json(
         )
     db = index.database
     # The interner is filled in canonical order (ascending graph id,
-    # vertex order, edge order, then features in id order), so the same
-    # index serializes to byte-identical JSON on every run.
+    # vertex order, edge order, then features in id order, then shrunk
+    # trees in key order), so the same index serializes to byte-identical
+    # JSON on every run.
     interner = LabelInterner()
     database = {
         str(gid): _graph_to_columns(db[gid], interner)
         for gid in sorted(db.graph_ids())
     }
     features = [_feature_to_json_v2(f, interner) for f in index.features]
-    return {
+    shrunk = [_shrunk_to_json_v2(t, interner) for t in index.shrunk]
+    doc = {
         "format": FORMAT_NAME,
         "version": 2,
         "config": config_to_json(index.config),
@@ -278,6 +305,9 @@ def index_to_json(
         "database": database,
         "features": features,
     }
+    if shrunk:
+        doc["shrunk"] = shrunk
+    return doc
 
 
 def index_from_json(
@@ -317,6 +347,7 @@ def index_from_json(
         stats = _stats_from_json(data["stats"])
         db = GraphDatabase()
         records = sorted(data["database"].items(), key=lambda kv: int(kv[0]))
+        shrunk: List[ShrunkTree] = []
         if version == 1:
             for gid_str, record in records:
                 db.add(graph_from_json(record), graph_id=int(gid_str))
@@ -326,7 +357,8 @@ def index_from_json(
             for gid_str, record in records:
                 db.add(_graph_from_columns(record, labels), graph_id=int(gid_str))
             features = [_feature_from_json_v2(f, labels) for f in data["features"]]
-    return TreePiIndex(db, config, features, stats)
+            shrunk = [_shrunk_from_json_v2(t, labels) for t in data.get("shrunk", ())]
+    return TreePiIndex(db, config, features, stats, shrunk)
 
 
 def save_index(
@@ -396,6 +428,7 @@ def save_segment_index(index: TreePiIndex, root: Union[str, Path]) -> None:
             "config": config_to_json(index.config),
             "stats": _stats_to_json(index.stats),
         },
+        shrunk=shrunk_payloads(index.shrunk),
     )
 
 
@@ -449,7 +482,28 @@ def load_segment_index(
                 if entry.graph_count:
                     feature.store.flush_to_layer(layer, entry.open_store())
         features.sort(key=lambda f: f.feature_id)
-        index = TreePiIndex(db, config, features, stats)
+        shrunk: Dict[str, ShrunkTree] = {}
+        for layer, segment in enumerate(store.segments):
+            labels = segment.labels()
+            for item in segment.shrunk_entries():
+                tree = shrunk.get(item.key)
+                if tree is None:
+                    if item.tree_record is None:
+                        raise SerializationError(
+                            f"exception list {item.key!r} in {segment.path} "
+                            "extends no list an earlier segment defines"
+                        )
+                    tree = shrunk[item.key] = ShrunkTree(
+                        key=item.key,
+                        tree=_graph_from_columns(item.tree_record, labels),
+                        cover=item.cover,
+                        store=LsmIdStore(store.tombstones),
+                    )
+                lists = tree.store
+                assert isinstance(lists, LsmIdStore)
+                if len(item.gids):
+                    lists.flush_to_layer(layer, PostingList.from_buffer(item.gids))
+        index = TreePiIndex(db, config, features, stats, list(shrunk.values()))
         index.attach_segment_store(store)
         ok = True
         return index

@@ -10,7 +10,9 @@ One columnar substrate under the three index implementations:
   support-set filter stage (TreePi Algorithm 1, gIndex, GraphGrep),
 * :class:`OccurrenceStore` — columnar per-feature center-location table
   (Section 4.2.1's per-graph location information) with incremental
-  ``add_graph``/``remove_graph`` for Section 7.1 maintenance.
+  ``add_graph``/``remove_graph`` for Section 7.1 maintenance,
+* :class:`IdStore` — a mutable id set over posting-list snapshots, the
+  heap backing of the γ-shrunk trees' exception lists.
 
 The design follows the succinct-representation line of MSQ-Index
 (arXiv:1612.09155) and CNI (arXiv:1703.05547): sorted integer columns
@@ -20,6 +22,6 @@ per-graph tuples-in-frozensets.
 
 from repro.storage.interner import LabelInterner
 from repro.storage.occurrences import OccurrenceStore
-from repro.storage.posting import PostingList
+from repro.storage.posting import IdStore, PostingList
 
-__all__ = ["LabelInterner", "OccurrenceStore", "PostingList"]
+__all__ = ["IdStore", "LabelInterner", "OccurrenceStore", "PostingList"]

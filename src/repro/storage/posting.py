@@ -254,3 +254,33 @@ def union_many(lists: Sequence[PostingList]) -> PostingList:
     for nxt in lists:
         result = result.union(nxt)
     return result
+
+
+class IdStore:
+    """A mutable set of ids over immutable :class:`PostingList` snapshots.
+
+    The heap backing of an exception list
+    (:class:`~repro.core.feature.ShrunkTree`): ``add_graph`` and
+    ``remove_graph`` swap in a fresh snapshot, so a posting list handed
+    out earlier stays consistent, as :class:`~repro.storage.occurrences.
+    OccurrenceStore` columns do.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: PostingList) -> None:
+        self._ids = ids
+
+    def graph_ids(self) -> PostingList:
+        return self._ids
+
+    def add_graph(self, gid: int) -> None:
+        if gid not in self._ids:
+            self._ids = self._ids.union(PostingList._wrap(id_array([gid])))
+
+    def remove_graph(self, gid: int) -> None:
+        if gid in self._ids:
+            self._ids = self._ids.difference(PostingList._wrap(id_array([gid])))
+
+    def nbytes(self) -> int:
+        return self._ids.nbytes()

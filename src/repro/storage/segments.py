@@ -36,6 +36,13 @@ Header column descriptors are ``{"o": payload-relative byte offset,
 "n": element count, "t": array typecode}``; graphs are stored as a
 sorted gid column, a ``'Q'`` byte-offset column, and a concatenated
 blob of interned JSON records decoded one graph at a time.
+
+The header's ``"shrunk"`` list holds the γ-shrunk trees' exception
+lists (:class:`~repro.core.feature.ShrunkTree`): per tree its key and
+one ``gids`` column that flush, compaction and tombstones treat like a
+feature's.  A base segment adds each tree's record and cover; a delta
+segment, which only extends lists the base defines, carries neither.
+A segment written without the list reads as having none.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -72,7 +80,7 @@ from repro.storage.occurrences import Center, OccurrenceStore
 from repro.storage.posting import IdColumn, PostingList, id_array
 
 if TYPE_CHECKING:
-    from repro.core.feature import FeatureTree
+    from repro.core.feature import FeatureTree, ShrunkTree
 
 MAGIC = b"TPISEG3\n"
 MANIFEST_NAME = "manifest.json"
@@ -94,6 +102,11 @@ FeaturePayload = Tuple[
     int, str, Tuple[int, ...], LabeledGraph,
     Tuple[Sequence[int], Sequence[int], Sequence[int]],
 ]
+
+#: One shrunk tree's flush/compaction payload:
+#: ``(key, tree, cover, exception gids)``; a flush passes no tree and
+#: no cover.
+ShrunkPayload = Tuple[str, Optional[LabeledGraph], Tuple[int, ...], Sequence[int]]
 
 
 class MmapColumn:
@@ -187,6 +200,19 @@ class SegmentFeature:
         )
 
 
+@dataclass
+class SegmentShrunk:
+    """One shrunk tree's on-segment metadata plus its (lazy) exception column.
+
+    ``tree_record`` is None in a delta segment.
+    """
+
+    key: str
+    cover: Tuple[int, ...]
+    tree_record: Optional[Dict[str, Any]]
+    gids: MmapColumn
+
+
 class Segment:
     """One immutable, memory-mapped v3 segment file.
 
@@ -236,6 +262,15 @@ class Segment:
                     centers=self._column(entry["centers"]),
                 )
                 for entry in header["features"]
+            ]
+            self._shrunk = [
+                SegmentShrunk(
+                    key=entry["key"],
+                    cover=tuple(entry.get("cover", ())),
+                    tree_record=entry.get("tree"),
+                    gids=self._column(entry["gids"]),
+                )
+                for entry in header.get("shrunk", ())
             ]
             ok = True
         except (KeyError, TypeError, ValueError) as exc:
@@ -332,6 +367,9 @@ class Segment:
     def feature_entries(self) -> List[SegmentFeature]:
         return list(self._features)
 
+    def shrunk_entries(self) -> List[SegmentShrunk]:
+        return list(self._shrunk)
+
     def nbytes(self) -> int:
         return len(self._mm)
 
@@ -358,14 +396,16 @@ def write_segment(
     path: Union[str, Path],
     graphs: Sequence[LabeledGraph],
     features: Sequence[FeaturePayload],
+    shrunk: Sequence[ShrunkPayload] = (),
 ) -> None:
     """Write one immutable segment file.
 
     ``graphs`` must be sorted by ``graph_id``; feature columns are the
     raw ``OccurrenceStore.columns()`` triples (delta-encoded centers
     included).  The label interner is filled in canonical order (graphs
-    first, then feature trees in the given order), so identical inputs
-    produce byte-identical files.
+    first, then feature trees, then shrunk trees, in the given order), so
+    identical inputs produce byte-identical files.  Without ``shrunk``
+    the file is the one a build without exception lists wrote.
     """
     interner = LabelInterner()
     gid_list: List[int] = []
@@ -381,6 +421,10 @@ def write_segment(
         )
     tree_records = [
         graph_to_columns(tree, interner) for _, _, _, tree, _ in features
+    ]
+    shrunk_records = [
+        None if tree is None else graph_to_columns(tree, interner)
+        for _, tree, _, _ in shrunk
     ]
 
     payload = bytearray()
@@ -423,12 +467,20 @@ def write_segment(
             }
         )
 
-    header = {
+    header: Dict[str, Any] = {
         "byteorder": sys.byteorder,
         "labels": [encode_label(label) for label in interner.labels()],
         "graphs": gdesc,
         "features": fdescs,
     }
+    if shrunk:
+        entries: List[Dict[str, Any]] = []
+        for (key, _tree, cover, gids), tree_record in zip(shrunk, shrunk_records):
+            entry: Dict[str, Any] = {"key": key, "gids": put_column(gids)}
+            if tree_record is not None:
+                entry.update(cover=list(cover), tree=tree_record)
+            entries.append(entry)
+        header["shrunk"] = entries
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     # Pad the header with spaces (JSON-transparent) so the payload
     # starts 8-byte aligned — every column offset is payload-relative
@@ -441,6 +493,13 @@ def write_segment(
         handle.write(header_bytes)
         handle.write(b" " * pad)
         handle.write(bytes(payload))
+
+
+def shrunk_payloads(shrunk: Iterable["ShrunkTree"]) -> List[ShrunkPayload]:
+    """Segment payloads of exception lists, merged (tombstones folded out)."""
+    return [
+        (t.key, t.tree, t.cover, list(t.store.graph_ids())) for t in shrunk
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -490,6 +549,7 @@ def initialize_directory(
     features: Sequence[FeaturePayload],
     next_graph_id: int,
     extra: Optional[Dict[str, Any]] = None,
+    shrunk: Sequence[ShrunkPayload] = (),
 ) -> None:
     """Create (or overwrite) a v3 directory with one base segment.
 
@@ -502,7 +562,7 @@ def initialize_directory(
     for stale in sorted(root.glob("*.seg")) + sorted(root.glob("*.tmp")):
         stale.unlink()
     name = "seg-000000.seg"
-    write_segment(root / name, graphs, features)
+    write_segment(root / name, graphs, features, shrunk)
     manifest: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -521,6 +581,24 @@ def initialize_directory(
 # ----------------------------------------------------------------------
 # merged read views
 # ----------------------------------------------------------------------
+def _live_ids(
+    layers: Sequence[Tuple[int, PostingList]],
+    pending: Iterable[int],
+    tombstones: Mapping[int, int],
+) -> PostingList:
+    """The live ids of LSM layers: ``layers − tombstones ∪ pending``."""
+    if len(layers) == 1 and not pending and not tombstones:
+        # Single layer, nothing buffered, nothing deleted anywhere: hand
+        # out the layer's own (possibly mmap-backed) column.
+        return layers[0][1]
+    live = set(pending)
+    for epoch, ids in layers:
+        for gid in ids:
+            if epoch >= tombstones.get(gid, 0):
+                live.add(gid)
+    return PostingList._wrap(id_array(sorted(live)))
+
+
 class LsmStore:
     """One feature's merged occurrence view: layers − tombstones ∪ memtable.
 
@@ -600,19 +678,11 @@ class LsmStore:
         cached = self._gids
         if cached is not None:
             return cached
-        if not self._layers and not self._mem:
-            result = PostingList()
-        elif len(self._layers) == 1 and not self._mem and not self._tomb:
-            # Single layer, nothing buffered, nothing deleted anywhere:
-            # hand out the layer's own (possibly mmap-backed) column.
-            result = self._layers[0][1].graph_ids()
-        else:
-            live = set(self._mem)
-            for epoch, store in self._layers:
-                for gid in store.graph_ids():
-                    if epoch >= self._tomb.get(gid, 0):
-                        live.add(gid)
-            result = PostingList._wrap(id_array(sorted(live)))
+        result = _live_ids(
+            [(epoch, store.graph_ids()) for epoch, store in self._layers],
+            self._mem,
+            self._tomb,
+        )
         self._gids = result
         return result
 
@@ -701,6 +771,56 @@ class LsmStore:
             f"LsmStore(arity={self._arity}, layers={len(self._layers)}, "
             f"memtable={len(self._mem)})"
         )
+
+
+class LsmIdStore:
+    """One exception list's merged view: id layers − tombstones ∪ memtable.
+
+    The gid-only twin of :class:`LsmStore`, with the same epoch rule,
+    backing a :class:`~repro.core.feature.ShrunkTree` on a v3 index.
+    """
+
+    __slots__ = ("_tomb", "_layers", "_mem", "_gids")
+
+    def __init__(self, tombstones: Dict[int, int]) -> None:
+        self._tomb = tombstones
+        self._layers: List[Tuple[int, PostingList]] = []
+        self._mem: Set[int] = set()
+        self._gids: Optional[PostingList] = None
+
+    @property
+    def pending(self) -> Set[int]:
+        """The unflushed memtable."""
+        return self._mem
+
+    def flush_to_layer(self, epoch: int, ids: PostingList) -> None:
+        self._layers.append((epoch, ids))
+        self._mem = set()
+        self._gids = None
+
+    def reset_layers(self, layers: Iterable[Tuple[int, PostingList]]) -> None:
+        self._layers = list(layers)
+        self._mem = set()
+        self._gids = None
+
+    def graph_ids(self) -> PostingList:
+        cached = self._gids
+        if cached is None:
+            cached = self._gids = _live_ids(self._layers, self._mem, self._tomb)
+        return cached
+
+    def add_graph(self, gid: int) -> None:
+        self._mem.add(gid)
+        self._gids = None
+
+    def remove_graph(self, gid: int) -> None:
+        """Drop ``gid`` from the memtable; layer data dies by tombstone."""
+        self._mem.discard(gid)
+        self._gids = None
+
+    def nbytes(self) -> int:
+        """Layer bytes plus 8 bytes per buffered id."""
+        return sum(ids.nbytes() for _, ids in self._layers) + 8 * len(self._mem)
 
 
 class SegmentGraphDatabase(GraphDatabase):
@@ -908,6 +1028,7 @@ class SegmentStore:
         self._dirty_ops = 0
         self._db: Optional[SegmentGraphDatabase] = None
         self._features: List["FeatureTree"] = []
+        self._shrunk: List["ShrunkTree"] = []
 
     @classmethod
     def open(
@@ -941,15 +1062,20 @@ class SegmentStore:
         )
 
     def attach(
-        self, db: SegmentGraphDatabase, features: List["FeatureTree"]
+        self,
+        db: SegmentGraphDatabase,
+        features: List["FeatureTree"],
+        shrunk: Sequence["ShrunkTree"] = (),
     ) -> None:
         """Bind the live database/feature objects this store maintains.
 
         ``features`` must be the index's *own* list (not a copy) so
         features materialized by later inserts are flushed too.
+        ``shrunk`` holds the exception lists, which no insert adds to.
         """
         self._db = db
         self._features = features
+        self._shrunk = list(shrunk)
 
     # ------------------------------------------------------------------
     # accessors
@@ -1035,6 +1161,7 @@ class SegmentStore:
         if its memtable is empty, so a feature materialized by an insert
         whose graph was deleted before the flush still survives reopen
         (the σ(1)=1 completeness floor must not silently lose keys).
+        Exception lists with a non-empty memtable ride along.
         Pure-tombstone churn needs no new segment; the manifest rewrite
         alone persists it.  Returns True when a segment was written.
         """
@@ -1048,8 +1175,13 @@ class SegmentStore:
             if isinstance(feature.store, LsmStore)
             and (feature.store.pending or not feature.store.has_layers)
         ]
+        lists = [
+            shrunk
+            for shrunk in self._shrunk
+            if isinstance(shrunk.store, LsmIdStore) and shrunk.store.pending
+        ]
         wrote = False
-        if overlay or include:
+        if overlay or include or lists:
             epoch = len(self._segments)
             name = f"seg-{self._manifest['next_segment']:06d}.seg"
             self._manifest["next_segment"] += 1
@@ -1067,7 +1199,12 @@ class SegmentStore:
                         mem.columns(),
                     )
                 )
-            write_segment(self.root / name, overlay, payloads)
+            write_segment(
+                self.root / name,
+                overlay,
+                payloads,
+                [(t.key, None, (), sorted(t.store.pending)) for t in lists],
+            )
             segment = Segment(self.root / name)
             self._segments.append(segment)
             self._manifest["segments"].append(name)
@@ -1076,6 +1213,10 @@ class SegmentStore:
                 feature.store.flush_to_layer(
                     epoch, by_key[feature.key].open_store()
                 )
+            columns = self._exception_columns(segment)
+            for shrunk in lists:
+                assert isinstance(shrunk.store, LsmIdStore)
+                shrunk.store.flush_to_layer(epoch, columns[shrunk.key])
             db.note_flushed()
             wrote = True
         self._sync_manifest()
@@ -1109,7 +1250,7 @@ class SegmentStore:
             for feature in self._features
         ]
         tmp = self.root / "compact-pending.tmp"
-        write_segment(tmp, graphs, payloads)
+        write_segment(tmp, graphs, payloads, shrunk_payloads(self._shrunk))
         return CompactionPlan(tmp_path=tmp, live_graphs=len(live))
 
     def commit_compaction(self, plan: CompactionPlan) -> None:
@@ -1138,6 +1279,11 @@ class SegmentStore:
         for feature in self._features:
             entry = by_key[feature.key]
             feature.store.reset_layers([(0, entry.open_store())])
+        columns = self._exception_columns(segment)
+        for shrunk in self._shrunk:
+            assert isinstance(shrunk.store, LsmIdStore)
+            ids = columns[shrunk.key]
+            shrunk.store.reset_layers([(0, ids)] if ids else [])
         db.note_compacted()
         for old in old_segments:
             old.close()
@@ -1157,6 +1303,13 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    @staticmethod
+    def _exception_columns(segment: Segment) -> Dict[str, PostingList]:
+        return {
+            entry.key: PostingList.from_buffer(entry.gids)
+            for entry in segment.shrunk_entries()
+        }
+
     def _sync_manifest(self) -> None:
         db = self._db
         assert db is not None

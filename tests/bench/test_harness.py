@@ -37,6 +37,11 @@ class TestTable:
         path = tmp_path / "out.csv"
         t.to_csv(path)
         assert path.read_text() == "a,b\n1,x\n"
+        t.notes.extend(["expect x", "over 6 queries"])
+        t.to_csv(path)
+        assert path.read_text() == (
+            "a,b\n1,x\n# expect x\n# over 6 queries\n"
+        )
 
     def test_unknown_column(self):
         t = Table("demo", ["a"])

@@ -357,6 +357,26 @@ class TestMalformedSegments:
         assert str(segment) in message and "graphs" in message
         assert len(maps) == 1 and maps[0].closed
 
+    def test_exception_list_without_tree(self, small_index, tmp_path, monkeypatch):
+        """Only a delta may omit a list's tree: it extends the base's list."""
+        import struct
+
+        from repro.storage.segments import MAGIC
+
+        root, segment = self._segment(small_index, tmp_path)
+        data = segment.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start : start + header_len])
+        del header["shrunk"][0]["tree"]
+        body = json.dumps(header).encode("utf-8")
+        segment.write_bytes(
+            MAGIC + struct.pack("<Q", len(body)) + body + data[start + header_len :]
+        )
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(segment) in message and "exception list" in message
+        assert len(maps) == 1 and maps[0].closed
+
 
 class TestRetiredFeatureIndexKey:
     """Files from builds that had a ``feature_index`` setting still load."""
@@ -468,3 +488,72 @@ class TestRetiredConfigKeys:
         shard = load_index(tmp_path / "shard-000")
         _answers_like(shard, small_index)
         shard.segment_store.close()
+
+
+#: A v2 document written by the last build without exception lists:
+#: ``save_index(TreePiIndex.build(generate_aids_like(12, avg_atoms=10,
+#: seed=29), <its config>), path)``.  Frozen.
+V2_NO_LISTS_FIXTURE = (
+    Path(__file__).parent / "data" / "small_index_v2_no_exceptions.json"
+)
+
+
+class TestLegacyExceptionTable:
+    """Indexes saved without exception lists load with none.
+
+    Their shrunk-tree queries verify their candidates, as before, and
+    answer like the scan.  A fresh build of the same database writes
+    the same features, postings and centers, plus the lists.
+    """
+
+    @pytest.fixture(scope="class")
+    def legacy(self):
+        from repro.baselines import SequentialScan
+
+        restored = load_index(V2_NO_LISTS_FIXTURE)
+        rebuilt = TreePiIndex.build(restored.database, restored.config)
+        queries = [t.tree for t in rebuilt.shrunk] + list(
+            extract_query_workload(restored.database, 4, 6, seed=3)
+        )
+        scan = SequentialScan(restored.database)
+        return restored, rebuilt, queries, [scan.support_set(q) for q in queries]
+
+    @staticmethod
+    def _assert_answers(index, queries, truth):
+        for query, exact in zip(queries, truth):
+            assert index.query(query).matches == exact
+
+    def test_v2_document_loads_with_no_lists(self, legacy):
+        restored, rebuilt, queries, truth = legacy
+        assert restored.shrunk == [] and len(rebuilt.shrunk) > 0
+        for shrunk in rebuilt.shrunk:
+            result = restored.query(shrunk.tree)
+            assert not result.direct_hit
+        self._assert_answers(restored, queries, truth)
+
+    def test_v3_directory_without_lists(self, legacy, tmp_path):
+        restored, _, queries, truth = legacy
+        root = tmp_path / "seg"
+        save_index(restored, root, version=3)
+        (segment,) = root.glob("*.seg")
+        assert b'"shrunk"' not in segment.read_bytes()
+        reopened = load_index(root)
+        try:
+            assert reopened.shrunk == []
+            self._assert_answers(reopened, queries, truth)
+        finally:
+            reopened.segment_store.close()
+
+    def test_fresh_build_adds_only_the_lists(self):
+        from repro.datasets import generate_aids_like
+
+        legacy = json.loads(V2_NO_LISTS_FIXTURE.read_text())
+        db = generate_aids_like(12, avg_atoms=10, seed=29)
+        fresh = index_to_json(
+            TreePiIndex.build(db, config_from_json(legacy["config"]))
+        )
+        assert fresh.pop("shrunk")
+        for doc in (legacy, fresh):
+            doc["stats"]["build_seconds"] = 0.0
+            doc["stats"]["mining"]["elapsed_seconds"] = 0.0
+        assert fresh == legacy
