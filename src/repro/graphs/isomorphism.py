@@ -43,7 +43,11 @@ walk:
 * each level draws candidates from the image neighborhood of its
   *rarest-label-pair* matched anchor instead of an arbitrary one;
 * per-vertex neighboring-label bitset signatures and walk-parity
-  distance bounds refute candidates in O(1) per check;
+  distance bounds refute candidates in O(1) per check.  Parity bounds
+  are kept only for levels placed before the pattern's last 2-core
+  vertex: past it no bound can fail (the proof is at
+  :meth:`CompiledPattern.parity_bounds`), so a forest pattern keeps
+  none and never builds its target's parity rows;
 * exhausted levels *jump-redo* (conflict-directed backjumping) to the
   deepest level recorded in their conflict set instead of always
   stepping back one.
@@ -62,7 +66,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.guards import hot_path
 from repro.graphs.graph import LabeledGraph
-from repro.graphs.matcher_index import pair_subsumed
+from repro.graphs.matcher_index import PARITY_MAX_VERTICES, pair_subsumed, parity_bfs
 
 if TYPE_CHECKING:  # runtime use is duck-typed to avoid a core<->graphs cycle
     from repro.core.budget import CancellationToken
@@ -130,11 +134,11 @@ class CompiledPattern:
     and shared by every target the pattern is matched against: the
     matching order, each level's wanted label and degree, its back-edges
     to earlier levels (sorted by position), the vertex and edge labels
-    of its neighbourhood, and — on first prefiltered use — its
-    walk-parity bounds against earlier levels.  ``seeded`` fixes the
-    pattern vertices a seed will pre-assign (the order starts with them
-    in this order); a compiled pattern serves only seeds with exactly
-    these keys.
+    of its neighbourhood, and — on first prefiltered use — the
+    walk-parity bounds of the levels where one can fail.  ``seeded``
+    fixes the pattern vertices a seed will pre-assign (the order starts
+    with them in this order); a compiled pattern serves only seeds with
+    exactly these keys.
 
     Holds nothing about any target, so one instance may be shared by
     concurrent searches; racing threads that build the parity bounds
@@ -215,21 +219,36 @@ class CompiledPattern:
     def parity_bounds(self) -> Optional[List[List[Tuple[int, int, int]]]]:
         """Each level's walk-parity bounds against earlier positions.
 
-        ``(position, even bound, odd bound)``, finite bounds only; ``None``
-        when the pattern is too large for parity matrices.  Built on
-        first call.
+        ``(position, even bound, odd bound)``, finite bounds only, for
+        the levels where a bound can fail; ``None`` when no level keeps
+        one (a forest) or the pattern is too large for parity matrices.
+        Built on first call.
+
+        An unseeded pattern keeps the levels placed before its last
+        2-core vertex; later levels get an empty list.  The order is
+        connectivity-first and every back-edge is checked before the
+        bounds, so once a level's vertex is placed, each pattern walk
+        inside the placed prefix maps onto a target walk of the same
+        length between the images.  After the last 2-core vertex is
+        placed, every unplaced vertex sits in a tree joined to the
+        placed prefix by one edge, so a walk that leaves the prefix
+        returns along that edge after an even-length excursion; cutting
+        the excursion keeps its parity and shortens it.  Each minimum
+        walk of either parity thus lies inside the prefix, and its bound
+        holds by construction.  A seeded pattern's prefix need not be
+        connected, so it keeps every level.
         """
         bounds = self._par_bounds
         if bounds is _MISSING:
             bounds = None
-            p_par = self.pattern.matcher_index().parity_rows()
-            if p_par is not None:
-                p_even, p_odd = p_par
-                order = self.order
-                pn = len(order)
+            order = self.order
+            pn = len(order)
+            kept = pn if self.seeded else _last_core_position(self.pattern, order)
+            if 0 < kept and pn <= PARITY_MAX_VERTICES:
+                p_even, p_odd = parity_bfs(self.pattern._adj, order[:kept])
                 bounds = []
-                for i in range(pn):
-                    base = order[i] * pn
+                for i in range(kept):
+                    base = i * pn
                     level = []
                     for j in range(i):
                         w = order[j]
@@ -237,8 +256,35 @@ class CompiledPattern:
                         if be < 255 or bo < 255:
                             level.append((j, be, bo))
                     bounds.append(level)
+                bounds.extend([] for _ in range(kept, pn))
             self._par_bounds = bounds
         return bounds  # type: ignore[return-value]
+
+
+def _last_core_position(pattern: LabeledGraph, order: List[int]) -> int:
+    """Position in ``order`` of the pattern's last 2-core vertex, or 0.
+
+    The 2-core is what is left after repeatedly peeling vertices of
+    degree below 2; a forest peels away entirely.
+    """
+    adj = pattern._adj
+    degree = [len(nbrs) for nbrs in adj]
+    peeled = [False] * len(adj)
+    stack = [v for v, d in enumerate(degree) if d < 2]
+    while stack:
+        v = stack.pop()
+        if peeled[v]:
+            continue
+        peeled[v] = True
+        for w in adj[v]:
+            degree[w] -= 1
+            if degree[w] < 2 and not peeled[w]:
+                stack.append(w)
+    last = 0
+    for i, v in enumerate(order):
+        if not peeled[v]:
+            last = i
+    return last
 
 
 def label_pair_refuted(
@@ -416,10 +462,13 @@ def _search(
                 primary_pos[i] = ranked[0][1]
                 primary_elabel[i] = ranked[0][2]
                 rest_anchors[i] = [(j, el) for _, j, el in ranked[1:]]
-        t_par = tindex.parity_rows()
-        if t_par is not None:
-            par_bounds = cp.parity_bounds()
-            if par_bounds is not None:
+        # A pattern that keeps no bound never builds the target's rows.
+        par_bounds = cp.parity_bounds()
+        if par_bounds is not None:
+            t_par = tindex.parity_rows()
+            if t_par is None:
+                par_bounds = None
+            else:
                 t_even, t_odd = t_par
 
     start = len(seed)

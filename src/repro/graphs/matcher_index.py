@@ -35,6 +35,11 @@ LabeledGraph` (see ``LabeledGraph.matcher_index``) and invalidated by
   instead of after an exponential path enumeration: adjacent odd-cycle
   vertices need both an odd walk (length 1) and an *even* walk (around
   the cycle) between their images, and no bipartite graph has both.
+  Only a target builds the full matrices.  A pattern bound can fail
+  only at a level placed before the pattern's last 2-core vertex (see
+  :class:`~repro.graphs.isomorphism.CompiledPattern`), so the matcher
+  runs :func:`parity_bfs` from those levels alone, and a forest pattern
+  never asks its target for parity rows at all.
 
 All three are *necessary* conditions on (partial) monomorphisms, so
 using them to refute candidates never changes an answer set — the
@@ -43,7 +48,7 @@ using them to refute candidates never changes an answer set — the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # structural typing avoids a module cycle with graph.py
     from repro.graphs.graph import LabeledGraph
@@ -143,29 +148,44 @@ class MatcherIndex:
         return self._parity
 
     def _build_parity(self) -> Tuple[bytearray, bytearray]:
-        n = self.num_vertices
-        adj = self._adj
-        even = bytearray(b"\xff" * (n * n))
-        odd = bytearray(b"\xff" * (n * n))
-        for s in range(n):
-            base = s * n
-            even[base + s] = 0
-            # Layered BFS over (vertex, parity) states: layer d holds the
-            # vertices first reached by a walk of length d with parity
-            # d % 2; lengths past 254 stay clamped at PARITY_INF.
-            layer = [s]
-            d = 0
-            while layer and d < PARITY_INF - 1:
-                d += 1
-                row = odd if d & 1 else even
-                reached = []
-                for v in layer:
-                    for w in adj[v]:
-                        if row[base + w] == PARITY_INF:
-                            row[base + w] = d
-                            reached.append(w)
-                layer = reached
-        return even, odd
+        return parity_bfs(self._adj, range(self.num_vertices))
+
+
+def parity_bfs(
+    adj: Sequence[Mapping[int, object]], sources: Sequence[int]
+) -> Tuple[bytearray, bytearray]:
+    """Minimum even and odd walk lengths from each source to every vertex.
+
+    Row ``r`` of the two flat ``len(sources) * n`` bytearrays belongs to
+    the ``r``-th source: ``even[r * n + t]`` is the minimum length of an
+    even-length walk from it to ``t`` (0 for the source itself), ``odd``
+    likewise for odd walks, :data:`PARITY_INF` where no such walk of
+    length <= 254 exists.  One layered BFS over ``(vertex, parity)``
+    states per source.  Serves both a target's all-pairs
+    :meth:`MatcherIndex.parity_rows` and the few pattern levels whose
+    bounds a :class:`~repro.graphs.isomorphism.CompiledPattern` keeps.
+    """
+    n = len(adj)
+    even = bytearray(b"\xff" * (len(sources) * n))
+    odd = bytearray(b"\xff" * (len(sources) * n))
+    for r, s in enumerate(sources):
+        base = r * n
+        even[base + s] = 0
+        # Layer d holds the vertices first reached by a walk of length d
+        # with parity d % 2; lengths past 254 stay clamped at PARITY_INF.
+        layer = [s]
+        d = 0
+        while layer and d < PARITY_INF - 1:
+            d += 1
+            row = odd if d & 1 else even
+            reached = []
+            for v in layer:
+                for w in adj[v]:
+                    if row[base + w] == PARITY_INF:
+                        row[base + w] = d
+                        reached.append(w)
+            layer = reached
+    return even, odd
 
 
 def pair_subsumed(pattern_index: MatcherIndex, target_index: MatcherIndex) -> bool:

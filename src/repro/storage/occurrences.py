@@ -25,29 +25,10 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.storage.posting import IdColumn, PostingList, id_array
+from repro.storage.posting import IdColumn, PostingList, _concat, id_array
 
 Center = Tuple[int, ...]
 
-
-def _concat(parts: Sequence[IdColumn]) -> array:
-    """Concatenate id columns into one array, widening if any part needs it.
-
-    ``array + array`` requires matching typecodes; a store whose flat
-    column widened to ``'Q'`` (graph ids past 2^32) must keep splicing
-    against fresh ``'I'`` blocks, so concatenation goes through
-    ``extend`` at the widest itemsize among the parts.
-    """
-    widest = max(parts, key=lambda p: p.itemsize)
-    out = array(widest.typecode)
-    for part in parts:
-        if isinstance(part, array) and part.typecode == out.typecode:
-            out.extend(part)
-        else:
-            # array.extend refuses a mismatched-typecode array; feeding
-            # it element-wise takes the generic path and re-widens.
-            out.extend(iter(part))
-    return out
 
 #: Decoded-center memo size; cleared (not evicted piecewise) when full so
 #: concurrent read-side lookups never race an eviction structure.

@@ -51,6 +51,26 @@ def id_array(values: Iterable[int] = ()) -> array:
     return array(_ID_TYPECODE, values)
 
 
+def _concat(parts: Sequence[IdColumn]) -> array:
+    """Concatenate id columns into one array, widening if any part needs it.
+
+    ``array + array`` requires matching typecodes; a store whose flat
+    column widened to ``'Q'`` (graph ids past 2^32) must keep splicing
+    against fresh ``'I'`` blocks, so concatenation goes through
+    ``extend`` at the widest itemsize among the parts.
+    """
+    widest = max(parts, key=lambda p: p.itemsize)
+    out = array(widest.typecode)
+    for part in parts:
+        if isinstance(part, array) and part.typecode == out.typecode:
+            out.extend(part)
+        else:
+            # array.extend refuses a mismatched-typecode array; feeding
+            # it element-wise takes the generic path and re-widens.
+            out.extend(iter(part))
+    return out
+
+
 class PostingList:
     """An immutable, strictly increasing column of non-negative ids."""
 
@@ -143,6 +163,22 @@ class PostingList:
 
     def to_frozenset(self) -> frozenset:
         return frozenset(self._ids)
+
+    def spliced(self, gid: int, present: bool) -> "PostingList":
+        """This list with ``gid`` spliced in (``present``) or out.
+
+        Returns ``self`` when ``gid`` already is where it belongs, and
+        otherwise a fresh column built by array slicing.
+        """
+        ids = self._ids
+        # An mmap column bisects through its memoryview, so in C.
+        flat = ids if isinstance(ids, array) else ids._cast()
+        i = bisect_left(flat, gid)
+        if (i < len(flat) and flat[i] == gid) == present:
+            return self
+        if present:
+            return PostingList._wrap(_concat([ids[:i], id_array([gid]), ids[i:]]))
+        return PostingList._wrap(_concat([ids[:i], ids[i + 1 :]]))
 
     def nbytes(self) -> int:
         """Resident bytes of the id column."""
@@ -275,12 +311,10 @@ class IdStore:
         return self._ids
 
     def add_graph(self, gid: int) -> None:
-        if gid not in self._ids:
-            self._ids = self._ids.union(PostingList._wrap(id_array([gid])))
+        self._ids = self._ids.spliced(gid, True)
 
     def remove_graph(self, gid: int) -> None:
-        if gid in self._ids:
-            self._ids = self._ids.difference(PostingList._wrap(id_array([gid])))
+        self._ids = self._ids.spliced(gid, False)
 
     def nbytes(self) -> int:
         return self._ids.nbytes()

@@ -610,6 +610,10 @@ class LsmStore:
     leaving later re-inserts visible.  The memtable holds unflushed
     occurrences and is always live (deletes pop it immediately).
 
+    The merged id view is cached.  An insert or delete splices its one
+    gid into or out of it and forgets only that gid's decoded centers;
+    a flush or compaction, which swaps layers, re-merges.
+
     Duck-types the :class:`OccurrenceStore` read/maintenance surface
     that :class:`~repro.core.feature.FeatureTree` uses, so the rest of
     the pipeline cannot tell the backings apart.
@@ -746,24 +750,32 @@ class LsmStore:
         if existing:
             fresh |= existing
         self._mem[gid] = frozenset(fresh)
-        self.invalidate()
+        if self._gids is not None:
+            self._gids = self._gids.spliced(gid, True)
+        self._decoded.pop(gid, None)
 
     def remove_graph(self, gid: int) -> bool:
-        """Drop ``gid``'s buffered occurrences.
+        """Drop ``gid``'s buffered occurrences and splice it out of the view.
 
         Layer data is killed by the database-level tombstone (already
         recorded by the time :meth:`repro.core.treepi.TreePiIndex.delete`
-        fans out to features), so the return value reflects whether any
-        data remained live *before this call's memtable pop*.
+        fans out to features).  The return value says whether ``gid``
+        was live: read off the cached merged view when there is one
+        (it predates the tombstone), else from the memtable and the
+        layers the tombstone leaves live.
         """
-        present = self._mem.pop(gid, None) is not None
-        if not present:
+        view = self._gids
+        buffered = self._mem.pop(gid, None) is not None
+        if view is not None:
+            self._gids = view.spliced(gid, False)
+            present = self._gids is not view
+        else:
             epoch = self._tomb.get(gid, 0)
-            present = any(
+            present = buffered or any(
                 layer >= epoch and gid in store
                 for layer, store in self._layers
             )
-        self.invalidate()
+        self._decoded.pop(gid, None)
         return present
 
     def __repr__(self) -> str:
@@ -776,8 +788,9 @@ class LsmStore:
 class LsmIdStore:
     """One exception list's merged view: id layers − tombstones ∪ memtable.
 
-    The gid-only twin of :class:`LsmStore`, with the same epoch rule,
-    backing a :class:`~repro.core.feature.ShrunkTree` on a v3 index.
+    The gid-only twin of :class:`LsmStore`, with the same epoch rule
+    and the same spliced view cache, backing a
+    :class:`~repro.core.feature.ShrunkTree` on a v3 index.
     """
 
     __slots__ = ("_tomb", "_layers", "_mem", "_gids")
@@ -811,12 +824,14 @@ class LsmIdStore:
 
     def add_graph(self, gid: int) -> None:
         self._mem.add(gid)
-        self._gids = None
+        if self._gids is not None:
+            self._gids = self._gids.spliced(gid, True)
 
     def remove_graph(self, gid: int) -> None:
-        """Drop ``gid`` from the memtable; layer data dies by tombstone."""
+        """Drop ``gid`` from the memtable and the view; layer data dies by tombstone."""
         self._mem.discard(gid)
-        self._gids = None
+        if self._gids is not None:
+            self._gids = self._gids.spliced(gid, False)
 
     def nbytes(self) -> int:
         """Layer bytes plus 8 bytes per buffered id."""

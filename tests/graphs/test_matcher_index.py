@@ -17,6 +17,7 @@ from repro.graphs.matcher_index import (
     PARITY_MAX_VERTICES,
     MatcherIndex,
     pair_subsumed,
+    parity_bfs,
 )
 
 
@@ -157,6 +158,20 @@ class TestParityRows:
 
     def test_rows_are_built_once(self, triangle_index):
         assert triangle_index.parity_rows() is triangle_index.parity_rows()
+
+    def test_bfs_from_some_sources_gives_their_rows(self):
+        g = LabeledGraph(
+            ["a"] * 6,
+            [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)],
+        )
+        even, odd = g.matcher_index().parity_rows()
+        n = g.num_vertices
+        sources = [4, 0, 2]
+        some_even, some_odd = parity_bfs(g._adj, sources)
+        assert len(some_even) == len(some_odd) == len(sources) * n
+        for r, s in enumerate(sources):
+            assert some_even[r * n:(r + 1) * n] == even[s * n:(s + 1) * n]
+            assert some_odd[r * n:(r + 1) * n] == odd[s * n:(s + 1) * n]
 
 
 # ----------------------------------------------------------------------
