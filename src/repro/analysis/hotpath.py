@@ -10,8 +10,8 @@ code is just slower.  These rules check the costs lexically, on the
 per-file tables of :mod:`repro.analysis.flow`.
 
 * **REPRO303** — columnar-storage bypass in ``repro.core`` /
-  ``repro.baselines``: the ``to_mapping()`` materializer and Python
-  or posting-list materializers over ``graph_ids()``.
+  ``repro.baselines``: Python or posting-list materializers over
+  ``graph_ids()``.
 * **REPRO304** — accidental quadratics in hot functions: membership
   tests against lists in loops, repeated list concatenation,
   containers rebuilt per iteration, per-iteration slicing.
@@ -98,16 +98,6 @@ def _columnar_findings(functions: List[FunctionInfo], out: List[Finding]) -> Non
         for node, _ in fn.owned:
             if not isinstance(node, ast.Call):
                 continue
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "to_mapping":
-                out.append(
-                    (
-                        "REPRO303",
-                        node,
-                        "to_mapping() materializes the whole occurrence "
-                        "table (debug/compat only); use columnar reads "
-                        "on the hot path",
-                    )
-                )
             if _is_materializer(node) and _contains_graph_ids_call(node.args):
                 fired.append(node)
         # A wrapper chain like from_sorted(sorted(graph_ids())) is one
@@ -306,8 +296,7 @@ class ColumnarBypass(_HotPathRule):
     name = "columnar-bypass"
     rationale = (
         "The query path reads supports as zero-copy PostingList columns. "
-        "Touching the deprecated to_mapping() materializer or "
-        "wrapping graph_ids() into fresh containers rebuilds the "
+        "Wrapping graph_ids() into fresh containers rebuilds the "
         "dict-of-frozensets costs the columnar layer removed."
     )
 

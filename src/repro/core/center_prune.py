@@ -7,16 +7,21 @@ two pieces inside ``g`` is **at most** their distance inside ``q``:
 
     d_q(center(tp_i), center(tp_j)) >= d_g(center(tp'_i), center(tp'_j)).
 
-A candidate graph survives only if some assignment of recorded center
-locations — one per piece of ``TP_q`` — satisfies every pairwise
-constraint.  This is the paper's novelty: arbitrary subgraph features
-have no unique center, so gIndex cannot prune this way.
+A candidate graph survives only if some assignment of center locations
+— one per piece of ``TP_q`` — satisfies every pairwise constraint.  This
+is the paper's novelty: arbitrary subgraph features have no unique
+center, so gIndex cannot prune this way.
+
+The paper reads the locations from the index.  This index stores support
+ids only, so :meth:`CenterConstraintProblem.centers` finds a feature's
+locations in a candidate by search, once per query, and both Algorithm 2
+and Algorithm 3 read them from that memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.guards import hot_path
 from repro.core.feature import FeatureTree
@@ -33,12 +38,35 @@ class CenterConstraintProblem:
     """The query-side half of the constraint check, computed once per query.
 
     ``distances[i][j]`` is the center distance between pieces ``i`` and
-    ``j`` measured inside the query graph.
+    ``j`` measured inside the query graph.  The problem also memoizes,
+    for the query's lifetime, each feature's center locations per
+    candidate graph (:meth:`centers`).
     """
 
     pieces: List[QueryPiece]
     features: List[FeatureTree]
     distances: List[List[float]]
+    _located: Dict[Tuple[int, int], Tuple[Center, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def centers(
+        self, i: int, graph_id: int, graph: LabeledGraph
+    ) -> Tuple[Center, ...]:
+        """Sorted center locations of piece ``i``'s feature in ``graph``.
+
+        Found by :meth:`~repro.core.feature.FeatureTree.locate_centers` on
+        first use and kept for the rest of the query, so center pruning
+        and verification of one candidate search once per feature.
+        """
+        feature = self.features[i]
+        key = (feature.feature_id, graph_id)
+        located = self._located.get(key)
+        if located is None:
+            located = self._located[key] = tuple(
+                sorted(feature.locate_centers(graph))
+            )
+        return located
 
     @classmethod
     def from_partition(
@@ -116,11 +144,11 @@ def check_center_constraints(
         oracle = DistanceOracle(graph)
     m = len(problem.pieces)
     location_lists: List[Sequence[Center]] = []
-    for feature in problem.features:
-        centers = feature.centers_in(graph_id)
+    for i in range(m):
+        centers = problem.centers(i, graph_id, graph)
         if not centers:
             return PruneDecision(keep=False)
-        location_lists.append(sorted(centers))
+        location_lists.append(centers)
     order = sorted(range(m), key=lambda i: len(location_lists[i]))
     assignment: List[Optional[Center]] = [None] * m
     checks = 0

@@ -341,7 +341,7 @@ class QueryEngine:
 
         Taken under the read lock so a concurrent rebuild/maintenance
         splice cannot be observed half-way; the columns themselves are
-        immutable snapshots (see :mod:`repro.storage.occurrences`), so
+        immutable snapshots (see :mod:`repro.storage.posting`), so
         the sum is consistent.
         """
         with self._rw.read_locked():

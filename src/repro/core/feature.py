@@ -3,18 +3,21 @@
 A :class:`FeatureTree` is a selected frequent subtree together with
 
 * its canonical string (the lookup key),
-* its center in pattern coordinates (a vertex or an edge, Theorem 1),
-* its support set, and
-* for every supporting graph, the set of **center locations** — the
-  positions at which embedded copies of the tree are centered.  This is
-  the paper's per-vertex/per-edge bit array of Section 4.2.1, stored
-  columnar in a :class:`~repro.storage.occurrences.OccurrenceStore`, and
-  it is the location information that powers both Center Distance
-  pruning and reconstruction-based verification.
+* its center in pattern coordinates (a vertex or an edge, Theorem 1), and
+* its support set, stored as sorted graph ids in an
+  :class:`~repro.storage.IdStore` (or its LSM view on a v3 index).
 
 The support set doubles as the feature's posting list: filtering
 (Algorithm 1) intersects :meth:`FeatureTree.support_posting` snapshots
 directly, with no per-query frozenset materialization.
+
+The paper also stores, for every supporting graph, the **center
+locations** — the positions at which embedded copies of the tree are
+centered (the per-vertex/per-edge bit array of Section 4.2.1) — for
+Center Distance pruning and reconstruction-based verification.  Only
+:meth:`~repro.core.treepi.TreePiIndex.query_paper` reads them, so this
+index does not store them: :meth:`FeatureTree.locate_centers` finds them
+in one graph by search when that pipeline asks.
 
 A :class:`ShrunkTree` is a frequent tree that γ-shrinking removed from
 the feature set, kept only as an *exception list* so that its exact
@@ -24,26 +27,38 @@ beyond the paper).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro.graphs.graph import LabeledGraph
-from repro.graphs.isomorphism import CompiledPattern
+from repro.graphs.isomorphism import CompiledPattern, subgraph_monomorphisms
 from repro.mining.patterns import MinedPattern
-from repro.storage import IdStore, OccurrenceStore, PostingList
+from repro.storage import IdStore, PostingList
 from repro.trees.center import Center, tree_center
 
 if TYPE_CHECKING:
-    from repro.storage.segments import LsmIdStore, LsmStore
+    from repro.storage.segments import LsmIdStore
 
 CenterSet = FrozenSet[Center]
 
-#: A feature's occurrence backing: the heap columnar store, or the
-#: merged LSM view over memory-mapped segment layers.  Both expose the
-#: identical read/maintenance surface used below.
-StoreLike = Union[OccurrenceStore, "LsmStore"]
-
-#: An exception list's backing: a heap id column or its LSM view.
+#: An id set's backing — a feature's support set or an exception list:
+#: a heap id column, or the merged LSM view over memory-mapped segment
+#: layers.  Both expose the same read/maintenance surface.
 IdStoreLike = Union[IdStore, "LsmIdStore"]
+
+
+def mined_centers(pattern: MinedPattern) -> Dict[int, CenterSet]:
+    """Center locations of ``pattern`` per graph, from its mined embeddings.
+
+    The center of each embedded copy is the image of the pattern center
+    (isomorphisms preserve centers), so locations fall straight out of
+    the embedding tuples with no extra isomorphism work.  With capped
+    mining the embeddings, and so the locations, may be a subset.
+    """
+    center = tree_center(pattern.graph)
+    return {
+        gid: frozenset(tuple(sorted(emb[v] for v in center)) for emb in embeddings)
+        for gid, embeddings in sorted(pattern.embeddings.items())
+    }
 
 
 class _Compiles:
@@ -66,11 +81,11 @@ class _Compiles:
 
 
 class FeatureTree(_Compiles):
-    """One indexed feature tree with its exact occurrence locations."""
+    """One indexed feature tree with its exact support set."""
 
     __slots__ = ("feature_id", "tree", "key", "center", "store", "_compiled")
 
-    store: StoreLike
+    store: IdStoreLike
 
     def __init__(
         self,
@@ -78,25 +93,15 @@ class FeatureTree(_Compiles):
         tree: LabeledGraph,
         key: str,
         center: Center,
-        locations: Optional[Mapping[int, Iterable[Center]]] = None,
-        store: Optional[StoreLike] = None,
+        support: Iterable[int] = (),
+        store: Optional[IdStoreLike] = None,
     ) -> None:
         self.feature_id = feature_id
         self.tree = tree
         self.key = key
         self.center = center
         self._compiled = None
-        if store is not None:
-            if store.arity != len(center):
-                raise ValueError(
-                    f"store arity {store.arity} does not match "
-                    f"center arity {len(center)}"
-                )
-            self.store = store
-        else:
-            self.store = OccurrenceStore.from_mapping(
-                len(center), locations or {}
-            )
+        self.store = store if store is not None else IdStore(PostingList(support))
 
     def __repr__(self) -> str:
         return (
@@ -116,7 +121,7 @@ class FeatureTree(_Compiles):
     @property
     def support(self) -> int:
         """``|D_t|`` — the number of graphs containing this tree."""
-        return len(self.store)
+        return len(self.store.graph_ids())
 
     def support_set(self) -> FrozenSet[int]:
         return self.store.graph_ids().to_frozenset()
@@ -125,42 +130,38 @@ class FeatureTree(_Compiles):
         """The support set as a zero-copy sorted posting-list snapshot."""
         return self.store.graph_ids()
 
-    def centers_in(self, graph_id: int) -> CenterSet:
-        """Center locations of this feature inside one graph (possibly empty)."""
-        return self.store.centers_in(graph_id)
+    def locate_centers(self, graph: LabeledGraph) -> CenterSet:
+        """Center locations of this feature inside ``graph`` (possibly empty).
 
-    def total_locations(self) -> int:
-        return self.store.total_centers()
+        The centers of all embeddings, found by one full search: the set
+        the paper's index stores per supporting graph.
+        """
+        center = self.center
+        return frozenset(
+            tuple(sorted(emb[v] for v in center))
+            for emb in subgraph_monomorphisms(
+                self.tree, graph, compiled=self.compiled()
+            )
+        )
 
     @classmethod
     def from_mined_pattern(cls, feature_id: int, pattern: MinedPattern) -> "FeatureTree":
-        """Derive a feature from a mined pattern's stored embeddings.
-
-        The center of each embedded copy is the image of the pattern center
-        (isomorphisms preserve centers), so locations fall straight out of
-        the embedding tuples with no extra isomorphism work.
-        """
-        center = tree_center(pattern.graph)
-        locations: Dict[int, CenterSet] = {}
-        for gid, embeddings in sorted(pattern.embeddings.items()):
-            locations[gid] = frozenset(
-                tuple(sorted(emb[v] for v in center)) for emb in embeddings
-            )
+        """Derive a feature from a mined pattern's support set."""
         return cls(
             feature_id=feature_id,
             tree=pattern.graph,
             key=pattern.key,
-            center=center,
-            locations=locations,
+            center=tree_center(pattern.graph),
+            support=pattern.support_set(),
         )
 
-    def add_occurrences(self, graph_id: int, centers: Iterable[Center]) -> None:
-        """Insert-maintenance hook: record occurrences in a new graph."""
-        self.store.add_graph(graph_id, centers)
+    def add_graph(self, graph_id: int) -> None:
+        """Insert-maintenance hook: the feature occurs in a new graph."""
+        self.store.add_graph(graph_id)
 
-    def remove_graph(self, graph_id: int) -> bool:
-        """Delete-maintenance hook: purge a graph; True if it was present."""
-        return self.store.remove_graph(graph_id)
+    def remove_graph(self, graph_id: int) -> None:
+        """Delete-maintenance hook: purge a graph."""
+        self.store.remove_graph(graph_id)
 
 
 class ShrunkTree(_Compiles):

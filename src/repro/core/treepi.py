@@ -2,7 +2,7 @@
 
 ``TreePiIndex.build`` runs database preprocessing (Section 4): frequent
 subtree mining under σ(s), γ-shrinking, feature materialization with
-exact center locations, and a dictionary from canonical string to
+exact support sets, and a dictionary from canonical string to
 feature (the paper's prefix-tree index, Section 4.2.2, is only ever asked
 for exact keys, so a hash map answers every lookup).
 
@@ -16,12 +16,14 @@ the one verification loop, which the serving engine shares.
 ``TreePiIndex.query_paper`` runs the paper's full Section 5 pipeline:
 the randomized Feature-Tree-Partition ``RP(q)`` run δ times, Center
 Distance Constraint pruning (Algorithm 2) and reconstruction-based
-verification (Algorithm 3).  Both return exactly ``D_q = {g : q ⊆ g}``.
+verification (Algorithm 3), with each feature's center locations in a
+candidate found by search when first needed rather than stored.  Both
+return exactly ``D_q = {g : q ⊆ g}``.
 
 ``insert`` / ``delete`` implement the Section 7.1 maintenance scheme:
-occurrences of existing features are updated in place (one match per
-feature on insert), and the index advertises a rebuild once churn passes
-one quarter of the build size.
+support sets of existing features are updated in place (one existence
+match per feature on insert), and the index advertises a rebuild once
+churn passes one quarter of the build size.
 
 Beyond the paper, the trees γ-shrinking drops are kept as exception
 lists (:class:`~repro.core.feature.ShrunkTree`): a query that is one of
@@ -50,7 +52,7 @@ from repro.analysis.contracts import contracts_enabled
 from repro.analysis.guards import guarded_by, hot_path
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
-from repro.core.feature import FeatureTree, ShrunkTree
+from repro.core.feature import FeatureTree, ShrunkTree, mined_centers
 from repro.core.filtering import filter_candidates
 from repro.core.lattice import FeatureLattice
 from repro.core.partition import Partition, SubsetMemo, run_partitions
@@ -369,7 +371,11 @@ class TreePiIndex:
         stats = IndexStats(
             num_features=len(features),
             features_by_size=by_size,
-            total_center_locations=sum(f.total_locations() for f in features),
+            total_center_locations=sum(
+                len(centers)
+                for pattern in kept
+                for centers in mined_centers(pattern).values()
+            ),
             build_seconds=time.perf_counter() - start,
             mining=mined.stats,
             shrink_removed=shrink.removed_count,
@@ -404,12 +410,11 @@ class TreePiIndex:
         return list(self._shrunk)
 
     def storage_bytes(self) -> int:
-        """Resident bytes of the columnar occurrence/support storage.
+        """Resident bytes of the columnar support storage.
 
-        Counts the posting and center columns of every feature's
-        :class:`~repro.storage.occurrences.OccurrenceStore` and every
-        shrunk tree's exception list — the part of the index the storage
-        layer owns (graphs, the key map and stats live elsewhere).
+        Counts the support column of every feature and every shrunk
+        tree's exception list — the part of the index the storage layer
+        owns (graphs, the key map and stats live elsewhere).
         """
         return sum(f.store.nbytes() for f in self._features) + sum(
             t.store.nbytes() for t in self._shrunk
@@ -749,7 +754,11 @@ class TreePiIndex:
         Center Distance Constraint pruning (Algorithm 2, at most
         :data:`CENTER_PRUNE_CHECKS` distance checks per graph; a graph
         that runs out is kept) and reconstruction-based verification of
-        every survivor (Algorithm 3).  The answer equals :meth:`query`'s;
+        every survivor (Algorithm 3).  Both read a piece's center
+        locations in a candidate from the query's
+        :class:`~repro.core.center_prune.CenterConstraintProblem`, which
+        finds them by search once per (feature, candidate) pair; the index
+        stores none.  The answer equals :meth:`query`'s;
         ``candidates_after_prune`` is P'_q and ``prune_exhausted`` counts
         the survivors kept by the check cap.  Unbudgeted: the figures and
         ablations that call it measure the algorithm, not a service.
@@ -842,7 +851,7 @@ class TreePiIndex:
     def insert(
         self, graph: LabeledGraph, graph_id: Optional[int] = None
     ) -> int:
-        """Add a graph: update support sets and center positions in place.
+        """Add a graph: update support sets in place.
 
         ``graph_id`` may pin a specific unused database id, e.g. to keep
         the id a graph already has in another database; by default the
@@ -854,7 +863,8 @@ class TreePiIndex:
         emptiness proof in :meth:`query` would turn false.  By induction no
         earlier graph can contain a type that was absent from the lookup.
 
-        Then every feature is matched against the new graph once.  The
+        Then every feature is matched against the new graph once, stopping
+        at the first embedding: only existence joins a support set.  The
         matcher's label-pair refutation rejects a feature whose labels the
         graph lacks before any search, so no apriori pruning is needed.
         A feature compiles its matcher tables on its first unrefuted match
@@ -885,14 +895,12 @@ class TreePiIndex:
         for feature in self._features:
             if label_pair_refuted(feature.tree, graph):
                 continue
-            centers = {
-                tuple(sorted(emb[v] for v in feature.center))
-                for emb in subgraph_monomorphisms(
-                    feature.tree, graph, compiled=feature.compiled()
+            if any(
+                subgraph_monomorphisms(
+                    feature.tree, graph, limit=1, compiled=feature.compiled()
                 )
-            }
-            if centers:
-                feature.add_occurrences(gid, centers)
+            ):
+                feature.add_graph(gid)
                 present.add(feature.feature_id)
         for shrunk in self._shrunk:
             if not present.issuperset(shrunk.cover):

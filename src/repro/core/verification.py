@@ -6,7 +6,7 @@ partition pieces instead of running a blind matcher.  Pieces are joined
 one at a time in a connectivity-greedy order; for the current piece the
 search
 
-1. picks a recorded **center location** consistent with the Center
+1. picks a **center location** consistent with the Center
    Distance Constraints against every already-placed piece (Algorithm 2's
    ``TP'_q`` enumeration, interleaved rather than materialized up front),
 2. retrieves the piece's embeddings **anchored at that center** and seeded
@@ -22,16 +22,21 @@ pieces only interact with a partial state through the bindings of query
 vertices they touch (the boundary) and through injectivity (the used
 set), so two states agreeing on both have identical completions.
 
+The center locations come from the query's
+:class:`~repro.core.center_prune.CenterConstraintProblem`, which finds a
+feature's locations in a candidate by search once per query (the paper
+stores them in the index).
+
 Soundness: a successful reconstruction is literally an embedding of ``q``.
 Completeness: any embedding of ``q`` restricts to center-anchored piece
-embeddings whose centers are recorded in the index and satisfy every
+embeddings whose centers are among the located ones and satisfy every
 distance constraint, so the search space always contains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.guards import hot_path
 from repro.core.center_prune import CenterConstraintProblem
@@ -65,12 +70,12 @@ def _anchor_seeds(piece_center: Center, assigned: Center) -> List[Dict[int, int]
 
 def _piece_order(
     problem: CenterConstraintProblem,
-    location_lists: List[List[Center]],
+    location_lists: List[Sequence[Center]],
 ) -> List[int]:
     """Piece order: scarcest-first start, then connectivity-greedy.
 
     The first piece has no overlap seeds, so its branching factor is the
-    number of recorded centers — start from the piece with the fewest.
+    number of located centers — start from the piece with the fewest.
     Subsequent pieces maximize overlap with the covered region (strong
     seeds make their anchored searches nearly deterministic), breaking
     ties toward larger pieces.
@@ -126,12 +131,12 @@ def verify_candidate(
     pieces = problem.pieces
     m = len(pieces)
 
-    location_lists: List[List[Center]] = []
-    for feature in problem.features:
-        centers = feature.centers_in(graph_id)
+    location_lists: List[Sequence[Center]] = []
+    for i in range(m):
+        centers = problem.centers(i, graph_id, graph)
         if not centers:
             return False
-        location_lists.append(sorted(centers))
+        location_lists.append(centers)
 
     order = _piece_order(problem, location_lists)
     if oracle is None:

@@ -1,8 +1,8 @@
 """Index persistence: save/load a built TreePi index without re-mining.
 
 The on-disk format is a single JSON document embedding the database, the
-configuration, and every feature with its center locations and support
-sets — everything :class:`repro.core.TreePiIndex` holds.  Loading
+configuration, and every feature with its support set — everything
+:class:`repro.core.TreePiIndex` holds.  Loading
 reconstructs an index that answers queries identically to the original
 (tested byte-for-byte on query results).
 
@@ -13,10 +13,12 @@ Three format versions are understood:
   longer writes it; the upgrade is a v1 load followed by a v2 save.
 * **v2** (default, :data:`FORMAT_VERSION`) stores one
   :class:`~repro.storage.LabelInterner` table per document and
-  references labels by dense id everywhere; feature occurrences are the
-  raw :class:`~repro.storage.OccurrenceStore` columns (sorted graph-id
-  column, offset column, delta-encoded flattened center column).  The
-  optional ``"shrunk"`` list holds the γ-shrunk trees' exception lists
+  references labels by dense id everywhere; each feature's ``"occ"``
+  record holds its sorted support ids (``"gids"``).  Documents written
+  by earlier builds also hold ``"offsets"`` and ``"centers"`` columns
+  (center locations); the reader ignores them, as it ignores v1's
+  locations beyond their graph ids.  The optional ``"shrunk"`` list
+  holds the γ-shrunk trees' exception lists
   (:class:`~repro.core.feature.ShrunkTree`); a document without it loads
   with none, and its shrunk-tree queries verify their candidates.
 * **v3** is not a JSON document at all: ``save_index(index, path,
@@ -50,7 +52,7 @@ from repro.exceptions import SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.mining.subtree_miner import MiningStats
 from repro.mining.support import SupportFunction
-from repro.storage import IdStore, LabelInterner, OccurrenceStore, PostingList
+from repro.storage import IdStore, LabelInterner, PostingList
 from repro.trees.canonical import tree_canonical_string
 
 # The typed-label and interned-graph codecs are shared with the v3
@@ -66,10 +68,10 @@ from repro.storage.segments import (
     DEFAULT_COMPACT_THRESHOLD,
     DEFAULT_MEMTABLE_LIMIT,
     LsmIdStore,
-    LsmStore,
     MANIFEST_NAME,
     SegmentGraphDatabase,
     SegmentStore,
+    feature_payloads,
     initialize_directory,
     shrunk_payloads,
 )
@@ -195,51 +197,47 @@ def _stats_from_json(data: Dict[str, Any]) -> IndexStats:
 # features (v1, read-only: type-tagged labels, nested center lists)
 # ----------------------------------------------------------------------
 def _feature_from_json_v1(data: Dict[str, Any]) -> FeatureTree:
+    # A graph is in the support set when it has a center location; the
+    # locations themselves are not kept.
     return FeatureTree(
         feature_id=data["id"],
         tree=graph_from_json(data["tree"]),
         key=data["key"],
         center=tuple(data["center"]),
-        locations={
-            int(gid): frozenset(tuple(c) for c in centers)
-            for gid, centers in data["locations"].items()
-        },
+        support=(
+            int(gid) for gid, centers in data["locations"].items() if centers
+        ),
     )
 
 
 # ----------------------------------------------------------------------
-# v2: interned label columns + occurrence-store columns
+# v2: interned label columns + support-id columns
 # ----------------------------------------------------------------------
 def _feature_to_json_v2(
     feature: FeatureTree, interner: LabelInterner
 ) -> Dict[str, Any]:
-    gids, offsets, centers = feature.store.columns()
     return {
         "id": feature.feature_id,
         "tree": _graph_to_columns(feature.tree, interner),
         "key": feature.key,
         "center": list(feature.center),
-        "occ": {"gids": gids, "offsets": offsets, "centers": centers},
+        "occ": {"gids": list(feature.support_posting())},
     }
 
 
 def _feature_from_json_v2(data: Dict[str, Any], labels: List[Any]) -> FeatureTree:
-    center = tuple(data["center"])
-    occ = data["occ"]
     try:
-        store = OccurrenceStore.from_columns(
-            len(center), occ["gids"], occ["offsets"], occ["centers"]
-        )
+        support = PostingList.from_sorted(data["occ"]["gids"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(
-            f"malformed occurrence columns for feature {data.get('id')!r}: {exc}"
+            f"malformed support column for feature {data.get('id')!r}: {exc}"
         ) from exc
     return FeatureTree(
         feature_id=data["id"],
         tree=_graph_from_columns(data["tree"], labels),
         key=data["key"],
-        center=center,
-        store=store,
+        center=tuple(data["center"]),
+        store=IdStore(support),
     )
 
 
@@ -402,27 +400,17 @@ def save_segment_index(index: TreePiIndex, root: Union[str, Path]) -> None:
     """Write ``index`` as a fresh v3 directory with one base segment.
 
     The base segment holds every live graph and the fully merged
-    occurrence columns of every feature, so saving an LSM-maintained
-    index is also an offline compaction.
+    support column of every feature, so saving an LSM-maintained index
+    is also an offline compaction.
     """
     db = index.database
     ids = db.graph_ids()
     graphs = [db[gid] for gid in ids]
-    payloads = [
-        (
-            feature.feature_id,
-            feature.key,
-            tuple(feature.center),
-            feature.tree,
-            feature.store.columns(),
-        )
-        for feature in index.features
-    ]
     next_graph_id = (max(ids) + 1) if ids else 0
     initialize_directory(
         Path(root),
         graphs,
-        payloads,
+        feature_payloads(index.features),
         next_graph_id,
         extra={
             "config": config_to_json(index.config),
@@ -440,7 +428,7 @@ def load_segment_index(
     """Open a v3 segment directory lazily.
 
     O(manifest + segment headers): graphs decode on demand and the
-    posting/center columns stay unmapped-in until a query touches them
+    posting columns stay unmapped-in until a query touches them
     (``SegmentStore.columns_touched()`` stays 0 across this call — the
     cold-open benchmark gate pins that).  The returned index is fully
     maintainable: ``insert``/``delete`` buffer into memtables, flush to
@@ -475,12 +463,14 @@ def load_segment_index(
                         tree=entry.decode_tree(labels),
                         key=entry.key,
                         center=entry.center,
-                        store=LsmStore(entry.arity, store.tombstones),
+                        store=LsmIdStore(store.tombstones),
                     )
                     by_key[entry.key] = feature
                     features.append(feature)
                 if entry.graph_count:
-                    feature.store.flush_to_layer(layer, entry.open_store())
+                    support = feature.store
+                    assert isinstance(support, LsmIdStore)
+                    support.flush_to_layer(layer, entry.open_store())
         features.sort(key=lambda f: f.feature_id)
         shrunk: Dict[str, ShrunkTree] = {}
         for layer, segment in enumerate(store.segments):

@@ -8,20 +8,19 @@ One columnar substrate under the three index implementations:
   gallop/hash two-way intersection and a smallest-first k-way
   :meth:`~PostingList.intersect_many`, the substrate of every
   support-set filter stage (TreePi Algorithm 1, gIndex, GraphGrep),
-* :class:`OccurrenceStore` — columnar per-feature center-location table
-  (Section 4.2.1's per-graph location information) with incremental
-  ``add_graph``/``remove_graph`` for Section 7.1 maintenance,
 * :class:`IdStore` — a mutable id set over posting-list snapshots, the
-  heap backing of the γ-shrunk trees' exception lists.
+  heap backing of every feature's support set and of the γ-shrunk
+  trees' exception lists, with ``add_graph``/``remove_graph`` for
+  Section 7.1 maintenance.
 
 The design follows the succinct-representation line of MSQ-Index
 (arXiv:1612.09155) and CNI (arXiv:1703.05547): sorted integer columns
-instead of hash sets, delta-encoded occurrence coordinates instead of
-per-graph tuples-in-frozensets.
+instead of hash sets, and only what the filter reads.  Center locations
+(Section 4.2.1) are not stored; the paper pipeline finds them by search
+(:class:`~repro.core.center_prune.CenterConstraintProblem`).
 """
 
 from repro.storage.interner import LabelInterner
-from repro.storage.occurrences import OccurrenceStore
 from repro.storage.posting import IdStore, PostingList
 
-__all__ = ["IdStore", "LabelInterner", "OccurrenceStore", "PostingList"]
+__all__ = ["IdStore", "LabelInterner", "PostingList"]

@@ -12,9 +12,9 @@ merge loop survives in :meth:`union`/:meth:`difference`, which must
 stream every element anyway).
 
 Instances are immutable snapshots: every operation returns a new list
-and :class:`~repro.storage.occurrences.OccurrenceStore` mutations swap
-whole columns, so a posting list handed to a reader stays internally
-consistent even while maintenance rewrites the store it came from.
+and :class:`IdStore` mutations swap whole columns, so a posting list
+handed to a reader stays internally consistent even while maintenance
+rewrites the store it came from.
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ def id_array(values: Iterable[int] = ()) -> array:
     if values and (max(values) > _ID_MAX):
         return array(_WIDE_TYPECODE, values)
     return array(_ID_TYPECODE, values)
+
+
+def _bisectable(ids: IdColumn) -> Sequence[int]:
+    """``ids`` in a form ``bisect`` probes in C.
+
+    An mmap column answers each ``__getitem__`` with a Python call, so it
+    is bisected through its memoryview; a heap array already is one.
+    """
+    return ids if isinstance(ids, array) else ids._cast()
 
 
 def _concat(parts: Sequence[IdColumn]) -> array:
@@ -141,7 +150,7 @@ class PostingList:
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, int) or value < 0:
             return False
-        ids = self._ids
+        ids = _bisectable(self._ids)
         i = bisect_left(ids, value)
         return i < len(ids) and ids[i] == value
 
@@ -171,8 +180,7 @@ class PostingList:
         otherwise a fresh column built by array slicing.
         """
         ids = self._ids
-        # An mmap column bisects through its memoryview, so in C.
-        flat = ids if isinstance(ids, array) else ids._cast()
+        flat = _bisectable(ids)
         i = bisect_left(flat, gid)
         if (i < len(flat) and flat[i] == gid) == present:
             return self
@@ -203,7 +211,7 @@ class PostingList:
         return PostingList._wrap(id_array(sorted(common)))
 
     def _gallop_into(self, large: "PostingList") -> "PostingList":
-        ids = large._ids
+        ids = _bisectable(large._ids)
         out = id_array()
         lo, hi = 0, len(ids)
         for x in self._ids:
@@ -295,11 +303,11 @@ def union_many(lists: Sequence[PostingList]) -> PostingList:
 class IdStore:
     """A mutable set of ids over immutable :class:`PostingList` snapshots.
 
-    The heap backing of an exception list
+    The heap backing of a feature's support set
+    (:class:`~repro.core.feature.FeatureTree`) and of an exception list
     (:class:`~repro.core.feature.ShrunkTree`): ``add_graph`` and
     ``remove_graph`` swap in a fresh snapshot, so a posting list handed
-    out earlier stays consistent, as :class:`~repro.storage.occurrences.
-    OccurrenceStore` columns do.
+    out earlier stays consistent.
     """
 
     __slots__ = ("_ids",)
@@ -311,6 +319,8 @@ class IdStore:
         return self._ids
 
     def add_graph(self, gid: int) -> None:
+        if gid < 0:
+            raise ValueError(f"graph ids are non-negative, got {gid}")
         self._ids = self._ids.spliced(gid, True)
 
     def remove_graph(self, gid: int) -> None:

@@ -2,25 +2,25 @@
 
 A v3 index is a *directory*: one small JSON manifest plus one or more
 immutable binary **segment files**.  Each segment holds an interned
-label table, the graph records, and every feature's ``gids`` /
-``offsets`` / ``centers`` columns at 8-byte-aligned payload offsets, so
-a reader can map the file once and hand out zero-copy
-:class:`MmapColumn` views in place of heap ``array`` columns
-(:class:`~repro.storage.posting.PostingList` and
-:class:`~repro.storage.occurrences.OccurrenceStore` adopt them through
-their ``from_buffer`` constructors).  Opening is O(metadata): the
+label table, the graph records, and every feature's ``gids`` column at
+an 8-byte-aligned payload offset, so a reader can map the file once and
+hand out zero-copy :class:`MmapColumn` views in place of heap ``array``
+columns (:meth:`~repro.storage.posting.PostingList.from_buffer` adopts
+them).  Segments written by earlier builds also carry per-feature
+``offsets`` and ``centers`` columns (center locations); readers skip
+them.  Opening is O(metadata): the
 header is parsed eagerly, column pages fault in only when a read
 touches them (``Segment.columns_touched`` counts first touches, which
 is what the cold-open benchmark gate asserts on).
 
 Maintenance is LSM-style.  ``insert`` buffers new graphs in the
-database overlay and new occurrences in per-feature memtables;
+database overlay and new support ids in per-feature memtables;
 ``delete`` records a **tombstone epoch** (the segment count at delete
 time — data in earlier segments is dead, data flushed later is live,
 so delete-then-reinsert of the same id just works).  A flush writes
 one immutable *delta segment* and swaps the memtables for mapped
 layers; readers always see ``base ∪ deltas − tombstones ∪ memtable``
-through :class:`LsmStore`.  Compaction folds everything back into a
+through :class:`LsmIdStore`.  Compaction folds everything back into a
 single base segment: the merge is prepared into a temp file outside
 the writer lock (the engine reuses its generation-checked optimistic
 pattern) and committed with an ``os.replace`` plus column swap.
@@ -40,9 +40,10 @@ blob of interned JSON records decoded one graph at a time.
 The header's ``"shrunk"`` list holds the γ-shrunk trees' exception
 lists (:class:`~repro.core.feature.ShrunkTree`): per tree its key and
 one ``gids`` column that flush, compaction and tombstones treat like a
-feature's.  A base segment adds each tree's record and cover; a delta
-segment, which only extends lists the base defines, carries neither.
-A segment written without the list reads as having none.
+feature's, through the same :class:`LsmIdStore`.  A base segment adds
+each tree's record and cover; a delta segment, which only extends lists
+the base defines, carries neither.  A segment written without the list
+reads as having none.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -76,8 +76,7 @@ from repro.exceptions import GraphError, SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.storage.codec import decode_label, encode_label, graph_from_columns, graph_to_columns
 from repro.storage.interner import LabelInterner
-from repro.storage.occurrences import Center, OccurrenceStore
-from repro.storage.posting import IdColumn, PostingList, id_array
+from repro.storage.posting import IdColumn, PostingList, _bisectable, id_array
 
 if TYPE_CHECKING:
     from repro.core.feature import FeatureTree, ShrunkTree
@@ -94,14 +93,10 @@ DEFAULT_COMPACT_THRESHOLD = 4
 
 _ALIGN = 8
 _GRAPH_CACHE_LIMIT = 256
-_CENTER_CACHE_LIMIT = 64
 
 #: One feature's flush/compaction payload:
-#: ``(feature_id, key, center, tree, (gids, offsets, centers))``.
-FeaturePayload = Tuple[
-    int, str, Tuple[int, ...], LabeledGraph,
-    Tuple[Sequence[int], Sequence[int], Sequence[int]],
-]
+#: ``(feature_id, key, center, tree, support gids)``.
+FeaturePayload = Tuple[int, str, Tuple[int, ...], LabeledGraph, Sequence[int]]
 
 #: One shrunk tree's flush/compaction payload:
 #: ``(key, tree, cover, exception gids)``; a flush passes no tree and
@@ -112,9 +107,8 @@ ShrunkPayload = Tuple[str, Optional[LabeledGraph], Tuple[int, ...], Sequence[int
 class MmapColumn:
     """A read-only unsigned-int column viewing one mapped segment region.
 
-    Drop-in for the heap ``array('I'/'Q')`` columns inside
-    :class:`~repro.storage.posting.PostingList` and
-    :class:`~repro.storage.occurrences.OccurrenceStore`: integer
+    Drop-in for the heap ``array('I'/'Q')`` column inside a
+    :class:`~repro.storage.posting.PostingList`: integer
     indexing, ``len``, iteration, ``itemsize``/``typecode``, and slicing
     (slices copy into a real ``array`` so splice/concat paths behave
     identically).  The ``memoryview.cast`` over the mapped region is
@@ -171,19 +165,13 @@ class MmapColumn:
 
 @dataclass
 class SegmentFeature:
-    """One feature's on-segment metadata plus its (lazy) columns."""
+    """One feature's on-segment metadata plus its (lazy) support column."""
 
     feature_id: int
     key: str
     center: Tuple[int, ...]
     tree_record: Dict[str, Any]
     gids: MmapColumn
-    offsets: MmapColumn
-    centers: MmapColumn
-
-    @property
-    def arity(self) -> int:
-        return len(self.center)
 
     @property
     def graph_count(self) -> int:
@@ -193,11 +181,9 @@ class SegmentFeature:
     def decode_tree(self, labels: Sequence[Any]) -> LabeledGraph:
         return graph_from_columns(self.tree_record, labels)
 
-    def open_store(self) -> OccurrenceStore:
-        """The columns as a zero-copy, lazily faulting occurrence store."""
-        return OccurrenceStore.from_buffer(
-            self.arity, self.gids, self.offsets, self.centers
-        )
+    def open_store(self) -> PostingList:
+        """The support column as a zero-copy, lazily faulting posting list."""
+        return PostingList.from_buffer(self.gids)
 
 
 @dataclass
@@ -258,8 +244,6 @@ class Segment:
                     center=tuple(entry["center"]),
                     tree_record=entry["tree"],
                     gids=self._column(entry["gids"]),
-                    offsets=self._column(entry["offsets"]),
-                    centers=self._column(entry["centers"]),
                 )
                 for entry in header["features"]
             ]
@@ -342,7 +326,7 @@ class Segment:
 
     def find_graph(self, gid: int) -> int:
         """Position of ``gid`` in the gid column, or ``-1``."""
-        gids = self._graph_gids
+        gids = _bisectable(self._graph_gids)
         i = bisect_left(gids, gid)
         if i < len(gids) and gids[i] == gid:
             return i
@@ -400,12 +384,11 @@ def write_segment(
 ) -> None:
     """Write one immutable segment file.
 
-    ``graphs`` must be sorted by ``graph_id``; feature columns are the
-    raw ``OccurrenceStore.columns()`` triples (delta-encoded centers
-    included).  The label interner is filled in canonical order (graphs
-    first, then feature trees, then shrunk trees, in the given order), so
-    identical inputs produce byte-identical files.  Without ``shrunk``
-    the file is the one a build without exception lists wrote.
+    ``graphs`` must be sorted by ``graph_id``; each feature brings its
+    sorted support ids.  The label interner is filled in canonical order
+    (graphs first, then feature trees, then shrunk trees, in the given
+    order), so identical inputs produce byte-identical files.  Without
+    ``shrunk`` the file is the one a build without exception lists wrote.
     """
     interner = LabelInterner()
     gid_list: List[int] = []
@@ -451,10 +434,9 @@ def write_segment(
         payload.extend(record)
 
     fdescs: List[Dict[str, Any]] = []
-    for (fid, key, center, _tree, columns), tree_record in zip(
+    for (fid, key, center, _tree, gids), tree_record in zip(
         features, tree_records
     ):
-        gids, offsets, centers = columns
         fdescs.append(
             {
                 "id": fid,
@@ -462,8 +444,6 @@ def write_segment(
                 "center": list(center),
                 "tree": tree_record,
                 "gids": put_column(gids),
-                "offsets": put_column(offsets),
-                "centers": put_column(centers),
             }
         )
 
@@ -493,6 +473,14 @@ def write_segment(
         handle.write(header_bytes)
         handle.write(b" " * pad)
         handle.write(bytes(payload))
+
+
+def feature_payloads(features: Iterable["FeatureTree"]) -> List[FeaturePayload]:
+    """Segment payloads of features, merged (tombstones folded out)."""
+    return [
+        (f.feature_id, f.key, tuple(f.center), f.tree, list(f.store.graph_ids()))
+        for f in features
+    ]
 
 
 def shrunk_payloads(shrunk: Iterable["ShrunkTree"]) -> List[ShrunkPayload]:
@@ -599,198 +587,23 @@ def _live_ids(
     return PostingList._wrap(id_array(sorted(live)))
 
 
-class LsmStore:
-    """One feature's merged occurrence view: layers − tombstones ∪ memtable.
-
-    Layers are immutable :class:`OccurrenceStore` snapshots (usually
-    mmap-backed) tagged with the **epoch** — the global segment index
-    they were flushed at.  A graph id's data in layer ``j`` is live iff
-    ``j >= tombstones.get(gid, 0)``: deleting records the then-current
-    segment count as the gid's epoch, killing everything older while
-    leaving later re-inserts visible.  The memtable holds unflushed
-    occurrences and is always live (deletes pop it immediately).
-
-    The merged id view is cached.  An insert or delete splices its one
-    gid into or out of it and forgets only that gid's decoded centers;
-    a flush or compaction, which swaps layers, re-merges.
-
-    Duck-types the :class:`OccurrenceStore` read/maintenance surface
-    that :class:`~repro.core.feature.FeatureTree` uses, so the rest of
-    the pipeline cannot tell the backings apart.
-    """
-
-    __slots__ = ("_arity", "_tomb", "_layers", "_mem", "_gids", "_decoded")
-
-    def __init__(
-        self,
-        arity: int,
-        tombstones: Dict[int, int],
-        layers: Iterable[Tuple[int, OccurrenceStore]] = (),
-    ) -> None:
-        if arity < 1:
-            raise ValueError(f"center arity must be >= 1, got {arity}")
-        self._arity = arity
-        self._tomb = tombstones
-        self._layers: List[Tuple[int, OccurrenceStore]] = list(layers)
-        self._mem: Dict[int, FrozenSet[Center]] = {}
-        self._gids: Optional[PostingList] = None
-        self._decoded: Dict[int, FrozenSet[Center]] = {}
-
-    # -- maintenance-side plumbing (called by SegmentStore) ------------
-    @property
-    def pending(self) -> Mapping[int, FrozenSet[Center]]:
-        """The unflushed memtable (gid → centers)."""
-        return self._mem
-
-    @property
-    def has_layers(self) -> bool:
-        return bool(self._layers)
-
-    def invalidate(self) -> None:
-        self._gids = None
-        self._decoded = {}
-
-    def flush_to_layer(self, epoch: int, store: OccurrenceStore) -> None:
-        """Swap the memtable for its freshly written immutable layer."""
-        self._layers.append((epoch, store))
-        self._mem = {}
-        self.invalidate()
-
-    def reset_layers(
-        self, layers: Iterable[Tuple[int, OccurrenceStore]]
-    ) -> None:
-        """Replace every layer *and* the memtable (compaction commit)."""
-        self._layers = list(layers)
-        self._mem = {}
-        self.invalidate()
-
-    # -- OccurrenceStore read surface ----------------------------------
-    @property
-    def arity(self) -> int:
-        return self._arity
-
-    def __len__(self) -> int:
-        return len(self.graph_ids())
-
-    def __contains__(self, gid: object) -> bool:
-        if not isinstance(gid, int) or gid < 0:
-            return False
-        return gid in self.graph_ids()
-
-    def graph_ids(self) -> PostingList:
-        """The merged live support set (cached until invalidated)."""
-        cached = self._gids
-        if cached is not None:
-            return cached
-        result = _live_ids(
-            [(epoch, store.graph_ids()) for epoch, store in self._layers],
-            self._mem,
-            self._tomb,
-        )
-        self._gids = result
-        return result
-
-    def centers_in(self, gid: int) -> FrozenSet[Center]:
-        cached = self._decoded.get(gid)
-        if cached is not None:
-            return cached
-        merged = set(self._mem.get(gid, ()))
-        epoch = self._tomb.get(gid, 0)
-        for layer, store in self._layers:
-            if layer >= epoch:
-                merged |= store.centers_in(gid)
-        result = frozenset(merged)
-        if result:
-            if len(self._decoded) >= _CENTER_CACHE_LIMIT:
-                self._decoded = {}
-            self._decoded[gid] = result
-        return result
-
-    def items(self) -> Iterator[Tuple[int, FrozenSet[Center]]]:
-        for gid in self.graph_ids():
-            yield gid, self.centers_in(gid)
-
-    def to_mapping(self) -> Dict[int, FrozenSet[Center]]:
-        return dict(self.items())
-
-    def total_centers(self) -> int:
-        return sum(len(centers) for _, centers in self.items())
-
-    def columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """Fully merged raw columns (serialization / compaction input)."""
-        return OccurrenceStore.from_mapping(
-            self._arity, self.to_mapping()
-        ).columns()
-
-    def nbytes(self) -> int:
-        """Mapped layer bytes plus a coarse memtable estimate."""
-        total = sum(store.nbytes() for _, store in self._layers)
-        total += sum(
-            (1 + len(centers) * self._arity) * 8
-            for centers in self._mem.values()
-        )
-        return total
-
-    # -- maintenance hooks (Section 7.1) -------------------------------
-    def add_graph(self, gid: int, centers: Iterable[Center]) -> None:
-        """Buffer occurrences in the memtable (union semantics, like
-        :meth:`OccurrenceStore.add_graph`)."""
-        if gid < 0:
-            raise ValueError(f"graph ids are non-negative, got {gid}")
-        fresh = set(centers)
-        if not fresh:
-            return
-        for center in fresh:
-            if len(center) != self._arity:
-                raise ValueError(
-                    f"center {center!r} has arity {len(center)}, "
-                    f"store expects {self._arity}"
-                )
-        existing = self._mem.get(gid)
-        if existing:
-            fresh |= existing
-        self._mem[gid] = frozenset(fresh)
-        if self._gids is not None:
-            self._gids = self._gids.spliced(gid, True)
-        self._decoded.pop(gid, None)
-
-    def remove_graph(self, gid: int) -> bool:
-        """Drop ``gid``'s buffered occurrences and splice it out of the view.
-
-        Layer data is killed by the database-level tombstone (already
-        recorded by the time :meth:`repro.core.treepi.TreePiIndex.delete`
-        fans out to features).  The return value says whether ``gid``
-        was live: read off the cached merged view when there is one
-        (it predates the tombstone), else from the memtable and the
-        layers the tombstone leaves live.
-        """
-        view = self._gids
-        buffered = self._mem.pop(gid, None) is not None
-        if view is not None:
-            self._gids = view.spliced(gid, False)
-            present = self._gids is not view
-        else:
-            epoch = self._tomb.get(gid, 0)
-            present = buffered or any(
-                layer >= epoch and gid in store
-                for layer, store in self._layers
-            )
-        self._decoded.pop(gid, None)
-        return present
-
-    def __repr__(self) -> str:
-        return (
-            f"LsmStore(arity={self._arity}, layers={len(self._layers)}, "
-            f"memtable={len(self._mem)})"
-        )
-
-
 class LsmIdStore:
-    """One exception list's merged view: id layers − tombstones ∪ memtable.
+    """One id set's merged view: id layers − tombstones ∪ memtable.
 
-    The gid-only twin of :class:`LsmStore`, with the same epoch rule
-    and the same spliced view cache, backing a
-    :class:`~repro.core.feature.ShrunkTree` on a v3 index.
+    Backs a feature's support set
+    (:class:`~repro.core.feature.FeatureTree`) and an exception list
+    (:class:`~repro.core.feature.ShrunkTree`) on a v3 index.  Layers are
+    immutable posting lists (usually mmap-backed) tagged with the
+    **epoch** — the global segment index they were flushed at.  A graph
+    id in layer ``j`` is live iff ``j >= tombstones.get(gid, 0)``:
+    deleting records the then-current segment count as the gid's epoch,
+    killing everything older while leaving later re-inserts visible.
+    The memtable holds unflushed ids and is always live (deletes pop it
+    immediately).
+
+    The merged view is cached.  An insert or delete splices its one gid
+    into or out of it; a flush or compaction, which swaps layers,
+    re-merges.
     """
 
     __slots__ = ("_tomb", "_layers", "_mem", "_gids")
@@ -805,6 +618,10 @@ class LsmIdStore:
     def pending(self) -> Set[int]:
         """The unflushed memtable."""
         return self._mem
+
+    @property
+    def has_layers(self) -> bool:
+        return bool(self._layers)
 
     def flush_to_layer(self, epoch: int, ids: PostingList) -> None:
         self._layers.append((epoch, ids))
@@ -823,6 +640,8 @@ class LsmIdStore:
         return cached
 
     def add_graph(self, gid: int) -> None:
+        if gid < 0:
+            raise ValueError(f"graph ids are non-negative, got {gid}")
         self._mem.add(gid)
         if self._gids is not None:
             self._gids = self._gids.spliced(gid, True)
@@ -842,8 +661,8 @@ class SegmentGraphDatabase(GraphDatabase):
     """A :class:`GraphDatabase` resolving graphs lazily from segments.
 
     Unflushed inserts live in ``_overlay``; decoded graphs are memoized
-    (cleared wholesale at a cap, the same race-free discipline the
-    occurrence decode cache uses); ``remove`` of a segment-resident
+    (cleared wholesale at a cap, so concurrent read-side lookups never
+    race an eviction structure); ``remove`` of a segment-resident
     graph records the tombstone epoch — the single place deletions are
     written.  ``__len__`` is O(1) off the manifest-carried live count,
     so index construction over a cold directory faults no pages.
@@ -1007,7 +826,7 @@ class SegmentStore:
 
     Owns the segment directory: the open :class:`Segment` list (shared,
     in the same order, with the :class:`SegmentGraphDatabase` and every
-    :class:`LsmStore` layer epoch), the manifest, the tombstone map, and
+    :class:`LsmIdStore` layer epoch), the manifest, the tombstone map, and
     the flush/compaction state machine.  All mutating entry points are
     called with the serving engine's write lock held (the index methods
     delegating here carry ``@guarded_by`` contracts); the exception is
@@ -1054,7 +873,7 @@ class SegmentStore:
     ) -> "SegmentStore":
         """Open a v3 directory: parse the manifest, map every segment.
 
-        O(manifest + headers): no posting/center column is read.
+        O(manifest + headers): no posting column is read.
         """
         root = Path(root)
         manifest = read_manifest(root)
@@ -1154,7 +973,7 @@ class SegmentStore:
     # ------------------------------------------------------------------
     def adopt_feature(self, feature: "FeatureTree") -> None:
         """Back a freshly materialized feature with an (empty) LSM store."""
-        feature.store = LsmStore(len(feature.center), self.tombstones)
+        feature.store = LsmIdStore(self.tombstones)
 
     def note_insert(self) -> None:
         self._dirty_ops += 1
@@ -1187,7 +1006,7 @@ class SegmentStore:
         include = [
             feature
             for feature in self._features
-            if isinstance(feature.store, LsmStore)
+            if isinstance(feature.store, LsmIdStore)
             and (feature.store.pending or not feature.store.has_layers)
         ]
         lists = [
@@ -1200,20 +1019,16 @@ class SegmentStore:
             epoch = len(self._segments)
             name = f"seg-{self._manifest['next_segment']:06d}.seg"
             self._manifest["next_segment"] += 1
-            payloads: List[FeaturePayload] = []
-            for feature in include:
-                mem = OccurrenceStore.from_mapping(
-                    feature.store.arity, dict(feature.store.pending)
+            payloads: List[FeaturePayload] = [
+                (
+                    feature.feature_id,
+                    feature.key,
+                    tuple(feature.center),
+                    feature.tree,
+                    sorted(feature.store.pending),
                 )
-                payloads.append(
-                    (
-                        feature.feature_id,
-                        feature.key,
-                        tuple(feature.center),
-                        feature.tree,
-                        mem.columns(),
-                    )
-                )
+                for feature in include
+            ]
             write_segment(
                 self.root / name,
                 overlay,
@@ -1225,6 +1040,7 @@ class SegmentStore:
             self._manifest["segments"].append(name)
             by_key = {entry.key: entry for entry in segment.feature_entries()}
             for feature in include:
+                assert isinstance(feature.store, LsmIdStore)
                 feature.store.flush_to_layer(
                     epoch, by_key[feature.key].open_store()
                 )
@@ -1242,7 +1058,7 @@ class SegmentStore:
         """Merge everything into a temp segment file (read-lock safe).
 
         A full checkpoint: live graphs (overlay included) and the fully
-        merged occurrence columns of every feature (memtables included,
+        merged support column of every feature (memtables included,
         tombstones folded out).  Touches no visible state — the caller
         commits under the write lock after its generation check, or
         discards the plan.  Returns None when there is nothing to fold.
@@ -1254,18 +1070,13 @@ class SegmentStore:
             return None
         live = db.graph_ids()
         graphs = [db[gid] for gid in live]
-        payloads: List[FeaturePayload] = [
-            (
-                feature.feature_id,
-                feature.key,
-                tuple(feature.center),
-                feature.tree,
-                feature.store.columns(),
-            )
-            for feature in self._features
-        ]
         tmp = self.root / "compact-pending.tmp"
-        write_segment(tmp, graphs, payloads, shrunk_payloads(self._shrunk))
+        write_segment(
+            tmp,
+            graphs,
+            feature_payloads(self._features),
+            shrunk_payloads(self._shrunk),
+        )
         return CompactionPlan(tmp_path=tmp, live_graphs=len(live))
 
     def commit_compaction(self, plan: CompactionPlan) -> None:
@@ -1292,8 +1103,8 @@ class SegmentStore:
         self.tombstones.clear()
         by_key = {entry.key: entry for entry in segment.feature_entries()}
         for feature in self._features:
-            entry = by_key[feature.key]
-            feature.store.reset_layers([(0, entry.open_store())])
+            assert isinstance(feature.store, LsmIdStore)
+            feature.store.reset_layers([(0, by_key[feature.key].open_store())])
         columns = self._exception_columns(segment)
         for shrunk in self._shrunk:
             assert isinstance(shrunk.store, LsmIdStore)

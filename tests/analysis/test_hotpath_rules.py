@@ -75,15 +75,6 @@ def constrain(result, ids):
     assert rule_ids(src) == []
 
 
-def test_repro303_to_mapping_fires():
-    src = """
-def dump(store):
-    return store.to_mapping()
-"""
-    assert rule_ids(src) == ["REPRO303"]
-    assert "to_mapping()" in messages(src)[0]
-
-
 def test_repro303_off_the_query_path_is_clean():
     src = """
 def stage1(db):
@@ -420,14 +411,10 @@ def test_cli_fires_on_each_hotpath_fixture(tmp_path):
 REAL_MUTATIONS = [
     pytest.param(
         "REPRO303",
-        "core/verification.py",
-        "        centers = feature.centers_in(graph_id)\n"
-        "        if not centers:\n"
-        "            return False\n",
-        "        centers = feature.store.to_mapping().get(graph_id)\n"
-        "        if not centers:\n"
-        "            return False\n",
-        id="verification-materializes-the-occurrence-table",
+        "core/feature.py",
+        "return self.store.graph_ids().to_frozenset()",
+        "return frozenset(self.store.graph_ids())",
+        id="direct-hit-rebuilds-the-support-set",
     ),
     pytest.param(
         "REPRO303",

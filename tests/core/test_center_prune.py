@@ -3,7 +3,8 @@
 The scenario mirrors the paper's Figure 7: a query partitioned into two
 feature subtrees whose centers are 2 apart; a candidate containing both
 pieces at center distance 4 violates the constraint and is pruned, while
-one at distance 2 survives.
+one at distance 2 survives.  The features store no locations: the
+problem finds them in each graph passed in.
 """
 
 import pytest
@@ -63,11 +64,6 @@ def problem(query, pieces, graphs):
         pattern = MinedPattern(piece.tree, piece.key)
         feature = FeatureTree.from_mined_pattern(len(lookup), pattern)
         lookup[piece.key] = feature
-    # Record the center locations each graph actually has.
-    lookup[pieces[0].key].add_occurrences(0, [(1,)])
-    lookup[pieces[1].key].add_occurrences(0, [(3,)])
-    lookup[pieces[0].key].add_occurrences(1, [(1,)])
-    lookup[pieces[1].key].add_occurrences(1, [(5,)])
     return CenterConstraintProblem.from_partition(
         query, Partition(pieces), lookup
     )
@@ -79,6 +75,12 @@ class TestProblemConstruction:
         assert problem.distances[1][0] == 2
         assert problem.distances[0][0] == 0
 
+    def test_centers_are_located_and_memoized(self, problem, graphs):
+        assert problem.centers(0, 1, graphs[1]) == ((1,),)
+        assert problem.centers(1, 1, graphs[1]) == ((5,),)
+        # Kept for the query: a second ask does not search again.
+        assert problem.centers(1, 1, graphs[0]) == ((5,),)
+
 
 class TestConstraintCheck:
     def test_near_graph_satisfies(self, problem, graphs):
@@ -88,8 +90,9 @@ class TestConstraintCheck:
         # Center distance 4 in the graph > 2 in the query (Figure 7(a)).
         assert not check_center_constraints(problem, graphs[1], 1).keep
 
-    def test_graph_missing_a_feature_fails(self, problem, graphs):
-        assert not check_center_constraints(problem, graphs[0], 99).keep
+    def test_graph_missing_a_feature_fails(self, problem):
+        partial = path_graph(["a", "b", "c", "d"])  # no c-d-e piece
+        assert not check_center_constraints(problem, partial, 99).keep
 
     def test_far_graph_has_no_assignment(self, problem, graphs):
         # Refuted by a proof, not kept because a budget ran out.
@@ -110,15 +113,13 @@ class TestCenterPrune:
 
 
 class TestMultipleLocations:
-    def test_any_satisfying_combination_suffices(self, query, pieces, graphs):
-        lookup = {}
-        for piece in pieces:
-            pattern = MinedPattern(piece.tree, piece.key)
-            lookup[piece.key] = FeatureTree.from_mined_pattern(len(lookup), pattern)
-        # Two candidate centers for piece 0: one too far, one close enough.
-        lookup[pieces[0].key].add_occurrences(1, [(5,), (3,)])
-        lookup[pieces[1].key].add_occurrences(1, [(5,)])
-        problem = CenterConstraintProblem.from_partition(
-            query, Partition(pieces), lookup
-        )
-        assert check_center_constraints(problem, graphs[1], 1).keep
+    def test_any_satisfying_combination_suffices(self, problem, graphs):
+        # Two centers for piece 0: b1 is 4 from piece 1's center d5 (too
+        # far), the added branch a8-b7-c4 puts one 2 away (close enough).
+        both = graphs[1].copy()
+        b7 = both.add_vertex("b")
+        a8 = both.add_vertex("a")
+        both.add_edge(4, b7, both.edge_label(4, 5))
+        both.add_edge(b7, a8, both.edge_label(0, 1))
+        assert problem.centers(0, 2, both) == ((1,), (7,))
+        assert check_center_constraints(problem, both, 2).keep

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FeatureTree
+from repro.core.feature import mined_centers
 from repro.graphs import path_graph
 from repro.mining import MinedPattern
 from repro.trees import tree_canonical_string
@@ -21,10 +22,11 @@ def mined_path3():
 
 class TestFromMinedPattern:
     def test_center_locations_extracted(self, mined_path3):
-        feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        assert feature.center == (1,)
-        assert feature.centers_in(0) == frozenset({(6,)})
-        assert feature.centers_in(2) == frozenset({(2,)})
+        assert mined_centers(mined_path3) == {
+            0: frozenset({(6,)}),
+            2: frozenset({(2,)}),
+        }
+        assert FeatureTree.from_mined_pattern(0, mined_path3).center == (1,)
 
     def test_support(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
@@ -37,39 +39,46 @@ class TestFromMinedPattern:
         pattern.add_embedding(4, (8, 3))
         feature = FeatureTree.from_mined_pattern(1, pattern)
         assert feature.is_edge_centered
-        assert feature.centers_in(4) == frozenset({(3, 8)})  # sorted
+        assert mined_centers(pattern) == {4: frozenset({(3, 8)})}  # sorted
+        host = path_graph(["b", "a", "b"])
+        assert feature.locate_centers(host) == frozenset({(0, 1), (1, 2)})
 
     def test_size(self, mined_path3):
         assert FeatureTree.from_mined_pattern(0, mined_path3).size == 2
 
     def test_centers_in_unknown_graph(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        assert feature.centers_in(99) == frozenset()
+        assert feature.locate_centers(path_graph(["a", "b", "d"])) == frozenset()
 
     def test_total_locations(self, mined_path3):
+        # one center per graph here
+        assert sum(len(c) for c in mined_centers(mined_path3).values()) == 2
+
+
+class TestLocateCenters:
+    def test_every_embedding_center(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        assert feature.total_locations() == 2  # one center per graph here
+        # a-b-c twice, sharing nothing, plus a second a on the first b.
+        host = path_graph(["a", "b", "c", "x", "c", "b", "a"])
+        host.add_edge(host.add_vertex("a"), 1, 1)
+        assert feature.locate_centers(host) == frozenset({(1,), (5,)})
 
 
 class TestMaintenanceHooks:
     def test_add_occurrences(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.add_occurrences(7, [(4,), (5,)])
+        feature.add_graph(7)
         assert feature.support == 3
-        assert feature.centers_in(7) == frozenset({(4,), (5,)})
+        assert 7 in feature.support_posting()
 
     def test_add_occurrences_merges(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.add_occurrences(0, [(11,)])
-        assert feature.centers_in(0) == frozenset({(6,), (11,)})
-
-    def test_add_empty_occurrences_noop(self, mined_path3):
-        feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.add_occurrences(7, [])
-        assert 7 not in feature.store.to_mapping()
+        feature.add_graph(0)
+        assert list(feature.support_posting()) == [0, 2]
 
     def test_remove_graph(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        assert feature.remove_graph(0)
-        assert not feature.remove_graph(0)
+        feature.remove_graph(0)
+        feature.remove_graph(0)
         assert feature.support == 1
+        assert list(feature.support_posting()) == [2]

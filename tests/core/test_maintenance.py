@@ -47,7 +47,9 @@ class TestInsert:
         assert touched
         graph = fresh_index.database[gid]
         for feature in touched:
-            for center in feature.centers_in(gid):
+            centers = feature.locate_centers(graph)
+            assert centers  # a recorded support id is a real occurrence
+            for center in centers:
                 assert all(0 <= v < graph.num_vertices for v in center)
 
     def test_churn_accumulates(self, fresh_index, extra_graphs):
@@ -114,8 +116,6 @@ class TestMaintenanceVsRebuild:
             if twin is None:
                 continue
             assert feature.support_set() == twin.support_set(), feature.key
-            for gid in feature.store.to_mapping():
-                assert feature.centers_in(gid) == twin.centers_in(gid)
 
 
 class TestDelete:

@@ -22,17 +22,16 @@ from repro.graphs import LabeledGraph, path_graph
 from repro.mining import MinedPattern
 
 
-def _two_piece_problem(query, locations_a, locations_b, gid=0):
+def _two_piece_problem(query):
+    """Pieces a-b-c and c-d-e; their centers are located in each graph."""
     pieces = [
         piece_from_edges(query, [(0, 1), (1, 2)]),
         piece_from_edges(query, [(2, 3), (3, 4)]),
     ]
     lookup = {}
-    for piece, centers in zip(pieces, (locations_a, locations_b)):
+    for piece in pieces:
         pattern = MinedPattern(piece.tree, piece.key)
-        feature = FeatureTree.from_mined_pattern(len(lookup), pattern)
-        feature.add_occurrences(gid, centers)
-        lookup[piece.key] = feature
+        lookup[piece.key] = FeatureTree.from_mined_pattern(len(lookup), pattern)
     return CenterConstraintProblem.from_partition(query, Partition(pieces), lookup)
 
 
@@ -47,28 +46,26 @@ class TestBudget:
         # gives up and (soundly) keeps the graph.
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
-        problem = _two_piece_problem(
-            query, [(1,)], [(7,)],
-        )
+        problem = _two_piece_problem(query)
         assert not check_center_constraints(problem, far, 0).keep  # unbudgeted
         assert check_center_constraints(problem, far, 0, budget=0).keep
 
     def test_generous_budget_matches_unbudgeted(self, query):
         near = path_graph(["a", "b", "c", "d", "e"])
         near.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(3,)])
+        problem = _two_piece_problem(query)
         assert check_center_constraints(problem, near, 0, budget=10_000).keep
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
-        problem2 = _two_piece_problem(query, [(1,)], [(7,)])
+        problem2 = _two_piece_problem(query)
         assert not check_center_constraints(
             problem2, far, 0, budget=10_000
         ).keep
 
     def test_missing_feature_fails_even_with_budget(self, query):
-        graph = path_graph(["a", "b", "c", "d", "e"])
-        graph.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(3,)])
+        graph = path_graph(["a", "b", "c", "d"])  # no c-d-e piece
+        graph.graph_id = 99
+        problem = _two_piece_problem(query)
         assert not check_center_constraints(problem, graph, 99, budget=0).keep
 
 
@@ -78,7 +75,7 @@ class TestExplicitOutcome:
     def test_satisfied_within_budget(self, query):
         near = path_graph(["a", "b", "c", "d", "e"])
         near.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(3,)])
+        problem = _two_piece_problem(query)
         decision = check_center_constraints(problem, near, 0, budget=10_000)
         assert decision.keep and not decision.exhausted
         assert decision.checks > 0
@@ -86,37 +83,37 @@ class TestExplicitOutcome:
     def test_refuted_within_budget_is_not_exhausted(self, query):
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(7,)])
+        problem = _two_piece_problem(query)
         decision = check_center_constraints(problem, far, 0, budget=10_000)
         assert not decision.keep and not decision.exhausted
 
     def test_exhausted_is_kept_and_flagged(self, query):
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(7,)])
+        problem = _two_piece_problem(query)
         decision = check_center_constraints(problem, far, 0, budget=0)
         assert decision.keep and decision.exhausted
         # budget=0 means no checks allowed: none were spent.
         assert decision.checks == 0
 
     def test_missing_feature_refutes_for_free(self, query):
-        graph = path_graph(["a", "b", "c", "d", "e"])
-        graph.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(3,)])
+        graph = path_graph(["a", "b", "c", "d"])  # no c-d-e piece
+        graph.graph_id = 99
+        problem = _two_piece_problem(query)
         decision = check_center_constraints(problem, graph, 99, budget=0)
         assert not decision.keep and not decision.exhausted
 
     def test_negative_budget_rejected(self, query):
         near = path_graph(["a", "b", "c", "d", "e"])
         near.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(3,)])
+        problem = _two_piece_problem(query)
         with pytest.raises(ConfigError):
             check_center_constraints(problem, near, 0, budget=-1)
 
     def test_center_prune_reports_exhaustion(self, query):
         far = path_graph(["a", "b", "c", "z", "z", "z", "c", "d", "e"])
         far.graph_id = 0
-        problem = _two_piece_problem(query, [(1,)], [(7,)])
+        problem = _two_piece_problem(query)
         report = center_prune(problem, [0], {0: far}, budget_per_graph=0)
         assert report.survivors == [0]
         assert report.exhausted == 1 and report.refuted == 0

@@ -112,5 +112,11 @@ class TestVerifyCandidate:
         graph = path_graph(["a", "b"])
         graph.graph_id = 0
         problem = problem_for(query, [[(0, 1)]], graph, 0)
-        # Ask about a graph id with no recorded locations at all.
-        assert not verify_candidate(query, problem, graph, 123)
+        # A graph the piece does not occur in has no locations at all;
+        # with the label-pair prefilter off, that alone refutes it.
+        other = path_graph(["a", "c"])
+        stats = VerificationStats()
+        assert not verify_candidate(
+            query, problem, other, 123, stats, prefilter=False
+        )
+        assert stats.assignments_tried == 0

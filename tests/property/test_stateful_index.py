@@ -73,20 +73,22 @@ class IndexMachine(RuleBasedStateMachine):
     def feature_supports_reference_live_graphs(self):
         live = set(self.index.database.graph_ids())
         for feature in self.index.features:
-            assert set(feature.store.to_mapping()) <= live
+            assert feature.support_set() <= live
 
     @invariant()
     def single_edges_cover_database(self):
         # Completeness floor: every edge of every live graph has a feature
         # — except edges introduced purely by post-build inserts, which
         # maintenance only registers for *existing* features.  Verify the
-        # weaker but sufficient invariant: features' locations are valid
-        # vertex ids.
+        # weaker but sufficient invariant: every support id is a graph
+        # the feature occurs in, at valid vertex ids.
         for feature in self.index.features:
-            for gid, centers in feature.store.to_mapping().items():
-                n = self.index.database[gid].num_vertices
+            for gid in feature.support_posting():
+                graph = self.index.database[gid]
+                centers = feature.locate_centers(graph)
+                assert centers
                 for center in centers:
-                    assert all(0 <= v < n for v in center)
+                    assert all(0 <= v < graph.num_vertices for v in center)
 
 
 IndexMachine.TestCase.settings = settings(

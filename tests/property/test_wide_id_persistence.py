@@ -6,8 +6,7 @@ Graph ids flow through three serialized shapes — the v2 JSON document,
 the v3 segment columns, and the v3 *delta* segments written by flush —
 and a truncation bug in any of them would silently corrupt answers, so
 these properties pin the full round trip with ids straddling the
-2^32 boundary (forcing mixed-width splices and delta-encoded center
-blocks whose leading coordinates stay modest while gids are huge).
+2^32 boundary (forcing mixed-width splices).
 """
 
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from repro.core import TreePiConfig, TreePiIndex
 from repro.graphs import GraphDatabase
 from repro.mining import SupportFunction
 from repro.persistence import index_from_json, index_to_json, load_index, save_index
-from repro.storage.occurrences import OccurrenceStore
+from repro.storage import IdStore, PostingList
 
 from tests.property.strategies import connected_graphs
 
@@ -63,8 +62,7 @@ def _assert_same_answers(a, b):
     assert len(a.features) == len(b.features)
     for fa, fb in zip(a.features, b.features):
         assert fa.key == fb.key
-        assert fa.support_set() == fb.support_set()
-        assert fa.store.to_mapping() == fb.store.to_mapping()
+        assert list(fa.support_posting()) == list(fb.support_posting())
 
 
 @given(wide_id_database())
@@ -128,26 +126,25 @@ def test_wide_ids_survive_delta_flush_and_compaction(tmp_path):
         assert set(new_ids) <= ids
         assert victim not in ids
         for feature in reopened.features:
-            mapping = feature.store.to_mapping()
-            assert victim not in mapping
-            # Delta-encoded center blocks decode exactly for wide gids.
-            for gid, centers in mapping.items():
-                assert centers == feature.centers_in(gid)
+            support = feature.support_posting()
+            assert victim not in support
+            # Every support id is a live graph the feature occurs in.
+            for gid in support:
+                assert feature.locate_centers(reopened.database[gid])
     finally:
         reopened.segment_store.close()
 
 
-def test_occurrence_store_widens_past_32_bits():
-    """The columnar codec itself holds wide gids (the unit-level pin)."""
-    store = OccurrenceStore.from_mapping(
-        1, {5: [(1,), (4,)], WIDE + 9: [(2,)]}
-    )
+def test_id_store_widens_past_32_bits():
+    """The support-id store itself holds wide gids (the unit-level pin)."""
+    store = IdStore(PostingList([5, WIDE + 9]))
     assert list(store.graph_ids()) == [5, WIDE + 9]
-    assert store.centers_in(WIDE + 9) == frozenset({(2,)})
-    gids, offsets, centers = store.columns()
-    rebuilt = OccurrenceStore.from_columns(1, gids, offsets, centers)
-    assert rebuilt == store
-    # splicing a narrow block into the widened column keeps 'Q'
-    store.add_graph(7, [(3,)])
+    assert store.graph_ids()._ids.typecode == "Q"
+    rebuilt = PostingList.from_sorted(list(store.graph_ids()))
+    assert rebuilt == store.graph_ids()
+    # splicing a narrow id into the widened column keeps 'Q'
+    store.add_graph(7)
     assert list(store.graph_ids()) == [5, 7, WIDE + 9]
-    assert store.centers_in(7) == frozenset({(3,)})
+    assert store.graph_ids()._ids.typecode == "Q"
+    store.remove_graph(WIDE + 9)
+    assert list(store.graph_ids()) == [5, 7]

@@ -1,9 +1,8 @@
 """Cached LSM merged views stay exact through maintenance.
 
 An insert or delete splices its one gid into or out of each
-:class:`~repro.storage.segments.LsmStore` and
-:class:`~repro.storage.segments.LsmIdStore` view instead of dropping the
-view, so a seeded interleaving of insert, delete, flush, compaction and
+:class:`~repro.storage.segments.LsmIdStore` view (a feature's support set
+or an exception list) instead of dropping the view, so a seeded interleaving of insert, delete, flush, compaction and
 reopen on a v3 index checks, after every operation, that each feature's
 and each exception list's ``graph_ids()`` equals a fresh ``_live_ids``
 merge of its layers, memtable and tombstones.  A delete must leave every
@@ -20,7 +19,7 @@ from repro.core import TreePiConfig, TreePiIndex
 from repro.datasets import generate_aids_like
 from repro.mining import SupportFunction
 from repro.persistence import load_index, save_index
-from repro.storage.segments import LsmIdStore, LsmStore, _live_ids
+from repro.storage.segments import LsmIdStore, _live_ids
 
 from tests.differential.test_answer_sets import make_corpus
 
@@ -30,16 +29,12 @@ CONFIG = TreePiConfig(SupportFunction(alpha=2, beta=2.0, eta=4), seed=5)
 def _stores(index: TreePiIndex):
     stores = [feature.store for feature in index.features]
     stores += [shrunk.store for shrunk in index.shrunk]
-    assert all(isinstance(s, (LsmStore, LsmIdStore)) for s in stores)
+    assert all(isinstance(s, LsmIdStore) for s in stores)
     return stores
 
 
 def _fresh(store) -> list:
-    if isinstance(store, LsmStore):
-        layers = [(epoch, layer.graph_ids()) for epoch, layer in store._layers]
-    else:
-        layers = store._layers
-    return list(_live_ids(layers, store.pending, store._tomb))
+    return list(_live_ids(store._layers, store.pending, store._tomb))
 
 
 def _assert_views_exact(index: TreePiIndex, step: str) -> None:

@@ -1,157 +1,96 @@
-"""OccurrenceStore unit + randomized add/remove tests against dict oracles."""
+"""A feature's occurrence record: its support ids in an ``IdStore``.
+
+Features keep the graphs they occur in, not where in them; unit tests
+and randomized add/remove interleavings against a set oracle.
+"""
 
 import random
 
 import pytest
 
-from repro.storage import OccurrenceStore, PostingList
-
-
-def sample_center(rng, arity):
-    return tuple(sorted(rng.sample(range(50), arity)))
+from repro.storage import IdStore, PostingList
 
 
 class TestBasics:
-    def test_bad_arity(self):
-        with pytest.raises(ValueError):
-            OccurrenceStore(0)
-
     def test_empty_store(self):
-        store = OccurrenceStore(1)
-        assert len(store) == 0
-        assert store.centers_in(3) == frozenset()
+        store = IdStore(PostingList())
+        assert len(store.graph_ids()) == 0
         assert store.graph_ids() == frozenset()
-        assert store.total_centers() == 0
-        assert 3 not in store
-
-    def test_from_mapping_roundtrip(self):
-        mapping = {4: {(1,), (9,)}, 2: {(3,)}}
-        store = OccurrenceStore.from_mapping(1, mapping)
-        assert store.to_mapping() == {
-            2: frozenset({(3,)}),
-            4: frozenset({(1,), (9,)}),
-        }
-        assert list(store.graph_ids()) == [2, 4]
-        assert store.total_centers() == 3
-
-    def test_from_mapping_skips_empty_blocks(self):
-        store = OccurrenceStore.from_mapping(1, {1: set(), 2: {(5,)}})
-        assert list(store.graph_ids()) == [2]
-
-    def test_edge_centers(self):
-        store = OccurrenceStore.from_mapping(2, {0: {(3, 8), (1, 2)}})
-        assert store.centers_in(0) == frozenset({(1, 2), (3, 8)})
-
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            OccurrenceStore.from_mapping(1, {0: {(1, 2)}})
+        assert store.nbytes() == 0
+        assert 3 not in store.graph_ids()
 
     def test_columns_roundtrip(self):
-        store = OccurrenceStore.from_mapping(2, {5: {(1, 4), (1, 9), (7, 8)}})
-        twin = OccurrenceStore.from_columns(2, *store.columns())
-        assert twin == store
-        assert twin.centers_in(5) == store.centers_in(5)
+        store = IdStore(PostingList([9, 1, 4, 4]))
+        twin = IdStore(PostingList.from_sorted(list(store.graph_ids())))
+        assert twin.graph_ids() == store.graph_ids()
+        assert list(twin.graph_ids()) == [1, 4, 9]
 
     def test_from_columns_validates(self):
         with pytest.raises(ValueError):
-            OccurrenceStore.from_columns(1, [0, 1], [0, 1], [5])  # short offsets
+            PostingList.from_sorted([1, 0])  # unsorted
         with pytest.raises(ValueError):
-            OccurrenceStore.from_columns(1, [1, 0], [0, 1, 2], [5, 5])  # unsorted
+            PostingList.from_sorted([2, 2])  # duplicate
         with pytest.raises(ValueError):
-            OccurrenceStore.from_columns(2, [0], [0, 3], [1, 2, 3])  # width % arity
-        with pytest.raises(ValueError):
-            OccurrenceStore.from_columns(1, [0], [0, 2], [5])  # offsets overrun
-
-    def test_eq(self):
-        a = OccurrenceStore.from_mapping(1, {0: {(1,)}})
-        b = OccurrenceStore.from_mapping(1, {0: {(1,)}})
-        c = OccurrenceStore.from_mapping(1, {0: {(2,)}})
-        assert a == b
-        assert a != c
-        assert a.__eq__(42) is NotImplemented
+            PostingList.from_sorted([-1, 3])  # negative
 
     def test_nbytes_grows(self):
-        store = OccurrenceStore(1)
+        store = IdStore(PostingList())
         before = store.nbytes()
-        store.add_graph(0, [(1,), (2,)])
+        store.add_graph(0)
         assert store.nbytes() > before
 
 
 class TestMaintenance:
-    def test_add_empty_is_noop(self):
-        store = OccurrenceStore(1)
-        store.add_graph(5, [])
-        assert len(store) == 0
-        assert 5 not in store
-
     def test_add_merges_union(self):
-        store = OccurrenceStore(1)
-        store.add_graph(3, [(6,)])
-        store.add_graph(3, [(6,), (11,)])  # duplicate insert + new center
-        assert store.centers_in(3) == frozenset({(6,), (11,)})
-        assert store.total_centers() == 2
+        store = IdStore(PostingList())
+        store.add_graph(3)
+        store.add_graph(3)  # duplicate insert
+        store.add_graph(11)
+        assert list(store.graph_ids()) == [3, 11]
 
     def test_add_negative_gid_rejected(self):
         with pytest.raises(ValueError):
-            OccurrenceStore(1).add_graph(-1, [(0,)])
+            IdStore(PostingList()).add_graph(-1)
 
     def test_remove_absent_graph(self):
-        store = OccurrenceStore.from_mapping(1, {1: {(2,)}})
-        assert not store.remove_graph(9)
-        assert store.remove_graph(1)
-        assert not store.remove_graph(1)
-        assert len(store) == 0
+        store = IdStore(PostingList([1]))
+        store.remove_graph(9)
+        assert list(store.graph_ids()) == [1]
+        store.remove_graph(1)
+        store.remove_graph(1)
+        assert len(store.graph_ids()) == 0
 
     def test_snapshot_isolation(self):
         """Views handed out before a mutation keep their contents."""
-        store = OccurrenceStore.from_mapping(1, {1: {(2,)}, 5: {(3,)}})
+        store = IdStore(PostingList([1, 5]))
         posting = store.graph_ids()
-        centers = store.centers_in(1)
         store.remove_graph(1)
-        store.add_graph(2, [(9,)])
+        store.add_graph(2)
         assert posting == {1, 5}
-        assert centers == frozenset({(2,)})
         assert store.graph_ids() == {2, 5}
-
-    def test_decode_cache_invalidated(self):
-        store = OccurrenceStore.from_mapping(1, {1: {(2,)}})
-        assert store.centers_in(1) == frozenset({(2,)})  # warm the memo
-        store.add_graph(1, [(4,)])
-        assert store.centers_in(1) == frozenset({(2,), (4,)})
 
 
 class TestRandomizedOracle:
-    """Seeded add/remove interleavings against a dict-of-sets oracle."""
+    """Seeded add/remove interleavings against a dict-keyed oracle."""
 
-    @pytest.mark.parametrize("seed,arity", [(0, 1), (1, 1), (2, 2), (3, 2)])
-    def test_against_dict(self, seed, arity):
+    @pytest.mark.parametrize("seed,width", [(0, 1), (1, 1), (2, 2), (3, 2)])
+    def test_against_dict(self, seed, width):
+        """``width`` ids are added or removed per step."""
         rng = random.Random(seed)
-        store = OccurrenceStore(arity)
+        store = IdStore(PostingList())
         oracle = {}
         for _ in range(400):
-            gid = rng.randrange(15)
+            gids = [rng.randrange(15) for _ in range(width)]
             if rng.random() < 0.65:
-                centers = {
-                    sample_center(rng, arity) for _ in range(rng.randrange(4))
-                }
-                store.add_graph(gid, centers)
-                if centers:
-                    oracle.setdefault(gid, set()).update(centers)
+                for gid in gids:
+                    store.add_graph(gid)
+                    oracle[gid] = None
             else:
-                assert store.remove_graph(gid) == (gid in oracle)
-                oracle.pop(gid, None)
+                for gid in gids:
+                    store.remove_graph(gid)
+                    oracle.pop(gid, None)
             assert store.graph_ids() == set(oracle)
-            assert store.total_centers() == sum(
-                len(v) for v in oracle.values()
-            )
             probe = rng.randrange(15)
-            assert store.centers_in(probe) == frozenset(
-                oracle.get(probe, set())
-            )
-        # Full-table checks at the end of the interleaving.
-        assert store.to_mapping() == {
-            gid: frozenset(v) for gid, v in oracle.items()
-        }
-        assert OccurrenceStore.from_columns(arity, *store.columns()) == store
-        rebuilt = OccurrenceStore.from_mapping(arity, oracle)
-        assert rebuilt == store
+            assert (probe in store.graph_ids()) == (probe in oracle)
+        assert list(store.graph_ids()) == sorted(oracle)
+        assert store.nbytes() == store.graph_ids().nbytes()

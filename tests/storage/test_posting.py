@@ -235,8 +235,10 @@ class TestSetReplayGates:
         features = sorted(index.features, key=lambda f: (-f.support, f.key))[:8]
         assert_intersection_parity(
             db.graph_ids(),
-            [f.store.to_mapping() for f in features],
+            [dict.fromkeys(f.support_set()) for f in features],
             [f.support_posting() for f in features],
         )
-        dict_bytes = sum(deep_set_bytes(f.store.to_mapping()) for f in index.features)
+        dict_bytes = deep_set_bytes(
+            {f.feature_id: f.support_set() for f in index.features}
+        )
         assert index.storage_bytes() < dict_bytes

@@ -126,7 +126,7 @@ class TestCenterDistancePruning:
                 piece.key, FeatureTree.from_mined_pattern(len(lookup), pattern)
             )
         # Both halves really do occur in the decoy ...
-        assert all(lookup[p.key].centers_in(99) for p in pieces)
+        assert all(lookup[p.key].locate_centers(decoy) for p in pieces)
         problem = CenterConstraintProblem.from_partition(
             query, Partition(pieces), lookup
         )

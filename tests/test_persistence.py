@@ -84,7 +84,7 @@ class TestIndexRoundtrip:
             twin = restored.feature_by_key(original.key)
             assert twin is not None
             assert twin.center == original.center
-            assert twin.store.to_mapping() == original.store.to_mapping()
+            assert list(twin.support_posting()) == list(original.support_posting())
 
     def test_restored_index_answers_identically(self, index):
         restored = index_from_json(index_to_json(index))
@@ -224,7 +224,7 @@ class TestVersionNegotiation:
             twin = upgraded.feature_by_key(original.key)
             assert twin is not None
             assert twin.center == original.center
-            assert twin.store.to_mapping() == original.store.to_mapping()
+            assert list(twin.support_posting()) == list(original.support_posting())
         for query in extract_query_workload(small_index.database, 4, 6, seed=4):
             assert (
                 upgraded.query(query).matches == small_index.query(query).matches
@@ -249,8 +249,8 @@ class TestVersionNegotiation:
 
     def test_malformed_v2_occurrence_columns(self, small_index):
         doc = index_to_json(small_index)
-        doc["features"][0]["occ"]["offsets"] = [0]
-        with pytest.raises(SerializationError):
+        doc["features"][0]["occ"]["gids"] = [3, 1]  # not increasing
+        with pytest.raises(SerializationError, match="support column"):
             index_from_json(doc)
 
 
@@ -553,7 +553,88 @@ class TestLegacyExceptionTable:
             TreePiIndex.build(db, config_from_json(legacy["config"]))
         )
         assert fresh.pop("shrunk")
+        # The fixture predates support-id-only features: its center
+        # columns are the one other difference, and loaders ignore them.
+        for feature in legacy["features"]:
+            assert set(feature["occ"]) == {"gids", "offsets", "centers"}
+            feature["occ"] = {"gids": feature["occ"]["gids"]}
         for doc in (legacy, fresh):
             doc["stats"]["build_seconds"] = 0.0
             doc["stats"]["mining"]["elapsed_seconds"] = 0.0
         assert fresh == legacy
+
+
+#: A v3 directory written by the last build that stored center
+#: locations: the ``V2_NO_LISTS_FIXTURE`` database rebuilt with its
+#: config and saved as v3, then reopened for two inserts (one adds a
+#: single-edge feature), one delete and a flush, so it holds a base and a
+#: delta segment, a tombstone, and per-feature ``offsets``/``centers``
+#: columns in both segments.  Frozen.
+V3_CENTERS_FIXTURE = Path(__file__).parent / "data" / "small_index_v3_with_centers"
+
+
+class TestLegacyCenterColumns:
+    """Files written with center locations load; their centers are ignored.
+
+    v1 documents, v2 documents and v3 directories from builds that stored
+    centers answer like the scan through both ``query`` and
+    ``query_paper``, which finds centers by search.  Re-saving, and a
+    compaction, write support ids only.
+    """
+
+    @staticmethod
+    def _assert_answers_like_scan(index):
+        from repro.baselines import SequentialScan
+
+        db = index.database
+        scan = SequentialScan(db)
+        queries = [t.tree for t in index.shrunk[:6]]
+        for size in (2, 3, 5):
+            queries.extend(extract_query_workload(db, size, 4, seed=size))
+        for query in queries:
+            truth = scan.support_set(query)
+            assert index.query(query).matches == truth
+            assert index.query_paper(query).matches == truth
+
+    def test_v3_directory_with_center_columns(self, tmp_path):
+        import shutil
+
+        root = tmp_path / "legacy"
+        shutil.copytree(V3_CENTERS_FIXTURE, root)
+        assert all(b'"centers"' in seg.read_bytes() for seg in root.glob("*.seg"))
+        index = load_index(root)
+        try:
+            store = index.segment_store
+            assert store.segment_count == 2 and store.tombstones
+            assert store.columns_touched() == 0
+            assert index.shrunk
+            self._assert_answers_like_scan(index)
+            # Maintenance over the old segments: a new delta, then a
+            # compaction that rewrites the base without center columns.
+            index.insert(index.database[0].copy())
+            index.delete(1)
+            assert index.flush_segments()
+            self._assert_answers_like_scan(index)
+            index.commit_compaction(index.prepare_compaction())
+            (segment,) = root.glob("*.seg")
+            assert b'"offsets"' not in segment.read_bytes()
+        finally:
+            index.segment_store.close()
+        reopened = load_index(root)
+        try:
+            self._assert_answers_like_scan(reopened)
+        finally:
+            reopened.segment_store.close()
+
+    def test_v1_document(self, v1_doc):
+        self._assert_answers_like_scan(index_from_json(v1_doc))
+
+    def test_v2_document_with_center_columns(self):
+        doc = json.loads(V2_NO_LISTS_FIXTURE.read_text())
+        assert "centers" in doc["features"][0]["occ"]
+        index = index_from_json(doc)
+        self._assert_answers_like_scan(index)
+        resaved = index_to_json(index)
+        assert all(set(f["occ"]) == {"gids"} for f in resaved["features"])
+        for old, new in zip(doc["features"], resaved["features"]):
+            assert new["occ"]["gids"] == old["occ"]["gids"]
