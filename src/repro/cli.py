@@ -235,7 +235,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"  {line}")
     print(f"  features: {stats.num_features} "
           f"(by size {dict(sorted(stats.features_by_size.items()))})")
-    print(f"  center locations: {stats.total_center_locations}")
+    print(f"  center locations (at build): {stats.total_center_locations}")
     print(f"  shrink removed: {stats.shrink_removed} (gamma={config.gamma})")
     print(f"  sigma: alpha={config.support.alpha} beta={config.support.beta} "
           f"eta={config.support.eta}")

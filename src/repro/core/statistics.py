@@ -73,6 +73,8 @@ class IndexStats:
 
     num_features: int
     features_by_size: Dict[int, int]
+    #: center locations of the built features, counted once from the
+    #: mined embeddings; ``insert`` and ``delete`` do not maintain it.
     total_center_locations: int
     build_seconds: float
     mining: MiningStats

@@ -24,7 +24,7 @@ from typing import Container, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.graphs.graph import LabeledGraph
 from repro.mining.patterns import MinedPattern
-from repro.trees.canonical import tree_canonical_string
+from repro.trees.canonical import SubsetCanonicalizer, tree_canonical_string
 
 
 def leaf_removed_subtrees(tree: LabeledGraph) -> List[Tuple[str, LabeledGraph]]:
@@ -45,6 +45,27 @@ def leaf_removed_subtrees(tree: LabeledGraph) -> List[Tuple[str, LabeledGraph]]:
         sub, _ = tree.subgraph_from_edges(keep)
         out.setdefault(tree_canonical_string(sub), sub)
     return list(out.items())
+
+
+def _leaf_removal_keys(tree: LabeledGraph) -> List[str]:
+    """The keys of :func:`leaf_removed_subtrees`, in the same order.
+
+    One :class:`~repro.trees.canonical.SubsetCanonicalizer` per tree
+    canonicalizes every leaf removal as an edge subset, so no subtree is
+    built.
+    """
+    edges = [(u, v) for u, v, _ in tree.edges()]
+    if len(edges) < 2:
+        return []
+    canon = SubsetCanonicalizer(tree)
+    keys: Dict[str, None] = {}
+    for leaf in tree.vertices():
+        if tree.degree(leaf) != 1:
+            continue
+        form = canon.form([edge for edge in edges if leaf not in edge])
+        assert form is not None, "a leaf removal keeps a tree"
+        keys.setdefault(form[0])
+    return list(keys)
 
 
 @dataclass
@@ -81,10 +102,10 @@ def shrink_feature_set(
         if pattern.size < 2 or pattern.support == 0:
             kept[key] = pattern
             continue
-        subtrees = leaf_removed_subtrees(pattern.graph)
+        sub_keys = _leaf_removal_keys(pattern.graph)
         intersection: Set[int] = None  # type: ignore[assignment]
         complete = True
-        for sub_key, _ in subtrees:
+        for sub_key in sub_keys:
             sub_pattern = frequent.get(sub_key)
             if sub_pattern is None:
                 # A parent missing from the frequent set means support
@@ -98,7 +119,7 @@ def shrink_feature_set(
         if not complete or intersection is None:
             kept[key] = pattern
             continue
-        parents[key] = [sub_key for sub_key, _ in subtrees]
+        parents[key] = sub_keys
         ratio = len(intersection) / pattern.support
         if ratio <= gamma:
             removed[key] = ratio

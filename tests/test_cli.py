@@ -148,6 +148,28 @@ class TestBuildQueryInfo:
         assert "features:" in out
         assert "sigma:" in out
 
+    def test_info_after_maintenance_labels_centers_as_built(
+        self, tmp_path, db_file, index_file, capsys
+    ):
+        # The center-location count is taken once by build; maintenance
+        # leaves it as it was, and info says so.
+        from repro.datasets import generate_aids_like
+        from repro.persistence import save_index
+
+        index = load_index(index_file)
+        built = index.stats.total_center_locations
+        for graph in generate_aids_like(3, seed=77):
+            index.insert(graph)
+        index.delete(0)
+        index.delete(1)
+        saved = tmp_path / "maintained.json"
+        save_index(index, saved)
+        capsys.readouterr()
+        assert main(["info", "--index", str(saved)]) == 0
+        out = capsys.readouterr().out
+        assert "TreePi index over 13 graphs" in out
+        assert f"  center locations (at build): {built}\n" in out
+
 
 class TestSegmentCommands:
     @pytest.fixture
