@@ -126,18 +126,21 @@ def _extensions(graph: LabeledGraph, state: _State) -> List[Tuple[Entry, _State]
     return out
 
 
-def minimum_dfs_code(graph: LabeledGraph) -> Tuple[Entry, ...]:
-    """The lexicographically minimal DFS code of a connected graph.
+def _minimum_dfs(graph: LabeledGraph) -> Tuple[Tuple[Entry, ...], Tuple[int, ...]]:
+    """The minimal DFS code and one traversal that realizes it.
 
-    Single-vertex graphs get a sentinel one-entry code carrying the vertex
-    label; the empty graph gets an empty code.
+    The traversal is given as its vertices in discovery order: the
+    ``i``-th vertex is the one the code calls ``i``.  Since the code
+    spells every vertex label and every edge in those indices, two
+    graphs with equal codes are isomorphic through their orders, paired
+    position by position.
     """
     if graph.num_vertices == 0:
-        return ()
+        return (), ()
     if graph.num_edges == 0:
         if graph.num_vertices > 1:
             raise ValueError("minimum_dfs_code requires a connected graph")
-        return ((0, 0, repr(graph.vertex_label(0)), "", ""),)
+        return ((0, 0, repr(graph.vertex_label(0)), "", ""),), (0,)
 
     # Seed states: every directed edge realizing the minimal first entry.
     best_first: Optional[Entry] = None
@@ -175,14 +178,32 @@ def minimum_dfs_code(graph: LabeledGraph) -> Tuple[Entry, ...]:
             raise ValueError("minimum_dfs_code requires a connected graph")
         code.append(best_entry)
         states = survivors
-    return tuple(code)
+    return tuple(code), tuple(states[0].vertex_at)
+
+
+def minimum_dfs_code(graph: LabeledGraph) -> Tuple[Entry, ...]:
+    """The lexicographically minimal DFS code of a connected graph.
+
+    Single-vertex graphs get a sentinel one-entry code carrying the vertex
+    label; the empty graph gets an empty code.
+    """
+    return _minimum_dfs(graph)[0]
+
+
+def canonical_form(graph: LabeledGraph) -> Tuple[str, Tuple[int, ...]]:
+    """Canonical label plus the vertices in the order the label names them.
+
+    ``order[i]`` is the vertex with DFS index ``i`` in one traversal
+    realizing the minimal code, so two graphs with equal labels are
+    isomorphic through ``dict(zip(order_1, order_2))``.
+    """
+    code, order = _minimum_dfs(graph)
+    label = "|".join(f"{i},{j},{li},{le},{lj}" for (i, j, li, le, lj) in code)
+    if _contracts.contracts_enabled():
+        _contracts.check_graph_canonical_invariance(graph, label)
+    return label, order
 
 
 def canonical_label(graph: LabeledGraph) -> str:
     """A string canonical label: equal iff the graphs are isomorphic."""
-    label = "|".join(
-        f"{i},{j},{li},{le},{lj}" for (i, j, li, le, lj) in minimum_dfs_code(graph)
-    )
-    if _contracts.contracts_enabled():
-        _contracts.check_graph_canonical_invariance(graph, label)
-    return label
+    return canonical_form(graph)[0]

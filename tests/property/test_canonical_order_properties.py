@@ -1,4 +1,4 @@
-"""Canonical pre-orders align isomorphic trees (hypothesis).
+"""Canonical orders align isomorphic trees and graphs (hypothesis).
 
 The subtree miner aligns a duplicate candidate onto its class
 representative by pairing the vertices of the two trees' canonical
@@ -9,6 +9,13 @@ bijection that keeps vertex labels, edges and edge labels.  Trees whose
 branches repeat (an automorphism swaps them), around a center vertex or
 across a center edge, are drawn on purpose: there the pre-orders
 choose between equal sibling subtrees.
+
+The gIndex miner aligns its candidates the same way, by the discovery
+order of a traversal realizing the minimum DFS code
+(:func:`~repro.graphs.canonical.canonical_form`).  The same pairing
+property is checked on random connected graphs with cycles and on
+highly symmetric ones (uniform-label cycles, K4, the triangular prism),
+where many traversals realize the minimal code.
 """
 
 from __future__ import annotations
@@ -16,11 +23,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import LabeledGraph
+from repro.graphs import LabeledGraph, cycle_graph
+from repro.graphs.canonical import canonical_form
 from repro.mining.shrink import _leaf_removal_keys, leaf_removed_subtrees
 from repro.trees.canonical import SubsetCanonicalizer
 
-from tests.property.strategies import EDGE_LABELS, labeled_trees
+from tests.property.strategies import EDGE_LABELS, connected_graphs, labeled_trees
 
 
 def _order(tree: LabeledGraph):
@@ -54,12 +62,12 @@ def symmetric_trees(draw):
     return tree
 
 
-def _assert_pairing_is_isomorphism(tree, rnd):
+def _assert_pairing_is_isomorphism(tree, rnd, order_of=_order):
     perm = list(range(tree.num_vertices))
     rnd.shuffle(perm)
     renumbered = tree.relabeled(perm)
-    key, order = _order(tree)
-    renumbered_key, renumbered_order = _order(renumbered)
+    key, order = order_of(tree)
+    renumbered_key, renumbered_order = order_of(renumbered)
     assert renumbered_key == key
     pairing = dict(zip(renumbered_order, order))
     # A bijection of all vertices ...
@@ -83,6 +91,36 @@ def test_preorder_pairing_is_an_isomorphism(tree, rnd):
 @settings(max_examples=150, deadline=None)
 def test_preorder_pairing_is_an_isomorphism_on_symmetric_trees(tree, rnd):
     _assert_pairing_is_isomorphism(tree, rnd)
+
+
+def _uniform(num_vertices: int, edges) -> LabeledGraph:
+    graph = LabeledGraph(["a"] * num_vertices)
+    for u, v in edges:
+        graph.add_edge(u, v, 1)
+    return graph
+
+
+K4 = _uniform(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+#: Two triangles joined by a perfect matching.
+PRISM = _uniform(
+    6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+)
+SYMMETRIC_GRAPHS = [cycle_graph(["a"] * n) for n in range(3, 7)] + [K4, PRISM]
+
+
+@given(
+    connected_graphs(min_vertices=3).filter(lambda g: not g.is_tree()),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_dfs_order_pairing_is_an_isomorphism(graph, rnd):
+    _assert_pairing_is_isomorphism(graph, rnd, canonical_form)
+
+
+@given(st.sampled_from(SYMMETRIC_GRAPHS), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_dfs_order_pairing_is_an_isomorphism_on_symmetric_graphs(graph, rnd):
+    _assert_pairing_is_isomorphism(graph, rnd, canonical_form)
 
 
 @given(labeled_trees(min_vertices=1))
