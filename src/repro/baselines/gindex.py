@@ -72,7 +72,6 @@ class GIndexConfig:
     min_discriminative_ratio: float = 2.0
     max_support_fraction: float = 0.1
     psi: Optional[Callable[[int], float]] = None
-    max_embeddings_per_graph: Optional[int] = None
 
 
 @dataclass
@@ -110,12 +109,7 @@ class GIndexBaseline:
         psi = config.psi or gindex_psi(
             config.max_size, config.max_support_fraction, len(database)
         )
-        mined = FrequentSubgraphMiner(
-            database,
-            psi,
-            max_size=config.max_size,
-            max_embeddings_per_graph=config.max_embeddings_per_graph,
-        ).mine()
+        mined = FrequentSubgraphMiner(database, psi, max_size=config.max_size).mine()
 
         frequent: Dict[str, PostingList] = {
             key: PostingList(pattern.support_set())

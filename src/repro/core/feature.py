@@ -51,8 +51,8 @@ def mined_centers(pattern: MinedPattern) -> Dict[int, CenterSet]:
 
     The center of each embedded copy is the image of the pattern center
     (isomorphisms preserve centers), so locations fall straight out of
-    the embedding tuples with no extra isomorphism work.  With capped
-    mining the embeddings, and so the locations, may be a subset.
+    the embedding tuples with no extra isomorphism work.  Mining keeps
+    every embedding, so these are all of the pattern's center locations.
     """
     center = tree_center(pattern.graph)
     return {

@@ -71,11 +71,7 @@ from repro.mining.shrink import shrink_feature_set, shrunk_covers
 from repro.mining.subtree_miner import FrequentSubtreeMiner
 from repro.mining.support import SupportFunction
 from repro.storage import PostingList
-from repro.trees.canonical import (
-    SubsetCanonicalizer,
-    SubsetForm,
-    tree_canonical_string,
-)
+from repro.trees.canonical import SubsetCanonicalizer, SubsetForm
 from repro.trees.center import tree_center
 
 if TYPE_CHECKING:
@@ -239,8 +235,6 @@ class TreePiConfig:
       degrades TreePi into a GraphGrep-flavored index inside the same
       framework; the A4 ablation uses it to measure what branching tree
       features buy over paths (the paper's Section 1 argument),
-    * ``max_embeddings_per_graph`` — optional miner memory cap (approximate
-      mining; the default ``None`` keeps the index exact),
     * ``matcher_prefilters`` — use the cached per-graph label-pair /
       neighboring-label-signature structures (:mod:`repro.graphs.
       matcher_index`) to refute candidates in verification (and in
@@ -258,7 +252,6 @@ class TreePiConfig:
     gamma: float = 1.5
     delta: Optional[int] = None
     paths_only: bool = False
-    max_embeddings_per_graph: Optional[int] = None
     matcher_prefilters: bool = True
     seed: int = 2007
 
@@ -331,20 +324,15 @@ class TreePiIndex:
     def build(cls, database: GraphDatabase, config: TreePiConfig) -> "TreePiIndex":
         """Database preprocessing: mine, shrink, materialize features.
 
-        Every shrunk tree with a cover (:func:`~repro.mining.shrink.
-        shrunk_covers`) over the final feature set keeps its exception
-        list, unless mining was approximate (capped embeddings), where
-        supports may be short and the list would drop true matches.
+        Mining is exact, so every feature's support set is its true
+        ``D_t``, and every shrunk tree with a cover (:func:`~repro.mining.
+        shrink.shrunk_covers`) over the final feature set keeps its
+        exception list.
         """
         if len(database) == 0:
             raise IndexError_("cannot build an index over an empty database")
         start = time.perf_counter()
-        miner = FrequentSubtreeMiner(
-            database,
-            config.support,
-            max_embeddings_per_graph=config.max_embeddings_per_graph,
-        )
-        mined = miner.mine()
+        mined = FrequentSubtreeMiner(database, config.support).mine()
         shrink = shrink_feature_set(mined.patterns, config.gamma)
         kept = list(shrink.kept.values())
         if config.paths_only:
@@ -356,15 +344,13 @@ class TreePiIndex:
             FeatureTree.from_mined_pattern(fid, pattern)
             for fid, pattern in enumerate(kept)
         ]
-        shrunk: List[ShrunkTree] = []
-        if config.max_embeddings_per_graph is None:
-            by_key = {f.key: f for f in features}
-            shrunk = [
-                ShrunkTree.from_mined_pattern(
-                    mined.patterns[key], [by_key[k] for k in cover]
-                )
-                for key, cover in sorted(shrunk_covers(shrink, by_key).items())
-            ]
+        by_key = {f.key: f for f in features}
+        shrunk = [
+            ShrunkTree.from_mined_pattern(
+                mined.patterns[key], [by_key[k] for k in cover]
+            )
+            for key, cover in sorted(shrunk_covers(shrink, by_key).items())
+        ]
         by_size: Dict[int, int] = {}
         for f in features:
             by_size[f.size] = by_size.get(f.size, 0) + 1
@@ -875,12 +861,15 @@ class TreePiIndex:
         and the graph joins ``E(t)`` when ``t`` is absent.
         """
         gid = self._db.add(graph, graph_id=graph_id)
+        canon = SubsetCanonicalizer(graph)
         for u, v, elabel in graph.edges():
-            probe = LabeledGraph(
-                [graph.vertex_label(u), graph.vertex_label(v)], [(0, 1, elabel)]
-            )
-            key = tree_canonical_string(probe)
+            form = canon.form(((u, v),))
+            assert form is not None, "a single edge is a tree"
+            key = form[0]
             if key not in self._lookup:
+                probe = LabeledGraph(
+                    [graph.vertex_label(u), graph.vertex_label(v)], [(0, 1, elabel)]
+                )
                 feature = FeatureTree(
                     feature_id=len(self._features),
                     tree=probe,

@@ -1,6 +1,6 @@
 """Frequent-pattern mining: subtrees (TreePi) and subgraphs (gIndex baseline)."""
 
-from repro.mining.patterns import Embedding, MinedPattern, translate_embedding
+from repro.mining.patterns import Embedding, MinedPattern
 from repro.mining.shrink import (
     ShrinkReport,
     leaf_removed_subtrees,
@@ -18,7 +18,6 @@ from repro.mining.support import PAPER_AIDS_SUPPORT, SupportFunction
 __all__ = [
     "Embedding",
     "MinedPattern",
-    "translate_embedding",
     "ShrinkReport",
     "leaf_removed_subtrees",
     "shrink_feature_set",

@@ -132,24 +132,34 @@ def config_to_json(config: TreePiConfig) -> Dict[str, Any]:
         "gamma": config.gamma,
         "delta": config.delta,
         "paths_only": config.paths_only,
-        "max_embeddings_per_graph": config.max_embeddings_per_graph,
         "seed": config.seed,
     }
 
 
-def config_from_json(data: Dict[str, Any]) -> TreePiConfig:
+def config_from_json(
+    data: Dict[str, Any], source: Optional[Union[str, Path]] = None
+) -> TreePiConfig:
     # Files written by older builds may carry retired keys: "feature_index"
     # (the choice of key structure), "enable_center_prune",
     # "direct_verification_max_edges", "center_prune_budget" (the choice
     # of verification path) and "augment_small_subtrees" (a switch on a
     # filter serving now always computes).  None of them affected
-    # answers, so they are ignored.
+    # answers, so they are ignored.  "max_embeddings_per_graph" is
+    # retired too, but a non-null value did affect answers: the index
+    # was mined approximately and its supports may be short.
+    cap = data.get("max_embeddings_per_graph")
+    if cap is not None:
+        where = f" {source}" if source is not None else ""
+        raise SerializationError(
+            f"index{where} was built with approximate mining "
+            f"(max_embeddings_per_graph={cap!r}), so its support sets may "
+            "be short; rebuild it from its database with this release"
+        )
     return TreePiConfig(
         support=SupportFunction(data["alpha"], data["beta"], data["eta"]),
         gamma=data["gamma"],
         delta=data["delta"],
         paths_only=data.get("paths_only", False),
-        max_embeddings_per_graph=data["max_embeddings_per_graph"],
         seed=data["seed"],
     )
 
@@ -341,7 +351,7 @@ def index_from_json(
             f"document{where}; pass the directory path to load_index()"
         )
     with _decode_errors(source):
-        config = config_from_json(data["config"])
+        config = config_from_json(data["config"], source)
         stats = _stats_from_json(data["stats"])
         db = GraphDatabase()
         records = sorted(data["database"].items(), key=lambda kv: int(kv[0]))
@@ -442,8 +452,9 @@ def load_segment_index(
     ok = False
     try:
         manifest = store.manifest
-        with _decode_errors(Path(root) / MANIFEST_NAME):
-            config = config_from_json(manifest["config"])
+        manifest_path = Path(root) / MANIFEST_NAME
+        with _decode_errors(manifest_path):
+            config = config_from_json(manifest["config"], manifest_path)
             stats = _stats_from_json(manifest["stats"])
             db = SegmentGraphDatabase(
                 store.segments,

@@ -172,17 +172,6 @@ class TestMaintenance:
                 assert tree._compiled is compiled[id(tree)]
 
 
-def test_approximate_mining_keeps_no_lists():
-    """Capped embeddings can shorten supports; a list would then drop matches."""
-    db = generate_aids_like(12, avg_atoms=12, seed=4)
-    config = TreePiConfig(SupportFunction(2, 2.0, 4), gamma=1.5)
-    assert TreePiIndex.build(db, config).shrunk
-    capped = TreePiConfig(
-        SupportFunction(2, 2.0, 4), gamma=1.5, max_embeddings_per_graph=2
-    )
-    assert TreePiIndex.build(db, capped).shrunk == []
-
-
 def test_covers_recurse_through_trees_paths_only_leaves_out():
     """With ``paths_only`` a kept branching parent is not indexed either."""
     db = generate_aids_like(25, avg_atoms=14, seed=3)

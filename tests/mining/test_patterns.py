@@ -1,7 +1,7 @@
-"""Unit tests for the MinedPattern record and embedding translation."""
+"""Unit tests for the MinedPattern record."""
 
 from repro.graphs import path_graph
-from repro.mining import MinedPattern, translate_embedding
+from repro.mining import MinedPattern
 
 
 class TestMinedPattern:
@@ -33,15 +33,3 @@ class TestMinedPattern:
         p = self._pattern()
         p.add_embedding(0, (1, 2))
         assert "support=1" in repr(p)
-
-
-class TestTranslateEmbedding:
-    def test_identity(self):
-        assert translate_embedding((7, 8, 9), {0: 0, 1: 1, 2: 2}) == (7, 8, 9)
-
-    def test_permutation(self):
-        # dup vertex 0 -> rep vertex 2, etc.
-        iso = {0: 2, 1: 0, 2: 1}
-        # dup embedding maps dup0->7, dup1->8, dup2->9; in rep order the
-        # tuple reads (image of rep0, rep1, rep2) = (8, 9, 7).
-        assert translate_embedding((7, 8, 9), iso) == (8, 9, 7)

@@ -10,6 +10,7 @@ from repro.graphs import (
     is_subgraph_isomorphic,
     path_graph,
 )
+from repro.baselines import GIndexConfig
 from repro.mining import FrequentSubgraphMiner, gindex_psi
 
 
@@ -69,6 +70,16 @@ class TestSupportCounting:
         db = GraphDatabase([path_graph(["a"] * 6)])
         result = mine(db, max_size=2)
         assert result.max_size() == 2
+
+
+def test_embedding_cap_is_gone():
+    db = GraphDatabase([path_graph(["a", "b", "c"])])
+    with pytest.raises(TypeError):
+        FrequentSubgraphMiner(
+            db, lambda s: 1, max_size=2, max_embeddings_per_graph=2
+        )
+    with pytest.raises(TypeError):
+        GIndexConfig(max_size=2, max_embeddings_per_graph=2)
 
 
 class TestGindexPsi:

@@ -7,10 +7,8 @@ from repro.mining import FrequentSubtreeMiner, SupportFunction
 from repro.trees import tree_canonical_string
 
 
-def mine(db, alpha=1, beta=1.0, eta=3, cap=None):
-    return FrequentSubtreeMiner(
-        db, SupportFunction(alpha, beta, eta), max_embeddings_per_graph=cap
-    ).mine()
+def mine(db, alpha=1, beta=1.0, eta=3):
+    return FrequentSubtreeMiner(db, SupportFunction(alpha, beta, eta)).mine()
 
 
 @pytest.fixture
@@ -113,12 +111,14 @@ class TestExactness:
 
 
 class TestEmbeddingCap:
-    def test_cap_limits_storage(self):
+    """There is no cap: every embedding of every pattern is kept."""
+
+    def test_cap_is_gone(self):
         db = GraphDatabase([path_graph(["a"] * 8)])
-        capped = mine(db, eta=2, cap=2)
-        for pattern in capped.patterns.values():
-            for bucket in pattern.embeddings.values():
-                assert len(bucket) <= 2
+        with pytest.raises(TypeError):
+            FrequentSubtreeMiner(
+                db, SupportFunction(1, 1.0, 2), max_embeddings_per_graph=2
+            )
 
     def test_uncapped_finds_more(self):
         db = GraphDatabase([path_graph(["a"] * 8)])

@@ -553,6 +553,8 @@ class TestLegacyExceptionTable:
             TreePiIndex.build(db, config_from_json(legacy["config"]))
         )
         assert fresh.pop("shrunk")
+        # The fixture also predates the retired embedding cap's key.
+        assert legacy["config"].pop("max_embeddings_per_graph") is None
         # The fixture predates support-id-only features: its center
         # columns are the one other difference, and loaders ignore them.
         for feature in legacy["features"]:
@@ -638,3 +640,61 @@ class TestLegacyCenterColumns:
         assert all(set(f["occ"]) == {"gids"} for f in resaved["features"])
         for old, new in zip(doc["features"], resaved["features"]):
             assert new["occ"]["gids"] == old["occ"]["gids"]
+
+
+class TestRetiredEmbeddingCap:
+    """``max_embeddings_per_graph`` is gone; null-cap files still load.
+
+    Builds before its removal wrote the key into every config, ``null``
+    unless mining was capped.  Writers omit it.  Readers accept a config
+    without it or with ``null``, and reject a non-null cap, whose index
+    was mined approximately and may have short support sets, with a
+    :class:`SerializationError` naming the file.
+    """
+
+    FIXTURES = [
+        V1_FIXTURE,
+        V2_NO_LISTS_FIXTURE,
+        V3_CENTERS_FIXTURE / "manifest.json",
+    ]
+
+    def test_writer_omits_the_key(self, small_index):
+        assert "max_embeddings_per_graph" not in config_to_json(small_index.config)
+
+    def test_reader_accepts_missing_and_null(self, small_index):
+        doc = config_to_json(small_index.config)
+        assert config_from_json(doc) == small_index.config
+        legacy = dict(doc, max_embeddings_per_graph=None)
+        assert config_from_json(legacy) == small_index.config
+
+    @pytest.mark.parametrize("fixture", FIXTURES, ids=["v1", "v2", "v3"])
+    def test_frozen_fixtures_carry_null(self, fixture):
+        config = json.loads(fixture.read_text())["config"]
+        assert config["max_embeddings_per_graph"] is None
+
+    def test_config_field_is_gone(self):
+        with pytest.raises(TypeError):
+            TreePiConfig(SupportFunction(2, 2.0, 4), max_embeddings_per_graph=2)
+
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_NO_LISTS_FIXTURE], ids=["v1", "v2"])
+    def test_capped_json_document_is_rejected(self, tmp_path, fixture):
+        doc = json.loads(fixture.read_text())
+        doc["config"]["max_embeddings_per_graph"] = 2
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=re.escape(str(path))) as err:
+            load_index(path)
+        assert "rebuild" in str(err.value)
+
+    def test_capped_v3_manifest_is_rejected(self, tmp_path):
+        import shutil
+
+        root = tmp_path / "capped"
+        shutil.copytree(V3_CENTERS_FIXTURE, root)
+        manifest = root / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"]["max_embeddings_per_graph"] = 2
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=re.escape(str(manifest))) as err:
+            load_index(root)
+        assert "rebuild" in str(err.value)
