@@ -5,7 +5,7 @@ The engine is a pure library (no printing): :func:`lint_paths` returns a
 follows the flake8 convention —
 
 * ``# noqa`` on a line suppresses every rule on that line,
-* ``# noqa: REPRO101`` (comma-separated list allowed) suppresses only
+* ``# noqa: REPRO103`` (comma-separated list allowed) suppresses only
   the named rules.
 
 A file that fails to parse is itself a violation (``REPRO001``): the

@@ -3,10 +3,10 @@
 The lexical families, numbered like a rule catalog:
 
 * **REPRO10x — determinism.**  The index pipeline turns graphs into
-  canonical strings, feature ids and ordered reports; any step that
-  materializes *ordered* output from an *unordered* (or
-  insertion-ordered) container ties results to discovery order or to
-  ``PYTHONHASHSEED``.  These rules force such steps through ``sorted()``.
+  canonical strings, feature ids and ordered reports; a sort keyed on
+  ``id()`` or ``hash()`` ties them to the process or to
+  ``PYTHONHASHSEED``.  Dict-order iteration has no rule: the golden
+  digests of the mined output and of a saved index pin what it feeds.
 * **REPRO11x — RNG hygiene.**  All randomness must flow through an
   injected, seeded ``random.Random`` so builds and benchmarks reproduce;
   module-level ``random.*`` calls share hidden global state.
@@ -26,26 +26,10 @@ justification.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.analysis.violations import Violation
 
-#: Packages whose dict-iteration order feeds canonical strings, feature
-#: ids, or embedding bookkeeping (REPRO101 is scoped to these).
-ORDER_SENSITIVE_PREFIXES: Tuple[str, ...] = (
-    "repro/mining",
-    "repro/core",
-    "repro/trees",
-    "repro/graphs",
-)
-
-#: Wrapping calls that erase iteration order, making an unordered source
-#: harmless: ``sorted(x.values())`` etc.
-ORDER_INSENSITIVE_WRAPPERS = frozenset(
-    {"sorted", "set", "frozenset", "sum", "min", "max", "any", "all", "len"}
-)
-
-_DICT_VIEW_METHODS = frozenset({"values", "keys", "items"})
 _GRAPH_MUTATORS = frozenset({"add_edge", "add_vertex"})
 _DB_NAMES = frozenset({"db", "_db", "database", "_database", "_graphs"})
 
@@ -71,16 +55,6 @@ class FileContext:
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 self.parents[child] = parent
-
-    def parent_call_name(self, node: ast.AST) -> Optional[str]:
-        """Name of the function directly wrapping ``node`` as an argument."""
-        parent = self.parents.get(node)
-        if isinstance(parent, ast.Call) and node in parent.args:
-            if isinstance(parent.func, ast.Name):
-                return parent.func.id
-            if isinstance(parent.func, ast.Attribute):
-                return parent.func.attr
-        return None
 
 
 def _module_path(path: str) -> str:
@@ -151,79 +125,8 @@ def rule_catalog() -> str:
 
 
 # ----------------------------------------------------------------------
-# helpers shared by the determinism rules
-# ----------------------------------------------------------------------
-
-def _is_dict_view_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _DICT_VIEW_METHODS
-        and not node.args
-        and not node.keywords
-    )
-
-
-def _comp_over(
-    node: ast.AST, predicate: Callable[[ast.AST], bool]
-) -> Optional[ast.AST]:
-    """The offending iterable when an *ordered* comprehension draws from it."""
-    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-        first = node.generators[0].iter
-        if predicate(first):
-            return first
-    return None
-
-
-# ----------------------------------------------------------------------
 # REPRO10x — determinism
 # ----------------------------------------------------------------------
-
-@register
-class DictOrderMaterialized(Rule):
-    """REPRO101: raw dict-view iteration in order-sensitive modules."""
-
-    rule_id = "REPRO101"
-    name = "dict-order-materialized"
-    rationale = (
-        "In repro.mining/core/trees/graphs, dict iteration order is "
-        "discovery order, not canonical order; loops and ordered "
-        "comprehensions over .values()/.keys()/.items() tie feature ids, "
-        "canonical strings and reports to it. Iterate sorted(d.items()) "
-        "(canonical-key order) or suppress with a justified noqa."
-    )
-
-    @classmethod
-    def applies_to(cls, ctx: FileContext) -> bool:
-        return ctx.module_path.startswith(ORDER_SENSITIVE_PREFIXES)
-
-    def visit_For(self, node: ast.For) -> None:
-        if _is_dict_view_call(node.iter):
-            method = node.iter.func.attr  # type: ignore[union-attr]
-            self.report(
-                node.iter,
-                f"loop over .{method}() in an order-sensitive module; "
-                "iterate sorted(...) in canonical-key order",
-            )
-        self.generic_visit(node)
-
-    def _check_comp(self, node: ast.AST) -> None:
-        offender = _comp_over(node, _is_dict_view_call)
-        if offender is not None:
-            wrapper = self.ctx.parent_call_name(node)
-            if wrapper not in ORDER_INSENSITIVE_WRAPPERS:
-                method = offender.func.attr  # type: ignore[union-attr]
-                self.report(
-                    offender,
-                    f"ordered comprehension over .{method}(); wrap the "
-                    "source in sorted(...) or the result in an "
-                    "order-insensitive reduction",
-                )
-        self.generic_visit(node)
-
-    visit_ListComp = _check_comp
-    visit_GeneratorExp = _check_comp
-
 
 @register
 class NondeterministicSortKey(Rule):

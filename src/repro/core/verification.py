@@ -208,7 +208,7 @@ def verify_candidate(
                 seed = dict(overlap_seed)
                 conflict = False
                 # Conflict scan over every entry — order-insensitive.
-                for pv, gv in anchor.items():  # noqa: REPRO101 - conflict scan over every entry; order-free
+                for pv, gv in anchor.items():
                     if seed.get(pv, gv) != gv:
                         conflict = True
                         break
@@ -223,7 +223,7 @@ def verify_candidate(
                     new_used = set(used)
                     good = True
                     # Consistency scan over every entry — order-insensitive.
-                    for pv, gv in emb.items():  # noqa: REPRO101 - consistency scan over every entry; order-free
+                    for pv, gv in emb.items():
                         qv = to_query[pv]
                         known = extended.get(qv)
                         if known is None:

@@ -169,7 +169,7 @@ class LabeledGraph:
         for u, nbrs in enumerate(self._adj):
             # Adjacency dicts are insertion-ordered by construction sequence,
             # which is part of this class's determinism guarantee.
-            for v, label in nbrs.items():  # noqa: REPRO101 - feeds a sorted() aggregate; order-free
+            for v, label in nbrs.items():
                 if u < v:
                     yield (u, v, label)
 

@@ -192,7 +192,7 @@ class CompiledPattern:
         nbr_labels: List[List[Tuple[object, object]]] = []
         for i, v in enumerate(order):
             row = p_adj[v]
-            backs = [(position[w], el) for w, el in row.items() if position[w] < i]  # noqa: REPRO101 - all back-edges collected, then sorted
+            backs = [(position[w], el) for w, el in row.items() if position[w] < i]
             if backs:
                 if len(backs) > 1:
                     backs.sort()  # positions are distinct: labels never compared
@@ -202,7 +202,7 @@ class CompiledPattern:
                     )
                 primary_pos[i], primary_elabel[i] = backs[0]
             rest_anchors.append(backs[1:])
-            nbr_labels.append([(p_labels[w], el) for w, el in row.items()])  # noqa: REPRO101 - OR-ed into a bitset; order-free
+            nbr_labels.append([(p_labels[w], el) for w, el in row.items()])
         self.primary_pos = primary_pos
         self.primary_elabel = primary_elabel
         self.rest_anchors = rest_anchors
@@ -385,10 +385,8 @@ def _search(
     pn = len(cp.order)
 
     # Validate the seed up front: labels, degrees and internal edges.
-    # (Pure checks over every entry — iteration order cannot change the
-    # outcome, hence the REPRO101 suppressions.)
     used_targets = set()
-    for pv, tv in seed.items():  # noqa: REPRO101 - validation visits every entry; order-free
+    for pv, tv in seed.items():
         if pattern.vertex_label(pv) != target.vertex_label(tv):
             return
         if pattern.degree(pv) > target.degree(tv):
@@ -396,8 +394,8 @@ def _search(
         if tv in used_targets:
             return
         used_targets.add(tv)
-    for pv, tv in seed.items():  # noqa: REPRO101 - edge-consistency scan; order-free
-        for pw, tw in seed.items():  # noqa: REPRO101 - pairwise check over all entries; order-free
+    for pv, tv in seed.items():
+        for pw, tw in seed.items():
             if pv < pw and pattern.has_edge(pv, pw):
                 if not target.has_edge(tv, tw):
                     return

@@ -109,7 +109,7 @@ class MatcherIndex:
             lu = vlabels[u]
             sv = se = 0
             # Bitwise ORs and counts commute — iteration order is free.
-            for v, el in adj[u].items():  # noqa: REPRO101 - commutative aggregation; order-free
+            for v, el in adj[u].items():
                 eb = ebits.get(el)
                 if eb is None:
                     eb = 1 << len(ebits)
@@ -198,7 +198,7 @@ def pair_subsumed(pattern_index: MatcherIndex, target_index: MatcherIndex) -> bo
     touching the backtracking matcher.
     """
     tcounts = target_index.pair_counts
-    for key, cnt in pattern_index.pair_counts.items():  # noqa: REPRO101 - universally-quantified check; order-free
+    for key, cnt in pattern_index.pair_counts.items():
         if tcounts.get(key, 0) < cnt:
             return False
     return True

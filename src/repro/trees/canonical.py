@@ -176,7 +176,7 @@ class SubsetCanonicalizer:
             # Stripping a leaf removes it from its parent's list, so a
             # live vertex lists exactly its live neighbors and a leaf's
             # one entry is its parent.
-            layer = [v for v, adj in nbrs.items() if len(adj) == 1]  # noqa: REPRO101 - a layer is a set; encodings are sorted
+            layer = [v for v, adj in nbrs.items() if len(adj) == 1]
             while remaining > 2:
                 if not layer:
                     return None  # a cycle never loses its vertices to stripping

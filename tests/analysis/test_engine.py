@@ -27,7 +27,7 @@ def test_noqa_with_matching_code():
 def test_noqa_with_wrong_code_does_not_suppress():
     src = (
         "import random\n\ndef f(xs):\n"
-        "    return random.choice(xs)  # noqa: REPRO101\n"
+        "    return random.choice(xs)  # noqa: REPRO103\n"
     )
     assert [v.rule_id for v in lint_source(src, "src/repro/mining/x.py")] == [
         "REPRO111"
@@ -48,15 +48,15 @@ def test_syntax_error_is_a_violation():
 
 
 def test_select_restricts_rules():
-    src = "import random\n\ndef f(d):\n    random.seed(0)\n    for p in d.values():\n        use(p)\n"
-    only101 = lint_source(src, "src/repro/mining/x.py", select=["REPRO101"])
-    assert {v.rule_id for v in only101} == {"REPRO101"}
+    src = "import random\n\ndef f(xs):\n    random.seed(0)\n    return sorted(xs, key=id)\n"
+    only103 = lint_source(src, "src/repro/mining/x.py", select=["REPRO103"])
+    assert {v.rule_id for v in only103} == {"REPRO103"}
 
 
 def test_ignore_drops_rules():
-    src = "import random\n\ndef f(d):\n    random.seed(0)\n    for p in d.values():\n        use(p)\n"
+    src = "import random\n\ndef f(xs):\n    random.seed(0)\n    return sorted(xs, key=id)\n"
     rest = lint_source(src, "src/repro/mining/x.py", ignore=["REPRO111"])
-    assert {v.rule_id for v in rest} == {"REPRO101"}
+    assert {v.rule_id for v in rest} == {"REPRO103"}
 
 
 def test_violation_format_is_flake8_style():

@@ -1,8 +1,8 @@
 """Each lint rule fires on a minimal fixture snippet and stays quiet on the fix.
 
-Fixtures are linted under a path inside an order-sensitive package
+Fixtures are linted under a path inside ``repro.mining``
 (``src/repro/mining/fixture.py``) so path-scoped rules apply; scoping
-itself is tested explicitly at the end.
+itself is tested explicitly.
 """
 
 from __future__ import annotations
@@ -15,45 +15,12 @@ from repro.analysis.engine import lint_source
 
 # A path that makes every path-scoped rule applicable.
 SENSITIVE = "src/repro/mining/fixture.py"
-# A path outside the order-sensitive packages (REPRO101 must not fire).
+# A path outside the packages some rules are scoped to.
 INSENSITIVE = "src/repro/datasets/fixture.py"
 
 
 def rule_ids(source: str, path: str = SENSITIVE):
     return [v.rule_id for v in lint_source(source, path)]
-
-
-# ----------------------------------------------------------------------
-# REPRO101 — dict-order materialized
-# ----------------------------------------------------------------------
-def test_repro101_for_loop_over_values():
-    src = "def f(d):\n    for p in d.values():\n        use(p)\n"
-    assert "REPRO101" in rule_ids(src)
-
-
-def test_repro101_for_loop_over_items():
-    src = "def f(d):\n    for k, v in d.items():\n        use(k, v)\n"
-    assert "REPRO101" in rule_ids(src)
-
-
-def test_repro101_ordered_comprehension():
-    src = "def f(d):\n    return [p.key for p in d.values()]\n"
-    assert "REPRO101" in rule_ids(src)
-
-
-def test_repro101_sorted_items_is_clean():
-    src = "def f(d):\n    for k, v in sorted(d.items()):\n        use(k, v)\n"
-    assert rule_ids(src) == []
-
-
-def test_repro101_order_insensitive_wrapper_is_clean():
-    src = "def f(d):\n    return sum(len(b) for b in d.values())\n"
-    assert rule_ids(src) == []
-
-
-def test_repro101_scoped_to_order_sensitive_packages():
-    src = "def f(d):\n    for p in d.values():\n        use(p)\n"
-    assert "REPRO101" not in rule_ids(src, INSENSITIVE)
 
 
 # ----------------------------------------------------------------------
@@ -191,15 +158,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: a one-line bug that gets past the runtime suite, so the rule is its
 #: only guard.
 SEEDED_BUGS = [
-    pytest.param(
-        "REPRO101",
-        "mining/shrink.py",
-        "for key, pattern in sorted(frequent.items()):",
-        "for key, pattern in frequent.items():",
-        # Feature ids then follow mining order (size, then key), and the
-        # saved index changes bytes; answers do not.
-        id="shrink-assigns-feature-ids-in-mining-order",
-    ),
     pytest.param(
         "REPRO103",
         "baselines/gindex.py",

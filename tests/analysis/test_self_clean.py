@@ -56,7 +56,6 @@ def test_segment_storage_module_is_clean():
 
 def test_cli_lint_exits_nonzero_on_each_rule_fixture(tmp_path):
     fixtures = {
-        "REPRO101": "def f(d):\n    for p in d.values():\n        use(p)\n",
         "REPRO103": "def f(xs):\n    return sorted(xs, key=id)\n",
         "REPRO111": "import random\n\ndef f(xs):\n    return random.choice(xs)\n",
         "REPRO112": "from random import shuffle\n",
@@ -131,12 +130,12 @@ def test_cli_lint_writes_nothing_to_disk(tmp_path):
     """A lint run is read-only: no cache, report or state file appears."""
     bad = tmp_path / "repro" / "mining" / "fixture.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("def f(d):\n    for p in d.values():\n        use(p)\n")
+    bad.write_text("def f(xs):\n    return sorted(xs, key=id)\n")
     before = sorted(tmp_path.rglob("*"))
     for fmt in ("text", "json"):
         proc = _run_cli("lint", "--format", fmt, "repro", cwd=tmp_path)
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "REPRO101" in proc.stdout
+        assert "REPRO103" in proc.stdout
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -144,7 +143,7 @@ def test_noqa_comments_are_specific_and_justified():
     """Every suppression in ``src/`` names its rule and explains itself.
 
     A bare ``# noqa`` silences every rule on the line (including future
-    ones) and a bare ``# noqa: REPRO101`` gives reviewers nothing to
+    ones) and a bare ``# noqa: REPRO103`` gives reviewers nothing to
     audit, so both are banned: suppressions must be rule-qualified and
     carry a trailing justification (`` - why`` or prose after the code).
     """

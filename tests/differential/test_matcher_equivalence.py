@@ -83,7 +83,7 @@ def _reference_monomorphisms(
     seed = seed or {}
 
     used_targets = set()
-    for pv, tv in seed.items():  # noqa: REPRO101 - validation visits every entry; order-free
+    for pv, tv in seed.items():
         if pattern.vertex_label(pv) != target.vertex_label(tv):
             return
         if pattern.degree(pv) > target.degree(tv):
@@ -91,8 +91,8 @@ def _reference_monomorphisms(
         if tv in used_targets:
             return
         used_targets.add(tv)
-    for pv, tv in seed.items():  # noqa: REPRO101 - edge-consistency scan; order-free
-        for pw, tw in seed.items():  # noqa: REPRO101 - pairwise check over all entries; order-free
+    for pv, tv in seed.items():
+        for pw, tw in seed.items():
             if pv < pw and pattern.has_edge(pv, pw):
                 if not target.has_edge(tv, tw):
                     return
@@ -117,7 +117,7 @@ def _reference_monomorphisms(
     position = {v: i for i, v in enumerate(order)}
     for i, v in enumerate(order):
         earlier_nbrs.append(
-            [(w, lbl) for w, lbl in pattern._adj[v].items() if position[w] < i]  # noqa: REPRO101 - all back-edges collected; order-free
+            [(w, lbl) for w, lbl in pattern._adj[v].items() if position[w] < i]
         )
     want_labels = [p_labels[v] for v in order]
     want_degrees = [len(pattern._adj[v]) for v in order]
@@ -128,7 +128,7 @@ def _reference_monomorphisms(
         anchors = earlier_nbrs[i]
         if anchors:
             aw, albl = anchors[0]
-            for tv, tlbl in t_adj[mapping[aw]].items():  # noqa: REPRO101 - candidates re-sorted by the caller's loop order
+            for tv, tlbl in t_adj[mapping[aw]].items():
                 if (
                     tv not in used
                     and tlbl == albl
