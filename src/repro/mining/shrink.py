@@ -20,7 +20,7 @@ index keeps the tree's exact support as an exception list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, Set, Tuple
 
 from repro.graphs.graph import LabeledGraph
 from repro.mining.patterns import MinedPattern
@@ -75,7 +75,7 @@ class ShrinkReport:
     kept: Dict[str, MinedPattern]
     removed: Dict[str, float]  # canonical key -> redundancy ratio
     #: canonical key -> keys of its leaf-removed subtrees, for every
-    #: pattern whose subtrees are all frequent.
+    #: pattern of two or more edges.
     parents: Dict[str, List[str]]
 
     @property
@@ -89,7 +89,8 @@ def shrink_feature_set(
     """Apply the γ-shrinking rule to a mined frequent-tree set.
 
     ``frequent`` maps canonical keys to mined patterns (with exact support
-    sets).  A pattern ``r`` with ``size >= 2`` is removed when
+    sets) and, as a miner's output, holds every leaf removal of each of
+    its trees.  A pattern ``r`` with ``size >= 2`` is removed when
     ``|⋂ D_{r_i}| / |D_r| <= gamma``; subtree supports are always taken
     from the *full* pre-shrink set so removal order cannot matter.
     """
@@ -99,27 +100,16 @@ def shrink_feature_set(
     # Canonical-key order: feature ids are assigned by enumerating `kept`,
     # so its insertion order must not depend on mining discovery order.
     for key, pattern in sorted(frequent.items()):
-        if pattern.size < 2 or pattern.support == 0:
+        if pattern.size < 2:
             kept[key] = pattern
             continue
+        # Mining is exact under a non-decreasing σ, so every leaf removal
+        # of a frequent tree is itself in `frequent`.
         sub_keys = _leaf_removal_keys(pattern.graph)
-        intersection: Set[int] = None  # type: ignore[assignment]
-        complete = True
-        for sub_key in sub_keys:
-            sub_pattern = frequent.get(sub_key)
-            if sub_pattern is None:
-                # A parent missing from the frequent set means support
-                # bookkeeping is approximate here; keep r conservatively.
-                complete = False
-                break
-            support = sub_pattern.support_set()
-            intersection = (
-                set(support) if intersection is None else intersection & support
-            )
-        if not complete or intersection is None:
-            kept[key] = pattern
-            continue
         parents[key] = sub_keys
+        intersection = frozenset.intersection(
+            *(frequent[sub_key].support_set() for sub_key in sub_keys)
+        )
         ratio = len(intersection) / pattern.support
         if ratio <= gamma:
             removed[key] = ratio
@@ -139,28 +129,16 @@ def shrunk_covers(
     recurrence ``S(t) = ∪_p ({p} if p is indexed else S(p))`` over
     ``t``'s leaf-removed parents ``p``: an indexed subtree of ``t`` lies
     in some parent, and an indexed parent's support is inside its own
-    subtrees'.  A removed tree with a non-indexed parent whose own
-    parents are unknown gets no cover.
+    subtrees'.  A single edge has no proper subtree, so its cover is empty.
     """
-    memo: Dict[str, Optional[FrozenSet[str]]] = {}
+    memo: Dict[str, FrozenSet[str]] = {}
 
-    def cover(key: str) -> Optional[FrozenSet[str]]:
-        if key in memo:
-            return memo[key]
-        found: Optional[Set[str]] = None
-        parents = report.parents.get(key)
-        if parents is not None:
-            found = set()
-            for parent in parents:
-                if parent in indexed:
-                    found.add(parent)
-                    continue
-                sub = cover(parent)
-                if sub is None:
-                    found = None
-                    break
-                found |= sub
-        memo[key] = frozenset(found) if found is not None else None
+    def cover(key: str) -> FrozenSet[str]:
+        if key not in memo:
+            found: Set[str] = set()
+            for parent in report.parents.get(key, ()):
+                found |= {parent} if parent in indexed else cover(parent)
+            memo[key] = frozenset(found)
         return memo[key]
 
     covers: Dict[str, Tuple[str, ...]] = {}
