@@ -93,3 +93,13 @@ class TestShrinkFeatureSet:
         report = shrink_feature_set(result.patterns, gamma=1.2)
         assert report.removed_count == len(report.removed)
         assert len(report.kept) + report.removed_count == len(result.patterns)
+
+    def test_parents_are_the_leaf_removals_of_every_multi_edge_tree(self, chem_db):
+        result = FrequentSubtreeMiner(chem_db, SupportFunction(2, 2.0, 3)).mine()
+        report = shrink_feature_set(result.patterns, gamma=1.2)
+        multi = {k for k, p in result.patterns.items() if p.size >= 2}
+        assert set(report.parents) == multi
+        for key in multi:
+            expected = {k for k, _ in leaf_removed_subtrees(result.patterns[key].graph)}
+            assert set(report.parents[key]) == expected
+            assert expected <= set(result.patterns)
