@@ -4,9 +4,10 @@ Runs one adversarial subgraph query — an odd cycle against single-label
 bipartite grids, where an unfiltered matcher must exhaust a huge path
 space to prove non-containment — repeatedly through two engines:
 
-* the default configuration (matcher prefilters on), where the cached
-  walk-parity invariant refutes the instance exactly in well under the
-  deadline, and
+* the default configuration (matcher prefilters on), where the
+  walk-parity invariant, which the search switches on once it has
+  exhausted more levels than the cycle has vertices, refutes the
+  instance exactly in well under the deadline, and
 * ``matcher_prefilters=False``, which preserves the pre-prefilter worst
   case a wall-clock deadline exists to bound.
 
@@ -150,8 +151,9 @@ def test_query_latency_tail(scale):
 
     # --- default engine: matcher prefilters on -------------------------
     engine = _build_engine(db, prefilters=True)
-    # Untimed warm-up: the first query builds the grids' walk-parity
-    # matrices, a one-off cost no later round pays.
+    # Untimed warm-up: the first query's search switches walk parity on
+    # and builds the grids' parity matrices, a one-off cost no later
+    # round pays (each later search switches on again, but reuses them).
     engine.query(query)
     unbounded = _run_mode(engine, query, GATED_ROUNDS)
     bounded = _run_mode(

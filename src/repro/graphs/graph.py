@@ -232,8 +232,17 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def copy(self, graph_id: Optional[int] = None) -> "LabeledGraph":
         g = LabeledGraph(self._vlabels, graph_id=self.graph_id if graph_id is None else graph_id)
-        for u, v, label in self.edges():
-            g.add_edge(u, v, label)
+        # Row u lists its smaller neighbours ascending, then its larger
+        # ones in this graph's row order, as add_edge over edges() would.
+        # Matcher candidate order and the mining digests depend on it.
+        adj = g._adj
+        for u, nbrs in enumerate(self._adj):
+            row = adj[u]
+            for v, label in nbrs.items():
+                if u < v:
+                    row[v] = label
+                    adj[v][u] = label
+        g._num_edges = self._num_edges
         return g
 
     def subgraph_from_edges(

@@ -21,7 +21,8 @@ the size checks and the whole-pattern label-pair refutation first, so a
 pattern is never compiled for a target that refutes it.  A
 :class:`CompiledPattern` then holds every table that depends only on the
 pattern: the matching order, wanted labels and degrees, back-edges by
-position, neighbourhood label pairs and walk-parity bounds.  The search
+position, neighbourhood label pairs and, once a search asks for them,
+walk-parity bounds.  The search
 keeps per target only what reads the target: the seed check, the label
 pairs mapped into the target's bit space, the rarest-anchor ranking of
 levels with several back-edges, and the label buckets of anchorless
@@ -42,12 +43,17 @@ walk:
   multiset is not contained in the target's is rejected wholesale;
 * each level draws candidates from the image neighborhood of its
   *rarest-label-pair* matched anchor instead of an arbitrary one;
-* per-vertex neighboring-label bitset signatures and walk-parity
-  distance bounds refute candidates in O(1) per check.  Parity bounds
-  are kept only for levels placed before the pattern's last 2-core
-  vertex: past it no bound can fail (the proof is at
-  :meth:`CompiledPattern.parity_bounds`), so a forest pattern keeps
-  none and never builds its target's parity rows;
+* per-vertex neighboring-label bitset signatures refute candidates in
+  O(1) per check;
+* walk-parity distance bounds refute candidates in O(1) per check too,
+  but building them costs a BFS per pattern level and an all-pairs BFS
+  per target, which easy searches never earn back.  So a search starts
+  without them and switches them on only once it has exhausted more
+  levels than the pattern has vertices.  Parity bounds are kept only
+  for levels placed before the pattern's last 2-core vertex: past it no
+  bound can fail (the proof is at :meth:`CompiledPattern.parity_bounds`),
+  so a forest pattern keeps none and never builds its target's parity
+  rows;
 * exhausted levels *jump-redo* (conflict-directed backjumping) to the
   deepest level recorded in their conflict set instead of always
   stepping back one.
@@ -134,11 +140,11 @@ class CompiledPattern:
     and shared by every target the pattern is matched against: the
     matching order, each level's wanted label and degree, its back-edges
     to earlier levels (sorted by position), the vertex and edge labels
-    of its neighbourhood, and — on first prefiltered use — the
-    walk-parity bounds of the levels where one can fail.  ``seeded``
-    fixes the pattern vertices a seed will pre-assign (the order starts
-    with them in this order); a compiled pattern serves only seeds with
-    exactly these keys.
+    of its neighbourhood, and — once a prefiltered search switches
+    parity on — the walk-parity bounds of the levels where one can
+    fail.  ``seeded`` fixes the pattern vertices a seed will pre-assign
+    (the order starts with them in this order); a compiled pattern
+    serves only seeds with exactly these keys.
 
     Holds nothing about any target, so one instance may be shared by
     concurrent searches; racing threads that build the parity bounds
@@ -222,7 +228,8 @@ class CompiledPattern:
         ``(position, even bound, odd bound)``, finite bounds only, for
         the levels where a bound can fail; ``None`` when no level keeps
         one (a forest) or the pattern is too large for parity matrices.
-        Built on first call.
+        Built on first call, which :func:`_search` makes only once a
+        search has exhausted more levels than the pattern has vertices.
 
         An unseeded pattern keeps the levels placed before its last
         2-core vertex; later levels get an empty list.  The order is
@@ -344,7 +351,8 @@ def subgraph_monomorphisms(
         Use the cached :class:`~repro.graphs.matcher_index.MatcherIndex`
         structures of both graphs — label-pair refutation, rarest-pair
         anchor selection, neighboring-label signatures, walk-parity
-        bounds and conflict-directed backjumping guided by them.  The
+        bounds (switched on once the search proves hard) and
+        conflict-directed backjumping guided by them.  The
         answer set is identical either way; ``False`` restores the
         unfiltered search (adversarial benchmarks and deadline tests
         rely on its worst-case cost).
@@ -379,7 +387,10 @@ def _search(
     Assumes :func:`label_pair_refuted` has passed.  The per-target work
     is the seed check, the pattern's label pairs mapped into the target's
     bit space, the rarest-anchor ranking of levels with several
-    back-edges, and the label buckets of anchorless levels.
+    back-edges, and the label buckets of anchorless levels.  Walk-parity
+    bounds switch on mid-search, in the level-exhausted branch, once
+    more levels than the pattern has vertices have been exhausted; a
+    search that runs straight down to a match never builds them.
     """
     pattern = cp.pattern
     pn = len(cp.order)
@@ -460,14 +471,6 @@ def _search(
                 primary_pos[i] = ranked[0][1]
                 primary_elabel[i] = ranked[0][2]
                 rest_anchors[i] = [(j, el) for _, j, el in ranked[1:]]
-        # A pattern that keeps no bound never builds the target's rows.
-        par_bounds = cp.parity_bounds()
-        if par_bounds is not None:
-            t_par = tindex.parity_rows()
-            if t_par is None:
-                par_bounds = None
-            else:
-                t_even, t_odd = t_par
 
     start = len(seed)
     label_buckets: Dict[object, List[int]] = {
@@ -490,6 +493,9 @@ def _search(
 
     check_interval = token.CHECK_INTERVAL if token is not None else 0
     pending = 0
+    # Exhausted levels left before walk parity switches on; 0 once it
+    # has (or, unfiltered, never).
+    until_parity = pn + 1 if prefilter else 0
 
     # ------------------------------------------------------------------
     # iterative search with conflict-directed backjumping
@@ -588,6 +594,18 @@ def _search(
                     jump = -1  # refuted independently of earlier levels
                 if jump < start:
                     return
+                if until_parity:
+                    until_parity -= 1
+                    if not until_parity:
+                        # A pattern that keeps no bound never builds the
+                        # target's rows.
+                        par_bounds = cp.parity_bounds()
+                        if par_bounds is not None:
+                            t_par = tindex.parity_rows()
+                            if t_par is None:
+                                par_bounds = None
+                            else:
+                                t_even, t_odd = t_par
                 jump_conf = conflicts[jump]
                 jump_conf |= conf  # type: ignore[operator, arg-type]
                 jump_conf.discard(jump)  # type: ignore[union-attr]

@@ -31,15 +31,21 @@ LabeledGraph` (see ``LabeledGraph.matcher_index``) and invalidated by
   equal-length walks, so for every pattern pair with a finite parity-p
   walk bound the images must satisfy the same bound in the target.
   This is the invariant that collapses the classic adversarial
-  instance — an odd cycle against a bipartite grid — at search depth 1
-  instead of after an exponential path enumeration: adjacent odd-cycle
-  vertices need both an odd walk (length 1) and an *even* walk (around
-  the cycle) between their images, and no bipartite graph has both.
-  Only a target builds the full matrices.  A pattern bound can fail
-  only at a level placed before the pattern's last 2-core vertex (see
-  :class:`~repro.graphs.isomorphism.CompiledPattern`), so the matcher
-  runs :func:`parity_bfs` from those levels alone, and a forest pattern
-  never asks its target for parity rows at all.
+  instance — an odd cycle against a bipartite grid — after a few
+  hundred steps instead of an exponential path enumeration: adjacent
+  odd-cycle vertices need both an odd walk (length 1) and an *even*
+  walk (around the cycle) between their images, and no bipartite graph
+  has both.
+  The matcher switches this filter on only for hard searches: a search
+  starts without it, and asks for the matrices once it has exhausted
+  more levels than the pattern has vertices.  Most searches on the
+  benchmark's molecules never get that far, so their targets never
+  build the matrices.  Only a target builds the full matrices.  A
+  pattern bound can fail only at a level placed before the pattern's
+  last 2-core vertex (see :class:`~repro.graphs.isomorphism.
+  CompiledPattern`), so the matcher runs :func:`parity_bfs` from those
+  levels alone, and a forest pattern never asks its target for parity
+  rows at all.
 
 All three are *necessary* conditions on (partial) monomorphisms, so
 using them to refute candidates never changes an answer set — the

@@ -157,6 +157,25 @@ class TestMatcherCancellation:
         assert not token.expired
         assert 0 < token.work_charged < 2_000
 
+    @pytest.mark.parametrize("length", range(3, 12))
+    def test_switched_on_parity_keeps_the_answer(self, length):
+        # Walk parity switches on mid-search; the embeddings must be
+        # exactly the unfiltered search's, for odd and even cycles alike.
+        _, grid = self._hard_instance()
+        cycle = LabeledGraph(
+            ["a"] * length, [(i, (i + 1) % length, 1) for i in range(length)]
+        )
+        token = CancellationToken()
+        found = list(subgraph_monomorphisms(cycle, grid, token=token))
+        assert grid.matcher_index()._parity is not None  # parity did switch on
+        plain = list(subgraph_monomorphisms(cycle, grid, prefilter=False))
+        assert {tuple(sorted(m.items())) for m in found} == {
+            tuple(sorted(m.items())) for m in plain
+        }
+        assert len(found) == len(plain)
+        if length % 2:
+            assert not found and token.work_charged < 2_000
+
     def test_no_token_is_exact(self):
         cycle, grid = self._hard_instance()
         assert list(subgraph_monomorphisms(cycle, grid)) == []
