@@ -109,7 +109,6 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "map",
         "mine",
         "query",
-        "query_batch",
         "read_bytes",
         "read_text",
         "rebuild",

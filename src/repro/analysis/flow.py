@@ -33,10 +33,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 SPINE_FUNCTIONS = frozenset(
     {
         "query",
-        "query_batch",
         "plan",
         "verify",
-        "_execute_batch",
+        "_execute",
     }
 )
 

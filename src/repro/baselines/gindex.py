@@ -180,7 +180,7 @@ class GIndexBaseline:
             # Smallest-first adaptive k-way intersection; the universe
             # initializer is only materialized when no feature applies.
             candidates = PostingList.intersect_many(
-                [self._selected[key] for key in sorted(found)], early_exit=True
+                [self._selected[key] for key in sorted(found)]
             )
         else:
             candidates = self._db.universe_posting()

@@ -159,8 +159,7 @@ class GraphGrepBaseline:
                 return []  # this path occurs in no database graph
             requirements.append((key_id, needed[key]))
         shared = PostingList.intersect_many(
-            [self._postings[key_id] for key_id, _ in requirements],
-            early_exit=True,
+            [self._postings[key_id] for key_id, _ in requirements]
         )
         return [
             gid

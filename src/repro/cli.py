@@ -101,6 +101,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    if args.cache_size < 0:
+        print(f"error: --cache-size must be >= 0, got {args.cache_size}",
+              file=sys.stderr)
+        return 2
     budget = None
     if args.deadline_ms is not None or args.verify_budget is not None:
         try:

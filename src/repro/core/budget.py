@@ -50,15 +50,15 @@ from repro.exceptions import BudgetExceeded, ConfigError
 
 @dataclass(frozen=True)
 class QueryBudget:
-    """Resource bounds for one ``query()`` / ``query_batch()`` call.
+    """Resource bounds for one ``query()`` call.
 
     Parameters
     ----------
     deadline_ms:
         Wall-clock deadline in milliseconds, measured from
-        :meth:`start`.  Applies to the whole call: a batch shares one
-        clock, and stragglers it could not finish are flagged in their
-        own results and can be retried individually with a fresh budget.
+        :meth:`start`.  Applies to the whole call, cache keying and hit
+        confirmation included; a result it could not finish is flagged
+        ``complete=False`` and can be retried with a fresh budget.
     verify_steps:
         Cap on verification work units (matcher vertex expansions,
         anchored-assignment trials and piece-embedding extensions) summed
@@ -99,7 +99,7 @@ class QueryBudget:
 class CancellationToken:
     """Shared cancellation state for one budgeted call, safe across threads.
 
-    One token is created per ``query()``/``query_batch()`` call and
+    One token is created per ``query()`` call and
     handed to every pipeline stage.  The engine runs those stages on the
     caller's thread, but another thread may :meth:`cancel` the token or
     read :attr:`expired` while the call runs, so the state is

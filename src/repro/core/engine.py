@@ -4,9 +4,9 @@
 re-runs partition, filtering and verification from scratch, and
 nothing protects concurrent callers from in-flight ``insert``/``delete``
 maintenance.  Production substructure search looks different — the same
-hot queries arrive over and over, batches contain isomorphic duplicates,
-and reads vastly outnumber writes.  :class:`QueryEngine` adds that
-serving layer:
+hot queries arrive over and over, often relabeled, and reads vastly
+outnumber writes.  :class:`QueryEngine` adds that serving layer, one
+query at a time, as in the paper:
 
 * **Result caching.**  Answers are memoized in an LRU cache of
   isomorphism classes.  Lookup is two-step: a cheap invariant key
@@ -23,16 +23,13 @@ serving layer:
   starts no threads of its own: each caller verifies its candidates
   inline (a thread pool over pure-Python matching lost to one thread
   under the GIL).
-* **Batching.**  :meth:`query_batch` deduplicates isomorphic queries up
-  front (same key, then confirmed) and runs each distinct member's
-  pipeline once.
 * **Observability.**  Per-stage counters (:class:`EngineStats`) are kept
   under the engine lock and surfaced through the wrapped index's
   :class:`~repro.core.statistics.IndexStats` as ``stats.engine``.
-* **Deadlines.**  :meth:`query`/:meth:`query_batch` accept a
+* **Deadlines.**  :meth:`query` accepts a
   :class:`~repro.core.budget.QueryBudget` whose clock starts before the
   cache key is computed, so it covers keying and hit confirmation too.
-  On expiry the call returns *degraded but sound* results — verified
+  On expiry the call returns a *degraded but sound* result — verified
   matches found so far plus the unresolved candidate ids, flagged
   ``complete=False`` and never cached — instead of letting one
   adversarial verification hold the read lock unboundedly (which, with a
@@ -369,74 +366,13 @@ class QueryEngine:
         )
         cached, generation, checked = self._cache_lookup(probe, token)
         if cached is not None:
-            self._count_degradation([cached], token)  # confirmation work
+            self._count_degradation(cached, token)  # confirmation work
             return cached
         with self._rw.read_locked():
-            result = self._execute_batch([query], token=token)[0]
-        self._count_degradation([result], token)
+            result = self._execute(query, token)
+        self._count_degradation(result, token)
         self._cache_store(probe, result, generation, checked)
         return result
-
-    def query_batch(
-        self,
-        queries: Sequence[LabeledGraph],
-        budget: Optional[QueryBudget] = None,
-    ) -> List[QueryResult]:
-        """Answer many queries at once.
-
-        Isomorphic duplicates (same cache key, then confirmed exactly)
-        are computed once; every distinct uncached query runs its own
-        pipeline, and its result carries only its own verification work.
-
-        ``budget`` bounds the *call*, keying and confirmation included:
-        the whole batch shares one deadline clock and one work cap.
-        Members the budget could not finish come back individually
-        flagged ``complete=False`` with their own unresolved candidate
-        lists — retry just those stragglers with a fresh budget (they
-        were never cached, so a retry recomputes).
-        """
-        token = budget.start() if budget is not None else None
-        # Each member is confirmed against the batch's earlier distinct
-        # members under its key first, then looked up in the cache.
-        peers: Dict[str, List[_CacheEntry]] = {}
-        owners: List[_CacheEntry] = []
-        resolved: Dict[_CacheEntry, QueryResult] = {}
-        pending: List[Tuple[_CacheEntry, int, Optional[Tuple[_CacheEntry, ...]]]] = []
-        dedup_hits = 0
-        for query in queries:
-            probe = _CacheEntry(query_cache_key(query), query)
-            same_key = peers.setdefault(probe.key, [])
-            twin, peers_checked = _confirm(probe, same_key, token)
-            if twin is not None:
-                owners.append(twin)
-                dedup_hits += 1
-                continue
-            cached, generation, checked = self._cache_lookup(probe, token)
-            if cached is not None:
-                resolved[probe] = cached
-            else:
-                if checked is not None and peers_checked:
-                    checked += tuple(same_key)
-                else:
-                    checked = None
-                pending.append((probe, generation, checked))
-            owners.append(probe)
-            same_key.append(probe)
-        with self._mutex:  # the lookups counted the distinct members
-            self._counters.batch_queries += len(queries)
-            self._counters.queries += dedup_hits
-            self._counters.batch_dedup_hits += dedup_hits
-        computed: List[QueryResult] = []
-        if pending:
-            with self._rw.read_locked():
-                computed = self._execute_batch(
-                    [probe.query for probe, _, _ in pending], token=token
-                )
-        self._count_degradation(computed, token)
-        for (probe, generation, checked), result in zip(pending, computed):
-            resolved[probe] = result
-            self._cache_store(probe, result, generation, checked)
-        return [resolved[owner] for owner in owners]
 
     # ------------------------------------------------------------------
     # maintenance (write-locked; every mutation invalidates the cache)
@@ -628,9 +564,7 @@ class QueryEngine:
             self._counters.verifications_run += len(plan.survivors)
 
     def _count_degradation(
-        self,
-        results: Sequence[QueryResult],
-        token: Optional[CancellationToken],
+        self, result: QueryResult, token: Optional[CancellationToken]
     ) -> None:
         """Fold one budgeted call's work ledger and degradation into the counters.
 
@@ -644,36 +578,23 @@ class QueryEngine:
         """
         if token is None:
             return
-        degraded = [r for r in results if not r.complete]
         steps = token.work_charged
-        if not degraded and not steps:
+        if result.complete and not steps:
             return
         with self._mutex:
             self._counters.verify_steps += steps
-            if degraded:
+            if not result.complete:
                 self._counters.timeouts += 1
-            self._counters.degraded_results += len(degraded)
-            self._counters.unresolved_candidates += sum(
-                len(r.unresolved) for r in degraded
-            )
+                self._counters.degraded_results += 1
+                self._counters.unresolved_candidates += len(result.unresolved)
 
     @hot_path
     @guarded_by("_rw", mode="read")
-    def _execute_batch(
-        self,
-        queries: Sequence[LabeledGraph],
-        token: Optional[CancellationToken] = None,
-    ) -> List[QueryResult]:
-        """Run pipelines for distinct queries (caller holds the read lock).
-
-        Every query is planned first, then each plan runs through
-        :meth:`TreePiIndex.run`, which times its own candidates only, so
-        every member's :class:`QueryResult` reports exactly what
-        :meth:`query` would have reported for it alone.
-        """
-        plans = [self._index.plan(query, token=token) for query in queries]
-        for plan in plans:
-            if plan.result is None:
-                self._count_pipeline(plan)
-        return [self._index.run(plan, token=token) for plan in plans]
-
+    def _execute(
+        self, query: LabeledGraph, token: Optional[CancellationToken]
+    ) -> QueryResult:
+        """Run one query's pipeline (caller holds the read lock)."""
+        plan = self._index.plan(query, token=token)
+        if plan.result is None:
+            self._count_pipeline(plan)
+        return self._index.run(plan, token=token)

@@ -31,17 +31,14 @@ class EngineStats:
     The timeout counters describe graceful degradation under
     :class:`~repro.core.budget.QueryBudget`: ``timeouts`` counts calls
     whose deadline or work cap cut verification short, ``degraded_results``
-    counts the ``complete=False`` answers handed back (one budgeted batch
-    can produce several), and ``unresolved_candidates`` sums the
-    candidate ids those answers left unverified.  All three stay zero on
-    unbudgeted traffic.
+    counts the ``complete=False`` answers handed back (one per such
+    call), and ``unresolved_candidates`` sums the candidate ids those
+    answers left unverified.  All three stay zero on unbudgeted traffic.
     """
 
-    queries: int = 0                 # every query() / query_batch() member
+    queries: int = 0                 # every query() call: hits + misses
     cache_hits: int = 0
     cache_misses: int = 0
-    batch_queries: int = 0           # queries arriving through query_batch()
-    batch_dedup_hits: int = 0        # batch members answered by an isomorph
     candidates_filtered: int = 0     # |P_q| summed over executed pipelines
     verifications_run: int = 0       # exact subgraph-isomorphism tests
     invalidations: int = 0           # cache clears (insert/delete/rebuild)

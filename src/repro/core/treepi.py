@@ -440,14 +440,12 @@ class TreePiIndex:
     ) -> QueryResult:
         """Verify ``plan``'s survivors and assemble its result.
 
-        The one verification loop: :meth:`query` and every
-        :class:`~repro.core.engine.QueryEngine` entry point end here.  A
+        The one verification loop: :meth:`query` and
+        :meth:`~repro.core.engine.QueryEngine.query` both end here.  A
         plan that already carries a ``result`` returns it unchanged.  A
         candidate cut short by the budget
         (:class:`~repro.exceptions.BudgetExceeded`) is marked unresolved,
-        neither matched nor rejected; any other error propagates.  The
-        verification time covers this plan's candidates only, so a batch
-        member reports what a run of that plan alone would.
+        neither matched nor rejected; any other error propagates.
         """
         if plan.result is not None:
             return plan.result
@@ -538,7 +536,7 @@ class TreePiIndex:
                 if key in lookup and key not in sfq:
                     sfq[key] = None
                     postings.append(lookup[key].support_posting())
-            candidates = PostingList.intersect_many(postings, early_exit=True)
+            candidates = PostingList.intersect_many(postings)
             if len(candidates) <= 1 or (
                 token is not None and token.expired_now()
             ):
@@ -659,7 +657,7 @@ class TreePiIndex:
             for key in level
             if key in self._lookup
         )
-        stage1 = PostingList.intersect_many(postings, early_exit=True)
+        stage1 = PostingList.intersect_many(postings)
 
         rng = random.Random(self._config.seed)
         delta = self._config.delta or max(1, query.num_edges)

@@ -253,9 +253,7 @@ class PostingList:
 
     @staticmethod
     @hot_path
-    def intersect_many(
-        lists: Sequence["PostingList"], early_exit: bool = True
-    ) -> "PostingList":
+    def intersect_many(lists: Sequence["PostingList"]) -> "PostingList":
         """k-way intersection, smallest first.
 
         The inputs are ordered by ascending length so the running result
@@ -265,9 +263,8 @@ class PostingList:
         degrade into cheap galloping probes).  Consecutive hash steps
         share one running ``set`` and the result is sorted back into a
         column only once at the end, so a k-way chain over
-        comparable-length supports costs one sort, not k.  ``early_exit``
-        stops at the first empty intermediate, the Algorithm 1
-        short-circuit.
+        comparable-length supports costs one sort, not k.  The first
+        empty intermediate ends the chain, the Algorithm 1 short-circuit.
         """
         if not lists:
             raise ValueError("intersect_many needs at least one posting list")
@@ -276,7 +273,7 @@ class PostingList:
         running: Optional[Set[int]] = None
         for nxt in ordered[1:]:
             size = len(column) if running is None else len(running)
-            if early_exit and size == 0:
+            if size == 0:
                 break
             if len(nxt) >= GALLOP_RATIO * size:
                 if running is not None:
@@ -290,14 +287,6 @@ class PostingList:
         if running is not None:
             return PostingList._wrap(id_array(sorted(running)))
         return column
-
-
-def union_many(lists: Sequence[PostingList]) -> PostingList:
-    """k-way union (used by tests and ad-hoc maintenance tooling)."""
-    result = PostingList()
-    for nxt in lists:
-        result = result.union(nxt)
-    return result
 
 
 class IdStore:

@@ -169,10 +169,10 @@ class TestDegradedNeverCached:
 
     def test_budgeted_cache_hit_charges_its_confirmation(self, chem):
         """Confirming a cached isomorphism class runs under the call's
-        token, on the single and the batch path: the confirmation search
-        is charged to the budget, so a deadline bounds it like any other
-        stage.  (A tree confirms by canonical string, with no search, so
-        the query is a ring.)"""
+        token: the confirmation search is charged to the budget on every
+        hit, so a deadline bounds it like any other stage.  (A tree
+        confirms by canonical string, with no search, so the query is a
+        ring.)"""
         db, _ = chem
         ring = LabeledGraph(["C"] * 6, [(i, (i + 1) % 6, 1) for i in range(6)])
         turned = ring.relabeled([3, 4, 5, 0, 1, 2])
@@ -183,10 +183,11 @@ class TestDegradedNeverCached:
         assert engine.stats.cache_hits == 1
         single_steps = engine.stats.verify_steps
         assert single_steps > 0
-        (batched,) = engine.query_batch(
-            [turned], budget=QueryBudget(verify_steps=10**6)
+        again = engine.query(
+            ring.relabeled([1, 2, 3, 4, 5, 0]),
+            budget=QueryBudget(verify_steps=10**6),
         )
-        assert batched.matches == exact.matches
+        assert again.matches == exact.matches
         assert engine.stats.cache_hits == 2
         assert engine.stats.verify_steps > single_steps
 
@@ -224,8 +225,6 @@ class TestNonBudgetErrorsPropagate:
             engine.index.query(query, budget=budget)
         with pytest.raises(ContractViolation, match="seeded"):
             engine.query(query, budget=budget)
-        with pytest.raises(ContractViolation, match="seeded"):
-            engine.query_batch([query], budget=budget)
 
     @pytest.mark.parametrize(
         "budget", [None, QueryBudget(verify_steps=10**9)], ids=["unbudgeted", "budgeted"]

@@ -112,7 +112,7 @@ def test_interleaved_query_insert_delete():
     assert stats.inserts == len(inserts_done) == MUTATORS * MUTATOR_ROUNDS
     assert stats.deletes == len(deletes_done) == MUTATORS * MUTATOR_ROUNDS
     assert stats.invalidations == stats.inserts + stats.deletes + stats.rebuilds
-    assert stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits == stats.queries
+    assert stats.cache_hits + stats.cache_misses == stats.queries
     assert stats.queries >= READERS * READER_ROUNDS + 2 * MUTATORS * MUTATOR_ROUNDS
 
 
@@ -145,15 +145,15 @@ def test_short_interleaving_smoke():
         t.join()
     assert not errors, f"worker threads raised: {errors!r}"
     stats = engine.stats
-    assert stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits == stats.queries
+    assert stats.cache_hits + stats.cache_misses == stats.queries
 
 
 def test_relabeled_repeats_match_the_scan_of_their_generation():
     """Readers replay random relabelings of tree and cyclic queries (one
-    query, or a two-member batch of relabelings) while one mutator
-    inserts and deletes.  The generation is the engine's invalidation
-    count; an answer whose call saw the same count before and after was
-    served from that generation, and must equal its scan answer."""
+    relabeling, or two back to back) while one mutator inserts and
+    deletes.  The generation is the engine's invalidation count; an
+    answer whose call saw the same count before and after was served
+    from that generation, and must equal its scan answer."""
     engine, pool = build_engine()
     db = engine.index.database
     cyclic = [
@@ -196,11 +196,9 @@ def test_relabeled_repeats_match_the_scan_of_their_generation():
             for i in range(3 * len(pool)):
                 query = pool[(seed + i) % len(pool)]
                 before = engine.stats.invalidations
-                if i % 3:
-                    answers = [engine.query(relabel(query)).matches]
-                else:
-                    batch = engine.query_batch([relabel(query), relabel(query)])
-                    answers = [r.matches for r in batch]
+                answers = [engine.query(relabel(query)).matches]
+                if not i % 3:
+                    answers.append(engine.query(relabel(query)).matches)
                 if engine.stats.invalidations == before:
                     records.extend((query, before, a) for a in answers)
         except Exception as exc:  # noqa: REPRO121 - collected and re-raised below
@@ -234,7 +232,7 @@ def test_relabeled_repeats_match_the_scan_of_their_generation():
         assert answer == expected[key], f"wrong answer at generation {generation}"
     stats = engine.stats
     assert stats.cache_hits > 0
-    assert stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits == stats.queries
+    assert stats.cache_hits + stats.cache_misses == stats.queries
 
 
 def test_contracts_enabled_interleaving_records_lock_order():

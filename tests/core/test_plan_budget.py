@@ -77,12 +77,11 @@ def test_engine_passes_its_token_to_the_planner(corpus, subset_sizes, which):
     assert max(subset_sizes) == 1
 
 
-def test_batch_shares_the_token_with_the_planner(corpus, subset_sizes):
+def test_cached_engine_passes_its_token_to_the_planner(corpus, subset_sizes):
+    # With the cache on, the token first bounds keying and the lookup.
     index, scan, query16, _ = corpus
     engine = QueryEngine(index)
-    (result,) = engine.query_batch(
-        [query16], budget=QueryBudget(deadline_ms=0)
-    )
+    result = engine.query(query16, budget=QueryBudget(deadline_ms=0))
     _assert_bracketed(result, scan.support_set(query16))
     assert max(subset_sizes) == 1
 

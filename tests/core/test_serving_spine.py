@@ -58,8 +58,8 @@ def test_index_query(corpus):
     assert [index.query(q).matches for q in queries] == truth
 
 
-def test_engine_query_and_batch(corpus):
+def test_engine_query(corpus):
     index, queries, truth = corpus
-    engine = QueryEngine(index, cache_size=0)
-    assert [engine.query(q).matches for q in queries] == truth
-    assert [r.matches for r in engine.query_batch(queries)] == truth
+    for cache_size in (0, 128):
+        engine = QueryEngine(index, cache_size=cache_size)
+        assert [engine.query(q).matches for q in queries] == truth

@@ -12,8 +12,8 @@ same embedding set under
 * the new matcher with ``prefilter=False``,
 * the new matcher under a generous (non-binding) budget token,
 
-and the engine-level support sets — singles and ``query_batch``,
-budgeted and unbudgeted, in-memory and v3 segment-backed — must equal
+and the engine-level support sets — budgeted and unbudgeted,
+in-memory and v3 segment-backed — must equal
 the reference matcher's brute-force support sets.
 
 Seeded edge cases (``None`` edge labels, disconnected patterns, seeded
@@ -317,7 +317,7 @@ def test_engine_support_sets_match_reference(kind, seed, tmp_path):
     mapped = QueryEngine(loaded, cache_size=0)
     try:
         for engine in (mem, mapped):
-            # Singles, unbudgeted then budgeted (generous, non-binding).
+            # Unbudgeted, then budgeted (generous, non-binding).
             for i, query in enumerate(queries):
                 assert engine.query(query).matches == truth[i], f"single {i}"
                 budgeted = engine.query(
@@ -325,15 +325,6 @@ def test_engine_support_sets_match_reference(kind, seed, tmp_path):
                 )
                 assert budgeted.complete
                 assert budgeted.matches == truth[i], f"budgeted single {i}"
-            # Batch, unbudgeted then budgeted.
-            for i, result in enumerate(engine.query_batch(queries)):
-                assert result.matches == truth[i], f"batch {i}"
-            batch = engine.query_batch(
-                queries, budget=QueryBudget(verify_steps=GENEROUS)
-            )
-            for i, result in enumerate(batch):
-                assert result.complete
-                assert result.matches == truth[i], f"budgeted batch {i}"
     finally:
         loaded.segment_store.close()
 

@@ -3,7 +3,7 @@
 For every seeded corpus of the differential sweep, the index is built
 once in memory, saved as a v3 segment directory, reopened (cold,
 columns unmapped), and both engines answer the full query workload —
-singles and ``query_batch``, unbudgeted and budgeted — with bitwise
+cold and from their caches, unbudgeted and budgeted — with bitwise
 answer equality required.  Then a scripted insert/delete/flush/compact
 interleaving runs against *both* engines and equality is re-checked
 after every mutation burst, with :class:`EngineStats` asserting that
@@ -46,14 +46,11 @@ def _open_pair(db, tmp_path, cache_size=8):
 
 
 def _assert_parity(mem, mapped, queries):
-    """Singles + batch, unbudgeted + budgeted: answers must be equal."""
-    for i, query in enumerate(queries):
-        want = mem.query(query).matches
-        assert mapped.query(query).matches == want, f"single diverged on {i}"
-    got = mapped.query_batch(queries)
-    want = mem.query_batch(queries)
-    for i, (a, b) in enumerate(zip(want, got)):
-        assert a.matches == b.matches, f"batch diverged on {i}"
+    """Cold + cached, unbudgeted + budgeted: answers must be equal."""
+    for rerun in ("cold", "cached"):
+        for i, query in enumerate(queries):
+            want = mem.query(query).matches
+            assert mapped.query(query).matches == want, f"{rerun} diverged on {i}"
     # Budgeted traffic: a generous work cap keeps the answers complete,
     # so degradation soundness never masks an inequality.
     budget = QueryBudget(verify_steps=10_000_000)
@@ -62,11 +59,6 @@ def _assert_parity(mem, mapped, queries):
         b = mapped.query(query, budget=budget)
         assert a.complete and b.complete
         assert a.matches == b.matches, f"budgeted single diverged on {i}"
-    got = mapped.query_batch(queries, budget=QueryBudget(verify_steps=10_000_000))
-    want = mem.query_batch(queries, budget=QueryBudget(verify_steps=10_000_000))
-    for i, (a, b) in enumerate(zip(want, got)):
-        assert a.complete and b.complete
-        assert a.matches == b.matches, f"budgeted batch diverged on {i}"
 
 
 @pytest.mark.parametrize(

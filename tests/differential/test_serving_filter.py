@@ -9,8 +9,8 @@ from larger molecules,
 * the serving candidates are a subset of the paper plan's candidates,
   or at most one (the enumeration stops there, since one prefiltered
   match decides the answer anyway),
-* ``TreePiIndex.query``, ``QueryEngine.query`` and
-  ``QueryEngine.query_batch`` equal the sequential scan.
+* ``TreePiIndex.query`` and ``QueryEngine.query``, with and without
+  the result cache, equal the sequential scan.
 
 A single-label 8-clique, whose subtrees are far too many to enumerate,
 is cut off by the per-edge subset cap and is still answered exactly.
@@ -74,10 +74,9 @@ def assert_serving_filter_sound(index, db, queries):
         assert exact <= serving
         assert serving <= paper or len(serving) <= 1
         assert index.query(query).matches == exact
-    engine = QueryEngine(index, cache_size=0)
-    assert [engine.query(q).matches for q in queries] == truth
-    batch = QueryEngine(index)
-    assert [r.matches for r in batch.query_batch(queries)] == truth
+    for cache_size in (0, 128):
+        engine = QueryEngine(index, cache_size=cache_size)
+        assert [engine.query(q).matches for q in queries] == truth
 
 
 @pytest.mark.parametrize(

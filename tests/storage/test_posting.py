@@ -11,7 +11,7 @@ from repro.core import TreePiConfig, TreePiIndex
 from repro.datasets import generate_aids_like
 from repro.mining import SupportFunction
 from repro.storage import PostingList
-from repro.storage.posting import GALLOP_RATIO, union_many
+from repro.storage.posting import GALLOP_RATIO
 
 
 class TestConstruction:
@@ -95,8 +95,13 @@ class TestAlgebra:
     def test_intersect_many_single(self):
         assert PostingList.intersect_many([PostingList([4, 2])]) == {2, 4}
 
-    def test_intersect_many_early_exit(self):
-        lists = [PostingList([1]), PostingList([2]), PostingList([1, 2])]
+    def test_intersect_many_early_exit(self, monkeypatch):
+        # {1} & {2} is empty, so the long third list is never probed.
+        def no_gallop(*args):
+            raise AssertionError("probed past an empty intermediate")
+
+        monkeypatch.setattr(PostingList, "_gallop_into", no_gallop)
+        lists = [PostingList([1]), PostingList([2]), PostingList(range(100))]
         assert PostingList.intersect_many(lists) == frozenset()
 
 
@@ -132,13 +137,6 @@ class TestRandomizedOracle:
             for nxt in lists[1:]:
                 expected &= set(nxt)
             assert PostingList.intersect_many(lists) == expected
-            assert (
-                PostingList.intersect_many(lists, early_exit=False) == expected
-            )
-            union_expected = set()
-            for nxt in lists:
-                union_expected |= set(nxt)
-            assert union_many(lists) == union_expected
 
     def test_singleton_and_duplicate_edges(self):
         assert PostingList([7]).intersect(PostingList([7])) == {7}
@@ -170,7 +168,7 @@ def set_intersection(universe, support_dicts):
 
 
 def posting_intersection(postings):
-    return PostingList.intersect_many(postings, early_exit=True)
+    return PostingList.intersect_many(postings)
 
 
 def best_of_ms(fn):

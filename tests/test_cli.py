@@ -128,6 +128,16 @@ class TestBuildQueryInfo:
         assert "error: QueryBudget.deadline_ms" in err
         assert "query 0:" not in out
 
+    def test_query_rejects_a_negative_cache_size(self, tmp_path, capsys):
+        # Checked before the index is read: the index path does not exist.
+        assert main([
+            "query", "--index", str(tmp_path / "missing.json"),
+            "--queries", str(tmp_path / "missing.txt"), "--cache-size", "-1",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --cache-size must be >= 0, got -1\n"
+        assert out == ""
+
     def test_query_answers_match_brute_force(self, tmp_path, db_file, index_file):
         from repro.baselines import SequentialScan
 
