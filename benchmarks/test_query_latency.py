@@ -209,7 +209,6 @@ def test_query_latency_tail(scale):
             "deadline": slow_bounded,
         },
         "engine_stats": {
-            "timeouts": stats.timeouts,
             "degraded_results": stats.degraded_results,
             "unresolved_candidates": stats.unresolved_candidates,
             "verify_steps": stats.verify_steps,

@@ -155,8 +155,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         if budget is not None:
             print(
-                f"budget: {stats.timeouts} timeouts, "
-                f"{stats.degraded_results} degraded results, "
+                f"budget: {stats.degraded_results} degraded results, "
                 f"{stats.unresolved_candidates} unresolved candidates"
             )
     return 0

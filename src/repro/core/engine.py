@@ -571,7 +571,7 @@ class QueryEngine:
         ``verify_steps`` accumulates the token's exact work total whether
         or not the call degraded — the engine-level twin of
         :attr:`~repro.core.budget.CancellationToken.work_charged`.  A
-        call counts as a timeout only if it handed back a degraded
+        call counts as degraded only if it handed back a degraded
         result: a search that crosses the work cap in its final,
         non-raising flush expires the token but has already answered
         exactly.
@@ -584,7 +584,6 @@ class QueryEngine:
         with self._mutex:
             self._counters.verify_steps += steps
             if not result.complete:
-                self._counters.timeouts += 1
                 self._counters.degraded_results += 1
                 self._counters.unresolved_candidates += len(result.unresolved)
 

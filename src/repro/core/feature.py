@@ -7,9 +7,9 @@ A :class:`FeatureTree` is a selected frequent subtree together with
 * its support set, stored as sorted graph ids in an
   :class:`~repro.storage.IdStore` (or its LSM view on a v3 index).
 
-The support set doubles as the feature's posting list: filtering
-(Algorithm 1) intersects :meth:`FeatureTree.support_posting` snapshots
-directly, with no per-query frozenset materialization.
+Filtering (Algorithm 1) intersects the bitmap the index's
+:class:`~repro.storage.SlotTable` builds from each store's id column, so
+no query materializes a support set as a frozenset.
 
 The paper also stores, for every supporting graph, the **center
 locations** — the positions at which embedded copies of the tree are
@@ -203,13 +203,12 @@ class ShrunkTree(_Compiles):
     ) -> "ShrunkTree":
         """The exception list of ``pattern`` against its cover's postings."""
         cover = list(cover)
-        within = PostingList.intersect_many([f.support_posting() for f in cover])
-        support = pattern.support_set()
+        within = frozenset.intersection(*(f.support_set() for f in cover))
         return cls(
             pattern.key,
             pattern.graph,
             tuple(f.feature_id for f in cover),
-            IdStore(PostingList.from_sorted([g for g in within if g not in support])),
+            IdStore(PostingList(within - pattern.support_set())),
         )
 
     def exceptions(self) -> PostingList:

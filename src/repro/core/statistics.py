@@ -28,12 +28,12 @@ class EngineStats:
     surfaces query-serving behavior; it is runtime-only state and is
     never persisted.
 
-    The timeout counters describe graceful degradation under
-    :class:`~repro.core.budget.QueryBudget`: ``timeouts`` counts calls
-    whose deadline or work cap cut verification short, ``degraded_results``
-    counts the ``complete=False`` answers handed back (one per such
-    call), and ``unresolved_candidates`` sums the candidate ids those
-    answers left unverified.  All three stay zero on unbudgeted traffic.
+    The degradation counters describe graceful degradation under
+    :class:`~repro.core.budget.QueryBudget`: ``degraded_results`` counts
+    the calls whose deadline or work cap cut them short, each of which
+    handed back one ``complete=False`` answer, and
+    ``unresolved_candidates`` sums the candidate ids those answers left
+    unverified.  Both stay zero on unbudgeted traffic.
     """
 
     queries: int = 0                 # every query() call: hits + misses
@@ -49,7 +49,6 @@ class EngineStats:
     flushes: int = 0                 # memtable flushes to delta segments
     compactions: int = 0             # delta folds published via compact()
     # --- deadline / degradation counters (budgeted calls only) ---------
-    timeouts: int = 0                # calls that returned degraded results
     degraded_results: int = 0        # results returned with complete=False
     unresolved_candidates: int = 0   # candidates left unverified on expiry
     #: verification work units charged to budgeted calls' tokens, summed

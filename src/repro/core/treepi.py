@@ -27,8 +27,8 @@ churn passes one quarter of the build size.
 
 Beyond the paper, the trees γ-shrinking drops are kept as exception
 lists (:class:`~repro.core.feature.ShrunkTree`): a query that is one of
-them is answered from the postings its plan intersects, minus the
-tree's exceptions, without verification.
+them is answered from the support bitmaps its plan intersects, minus
+the tree's exceptions, without verification.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.graphs.isomorphism import (
 from repro.mining.shrink import shrink_feature_set, shrunk_covers
 from repro.mining.subtree_miner import FrequentSubtreeMiner
 from repro.mining.support import SupportFunction
-from repro.storage import PostingList
+from repro.storage import SlotTable, popcount
 from repro.trees.canonical import SubsetCanonicalizer, SubsetForm
 from repro.trees.center import tree_center
 
@@ -312,6 +312,9 @@ class TreePiIndex:
         # this index, direct maintenance calls must hold its write lock
         # (enforced by @guarded_by under REPRO_CONTRACTS=1).
         self._serving_lock: Optional[object] = None
+        # Dense graph slots and the support bitmaps over them, built by
+        # the first query (slot_table) and kept current by maintenance.
+        self._slots: Optional[SlotTable] = None
         # Set by attach_segment_store for v3 (mmap-backed) indexes:
         # maintenance then buffers into memtables/tombstones instead of
         # advertising rebuilds, and flushes/compacts through the store.
@@ -406,6 +409,18 @@ class TreePiIndex:
             t.store.nbytes() for t in self._shrunk
         )
 
+    def slot_table(self) -> SlotTable:
+        """The graph slots whose bitmaps every filter intersects.
+
+        Built on first use from the live graph ids.  Racing readers may
+        each build one; the tables are equal and each query keeps the
+        one it read, so either write is fine.
+        """
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = SlotTable(self._db.graph_ids())
+        return slots
+
     @property
     def lattice(self) -> FeatureLattice:
         return self._lattice
@@ -480,7 +495,9 @@ class TreePiIndex:
 
         SF_q is every indexed subtree of the query up to η edges, found
         level by level (:func:`_subtree_levels`); after each level the
-        supports of its indexed keys are intersected into the candidates.
+        support bitmaps of its indexed keys are ANDed into the candidates
+        (:meth:`slot_table`), which reach verification in ascending
+        graph-id order.
         The enumeration stops once at most one candidate remains (one
         prefiltered match decides it), after level η, after
         :data:`SUBSETS_PER_EDGE` subsets per query edge, or when
@@ -490,7 +507,7 @@ class TreePiIndex:
 
         A query that is a γ-shrunk tree ``t`` runs the same enumeration.
         Once every level below ``|q|`` is intersected, the candidates are
-        ``I(t)``, and ``I(t) − E(t)`` is the exact answer
+        ``I(t)``, and ``I(t) & ~E(t)`` is the exact answer
         (:class:`~repro.core.feature.ShrunkTree`).  An enumeration that
         stopped earlier leaves a superset of ``I(t)``, which goes to
         verification as usual.
@@ -514,8 +531,10 @@ class TreePiIndex:
                 shrunk = self._shrunk_by_key.get(whole[0])
 
         lookup = self._lookup
+        slots = self.slot_table()
+        bitmap = slots.bitmap
         sfq: Dict[str, None] = {}
-        candidates: Optional[PostingList] = None
+        candidates = -1  # every slot; level 1 always narrows it
         level = 0
         for level, keys in enumerate(
             _subtree_levels(query, eta, self._lattice, canon, limit=limit), 1
@@ -523,7 +542,7 @@ class TreePiIndex:
             # Every single edge of the query must be an indexed feature
             # (σ(1)=1 and size-1 trees are never shrunk); a miss proves
             # D_q is empty.
-            if candidates is None and any(k not in lookup for k in keys):
+            if level == 1 and any(k not in lookup for k in keys):
                 phases["partition"] = time.perf_counter() - t0
                 return QueryPlan(
                     query=query,
@@ -531,26 +550,25 @@ class TreePiIndex:
                         matches=frozenset(), phase_seconds=phases
                     ),
                 )
-            postings = [] if candidates is None else [candidates]
             for key in keys:
                 if key in lookup and key not in sfq:
                     sfq[key] = None
-                    postings.append(lookup[key].support_posting())
-            candidates = PostingList.intersect_many(postings)
-            if len(candidates) <= 1 or (
+                    candidates &= bitmap(lookup[key].store)
+            # At most one candidate left: one prefiltered match decides it.
+            if not candidates & (candidates - 1) or (
                 token is not None and token.expired_now()
             ):
                 break
         else:
             level = eta  # every level with an indexed key was intersected
-        assert candidates is not None, "level 1 always yields"
+        assert candidates >= 0, "level 1 always yields"
         # Filtering is interleaved with the enumeration, so one phase
         # covers both.
         phases["partition"] = time.perf_counter() - t0
         plan = QueryPlan(
             query=query,
             sfq_size=len(sfq),
-            candidates_after_filter=len(candidates),
+            candidates_after_filter=popcount(candidates),
             phase_seconds=phases,
         )
         if not candidates:
@@ -560,17 +578,17 @@ class TreePiIndex:
                 phase_seconds=phases,
             )
         elif shrunk is not None and level >= query.num_edges - 1:
-            matches = candidates.difference(shrunk.exceptions())
+            matches = slots.decode(candidates & ~bitmap(shrunk.store))
             plan.result = QueryResult(
-                matches=matches.to_frozenset(),
+                matches=frozenset(matches),
                 direct_hit=True,
                 sfq_size=plan.sfq_size,
-                candidates_after_filter=len(candidates),
+                candidates_after_filter=plan.candidates_after_filter,
                 candidates_after_prune=len(matches),
                 phase_seconds=phases,
             )
         else:
-            plan.survivors = list(candidates)
+            plan.survivors = slots.decode(candidates)
         return plan
 
     def _direct_hit(
@@ -643,32 +661,29 @@ class TreePiIndex:
             )
 
         # The ``P_q ← D`` initializer handed to Algorithm 1 is the
-        # intersection of the stage-1 supports, which bounds it without
-        # ever copying the database id set; when it already leaves only
-        # a handful of candidates, SF_q diversity buys nothing and TP_q
-        # needs only a few restarts.  dict.fromkeys dedups the singles.
-        postings = [
-            self._lookup[key].support_posting()
-            for key in dict.fromkeys(single_edge_keys)
-        ]
-        postings.extend(
-            self._lookup[key].support_posting()
-            for level in levels
-            for key in level
-            if key in self._lookup
-        )
-        stage1 = PostingList.intersect_many(postings)
+        # intersection of the stage-1 support bitmaps, which bounds it
+        # without ever copying the database id set; when it already
+        # leaves only a handful of candidates, SF_q diversity buys
+        # nothing and TP_q needs only a few restarts.
+        slots = self.slot_table()
+        stage1 = -1  # every slot; the single edges always narrow it
+        for key in single_edge_keys:
+            stage1 &= slots.bitmap(self._lookup[key].store)
+        for level in levels:
+            for key in level:
+                if key in self._lookup:
+                    stage1 &= slots.bitmap(self._lookup[key].store)
 
         rng = random.Random(self._config.seed)
         delta = self._config.delta or max(1, query.num_edges)
-        if len(stage1) <= 8:
+        if popcount(stage1) <= 8:
             delta = min(delta, 3)
         run = run_partitions(query, self._lookup.__contains__, delta, rng, memo)
         phases["partition"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         outcome = filter_candidates(
-            stage1, run.feature_subtrees.values(), self._lookup
+            stage1, run.feature_subtrees.values(), self._lookup, slots
         )
         phases["filter"] = time.perf_counter() - t0
         if outcome.definitely_empty:
@@ -857,8 +872,14 @@ class TreePiIndex:
         Last, the graph lies in ``I(t)`` of a shrunk tree ``t`` exactly when
         every feature of its cover occurs; each such ``t`` is matched once,
         and the graph joins ``E(t)`` when ``t`` is absent.
+
+        Once queries have built the slot table, the graph takes the
+        lowest free slot, and every cached bitmap of a store it joins
+        gains that one bit.
         """
         gid = self._db.add(graph, graph_id=graph_id)
+        slots = self._slots
+        bit = slots.claim(gid) if slots is not None else 0
         canon = SubsetCanonicalizer(graph)
         for u, v, elabel in graph.edges():
             form = canon.form(((u, v),))
@@ -889,6 +910,8 @@ class TreePiIndex:
             ):
                 feature.add_graph(gid)
                 present.add(feature.feature_id)
+                if slots is not None:
+                    slots.mark(feature.store, bit)
         for shrunk in self._shrunk:
             if not present.issuperset(shrunk.cover):
                 continue
@@ -898,6 +921,8 @@ class TreePiIndex:
                 )
             ):
                 shrunk.store.add_graph(gid)
+                if slots is not None:
+                    slots.mark(shrunk.store, bit)
         self._churn += 1
         if self._segment_store is not None:
             self._segment_store.note_insert()
@@ -905,12 +930,18 @@ class TreePiIndex:
 
     @guarded_by("_serving_lock", mode="write")
     def delete(self, graph_id: int) -> None:
-        """Remove a graph and purge it from every feature and exception list."""
+        """Remove a graph and purge it from every feature and exception list.
+
+        Its slot, if the slot table is built, is freed and its bit
+        cleared in every cached bitmap.
+        """
         self._db.remove(graph_id)
         for feature in self._features:
             feature.remove_graph(graph_id)
         for shrunk in self._shrunk:
             shrunk.store.remove_graph(graph_id)
+        if self._slots is not None:
+            self._slots.release(graph_id)
         self._oracles.pop(graph_id, None)
         self._churn += 1
         if self._segment_store is not None:
@@ -976,7 +1007,7 @@ class TreePiIndex:
         store = self._segment_store
         if store is None or not store.should_flush():
             return False
-        return store.flush()
+        return self.flush_segments()
 
     @guarded_by("_serving_lock", mode="write")
     def flush_segments(self) -> bool:
@@ -984,7 +1015,9 @@ class TreePiIndex:
         store = self._segment_store
         if store is None:
             return False
-        return store.flush()
+        wrote = store.flush()
+        self._check_bitmaps()
+        return wrote
 
     def needs_compaction(self) -> bool:
         """True when enough delta segments accumulated to fold."""
@@ -1012,3 +1045,10 @@ class TreePiIndex:
         if store is None:
             raise IndexError_("index is not segment-backed")
         store.commit_compaction(plan)
+        self._check_bitmaps()
+
+    def _check_bitmaps(self) -> None:
+        """Runtime contract: flush and compaction keep every support set,
+        so each cached bitmap still equals its store's new column."""
+        if self._slots is not None and contracts_enabled():
+            self._slots.check()

@@ -2,14 +2,18 @@
 
 A :class:`PostingList` is a support set ``D_t`` stored as a sorted
 ``array`` of unsigned graph ids — 4 bytes per id instead of a hash-set
-entry and cache-friendly iteration.  Two-way intersection is *adaptive*:
-a heavily skewed pair gallops — binary-searching each id of the short
-list in the long one with an advancing lower bound (O(m log n), the
-classic small-vs-large win) — while comparable-length inputs hash the
-smaller side and re-sort the (small) result; measured on this
-interpreter, that beats a pure-Python linear merge at every size (the
-merge loop survives in :meth:`union`/:meth:`difference`, which must
-stream every element anyway).
+entry and cache-friendly iteration.  It is the authoritative form of
+every TreePi support set and exception list (persisted, counted by
+``storage_bytes()``); TreePi's filters intersect the bitmaps a
+:class:`~repro.storage.SlotTable` derives from these columns instead.
+
+The gIndex and GraphGrep baselines intersect posting lists directly.
+Two-way intersection is *adaptive*: a heavily skewed pair gallops —
+binary-searching each id of the short list in the long one with an
+advancing lower bound (O(m log n), the classic small-vs-large win) —
+while comparable-length inputs hash the smaller side and re-sort the
+(small) result; measured on this interpreter, that beats a pure-Python
+linear merge at every size.
 
 Instances are immutable snapshots: every operation returns a new list
 and :class:`IdStore` mutations swap whole columns, so a posting list
@@ -221,34 +225,6 @@ class PostingList:
             if ids[lo] == x:
                 out.append(x)
                 lo += 1
-        return PostingList._wrap(out)
-
-    def union(self, other: "PostingList") -> "PostingList":
-        a, b = self._ids, other._ids
-        out = id_array()
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x == y:
-                out.append(x)
-                i += 1
-                j += 1
-            elif x < y:
-                out.append(x)
-                i += 1
-            else:
-                out.append(y)
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return PostingList._wrap(out)
-
-    def difference(self, other: "PostingList") -> "PostingList":
-        out = id_array()
-        for x in self._ids:
-            if x not in other:
-                out.append(x)
         return PostingList._wrap(out)
 
     @staticmethod

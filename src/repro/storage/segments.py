@@ -217,7 +217,13 @@ class Segment:
         self._closed = False
         self._columns: List[MmapColumn] = []
         self._labels: Optional[List[Any]] = None
-        with open(self.path, "rb") as handle:
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError as exc:
+            raise SerializationError(
+                f"missing segment file {self.path}"
+            ) from exc
+        with handle:
             try:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError as exc:
@@ -494,18 +500,24 @@ def shrunk_payloads(shrunk: Iterable["ShrunkTree"]) -> List[ShrunkPayload]:
 # manifest
 # ----------------------------------------------------------------------
 def read_manifest(root: Union[str, Path]) -> Dict[str, Any]:
+    """Parse and shape-check the manifest of v3 directory ``root``.
+
+    Anything but a well-formed manifest is a :class:`SerializationError`
+    naming the file: bytes that are not UTF-8 JSON, a wrong format,
+    version or byte order, or a required key missing or mistyped.
+    """
     root = Path(root)
     path = root / MANIFEST_NAME
     try:
-        with open(path) as handle:
-            manifest = json.load(handle)
+        with open(path, "rb") as handle:
+            manifest = json.loads(handle.read())
     except FileNotFoundError as exc:
         raise SerializationError(
             f"{root} is not a v3 segment directory (missing {MANIFEST_NAME})"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SerializationError(f"invalid JSON in {path}: {exc}") from exc
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise SerializationError(f"{path} is not a {MANIFEST_FORMAT} manifest")
     if manifest.get("version") != MANIFEST_VERSION:
         raise SerializationError(
@@ -519,7 +531,41 @@ def read_manifest(root: Union[str, Path]) -> Dict[str, Any]:
             f"{manifest.get('byteorder')!r}-endian machine; this host is "
             f"{sys.byteorder!r}-endian"
         )
+    _check_manifest_shape(manifest, path)
     return manifest
+
+
+def _check_manifest_shape(manifest: Dict[str, Any], path: Path) -> None:
+    """The keys a store reads: segment names, counters and tombstones."""
+    segments = manifest.get("segments")
+    if (
+        not isinstance(segments, list)
+        or not segments
+        or not all(
+            isinstance(name, str) and name and Path(name).name == name
+            for name in segments
+        )
+    ):
+        raise SerializationError(
+            f"malformed manifest {path}: 'segments' must be a non-empty "
+            f"list of segment file names, got {type(segments).__name__}"
+        )
+    for key in ("next_segment", "graphs"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 0:
+            raise SerializationError(
+                f"malformed manifest {path}: {key!r} must be a "
+                f"non-negative integer, got {type(value).__name__}"
+            )
+    tombstones = manifest.get("tombstones", {})
+    if not isinstance(tombstones, dict) or not all(
+        gid.isdecimal() and type(epoch) is int and epoch >= 0
+        for gid, epoch in tombstones.items()
+    ):
+        raise SerializationError(
+            f"malformed manifest {path}: 'tombstones' must map graph ids "
+            "to non-negative segment epochs"
+        )
 
 
 def write_manifest(root: Union[str, Path], manifest: Dict[str, Any]) -> None:

@@ -433,9 +433,9 @@ REAL_MUTATIONS = [
     pytest.param(
         "REPRO304",
         "core/treepi.py",
-        "postings.append(lookup[key].support_posting())",
-        "postings = postings + [lookup[key].support_posting()]",
-        id="plan-concatenates-postings",
+        "singles.append(key)",
+        "singles = singles + [key]",
+        id="levels-concatenate-edge-keys",
     ),
     pytest.param(
         "REPRO304",

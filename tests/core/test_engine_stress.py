@@ -148,6 +148,50 @@ def test_short_interleaving_smoke():
     assert stats.cache_hits + stats.cache_misses == stats.queries
 
 
+def test_racing_first_queries_share_exact_support_bitmaps():
+    """Readers holding only the read lock race to build the slot table
+    and the support bitmaps of a fresh index; every answer equals the
+    scan, and the table left published stays exact through maintenance."""
+    db = generate_aids_like(14, avg_atoms=11, seed=21)
+    index = TreePiIndex.build(
+        db, TreePiConfig(SupportFunction(alpha=2, beta=2.0, eta=4), seed=5)
+    )
+    engine = QueryEngine(index, cache_size=0)
+    pool = list(extract_query_workload(db, 6, 4, seed=9))
+    expected = [SequentialScan(db).support_set(query) for query in pool]
+    errors = []
+    start = threading.Barrier(READERS)
+
+    def reader():
+        try:
+            start.wait(timeout=30.0)
+            for query, want in zip(pool, expected):
+                assert engine.query(query).matches == want
+        except Exception as exc:  # noqa: REPRO121 - collected and re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(READERS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave inside the lazy builds
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, f"worker threads raised: {errors!r}"
+    slots = index.slot_table()
+    slots.check()
+    engine.delete(db.graph_ids()[0])
+    engine.insert(pool[0].copy())
+    assert index.slot_table() is slots
+    slots.check()
+    for query in pool:
+        assert engine.query(query).matches == SequentialScan(db).support_set(query)
+
+
 def test_relabeled_repeats_match_the_scan_of_their_generation():
     """Readers replay random relabelings of tree and cyclic queries (one
     relabeling, or two back to back) while one mutator inserts and

@@ -4,7 +4,8 @@ A hypothesis rule-based state machine interleaves inserts, deletes,
 queries, and rebuilds against a live TreePi index while a shadow model
 (plain list of graphs + brute-force matcher) tracks ground truth.  Any
 divergence — stale support sets, dangling center locations, missed
-re-registrations — fails the run with a minimized command sequence.
+re-registrations, a support bitmap that disagrees with its column — fails
+the run with a minimized command sequence.
 """
 
 import random
@@ -52,6 +53,21 @@ class IndexMachine(RuleBasedStateMachine):
         victim = pick.choice(self.index.database.graph_ids())
         self.index.delete(victim)
 
+    @precondition(lambda self: len(self.index.database) > 1)
+    @rule(pick=st.randoms(use_true_random=False),
+          donor=st.integers(0, len(_POOL) - 1))
+    def replace(self, pick, donor):
+        """Delete, then insert into the freed slot with every bitmap built."""
+        slots = self.index.slot_table()
+        for feature in self.index.features:
+            slots.bitmap(feature.store)
+        for shrunk in self.index.shrunk:
+            slots.bitmap(shrunk.store)
+        size = len(slots)
+        self.index.delete(pick.choice(self.index.database.graph_ids()))
+        self.index.insert(_POOL[donor].copy())
+        assert len(slots) == size  # the insert took the freed slot
+
     @precondition(lambda self: self.index.needs_rebuild())
     @rule()
     def rebuild(self):
@@ -74,6 +90,12 @@ class IndexMachine(RuleBasedStateMachine):
         live = set(self.index.database.graph_ids())
         for feature in self.index.features:
             assert feature.support_set() <= live
+
+    @invariant()
+    def bitmaps_match_columns(self):
+        slots = self.index.slot_table()
+        for store, bits in slots.cached():
+            assert slots.decode(bits) == list(store.graph_ids())
 
     @invariant()
     def single_edges_cover_database(self):

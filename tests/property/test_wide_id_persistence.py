@@ -6,8 +6,11 @@ Graph ids flow through three serialized shapes — the v2 JSON document,
 the v3 segment columns, and the v3 *delta* segments written by flush —
 and a truncation bug in any of them would silently corrupt answers, so
 these properties pin the full round trip with ids straddling the
-2^32 boundary (forcing mixed-width splices).
+2^32 boundary (forcing mixed-width splices).  Support bitmaps index
+dense slots, not ids, so wide ids must not widen them.
 """
+
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +136,34 @@ def test_wide_ids_survive_delta_flush_and_compaction(tmp_path):
                 assert feature.locate_centers(reopened.database[gid])
     finally:
         reopened.segment_store.close()
+
+
+@given(db=wide_id_database(), churn=st.lists(st.booleans(), max_size=8))
+@settings(max_examples=15, deadline=None)
+def test_bitmaps_follow_live_count_not_ids(db, churn):
+    """Bound: every bitmap has at most ``peak`` bits, ``peak`` being the
+    most graphs live at once, so it takes at most as many bytes as the
+    int ``2**peak - 1`` — ids of 2^32 and more change nothing."""
+    index = _build(db)
+    slots = index.slot_table()
+    stores = [f.store for f in index.features] + [t.store for t in index.shrunk]
+    for store in stores:
+        slots.bitmap(store)
+    donors = [index.database[gid].copy() for gid in index.database.graph_ids()]
+    peak = len(index.database)
+    for i, insert in enumerate(churn):
+        if insert:
+            index.insert(donors[i % len(donors)].copy(), graph_id=WIDE << 8 | i)
+        elif len(index.database) > 1:
+            index.delete(min(index.database.graph_ids()))
+        peak = max(peak, len(index.database))
+    assert max(index.database.graph_ids()) >= WIDE
+    assert len(slots) == peak
+    widest = sys.getsizeof((1 << peak) - 1)
+    for store, bits in slots.cached():
+        assert bits.bit_length() <= peak
+        assert sys.getsizeof(bits) <= widest
+        assert slots.decode(bits) == list(store.graph_ids())
 
 
 def test_id_store_widens_past_32_bits():

@@ -82,12 +82,6 @@ class TestAlgebra:
     def test_intersect_empty(self):
         assert PostingList().intersect(PostingList([1])) == frozenset()
 
-    def test_union(self):
-        assert PostingList([1, 5]).union(PostingList([2, 5])) == {1, 2, 5}
-
-    def test_difference(self):
-        assert PostingList([1, 2, 3]).difference(PostingList([2])) == {1, 3}
-
     def test_intersect_many_requires_input(self):
         with pytest.raises(ValueError):
             PostingList.intersect_many([])
@@ -119,8 +113,6 @@ class TestRandomizedOracle:
             sa, sb = set(a), set(b)
             assert pa.intersect(pb) == sa & sb
             assert pb.intersect(pa) == sa & sb
-            assert pa.union(pb) == sa | sb
-            assert pa.difference(pb) == sa - sb
             probe = rng.randrange(2500)
             assert (probe in pa) == (probe in sa)
 

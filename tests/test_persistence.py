@@ -377,6 +377,51 @@ class TestMalformedSegments:
         assert str(segment) in message and "exception list" in message
         assert len(maps) == 1 and maps[0].closed
 
+    @staticmethod
+    def _rewrite_manifest(root, edit):
+        manifest = root / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        return manifest
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            pytest.param(lambda doc: doc.pop("segments"), "segments", id="without-segments"),
+            pytest.param(lambda doc: doc.update(segments=5), "segments", id="segments-not-a-list"),
+            pytest.param(lambda doc: doc.pop("next_segment"), "next_segment", id="without-next-segment"),
+            pytest.param(lambda doc: doc.update(tombstones={"x": 1}), "tombstones", id="mistyped-tombstones"),
+        ],
+    )
+    def test_manifest_shape(self, small_index, tmp_path, monkeypatch, edit, key):
+        root, _ = self._segment(small_index, tmp_path)
+        manifest = self._rewrite_manifest(root, edit)
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(manifest) in message and key in message
+        assert maps == []
+
+    def test_manifest_with_a_non_utf8_byte(self, small_index, tmp_path, monkeypatch):
+        root, _ = self._segment(small_index, tmp_path)
+        manifest = root / "manifest.json"
+        data = manifest.read_bytes()
+        at = data.index(b"treepi-index")
+        manifest.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(manifest) in message
+        assert maps == []
+
+    def test_manifest_naming_a_missing_segment(
+        self, small_index, tmp_path, monkeypatch
+    ):
+        root, _ = self._segment(small_index, tmp_path)
+        self._rewrite_manifest(
+            root, lambda doc: doc["segments"].append("seg-000009.seg")
+        )
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(root / "seg-000009.seg") in message
+        assert len(maps) == 1 and maps[0].closed
+
 
 class TestRetiredFeatureIndexKey:
     """Files from builds that had a ``feature_index`` setting still load."""
