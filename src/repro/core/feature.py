@@ -5,11 +5,11 @@ A :class:`FeatureTree` is a selected frequent subtree together with
 * its canonical string (the lookup key),
 * its center in pattern coordinates (a vertex or an edge, Theorem 1), and
 * its support set, stored as sorted graph ids in an
-  :class:`~repro.storage.IdStore` (or its LSM view on a v3 index).
+  :class:`~repro.storage.IdStore` (or an LSM store on a v3 index).
 
-Filtering (Algorithm 1) intersects the bitmap the index's
-:class:`~repro.storage.SlotTable` builds from each store's id column, so
-no query materializes a support set as a frozenset.
+Each tree owns its id set (:class:`IndexedTree`): the column, which
+persistence reads, and the bitmap over the index's graph slots that
+filtering (Algorithm 1) ANDs, so no query materializes a support set.
 
 The paper also stores, for every supporting graph, the **center
 locations** — the positions at which embedded copies of the tree are
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
+from repro.analysis.guards import hot_path
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.isomorphism import CompiledPattern, subgraph_monomorphisms
 from repro.mining.patterns import MinedPattern
-from repro.storage import IdStore, PostingList
+from repro.storage import IdStore, PostingList, SlotTable
 from repro.trees.center import Center, tree_center
 
 if TYPE_CHECKING:
@@ -41,8 +42,8 @@ if TYPE_CHECKING:
 CenterSet = FrozenSet[Center]
 
 #: An id set's backing — a feature's support set or an exception list:
-#: a heap id column, or the merged LSM view over memory-mapped segment
-#: layers.  Both expose the same read/maintenance surface.
+#: a heap id column, or the LSM layers over memory-mapped segments.
+#: Both expose the same read/maintenance surface.
 IdStoreLike = Union[IdStore, "LsmIdStore"]
 
 
@@ -61,17 +62,23 @@ def mined_centers(pattern: MinedPattern) -> Dict[int, CenterSet]:
     }
 
 
-class _Compiles:
-    """A tree whose :class:`CompiledPattern` is built on first use and kept.
+class IndexedTree:
+    """A tree with an id set: a feature's support, or an exception list.
 
-    Maintenance matches the same trees against every inserted graph, and
-    a tree never changes, so its matcher tables are built once.
+    The tree owns the set's column (``store``), its bitmap over the
+    index's graph slots once a query builds it, and its matcher tables,
+    compiled on first use and kept (maintenance matches the same trees
+    against every inserted graph).  :meth:`add_graph` and
+    :meth:`remove_graph` update the column and the bitmap together.
     """
 
-    __slots__ = ()
+    __slots__ = ("tree", "store", "_compiled", "_bits")
 
-    tree: LabeledGraph
-    _compiled: Optional[CompiledPattern]
+    def __init__(self, tree: LabeledGraph, store: IdStoreLike) -> None:
+        self.tree = tree
+        self.store = store
+        self._compiled: Optional[CompiledPattern] = None
+        self._bits: Optional[int] = None
 
     def compiled(self) -> CompiledPattern:
         compiled = self._compiled
@@ -79,13 +86,37 @@ class _Compiles:
             compiled = self._compiled = CompiledPattern(self.tree)
         return compiled
 
+    @hot_path
+    def bitmap(self, slots: SlotTable) -> int:
+        """The id set as a bitmap over ``slots``, built on first use."""
+        bits = self._bits
+        if bits is None:
+            # Racing readers build equal values; either write is fine.
+            bits = self._bits = slots.encode(self.store.graph_ids())
+        return bits
 
-class FeatureTree(_Compiles):
+    @property
+    def cached_bitmap(self) -> Optional[int]:
+        """The bitmap if a query has built it, else None."""
+        return self._bits
+
+    def add_graph(self, graph_id: int, bit: int) -> None:
+        """Maintenance: ``graph_id``, in the slot of ``bit``, joins the set."""
+        self.store.add_graph(graph_id)
+        if self._bits is not None:
+            self._bits |= bit
+
+    def remove_graph(self, graph_id: int, bit: int) -> None:
+        """Maintenance: purge deleted ``graph_id``, whose slot was ``bit``."""
+        self.store.remove_graph(graph_id)
+        if self._bits is not None:
+            self._bits &= ~bit
+
+
+class FeatureTree(IndexedTree):
     """One indexed feature tree with its exact support set."""
 
-    __slots__ = ("feature_id", "tree", "key", "center", "store", "_compiled")
-
-    store: IdStoreLike
+    __slots__ = ("feature_id", "key", "center")
 
     def __init__(
         self,
@@ -96,12 +127,12 @@ class FeatureTree(_Compiles):
         support: Iterable[int] = (),
         store: Optional[IdStoreLike] = None,
     ) -> None:
+        super().__init__(
+            tree, store if store is not None else IdStore(PostingList(support))
+        )
         self.feature_id = feature_id
-        self.tree = tree
         self.key = key
         self.center = center
-        self._compiled = None
-        self.store = store if store is not None else IdStore(PostingList(support))
 
     def __repr__(self) -> str:
         return (
@@ -155,16 +186,8 @@ class FeatureTree(_Compiles):
             support=pattern.support_set(),
         )
 
-    def add_graph(self, graph_id: int) -> None:
-        """Insert-maintenance hook: the feature occurs in a new graph."""
-        self.store.add_graph(graph_id)
 
-    def remove_graph(self, graph_id: int) -> None:
-        """Delete-maintenance hook: purge a graph."""
-        self.store.remove_graph(graph_id)
-
-
-class ShrunkTree(_Compiles):
+class ShrunkTree(IndexedTree):
     """A γ-shrunk frequent tree, kept as an exception list.
 
     ``cover`` holds the ids of the features whose supports intersect to
@@ -176,7 +199,7 @@ class ShrunkTree(_Compiles):
     has intersected every indexed proper subtree.
     """
 
-    __slots__ = ("key", "tree", "cover", "store", "_compiled")
+    __slots__ = ("key", "cover")
 
     def __init__(
         self,
@@ -185,11 +208,9 @@ class ShrunkTree(_Compiles):
         cover: Tuple[int, ...],
         store: IdStoreLike,
     ) -> None:
+        super().__init__(tree, store)
         self.key = key
-        self.tree = tree
         self.cover = cover
-        self.store = store
-        self._compiled = None
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,12 @@
 """Filtering by support-set intersection (Section 5.2.1, Algorithm 1).
 
 ``P_q = ⋂_{t ∈ SF_q ∩ T_D} D_t`` — a graph that misses any feature
-subtree of the query cannot contain the query.  Each support is a bitmap
-over the index's dense graph slots (:class:`~repro.storage.SlotTable`),
-so the intersection is one ``&`` per feature subtree, and the paper's
-redundancy note (skip feature subtrees contained in an already-processed
-feature) is subsumed: intersecting a superset support changes nothing.
+subtree of the query cannot contain the query.  Each support is its
+feature's bitmap over the index's dense graph slots
+(:meth:`~repro.core.feature.IndexedTree.bitmap`), so the intersection
+is one ``&`` per feature subtree, and the paper's redundancy note (skip
+feature subtrees contained in an already-processed feature) is
+subsumed: intersecting a superset support changes nothing.
 
 The ``P_q ← D`` initializer is the paper planner's stage-1 bitmap, never
 a copy of the database id set: the pieces' bitmaps are ANDed into it.
@@ -51,5 +52,5 @@ def filter_candidates(
     """
     candidates = stage1
     for piece in pieces:
-        candidates &= slots.bitmap(lookup[piece.key].store)
+        candidates &= lookup[piece.key].bitmap(slots)
     return FilterOutcome(candidates=frozenset(slots.decode(candidates)))

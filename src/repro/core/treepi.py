@@ -23,7 +23,9 @@ return exactly ``D_q = {g : q ⊆ g}``.
 ``insert`` / ``delete`` implement the Section 7.1 maintenance scheme:
 support sets of existing features are updated in place (one existence
 match per feature on insert), and the index advertises a rebuild once
-churn passes one quarter of the build size.
+churn passes one quarter of the build size.  ``insert`` matches first
+and changes nothing until every match is done, so a failure while
+matching leaves the index as it was.
 
 Beyond the paper, the trees γ-shrinking drops are kept as exception
 lists (:class:`~repro.core.feature.ShrunkTree`): a query that is one of
@@ -36,6 +38,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -48,11 +51,11 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.contracts import contracts_enabled
+from repro.analysis.contracts import ContractViolation, contracts_enabled
 from repro.analysis.guards import guarded_by, hot_path
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.center_prune import CenterConstraintProblem, center_prune
-from repro.core.feature import FeatureTree, ShrunkTree, mined_centers
+from repro.core.feature import FeatureTree, IndexedTree, ShrunkTree, mined_centers
 from repro.core.filtering import filter_candidates
 from repro.core.lattice import FeatureLattice
 from repro.core.partition import Partition, SubsetMemo, run_partitions
@@ -312,8 +315,8 @@ class TreePiIndex:
         # this index, direct maintenance calls must hold its write lock
         # (enforced by @guarded_by under REPRO_CONTRACTS=1).
         self._serving_lock: Optional[object] = None
-        # Dense graph slots and the support bitmaps over them, built by
-        # the first query (slot_table) and kept current by maintenance.
+        # Dense graph slots, built by the first query (slot_table); every
+        # tree's support bitmap numbers its bits by them.
         self._slots: Optional[SlotTable] = None
         # Set by attach_segment_store for v3 (mmap-backed) indexes:
         # maintenance then buffers into memtables/tombstones instead of
@@ -410,7 +413,7 @@ class TreePiIndex:
         )
 
     def slot_table(self) -> SlotTable:
-        """The graph slots whose bitmaps every filter intersects.
+        """The graph slots every tree's support bitmap is built over.
 
         Built on first use from the live graph ids.  Racing readers may
         each build one; the tables are equal and each query keeps the
@@ -496,8 +499,8 @@ class TreePiIndex:
         SF_q is every indexed subtree of the query up to η edges, found
         level by level (:func:`_subtree_levels`); after each level the
         support bitmaps of its indexed keys are ANDed into the candidates
-        (:meth:`slot_table`), which reach verification in ascending
-        graph-id order.
+        (:meth:`~repro.core.feature.IndexedTree.bitmap`), which reach
+        verification in ascending graph-id order.
         The enumeration stops once at most one candidate remains (one
         prefiltered match decides it), after level η, after
         :data:`SUBSETS_PER_EDGE` subsets per query edge, or when
@@ -532,7 +535,6 @@ class TreePiIndex:
 
         lookup = self._lookup
         slots = self.slot_table()
-        bitmap = slots.bitmap
         sfq: Dict[str, None] = {}
         candidates = -1  # every slot; level 1 always narrows it
         level = 0
@@ -553,7 +555,7 @@ class TreePiIndex:
             for key in keys:
                 if key in lookup and key not in sfq:
                     sfq[key] = None
-                    candidates &= bitmap(lookup[key].store)
+                    candidates &= lookup[key].bitmap(slots)
             # At most one candidate left: one prefiltered match decides it.
             if not candidates & (candidates - 1) or (
                 token is not None and token.expired_now()
@@ -578,7 +580,7 @@ class TreePiIndex:
                 phase_seconds=phases,
             )
         elif shrunk is not None and level >= query.num_edges - 1:
-            matches = slots.decode(candidates & ~bitmap(shrunk.store))
+            matches = slots.decode(candidates & ~shrunk.bitmap(slots))
             plan.result = QueryResult(
                 matches=frozenset(matches),
                 direct_hit=True,
@@ -601,14 +603,15 @@ class TreePiIndex:
         """The final plan when the query itself is an indexed feature tree.
 
         ``whole`` is the query's own canonical form (None when it is not
-        a tree).  An indexed feature's exact support set is already
-        materialized, so no filtering or verification is needed.
+        a tree).  An indexed feature's support bitmap is its exact answer,
+        so no filtering or verification is needed.
         """
         feature = self._lookup.get(whole[0]) if whole is not None else None
         if feature is None:
             return None
         phases["lookup"] = time.perf_counter() - t0
-        support = feature.support_set()
+        slots = self.slot_table()
+        support = frozenset(slots.decode(feature.bitmap(slots)))
         return QueryPlan(
             query=query,
             result=QueryResult(
@@ -668,11 +671,11 @@ class TreePiIndex:
         slots = self.slot_table()
         stage1 = -1  # every slot; the single edges always narrow it
         for key in single_edge_keys:
-            stage1 &= slots.bitmap(self._lookup[key].store)
+            stage1 &= self._lookup[key].bitmap(slots)
         for level in levels:
             for key in level:
                 if key in self._lookup:
-                    stage1 &= slots.bitmap(self._lookup[key].store)
+                    stage1 &= self._lookup[key].bitmap(slots)
 
         rng = random.Random(self._config.seed)
         delta = self._config.delta or max(1, query.num_edges)
@@ -854,51 +857,53 @@ class TreePiIndex:
 
         ``graph_id`` may pin a specific unused database id, e.g. to keep
         the id a graph already has in another database; by default the
-        database allocates the next free id.
+        database allocates the next free id.  A negative id or one in use
+        is refused before any matching.
 
-        Edge types never seen before are materialized as fresh single-edge
-        features first — the completeness floor (σ(1)=1, every database
-        edge indexed) must survive maintenance, otherwise the missing-edge
-        emptiness proof in :meth:`query` would turn false.  By induction no
-        earlier graph can contain a type that was absent from the lookup.
+        Matching comes first and changes nothing, so a failure in it
+        leaves the index as it was.  Edge types never seen before become
+        fresh single-edge features — the completeness floor (σ(1)=1, every
+        database edge indexed) must survive maintenance, otherwise the
+        missing-edge emptiness proof in :meth:`query` would turn false.
+        By induction no earlier graph can contain a type that was absent
+        from the lookup.
 
-        Then every feature is matched against the new graph once, stopping
-        at the first embedding: only existence joins a support set.  The
-        matcher's label-pair refutation rejects a feature whose labels the
-        graph lacks before any search, so no apriori pruning is needed.
-        A feature compiles its matcher tables on its first unrefuted match
-        and keeps them.
+        Every other feature is matched against the new graph once,
+        stopping at the first embedding: only existence joins a support
+        set.  The matcher's label-pair refutation rejects a feature whose
+        labels the graph lacks before any search, so no apriori pruning
+        is needed.  A tree compiles its matcher tables on its first
+        unrefuted match and keeps them.  The graph lies in ``I(t)`` of a
+        shrunk tree ``t`` exactly when every feature of its cover occurs;
+        each such ``t`` is matched once, and the graph joins ``E(t)``
+        when ``t`` is absent.
 
-        Last, the graph lies in ``I(t)`` of a shrunk tree ``t`` exactly when
-        every feature of its cover occurs; each such ``t`` is matched once,
-        and the graph joins ``E(t)`` when ``t`` is absent.
-
-        Once queries have built the slot table, the graph takes the
-        lowest free slot, and every cached bitmap of a store it joins
-        gains that one bit.
+        Then the commit: the graph joins the database and takes the
+        lowest free slot, the fresh features are registered, and each
+        tree the graph joins adds it to its column and its bitmap.
         """
-        gid = self._db.add(graph, graph_id=graph_id)
-        slots = self._slots
-        bit = slots.claim(gid) if slots is not None else 0
+        if graph_id is not None:
+            if graph_id < 0:
+                raise GraphError(f"graph ids are non-negative, got {graph_id}")
+            if graph_id in self._db:
+                raise GraphError(f"graph id {graph_id} already in use")
         canon = SubsetCanonicalizer(graph)
+        fresh: Dict[str, FeatureTree] = {}
         for u, v, elabel in graph.edges():
             form = canon.form(((u, v),))
             assert form is not None, "a single edge is a tree"
             key = form[0]
-            if key not in self._lookup:
+            if key not in self._lookup and key not in fresh:
                 probe = LabeledGraph(
                     [graph.vertex_label(u), graph.vertex_label(v)], [(0, 1, elabel)]
                 )
-                feature = FeatureTree(
-                    feature_id=len(self._features),
+                fresh[key] = FeatureTree(
+                    feature_id=len(self._features) + len(fresh),
                     tree=probe,
                     key=key,
                     center=tree_center(probe),
                 )
-                if self._segment_store is not None:
-                    self._segment_store.adopt_feature(feature)
-                self._features.append(feature)
-                self._lookup[key] = feature
+        joins: List[IndexedTree] = list(fresh.values())
         present: Set[int] = set()
         for feature in self._features:
             if label_pair_refuted(feature.tree, graph):
@@ -908,10 +913,8 @@ class TreePiIndex:
                     feature.tree, graph, limit=1, compiled=feature.compiled()
                 )
             ):
-                feature.add_graph(gid)
+                joins.append(feature)
                 present.add(feature.feature_id)
-                if slots is not None:
-                    slots.mark(feature.store, bit)
         for shrunk in self._shrunk:
             if not present.issuperset(shrunk.cover):
                 continue
@@ -920,9 +923,17 @@ class TreePiIndex:
                     shrunk.tree, graph, limit=1, compiled=shrunk.compiled()
                 )
             ):
-                shrunk.store.add_graph(gid)
-                if slots is not None:
-                    slots.mark(shrunk.store, bit)
+                joins.append(shrunk)
+
+        gid = self._db.add(graph, graph_id=graph_id)
+        bit = self._slots.claim(gid) if self._slots is not None else 0
+        for feature in fresh.values():
+            if self._segment_store is not None:
+                self._segment_store.adopt_feature(feature)
+            self._features.append(feature)
+            self._lookup[feature.key] = feature
+        for tree in joins:
+            tree.add_graph(gid, bit)
         self._churn += 1
         if self._segment_store is not None:
             self._segment_store.note_insert()
@@ -932,16 +943,13 @@ class TreePiIndex:
     def delete(self, graph_id: int) -> None:
         """Remove a graph and purge it from every feature and exception list.
 
-        Its slot, if the slot table is built, is freed and its bit
-        cleared in every cached bitmap.
+        Every tree drops the id and its slot's bit, if the slot table is
+        built, in one pass.
         """
         self._db.remove(graph_id)
-        for feature in self._features:
-            feature.remove_graph(graph_id)
-        for shrunk in self._shrunk:
-            shrunk.store.remove_graph(graph_id)
-        if self._slots is not None:
-            self._slots.release(graph_id)
+        bit = self._slots.release(graph_id) if self._slots is not None else 0
+        for tree in chain(self._features, self._shrunk):
+            tree.remove_graph(graph_id, bit)
         self._oracles.pop(graph_id, None)
         self._churn += 1
         if self._segment_store is not None:
@@ -1016,7 +1024,8 @@ class TreePiIndex:
         if store is None:
             return False
         wrote = store.flush()
-        self._check_bitmaps()
+        if contracts_enabled():
+            self.check_bitmaps()
         return wrote
 
     def needs_compaction(self) -> bool:
@@ -1045,10 +1054,21 @@ class TreePiIndex:
         if store is None:
             raise IndexError_("index is not segment-backed")
         store.commit_compaction(plan)
-        self._check_bitmaps()
+        if contracts_enabled():
+            self.check_bitmaps()
 
-    def _check_bitmaps(self) -> None:
-        """Runtime contract: flush and compaction keep every support set,
-        so each cached bitmap still equals its store's new column."""
-        if self._slots is not None and contracts_enabled():
-            self._slots.check()
+    def check_bitmaps(self) -> None:
+        """Raise :class:`~repro.analysis.contracts.ContractViolation`
+        unless every built bitmap decodes to its tree's column; flush and
+        compaction run it under ``REPRO_CONTRACTS=1``."""
+        slots = self._slots
+        if slots is None:
+            return
+        for tree in chain(self._features, self._shrunk):
+            bits = tree.cached_bitmap
+            if bits is not None and tree.store.graph_ids() != frozenset(
+                slots.decode(bits)
+            ):
+                raise ContractViolation(
+                    f"support bitmap of {tree!r} disagrees with its column"
+                )

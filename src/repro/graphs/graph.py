@@ -364,7 +364,7 @@ class GraphDatabase:
         invalidation, never mutated.
         """
         if self._universe is None:
-            self._universe = PostingList._wrap(id_array(sorted(self._graphs)))
+            self._universe = PostingList.from_buffer(id_array(sorted(self._graphs)))
         return self._universe
 
     def average_edge_count(self) -> float:

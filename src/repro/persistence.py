@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 from repro.core.feature import FeatureTree, ShrunkTree
 from repro.core.statistics import IndexStats
 from repro.core.treepi import TreePiConfig, TreePiIndex
-from repro.exceptions import SerializationError
+from repro.exceptions import ReproError, SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.mining.subtree_miner import MiningStats
 from repro.mining.support import SupportFunction
@@ -84,14 +84,20 @@ WRITABLE_VERSIONS = (2, 3)
 
 @contextmanager
 def _decode_errors(source: Optional[Union[str, Path]]) -> Iterator[None]:
-    """Turn a missing or mistyped key while decoding into a SerializationError."""
+    """Turn a missing or mistyped key, or a record the graph layer refuses
+    (a self-loop, a negative vertex), into a SerializationError naming
+    ``source``."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ReproError) as exc:
         where = f" {source}" if source is not None else ""
+        if isinstance(exc, SerializationError) and (
+            source is None or str(source) in str(exc)
+        ):
+            raise
         raise SerializationError(
-            f"malformed index document{where}: missing or mistyped field "
-            f"({type(exc).__name__}: {exc})"
+            f"malformed index document{where}: missing, mistyped or invalid "
+            f"field ({type(exc).__name__}: {exc})"
         ) from exc
 
 
@@ -465,13 +471,12 @@ def load_segment_index(
         features: List[FeatureTree] = []
         by_key: Dict[str, FeatureTree] = {}
         for layer, segment in enumerate(store.segments):
-            labels = segment.labels()
             for entry in segment.feature_entries():
                 feature = by_key.get(entry.key)
                 if feature is None:
                     feature = FeatureTree(
                         feature_id=entry.feature_id,
-                        tree=entry.decode_tree(labels),
+                        tree=segment.decode_record(entry.tree_record),
                         key=entry.key,
                         center=entry.center,
                         store=LsmIdStore(store.tombstones),
@@ -485,7 +490,6 @@ def load_segment_index(
         features.sort(key=lambda f: f.feature_id)
         shrunk: Dict[str, ShrunkTree] = {}
         for layer, segment in enumerate(store.segments):
-            labels = segment.labels()
             for item in segment.shrunk_entries():
                 tree = shrunk.get(item.key)
                 if tree is None:
@@ -496,7 +500,7 @@ def load_segment_index(
                         )
                     tree = shrunk[item.key] = ShrunkTree(
                         key=item.key,
-                        tree=_graph_from_columns(item.tree_record, labels),
+                        tree=segment.decode_record(item.tree_record),
                         cover=item.cover,
                         store=LsmIdStore(store.tombstones),
                     )

@@ -14,8 +14,9 @@ One columnar substrate under the three index implementations:
   trees' exception lists, with ``add_graph``/``remove_graph`` for
   Section 7.1 maintenance,
 * :class:`SlotTable` — dense slots for one TreePi index's live graph
-  ids and a lazily built Python-int bitmap per id store over them, which
-  every TreePi filter stage (Algorithm 1, the shrunk-tree answer) ANDs.
+  ids, the bit positions of the Python-int support bitmaps that each
+  feature and shrunk tree owns and every TreePi filter stage
+  (Algorithm 1, the shrunk-tree answer) ANDs.
 
 The design follows the succinct-representation line of MSQ-Index
 (arXiv:1612.09155) and CNI (arXiv:1703.05547): sorted integer columns

@@ -4,8 +4,8 @@ A :class:`PostingList` is a support set ``D_t`` stored as a sorted
 ``array`` of unsigned graph ids — 4 bytes per id instead of a hash-set
 entry and cache-friendly iteration.  It is the authoritative form of
 every TreePi support set and exception list (persisted, counted by
-``storage_bytes()``); TreePi's filters intersect the bitmaps a
-:class:`~repro.storage.SlotTable` derives from these columns instead.
+``storage_bytes()``); TreePi's filters intersect the bitmaps each tree
+builds from its column over a :class:`~repro.storage.SlotTable` instead.
 
 The gIndex and GraphGrep baselines intersect posting lists directly.
 Two-way intersection is *adaptive*: a heavily skewed pair gallops —
@@ -101,19 +101,12 @@ class PostingList:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def _wrap(cls, ids: IdColumn) -> "PostingList":
-        """Adopt an already sorted+deduplicated array without copying."""
-        out = cls.__new__(cls)
-        out._ids = ids
-        return out
-
-    @classmethod
     def from_buffer(cls, ids: IdColumn) -> "PostingList":
-        """Adopt a buffer-backed id column zero-copy.
+        """Adopt an id column zero-copy: a heap array or a mapped one.
 
-        The column (typically a :class:`~repro.storage.segments.
-        MmapColumn` over a mapped segment file) is trusted to be sorted
-        strictly increasing — segment writers only ever emit columns in
+        The column (a fresh ``array``, or a :class:`~repro.storage.
+        segments.MmapColumn` over a mapped segment file) is trusted to be
+        sorted strictly increasing — every caller builds or writes it in
         that form, and validating here would fault in every page of a
         lazily mapped file, defeating the O(metadata) cold open.  All
         read paths (``intersect``/``intersect_many``, iteration, binary
@@ -134,7 +127,7 @@ class PostingList:
                 )
         if len(ids) and ids[0] < 0:
             raise ValueError("posting lists hold non-negative ids only")
-        return cls._wrap(id_array(ids))
+        return cls.from_buffer(id_array(ids))
 
     # ------------------------------------------------------------------
     # container protocol
@@ -189,8 +182,8 @@ class PostingList:
         if (i < len(flat) and flat[i] == gid) == present:
             return self
         if present:
-            return PostingList._wrap(_concat([ids[:i], id_array([gid]), ids[i:]]))
-        return PostingList._wrap(_concat([ids[:i], ids[i + 1 :]]))
+            return PostingList.from_buffer(_concat([ids[:i], id_array([gid]), ids[i:]]))
+        return PostingList.from_buffer(_concat([ids[:i], ids[i + 1 :]]))
 
     def nbytes(self) -> int:
         """Resident bytes of the id column."""
@@ -206,13 +199,13 @@ class PostingList:
             (self, other) if len(self) <= len(other) else (other, self)
         )
         if not small:
-            return PostingList._wrap(id_array())
+            return PostingList.from_buffer(id_array())
         if len(large) >= GALLOP_RATIO * len(small):
             return small._gallop_into(large)
         # Comparable lengths: hash the smaller column, intersect at C
         # speed, and re-sort the (at most |small|-sized) result.
         common = frozenset(small._ids).intersection(large._ids)
-        return PostingList._wrap(id_array(sorted(common)))
+        return PostingList.from_buffer(id_array(sorted(common)))
 
     def _gallop_into(self, large: "PostingList") -> "PostingList":
         ids = _bisectable(large._ids)
@@ -225,7 +218,7 @@ class PostingList:
             if ids[lo] == x:
                 out.append(x)
                 lo += 1
-        return PostingList._wrap(out)
+        return PostingList.from_buffer(out)
 
     @staticmethod
     @hot_path
@@ -253,7 +246,7 @@ class PostingList:
                 break
             if len(nxt) >= GALLOP_RATIO * size:
                 if running is not None:
-                    column = PostingList._wrap(id_array(sorted(running)))
+                    column = PostingList.from_buffer(id_array(sorted(running)))
                     running = None
                 column = column._gallop_into(nxt)
             else:
@@ -261,7 +254,7 @@ class PostingList:
                     running = set(column._ids)
                 running.intersection_update(nxt._ids)
         if running is not None:
-            return PostingList._wrap(id_array(sorted(running)))
+            return PostingList.from_buffer(id_array(sorted(running)))
         return column
 
 

@@ -19,8 +19,10 @@ database overlay and new support ids in per-feature memtables;
 time — data in earlier segments is dead, data flushed later is live,
 so delete-then-reinsert of the same id just works).  A flush writes
 one immutable *delta segment* and swaps the memtables for mapped
-layers; readers always see ``base ∪ deltas − tombstones ∪ memtable``
-through :class:`LsmIdStore`.  Compaction folds everything back into a
+layers; :meth:`LsmIdStore.graph_ids` merges ``base ∪ deltas −
+tombstones ∪ memtable`` when called, which only a tree's first bitmap
+build, compaction and save do (queries read the trees' bitmaps, which
+maintenance keeps current).  Compaction folds everything back into a
 single base segment: the merge is prepared into a temp file outside
 the writer lock (the engine reuses its generation-checked optimistic
 pattern) and committed with an ``os.replace`` plus column swap.
@@ -72,7 +74,7 @@ from typing import (
     Union,
 )
 
-from repro.exceptions import GraphError, SerializationError
+from repro.exceptions import GraphError, ReproError, SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.storage.codec import decode_label, encode_label, graph_from_columns, graph_to_columns
 from repro.storage.interner import LabelInterner
@@ -177,9 +179,6 @@ class SegmentFeature:
     def graph_count(self) -> int:
         """Support size, straight from header metadata (no page faults)."""
         return len(self.gids)
-
-    def decode_tree(self, labels: Sequence[Any]) -> LabeledGraph:
-        return graph_from_columns(self.tree_record, labels)
 
     def open_store(self) -> PostingList:
         """The support column as a zero-copy, lazily faulting posting list."""
@@ -352,7 +351,22 @@ class Segment:
             raise SerializationError(
                 f"corrupt graph record {gid} in {self.path}: {exc}"
             ) from exc
-        return graph_from_columns(record, self.labels(), graph_id=gid)
+        return self.decode_record(record, graph_id=gid)
+
+    def decode_record(
+        self, record: Dict[str, Any], graph_id: Optional[int] = None
+    ) -> LabeledGraph:
+        """Decode one interned graph record: a graph, or a header tree.
+
+        A record the graph layer refuses (a self-loop, say) is a
+        :class:`SerializationError` naming this file.
+        """
+        try:
+            return graph_from_columns(record, self.labels(), graph_id=graph_id)
+        except ReproError as exc:
+            raise SerializationError(
+                f"malformed graph record in {self.path}: {exc}"
+            ) from exc
 
     def feature_entries(self) -> List[SegmentFeature]:
         return list(self._features)
@@ -613,7 +627,7 @@ def initialize_directory(
 
 
 # ----------------------------------------------------------------------
-# merged read views
+# LSM id sets
 # ----------------------------------------------------------------------
 def _live_ids(
     layers: Sequence[Tuple[int, PostingList]],
@@ -630,11 +644,11 @@ def _live_ids(
         for gid in ids:
             if epoch >= tombstones.get(gid, 0):
                 live.add(gid)
-    return PostingList._wrap(id_array(sorted(live)))
+    return PostingList.from_buffer(id_array(sorted(live)))
 
 
 class LsmIdStore:
-    """One id set's merged view: id layers − tombstones ∪ memtable.
+    """One id set over LSM layers: id layers − tombstones ∪ memtable.
 
     Backs a feature's support set
     (:class:`~repro.core.feature.FeatureTree`) and an exception list
@@ -645,20 +659,16 @@ class LsmIdStore:
     deleting records the then-current segment count as the gid's epoch,
     killing everything older while leaving later re-inserts visible.
     The memtable holds unflushed ids and is always live (deletes pop it
-    immediately).
-
-    The merged view is cached.  An insert or delete splices its one gid
-    into or out of it; a flush or compaction, which swaps layers,
-    re-merges.
+    immediately).  :meth:`graph_ids` merges these when called and keeps
+    nothing: queries read the owning tree's bitmap instead.
     """
 
-    __slots__ = ("_tomb", "_layers", "_mem", "_gids")
+    __slots__ = ("_tomb", "_layers", "_mem")
 
     def __init__(self, tombstones: Dict[int, int]) -> None:
         self._tomb = tombstones
         self._layers: List[Tuple[int, PostingList]] = []
         self._mem: Set[int] = set()
-        self._gids: Optional[PostingList] = None
 
     @property
     def pending(self) -> Set[int]:
@@ -672,31 +682,23 @@ class LsmIdStore:
     def flush_to_layer(self, epoch: int, ids: PostingList) -> None:
         self._layers.append((epoch, ids))
         self._mem = set()
-        self._gids = None
 
     def reset_layers(self, layers: Iterable[Tuple[int, PostingList]]) -> None:
         self._layers = list(layers)
         self._mem = set()
-        self._gids = None
 
     def graph_ids(self) -> PostingList:
-        cached = self._gids
-        if cached is None:
-            cached = self._gids = _live_ids(self._layers, self._mem, self._tomb)
-        return cached
+        """The live ids, merged now."""
+        return _live_ids(self._layers, self._mem, self._tomb)
 
     def add_graph(self, gid: int) -> None:
         if gid < 0:
             raise ValueError(f"graph ids are non-negative, got {gid}")
         self._mem.add(gid)
-        if self._gids is not None:
-            self._gids = self._gids.spliced(gid, True)
 
     def remove_graph(self, gid: int) -> None:
-        """Drop ``gid`` from the memtable and the view; layer data dies by tombstone."""
+        """Drop ``gid`` from the memtable; layer data dies by tombstone."""
         self._mem.discard(gid)
-        if self._gids is not None:
-            self._gids = self._gids.spliced(gid, False)
 
     def nbytes(self) -> int:
         """Layer bytes plus 8 bytes per buffered id."""
@@ -834,7 +836,7 @@ class SegmentGraphDatabase(GraphDatabase):
 
     def universe_posting(self) -> PostingList:
         if self._universe is None:
-            self._universe = PostingList._wrap(id_array(self._live_ids()))
+            self._universe = PostingList.from_buffer(id_array(self._live_ids()))
         return self._universe
 
     def average_edge_count(self) -> float:

@@ -411,9 +411,9 @@ def test_cli_fires_on_each_hotpath_fixture(tmp_path):
 REAL_MUTATIONS = [
     pytest.param(
         "REPRO303",
-        "core/feature.py",
-        "return self.store.graph_ids().to_frozenset()",
-        "return frozenset(self.store.graph_ids())",
+        "core/treepi.py",
+        "support = frozenset(slots.decode(feature.bitmap(slots)))",
+        "support = frozenset(feature.store.graph_ids())",
         id="direct-hit-rebuilds-the-support-set",
     ),
     pytest.param(

@@ -150,8 +150,8 @@ def test_short_interleaving_smoke():
 
 def test_racing_first_queries_share_exact_support_bitmaps():
     """Readers holding only the read lock race to build the slot table
-    and the support bitmaps of a fresh index; every answer equals the
-    scan, and the table left published stays exact through maintenance."""
+    and the trees' support bitmaps of a fresh index; every answer equals
+    the scan, and every bitmap built stays exact through maintenance."""
     db = generate_aids_like(14, avg_atoms=11, seed=21)
     index = TreePiIndex.build(
         db, TreePiConfig(SupportFunction(alpha=2, beta=2.0, eta=4), seed=5)
@@ -183,11 +183,12 @@ def test_racing_first_queries_share_exact_support_bitmaps():
     assert not any(t.is_alive() for t in threads)
     assert not errors, f"worker threads raised: {errors!r}"
     slots = index.slot_table()
-    slots.check()
+    assert any(t.cached_bitmap is not None for t in index.features)
+    index.check_bitmaps()
     engine.delete(db.graph_ids()[0])
     engine.insert(pool[0].copy())
     assert index.slot_table() is slots
-    slots.check()
+    index.check_bitmaps()
     for query in pool:
         assert engine.query(query).matches == SequentialScan(db).support_set(query)
 

@@ -1,4 +1,5 @@
-"""Unit tests for FeatureTree materialization and maintenance hooks."""
+"""Unit tests for FeatureTree materialization, maintenance hooks and the
+support bitmap each tree owns."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.core import FeatureTree
 from repro.core.feature import mined_centers
 from repro.graphs import path_graph
 from repro.mining import MinedPattern
+from repro.storage import SlotTable
 from repro.trees import tree_canonical_string
 
 
@@ -67,18 +69,52 @@ class TestLocateCenters:
 class TestMaintenanceHooks:
     def test_add_occurrences(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.add_graph(7)
+        feature.add_graph(7, 0)
         assert feature.support == 3
         assert 7 in feature.support_posting()
 
     def test_add_occurrences_merges(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.add_graph(0)
+        feature.add_graph(0, 0)
         assert list(feature.support_posting()) == [0, 2]
 
     def test_remove_graph(self, mined_path3):
         feature = FeatureTree.from_mined_pattern(0, mined_path3)
-        feature.remove_graph(0)
-        feature.remove_graph(0)
+        feature.remove_graph(0, 0)
+        feature.remove_graph(0, 0)
         assert feature.support == 1
         assert list(feature.support_posting()) == [2]
+
+
+class TestBitmap:
+    def test_bitmap_is_lazy_and_cached(self, mined_path3):
+        slots = SlotTable([0, 1, 2])
+        feature = FeatureTree.from_mined_pattern(0, mined_path3)
+        assert feature.cached_bitmap is None
+        assert feature.bitmap(slots) == 0b101
+        assert feature.cached_bitmap == 0b101
+        # A built bitmap is not rebuilt from the column.
+        feature.store.add_graph(1)
+        assert feature.bitmap(slots) == 0b101
+
+    def test_add_and_remove_keep_a_built_bitmap_exact(self, mined_path3):
+        slots = SlotTable([0, 1, 2])
+        feature = FeatureTree.from_mined_pattern(0, mined_path3)
+        feature.bitmap(slots)
+        feature.remove_graph(0, slots.release(0))
+        assert feature.cached_bitmap == 0b100
+        bit = slots.claim(9)  # reuses slot 0, whose bit was cleared
+        assert bit == 0b001
+        feature.add_graph(9, bit)
+        assert slots.decode(feature.bitmap(slots)) == [2, 9]
+        assert list(feature.support_posting()) == [2, 9]
+        # Adding a graph the tree already holds changes neither form.
+        feature.add_graph(2, 0b100)
+        assert feature.cached_bitmap == 0b101
+
+    def test_unbuilt_bitmap_stays_unbuilt(self, mined_path3):
+        feature = FeatureTree.from_mined_pattern(0, mined_path3)
+        feature.add_graph(7, 1 << 3)
+        feature.remove_graph(0, 1)
+        assert feature.cached_bitmap is None
+        assert list(feature.support_posting()) == [2, 7]

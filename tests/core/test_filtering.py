@@ -39,7 +39,8 @@ def features():
     return {f.key: f for f in (f1, f2, f3)}
 
 
-#: Slots for graph ids 0..9; supports and stage-1 sets are bitmaps over it.
+#: Slots for graph ids 0..9; the features' supports and stage-1 sets are
+#: bitmaps over it.
 SLOTS = SlotTable(range(10))
 
 
@@ -53,6 +54,10 @@ class TestFilterCandidates:
         outcome = filter_candidates(stage1(*range(6)), pieces, features, SLOTS)
         assert outcome.candidates == frozenset({2})
         assert not outcome.definitely_empty
+        # Each piece's feature built and kept its own bitmap over SLOTS.
+        for feature in features.values():
+            bits = feature.cached_bitmap
+            assert SLOTS.decode(bits) == list(feature.support_posting())
 
     def test_universe_initializer(self, features):
         # The stage-1 set bounds P_q from above.

@@ -59,10 +59,8 @@ class IndexMachine(RuleBasedStateMachine):
     def replace(self, pick, donor):
         """Delete, then insert into the freed slot with every bitmap built."""
         slots = self.index.slot_table()
-        for feature in self.index.features:
-            slots.bitmap(feature.store)
-        for shrunk in self.index.shrunk:
-            slots.bitmap(shrunk.store)
+        for tree in self.index.features + self.index.shrunk:
+            tree.bitmap(slots)
         size = len(slots)
         self.index.delete(pick.choice(self.index.database.graph_ids()))
         self.index.insert(_POOL[donor].copy())
@@ -94,8 +92,10 @@ class IndexMachine(RuleBasedStateMachine):
     @invariant()
     def bitmaps_match_columns(self):
         slots = self.index.slot_table()
-        for store, bits in slots.cached():
-            assert slots.decode(bits) == list(store.graph_ids())
+        for tree in self.index.features + self.index.shrunk:
+            bits = tree.cached_bitmap
+            if bits is not None:
+                assert slots.decode(bits) == list(tree.store.graph_ids())
 
     @invariant()
     def single_edges_cover_database(self):

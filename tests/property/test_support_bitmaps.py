@@ -1,14 +1,16 @@
 """Support bitmaps stay equal to their id columns through maintenance.
 
 Every feature support and exception list of a TreePi index has a bitmap
-over the index's dense graph slots (:class:`~repro.storage.SlotTable`),
-kept current by insert and delete one bit at a time and left as it is by
-flush and compaction.  These properties warm every bitmap, run random
-insert/delete sequences whose inserts reuse freed slots, and compare each
-cached bitmap, decoded through the slot table, with its store's column
-after every operation — on a heap index and on a v3 segment index with a
-flush and a compaction in between.  Under ``REPRO_CONTRACTS=1`` flush and
-compaction commit run the same comparison themselves.
+over the index's dense graph slots, owned by its tree
+(:meth:`~repro.core.feature.IndexedTree.bitmap`), kept current by insert
+and delete one bit at a time and left as it is by flush and compaction.
+These properties warm every bitmap, run random insert/delete sequences
+whose inserts reuse freed slots, and compare each tree's bitmap, decoded
+through the slot table, with its column after every operation — on a
+heap index and on a v3 segment index with a flush and a compaction in
+between.  Under ``REPRO_CONTRACTS=1`` flush and compaction commit run
+the same comparison themselves (:meth:`~repro.core.treepi.TreePiIndex.
+check_bitmaps`).
 """
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.contracts import ContractViolation, contract_scope
 from repro.core import TreePiConfig, TreePiIndex
+from repro.core.feature import IndexedTree
 from repro.datasets import generate_aids_like
 from repro.graphs import GraphDatabase
 from repro.mining import SupportFunction
@@ -44,22 +47,27 @@ def _index(size: int) -> TreePiIndex:
     )
 
 
-def _stores(index: TreePiIndex):
-    return [f.store for f in index.features] + [t.store for t in index.shrunk]
+def _trees(index: TreePiIndex):
+    return index.features + index.shrunk
 
 
 def _warm(index: TreePiIndex):
     slots = index.slot_table()
-    for store in _stores(index):
-        slots.bitmap(store)
+    for tree in _trees(index):
+        tree.bitmap(slots)
     return slots
 
 
+def _built(index: TreePiIndex):
+    return [t for t in _trees(index) if t.cached_bitmap is not None]
+
+
 def _assert_bitmaps_exact(index: TreePiIndex, slots, warmed: int, step: str):
-    cached = slots.cached()
-    assert len(cached) >= warmed, step  # maintained, never dropped
-    for store, bits in cached:
-        assert slots.decode(bits) == list(store.graph_ids()), f"{step}: {store!r}"
+    built = _built(index)
+    assert len(built) >= warmed, step  # maintained, never dropped
+    for tree in built:
+        column = list(tree.store.graph_ids())
+        assert slots.decode(tree.cached_bitmap) == column, f"{step}: {tree!r}"
     live = len(index.database)
     assert len(slots) >= live
 
@@ -78,7 +86,7 @@ def _apply(index: TreePiIndex, op) -> None:
 def test_bitmaps_match_columns_under_heap_maintenance(size, ops):
     index = _index(size)
     slots = _warm(index)
-    warmed = len(slots.cached())
+    warmed = len(_built(index))
     peak = len(index.database)
     for step, op in enumerate(ops):
         _apply(index, op)
@@ -96,7 +104,7 @@ def test_bitmaps_survive_flush_and_compaction(tmp_path_factory, size, ops, cut):
     index = load_index(root)
     try:
         slots = _warm(index)
-        warmed = len(slots.cached())
+        warmed = len(_built(index))
         for step, op in enumerate(ops):
             _apply(index, op)
             if step == cut % len(ops):
@@ -119,17 +127,39 @@ def _segment_index(tmp_path):
     return load_index(root)
 
 
+def _leaky_delete(index: TreePiIndex, monkeypatch) -> None:
+    """Delete a graph with a mutant that leaves its bit set in one tree."""
+    victim = index.database.graph_ids()[0]
+    holder = next(t for t in _trees(index) if victim in t.store.graph_ids())
+    remove = IndexedTree.remove_graph
+
+    def leaky(tree, gid, bit):
+        remove(tree, gid, 0 if tree is holder else bit)
+
+    monkeypatch.setattr(IndexedTree, "remove_graph", leaky)
+    index.delete(victim)
+    monkeypatch.undo()
+
+
+def test_check_bitmaps_reports_a_stale_bitmap(monkeypatch):
+    index = _index(6)
+    _warm(index)
+    index.check_bitmaps()  # exact bitmaps pass
+    _leaky_delete(index, monkeypatch)
+    with pytest.raises(ContractViolation, match="bitmap"):
+        index.check_bitmaps()
+
+
 @pytest.mark.parametrize("step", ["flush", "compaction"])
-def test_contract_catches_a_stale_bitmap(tmp_path, step):
+def test_contract_catches_a_stale_bitmap(tmp_path, monkeypatch, step):
     index = _segment_index(tmp_path)
     try:
-        slots = _warm(index)
+        _warm(index)
         index.insert(_POOL[9].copy())
         index.delete(index.database.graph_ids()[0])
         with contract_scope(True):
             index.flush_segments()  # exact bitmaps pass the check
-            store, bits = slots.cached()[0]
-            slots._bits[store] = bits ^ 1  # a stale bit
+            _leaky_delete(index, monkeypatch)
             with pytest.raises(ContractViolation, match="bitmap"):
                 if step == "flush":
                     index.flush_segments()

@@ -146,9 +146,9 @@ def test_bitmaps_follow_live_count_not_ids(db, churn):
     int ``2**peak - 1`` — ids of 2^32 and more change nothing."""
     index = _build(db)
     slots = index.slot_table()
-    stores = [f.store for f in index.features] + [t.store for t in index.shrunk]
-    for store in stores:
-        slots.bitmap(store)
+    trees = index.features + index.shrunk
+    for tree in trees:
+        tree.bitmap(slots)
     donors = [index.database[gid].copy() for gid in index.database.graph_ids()]
     peak = len(index.database)
     for i, insert in enumerate(churn):
@@ -160,10 +160,11 @@ def test_bitmaps_follow_live_count_not_ids(db, churn):
     assert max(index.database.graph_ids()) >= WIDE
     assert len(slots) == peak
     widest = sys.getsizeof((1 << peak) - 1)
-    for store, bits in slots.cached():
+    for tree in trees:
+        bits = tree.cached_bitmap
         assert bits.bit_length() <= peak
         assert sys.getsizeof(bits) <= widest
-        assert slots.decode(bits) == list(store.graph_ids())
+        assert slots.decode(bits) == list(tree.store.graph_ids())
 
 
 def test_id_store_widens_past_32_bits():

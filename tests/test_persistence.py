@@ -423,6 +423,82 @@ class TestMalformedSegments:
         assert len(maps) == 1 and maps[0].closed
 
 
+class TestDecodeErrorsNameTheFile:
+    """A graph or tree record the graph layer refuses (a GraphError while
+    decoding) is a SerializationError naming the file it came from."""
+
+    @staticmethod
+    def _load_v2(doc, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError) as excinfo:
+            load_index(path)
+        return str(path), str(excinfo.value)
+
+    def test_v2_database_edge_with_a_negative_vertex(self, small_index, tmp_path):
+        doc = index_to_json(small_index)
+        doc["database"]["0"]["e"][0][0] = -1
+        path, message = self._load_v2(doc, tmp_path)
+        assert path in message and "GraphError" in message
+
+    def test_v2_database_self_loop(self, small_index, tmp_path):
+        doc = index_to_json(small_index)
+        edge = doc["database"]["0"]["e"][0]
+        edge[1] = edge[0]
+        path, message = self._load_v2(doc, tmp_path)
+        assert path in message and "GraphError" in message
+
+    def test_v2_database_label_id_out_of_range(self, small_index, tmp_path):
+        doc = index_to_json(small_index)
+        doc["database"]["0"]["v"][0] = 10**6
+        path, message = self._load_v2(doc, tmp_path)
+        assert path in message and "graph record" in message
+
+    def test_v3_header_feature_tree_self_loop(self, small_index, tmp_path):
+        import struct
+
+        from repro.storage.segments import MAGIC
+
+        root, segment = TestMalformedSegments._segment(small_index, tmp_path)
+        data = segment.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start : start + header_len])
+        edge = header["features"][0]["tree"]["e"][0]
+        edge[1] = edge[0]
+        body = json.dumps(header).encode("utf-8")
+        segment.write_bytes(
+            MAGIC + struct.pack("<Q", len(body)) + body + data[start + header_len :]
+        )
+        with pytest.raises(SerializationError) as excinfo:
+            load_index(root)
+        assert str(segment) in str(excinfo.value)
+
+    def test_v3_graph_record_self_loop(self, small_index, tmp_path):
+        import struct
+
+        from repro.storage.segments import MAGIC
+
+        root, segment = TestMalformedSegments._segment(small_index, tmp_path)
+        data = bytearray(segment.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+        # The first edge of the first graph record, graph 0's: "e":[[u,v,
+        at = data.index(b'"e":[[', len(MAGIC) + 8 + header_len) + 6
+        comma = data.index(b",", at)
+        u = bytes(data[at:comma])
+        v_end = data.index(b",", comma + 1)
+        assert v_end - comma - 1 == len(u)
+        data[comma + 1 : v_end] = u
+        segment.write_bytes(bytes(data))
+        index = load_index(root)
+        try:
+            with pytest.raises(SerializationError) as excinfo:
+                index.database[0]
+            assert str(segment) in str(excinfo.value)
+        finally:
+            index.segment_store.close()
+
+
 class TestRetiredFeatureIndexKey:
     """Files from builds that had a ``feature_index`` setting still load."""
 
