@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
@@ -67,13 +68,11 @@ from repro.storage.codec import (
 from repro.storage.segments import (
     DEFAULT_COMPACT_THRESHOLD,
     DEFAULT_MEMTABLE_LIMIT,
-    LsmIdStore,
     MANIFEST_NAME,
     SegmentGraphDatabase,
     SegmentStore,
-    feature_payloads,
     initialize_directory,
-    shrunk_payloads,
+    tree_payloads,
 )
 
 FORMAT_NAME = "treepi-index"
@@ -416,8 +415,8 @@ def save_segment_index(index: TreePiIndex, root: Union[str, Path]) -> None:
     """Write ``index`` as a fresh v3 directory with one base segment.
 
     The base segment holds every live graph and the fully merged
-    support column of every feature, so saving an LSM-maintained index
-    is also an offline compaction.
+    column of every feature and exception list, so saving an
+    LSM-maintained index is also an offline compaction.
     """
     db = index.database
     ids = db.graph_ids()
@@ -426,13 +425,12 @@ def save_segment_index(index: TreePiIndex, root: Union[str, Path]) -> None:
     initialize_directory(
         Path(root),
         graphs,
-        feature_payloads(index.features),
+        tree_payloads(chain(index.features, index.shrunk)),
         next_graph_id,
         extra={
             "config": config_to_json(index.config),
             "stats": _stats_to_json(index.stats),
         },
-        shrunk=shrunk_payloads(index.shrunk),
     )
 
 
@@ -468,47 +466,8 @@ def load_segment_index(
                 manifest.get("next_graph_id", 0),
                 manifest["graphs"],
             )
-        features: List[FeatureTree] = []
-        by_key: Dict[str, FeatureTree] = {}
-        for layer, segment in enumerate(store.segments):
-            for entry in segment.feature_entries():
-                feature = by_key.get(entry.key)
-                if feature is None:
-                    feature = FeatureTree(
-                        feature_id=entry.feature_id,
-                        tree=segment.decode_record(entry.tree_record),
-                        key=entry.key,
-                        center=entry.center,
-                        store=LsmIdStore(store.tombstones),
-                    )
-                    by_key[entry.key] = feature
-                    features.append(feature)
-                if entry.graph_count:
-                    support = feature.store
-                    assert isinstance(support, LsmIdStore)
-                    support.flush_to_layer(layer, entry.open_store())
-        features.sort(key=lambda f: f.feature_id)
-        shrunk: Dict[str, ShrunkTree] = {}
-        for layer, segment in enumerate(store.segments):
-            for item in segment.shrunk_entries():
-                tree = shrunk.get(item.key)
-                if tree is None:
-                    if item.tree_record is None:
-                        raise SerializationError(
-                            f"exception list {item.key!r} in {segment.path} "
-                            "extends no list an earlier segment defines"
-                        )
-                    tree = shrunk[item.key] = ShrunkTree(
-                        key=item.key,
-                        tree=segment.decode_record(item.tree_record),
-                        cover=item.cover,
-                        store=LsmIdStore(store.tombstones),
-                    )
-                lists = tree.store
-                assert isinstance(lists, LsmIdStore)
-                if len(item.gids):
-                    lists.flush_to_layer(layer, PostingList.from_buffer(item.gids))
-        index = TreePiIndex(db, config, features, stats, list(shrunk.values()))
+        features, shrunk = store.open_trees()
+        index = TreePiIndex(db, config, features, stats, shrunk)
         index.attach_segment_store(store)
         ok = True
         return index

@@ -2,7 +2,7 @@
 
 A v3 index is a *directory*: one small JSON manifest plus one or more
 immutable binary **segment files**.  Each segment holds an interned
-label table, the graph records, and every feature's ``gids`` column at
+label table, the graph records, and one id column per indexed tree at
 an 8-byte-aligned payload offset, so a reader can map the file once and
 hand out zero-copy :class:`MmapColumn` views in place of heap ``array``
 columns (:meth:`~repro.storage.posting.PostingList.from_buffer` adopts
@@ -13,15 +13,26 @@ header is parsed eagerly, column pages fault in only when a read
 touches them (``Segment.columns_touched`` counts first touches, which
 is what the cold-open benchmark gate asserts on).
 
+Features and the γ-shrunk trees' exception lists (both
+:class:`~repro.core.feature.IndexedTree`) travel one path: one header
+entry type (:class:`SegmentEntry`), one payload type
+(:data:`TreePayload`) and one loop per stage of write, flush,
+compaction and open.  The header keeps them in its ``"features"`` and
+``"shrunk"`` lists; a feature's entry carries its record in every
+segment, an exception list's only in a base segment (a delta's entry
+extends the base's list).  A segment without ``"shrunk"`` has no lists.
+
 Maintenance is LSM-style.  ``insert`` buffers new graphs in the
-database overlay and new support ids in per-feature memtables;
-``delete`` records a **tombstone epoch** (the segment count at delete
-time — data in earlier segments is dead, data flushed later is live,
-so delete-then-reinsert of the same id just works).  A flush writes
-one immutable *delta segment* and swaps the memtables for mapped
-layers; :meth:`LsmIdStore.graph_ids` merges ``base ∪ deltas −
-tombstones ∪ memtable`` when called, which only a tree's first bitmap
-build, compaction and save do (queries read the trees' bitmaps, which
+database overlay and new ids in the trees' memtables; ``delete``
+records a **tombstone epoch** (the segment count at delete time — data
+in earlier segments is dead, data flushed later is live, so
+delete-then-reinsert of the same id just works; :func:`live_ids` is the
+rule).  A flush writes one immutable *delta segment* holding the
+overlay graphs and every tree with buffered ids or with no record on
+disk yet, and swaps those memtables for mapped layers;
+:meth:`LsmIdStore.graph_ids` merges ``base ∪ deltas − tombstones ∪
+memtable`` when called, which only a tree's first bitmap build,
+compaction and save do (queries read the trees' bitmaps, which
 maintenance keeps current).  Compaction folds everything back into a
 single base segment: the merge is prepared into a temp file outside
 the writer lock (the engine reuses its generation-checked optimistic
@@ -38,14 +49,6 @@ Header column descriptors are ``{"o": payload-relative byte offset,
 "n": element count, "t": array typecode}``; graphs are stored as a
 sorted gid column, a ``'Q'`` byte-offset column, and a concatenated
 blob of interned JSON records decoded one graph at a time.
-
-The header's ``"shrunk"`` list holds the γ-shrunk trees' exception
-lists (:class:`~repro.core.feature.ShrunkTree`): per tree its key and
-one ``gids`` column that flush, compaction and tombstones treat like a
-feature's, through the same :class:`LsmIdStore`.  A base segment adds
-each tree's record and cover; a delta segment, which only extends lists
-the base defines, carries neither.  A segment written without the list
-reads as having none.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -74,14 +77,12 @@ from typing import (
     Union,
 )
 
+from repro.core.feature import FeatureTree, IndexedTree, ShrunkTree
 from repro.exceptions import GraphError, ReproError, SerializationError
 from repro.graphs.graph import GraphDatabase, LabeledGraph
 from repro.storage.codec import decode_label, encode_label, graph_from_columns, graph_to_columns
 from repro.storage.interner import LabelInterner
-from repro.storage.posting import IdColumn, PostingList, _bisectable, id_array
-
-if TYPE_CHECKING:
-    from repro.core.feature import FeatureTree, ShrunkTree
+from repro.storage.posting import PostingList, _bisectable, id_array
 
 MAGIC = b"TPISEG3\n"
 MANIFEST_NAME = "manifest.json"
@@ -96,14 +97,37 @@ DEFAULT_COMPACT_THRESHOLD = 4
 _ALIGN = 8
 _GRAPH_CACHE_LIMIT = 256
 
-#: One feature's flush/compaction payload:
-#: ``(feature_id, key, center, tree, support gids)``.
-FeaturePayload = Tuple[int, str, Tuple[int, ...], LabeledGraph, Sequence[int]]
+#: The header lists of indexed trees: features, and exception lists.
+FEATURES = "features"
+SHRUNK = "shrunk"
+_NOUNS = {FEATURES: "feature", SHRUNK: "exception list"}
 
-#: One shrunk tree's flush/compaction payload:
-#: ``(key, tree, cover, exception gids)``; a flush passes no tree and
-#: no cover.
-ShrunkPayload = Tuple[str, Optional[LabeledGraph], Tuple[int, ...], Sequence[int]]
+#: One indexed tree's segment payload: the tree and its sorted ids.
+TreePayload = Tuple[IndexedTree, Sequence[int]]
+
+
+def _ident(tree: IndexedTree) -> Tuple[str, str]:
+    """A tree's header list and key: what names it across segments."""
+    if isinstance(tree, FeatureTree):
+        return FEATURES, tree.key
+    assert isinstance(tree, ShrunkTree)
+    return SHRUNK, tree.key
+
+
+def live_ids(
+    layers: Iterable[Tuple[int, Iterable[int]]], tombstones: Mapping[int, int]
+) -> Iterator[int]:
+    """The ids of epoch-tagged ``layers`` that no tombstone kills.
+
+    An id in the layer flushed at epoch ``j`` is live iff
+    ``j >= tombstones.get(id, 0)``: a delete records the then-current
+    segment count, killing every older copy while a later re-insert
+    stays visible.
+    """
+    for epoch, ids in layers:
+        for gid in ids:
+            if epoch >= tombstones.get(gid, 0):
+                yield gid
 
 
 class MmapColumn:
@@ -166,36 +190,19 @@ class MmapColumn:
 
 
 @dataclass
-class SegmentFeature:
-    """One feature's on-segment metadata plus its (lazy) support column."""
+class SegmentEntry:
+    """One indexed tree's header entry plus its (lazy) id column.
 
-    feature_id: int
-    key: str
-    center: Tuple[int, ...]
-    tree_record: Dict[str, Any]
-    gids: MmapColumn
-
-    @property
-    def graph_count(self) -> int:
-        """Support size, straight from header metadata (no page faults)."""
-        return len(self.gids)
-
-    def open_store(self) -> PostingList:
-        """The support column as a zero-copy, lazily faulting posting list."""
-        return PostingList.from_buffer(self.gids)
-
-
-@dataclass
-class SegmentShrunk:
-    """One shrunk tree's on-segment metadata plus its (lazy) exception column.
-
-    ``tree_record`` is None in a delta segment.
+    ``kind`` is the header list holding it, :data:`FEATURES` or
+    :data:`SHRUNK`.  ``record`` is the entry as written when it defines
+    the tree (it has a ``"tree"``), and None when it only extends a tree
+    an earlier segment defines.
     """
 
+    kind: str
     key: str
-    cover: Tuple[int, ...]
-    tree_record: Optional[Dict[str, Any]]
     gids: MmapColumn
+    record: Optional[Dict[str, Any]]
 
 
 class Segment:
@@ -242,24 +249,18 @@ class Segment:
             self._graph_gids = self._column(gdesc["gids"])
             self._graph_blob_index = self._column(gdesc["blob_index"])
             self._blob_offset = self._payload_start + gdesc["blob"]["o"]
-            self._features = [
-                SegmentFeature(
-                    feature_id=entry["id"],
+            self._entries = [
+                SegmentEntry(
+                    kind=kind,
                     key=entry["key"],
-                    center=tuple(entry["center"]),
-                    tree_record=entry["tree"],
                     gids=self._column(entry["gids"]),
+                    record=entry if "tree" in entry else None,
                 )
-                for entry in header["features"]
-            ]
-            self._shrunk = [
-                SegmentShrunk(
-                    key=entry["key"],
-                    cover=tuple(entry.get("cover", ())),
-                    tree_record=entry.get("tree"),
-                    gids=self._column(entry["gids"]),
+                for kind, entries in (
+                    (FEATURES, header[FEATURES]),
+                    (SHRUNK, header.get(SHRUNK, ())),
                 )
-                for entry in header.get("shrunk", ())
+                for entry in entries
             ]
             ok = True
         except (KeyError, TypeError, ValueError) as exc:
@@ -368,11 +369,44 @@ class Segment:
                 f"malformed graph record in {self.path}: {exc}"
             ) from exc
 
-    def feature_entries(self) -> List[SegmentFeature]:
-        return list(self._features)
+    def entries(self) -> List[SegmentEntry]:
+        """Every indexed tree's entry: the features, then the lists."""
+        return list(self._entries)
 
-    def shrunk_entries(self) -> List[SegmentShrunk]:
-        return list(self._shrunk)
+    def define_tree(self, entry: SegmentEntry, store: "LsmIdStore") -> IndexedTree:
+        """The tree ``entry`` defines, backed by ``store``.
+
+        An entry that defines nothing, or whose record the tree layer
+        refuses, is a :class:`SerializationError` naming this file.
+        """
+        record = entry.record
+        noun = _NOUNS[entry.kind]
+        if record is None:
+            raise SerializationError(
+                f"{noun} {entry.key!r} in {self.path} extends no "
+                f"{noun} an earlier segment defines"
+            )
+        try:
+            tree = self.decode_record(record["tree"])
+            if entry.kind == FEATURES:
+                return FeatureTree(
+                    feature_id=record["id"],
+                    tree=tree,
+                    key=entry.key,
+                    center=tuple(record["center"]),
+                    store=store,
+                )
+            return ShrunkTree(
+                key=entry.key,
+                tree=tree,
+                cover=tuple(record.get("cover", ())),
+                store=store,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"malformed {noun} record in {self.path}: missing or "
+                f"mistyped {exc}"
+            ) from exc
 
     def nbytes(self) -> int:
         return len(self._mm)
@@ -389,7 +423,7 @@ class Segment:
     def __repr__(self) -> str:
         return (
             f"<Segment {self.path.name} graphs={self.graph_count} "
-            f"features={len(self._features)} bytes={len(self._mm)}>"
+            f"trees={len(self._entries)} bytes={len(self._mm)}>"
         )
 
 
@@ -399,16 +433,17 @@ class Segment:
 def write_segment(
     path: Union[str, Path],
     graphs: Sequence[LabeledGraph],
-    features: Sequence[FeaturePayload],
-    shrunk: Sequence[ShrunkPayload] = (),
+    trees: Sequence[TreePayload],
+    base: bool,
 ) -> None:
     """Write one immutable segment file.
 
-    ``graphs`` must be sorted by ``graph_id``; each feature brings its
-    sorted support ids.  The label interner is filled in canonical order
-    (graphs first, then feature trees, then shrunk trees, in the given
-    order), so identical inputs produce byte-identical files.  Without
-    ``shrunk`` the file is the one a build without exception lists wrote.
+    ``graphs`` must be sorted by ``graph_id``; ``trees`` lists the
+    features, then the exception lists, each with its sorted ids.  The
+    label interner is filled in canonical order (graphs first, then the
+    trees' records, in the given order), so identical inputs produce
+    byte-identical files.  An exception list's tree and cover are
+    written only to a ``base`` segment.
     """
     interner = LabelInterner()
     gid_list: List[int] = []
@@ -422,13 +457,6 @@ def write_segment(
                 graph_to_columns(graph, interner), separators=(",", ":")
             ).encode("utf-8")
         )
-    tree_records = [
-        graph_to_columns(tree, interner) for _, _, _, tree, _ in features
-    ]
-    shrunk_records = [
-        None if tree is None else graph_to_columns(tree, interner)
-        for _, tree, _, _ in shrunk
-    ]
 
     payload = bytearray()
 
@@ -453,34 +481,32 @@ def write_segment(
     for record in records:
         payload.extend(record)
 
-    fdescs: List[Dict[str, Any]] = []
-    for (fid, key, center, _tree, gids), tree_record in zip(
-        features, tree_records
-    ):
-        fdescs.append(
-            {
-                "id": fid,
-                "key": key,
-                "center": list(center),
-                "tree": tree_record,
-                "gids": put_column(gids),
-            }
-        )
-
     header: Dict[str, Any] = {
         "byteorder": sys.byteorder,
-        "labels": [encode_label(label) for label in interner.labels()],
+        "labels": [],
         "graphs": gdesc,
-        "features": fdescs,
+        FEATURES: [],
     }
-    if shrunk:
-        entries: List[Dict[str, Any]] = []
-        for (key, _tree, cover, gids), tree_record in zip(shrunk, shrunk_records):
-            entry: Dict[str, Any] = {"key": key, "gids": put_column(gids)}
-            if tree_record is not None:
-                entry.update(cover=list(cover), tree=tree_record)
-            entries.append(entry)
-        header["shrunk"] = entries
+    for tree, gids in trees:
+        kind: str
+        entry: Dict[str, Any]
+        if isinstance(tree, FeatureTree):
+            kind, entry = FEATURES, {
+                "id": tree.feature_id,
+                "key": tree.key,
+                "center": list(tree.center),
+                "tree": graph_to_columns(tree.tree, interner),
+                "gids": put_column(gids),
+            }
+        else:
+            assert isinstance(tree, ShrunkTree)
+            kind, entry = SHRUNK, {"key": tree.key, "gids": put_column(gids)}
+            if base:
+                entry.update(
+                    cover=list(tree.cover), tree=graph_to_columns(tree.tree, interner)
+                )
+        header.setdefault(kind, []).append(entry)
+    header["labels"] = [encode_label(label) for label in interner.labels()]
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     # Pad the header with spaces (JSON-transparent) so the payload
     # starts 8-byte aligned — every column offset is payload-relative
@@ -495,19 +521,9 @@ def write_segment(
         handle.write(bytes(payload))
 
 
-def feature_payloads(features: Iterable["FeatureTree"]) -> List[FeaturePayload]:
-    """Segment payloads of features, merged (tombstones folded out)."""
-    return [
-        (f.feature_id, f.key, tuple(f.center), f.tree, list(f.store.graph_ids()))
-        for f in features
-    ]
-
-
-def shrunk_payloads(shrunk: Iterable["ShrunkTree"]) -> List[ShrunkPayload]:
-    """Segment payloads of exception lists, merged (tombstones folded out)."""
-    return [
-        (t.key, t.tree, t.cover, list(t.store.graph_ids())) for t in shrunk
-    ]
+def tree_payloads(trees: Iterable[IndexedTree]) -> List[TreePayload]:
+    """Segment payloads of ``trees``, merged (tombstones folded out)."""
+    return [(tree, list(tree.store.graph_ids())) for tree in trees]
 
 
 # ----------------------------------------------------------------------
@@ -594,10 +610,9 @@ def write_manifest(root: Union[str, Path], manifest: Dict[str, Any]) -> None:
 def initialize_directory(
     root: Union[str, Path],
     graphs: Sequence[LabeledGraph],
-    features: Sequence[FeaturePayload],
+    trees: Sequence[TreePayload],
     next_graph_id: int,
     extra: Optional[Dict[str, Any]] = None,
-    shrunk: Sequence[ShrunkPayload] = (),
 ) -> None:
     """Create (or overwrite) a v3 directory with one base segment.
 
@@ -610,7 +625,7 @@ def initialize_directory(
     for stale in sorted(root.glob("*.seg")) + sorted(root.glob("*.tmp")):
         stale.unlink()
     name = "seg-000000.seg"
-    write_segment(root / name, graphs, features, shrunk)
+    write_segment(root / name, graphs, trees, base=True)
     manifest: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -629,24 +644,6 @@ def initialize_directory(
 # ----------------------------------------------------------------------
 # LSM id sets
 # ----------------------------------------------------------------------
-def _live_ids(
-    layers: Sequence[Tuple[int, PostingList]],
-    pending: Iterable[int],
-    tombstones: Mapping[int, int],
-) -> PostingList:
-    """The live ids of LSM layers: ``layers − tombstones ∪ pending``."""
-    if len(layers) == 1 and not pending and not tombstones:
-        # Single layer, nothing buffered, nothing deleted anywhere: hand
-        # out the layer's own (possibly mmap-backed) column.
-        return layers[0][1]
-    live = set(pending)
-    for epoch, ids in layers:
-        for gid in ids:
-            if epoch >= tombstones.get(gid, 0):
-                live.add(gid)
-    return PostingList.from_buffer(id_array(sorted(live)))
-
-
 class LsmIdStore:
     """One id set over LSM layers: id layers − tombstones ∪ memtable.
 
@@ -654,13 +651,11 @@ class LsmIdStore:
     (:class:`~repro.core.feature.FeatureTree`) and an exception list
     (:class:`~repro.core.feature.ShrunkTree`) on a v3 index.  Layers are
     immutable posting lists (usually mmap-backed) tagged with the
-    **epoch** — the global segment index they were flushed at.  A graph
-    id in layer ``j`` is live iff ``j >= tombstones.get(gid, 0)``:
-    deleting records the then-current segment count as the gid's epoch,
-    killing everything older while leaving later re-inserts visible.
-    The memtable holds unflushed ids and is always live (deletes pop it
-    immediately).  :meth:`graph_ids` merges these when called and keeps
-    nothing: queries read the owning tree's bitmap instead.
+    **epoch** — the global segment index they were flushed at — and
+    :func:`live_ids` drops what tombstones killed.  The memtable holds
+    unflushed ids and is always live (deletes pop it immediately).
+    :meth:`graph_ids` merges these when called and keeps nothing:
+    queries read the owning tree's bitmap instead.
     """
 
     __slots__ = ("_tomb", "_layers", "_mem")
@@ -675,21 +670,28 @@ class LsmIdStore:
         """The unflushed memtable."""
         return self._mem
 
-    @property
-    def has_layers(self) -> bool:
-        return bool(self._layers)
-
     def flush_to_layer(self, epoch: int, ids: PostingList) -> None:
-        self._layers.append((epoch, ids))
+        """Swap the memtable for ``ids``, flushed at ``epoch``; an empty
+        column adds no layer."""
+        if len(ids):
+            self._layers.append((epoch, ids))
         self._mem = set()
 
-    def reset_layers(self, layers: Iterable[Tuple[int, PostingList]]) -> None:
-        self._layers = list(layers)
+    def reset_layers(self) -> None:
+        """Drop every layer and the memtable (a compaction folded them)."""
+        self._layers = []
         self._mem = set()
 
     def graph_ids(self) -> PostingList:
         """The live ids, merged now."""
-        return _live_ids(self._layers, self._mem, self._tomb)
+        layers = self._layers
+        if len(layers) == 1 and not self._mem and not self._tomb:
+            # Single layer, nothing buffered, nothing deleted anywhere:
+            # hand out the layer's own (possibly mmap-backed) column.
+            return layers[0][1]
+        live = set(self._mem)
+        live.update(live_ids(layers, self._tomb))
+        return PostingList.from_buffer(id_array(sorted(live)))
 
     def add_graph(self, gid: int) -> None:
         if gid < 0:
@@ -823,10 +825,12 @@ class SegmentGraphDatabase(GraphDatabase):
         live_list = self._live
         if live_list is None:
             live = set(self._overlay)
-            for layer, segment in enumerate(self._segments):
-                for gid in segment.graph_gids():
-                    if layer >= self._tomb.get(gid, 0):
-                        live.add(gid)
+            live.update(
+                live_ids(
+                    enumerate(segment.graph_gids() for segment in self._segments),
+                    self._tomb,
+                )
+            )
             live_list = sorted(live)
             self._live = live_list
         return live_list
@@ -849,6 +853,13 @@ class SegmentGraphDatabase(GraphDatabase):
 # ----------------------------------------------------------------------
 # LSM orchestration
 # ----------------------------------------------------------------------
+def _lsm(tree: IndexedTree) -> LsmIdStore:
+    """The LSM store of a tree that a segment store maintains."""
+    store = tree.store
+    assert isinstance(store, LsmIdStore)
+    return store
+
+
 @dataclass
 class CompactionPlan:
     """A fully merged segment staged in a temp file, awaiting commit.
@@ -909,8 +920,10 @@ class SegmentStore:
         self._compact_threshold = compact_threshold
         self._dirty_ops = 0
         self._db: Optional[SegmentGraphDatabase] = None
-        self._features: List["FeatureTree"] = []
-        self._shrunk: List["ShrunkTree"] = []
+        self._features: List[FeatureTree] = []
+        self._shrunk: List[ShrunkTree] = []
+        # Trees no segment holds a record of yet: features insert made.
+        self._unwritten: Set[IndexedTree] = set()
 
     @classmethod
     def open(
@@ -943,11 +956,32 @@ class SegmentStore:
             compact_threshold=compact_threshold,
         )
 
+    def open_trees(self) -> Tuple[List[FeatureTree], List[ShrunkTree]]:
+        """Every indexed tree of the directory, features sorted by id.
+
+        Each tree is built from the first entry naming it, which must
+        define it, and its :class:`LsmIdStore` gets one layer per
+        segment whose column for it holds ids.  Header-only: no column
+        page is read.
+        """
+        trees: Dict[Tuple[str, str], IndexedTree] = {}
+        for epoch, segment in enumerate(self._segments):
+            for entry in segment.entries():
+                if (entry.kind, entry.key) not in trees:
+                    trees[entry.kind, entry.key] = segment.define_tree(
+                        entry, LsmIdStore(self.tombstones)
+                    )
+            self._feed(epoch, segment, trees)
+        features = [t for t in trees.values() if isinstance(t, FeatureTree)]
+        features.sort(key=lambda f: f.feature_id)
+        shrunk = [t for t in trees.values() if isinstance(t, ShrunkTree)]
+        return features, shrunk
+
     def attach(
         self,
         db: SegmentGraphDatabase,
-        features: List["FeatureTree"],
-        shrunk: Sequence["ShrunkTree"] = (),
+        features: List[FeatureTree],
+        shrunk: Sequence[ShrunkTree] = (),
     ) -> None:
         """Bind the live database/feature objects this store maintains.
 
@@ -1000,9 +1034,7 @@ class SegmentStore:
         for layer, segment in enumerate(self._segments):
             total = segment.graph_count
             live = sum(
-                1
-                for gid in segment.graph_gids()
-                if layer >= self.tombstones.get(gid, 0)
+                1 for _ in live_ids([(layer, segment.graph_gids())], self.tombstones)
             )
             rows.append(
                 {
@@ -1010,7 +1042,9 @@ class SegmentStore:
                     "graphs": total,
                     "live": live,
                     "tombstoned": total - live,
-                    "features": len(segment.feature_entries()),
+                    "features": sum(
+                        entry.kind == FEATURES for entry in segment.entries()
+                    ),
                     "bytes": segment.nbytes(),
                 }
             )
@@ -1019,9 +1053,11 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # write-path hooks (index calls these; engine holds the write lock)
     # ------------------------------------------------------------------
-    def adopt_feature(self, feature: "FeatureTree") -> None:
-        """Back a freshly materialized feature with an (empty) LSM store."""
+    def adopt_feature(self, feature: FeatureTree) -> None:
+        """Back a freshly materialized feature with an (empty) LSM store;
+        the next flush writes its record."""
         feature.store = LsmIdStore(self.tombstones)
+        self._unwritten.add(feature)
 
     def note_insert(self) -> None:
         self._dirty_ops += 1
@@ -1038,64 +1074,39 @@ class SegmentStore:
     def flush(self) -> bool:
         """Persist buffered state: write a delta segment, sync the manifest.
 
-        The delta carries the overlay graphs plus every feature with a
-        non-empty memtable — and every feature with *no* layer yet, even
-        if its memtable is empty, so a feature materialized by an insert
-        whose graph was deleted before the flush still survives reopen
-        (the σ(1)=1 completeness floor must not silently lose keys).
-        Exception lists with a non-empty memtable ride along.
-        Pure-tombstone churn needs no new segment; the manifest rewrite
-        alone persists it.  Returns True when a segment was written.
+        The delta carries the overlay graphs and every tree with buffered
+        ids or with no record in any segment yet, so a feature that an
+        insert materialized survives reopen even when its graph was
+        deleted before the flush (the σ(1)=1 completeness floor must not
+        silently lose keys).  Pure-tombstone churn needs no new segment;
+        the manifest rewrite alone persists it.  Returns True when a
+        segment was written.
         """
         db = self._db
         if db is None:
             raise SerializationError("segment store is not attached yet")
         overlay = db.overlay_graphs()
-        include = [
-            feature
-            for feature in self._features
-            if isinstance(feature.store, LsmIdStore)
-            and (feature.store.pending or not feature.store.has_layers)
-        ]
-        lists = [
-            shrunk
-            for shrunk in self._shrunk
-            if isinstance(shrunk.store, LsmIdStore) and shrunk.store.pending
+        trees = [
+            tree
+            for tree in self._trees()
+            if _lsm(tree).pending or tree in self._unwritten
         ]
         wrote = False
-        if overlay or include or lists:
+        if overlay or trees:
             epoch = len(self._segments)
             name = f"seg-{self._manifest['next_segment']:06d}.seg"
             self._manifest["next_segment"] += 1
-            payloads: List[FeaturePayload] = [
-                (
-                    feature.feature_id,
-                    feature.key,
-                    tuple(feature.center),
-                    feature.tree,
-                    sorted(feature.store.pending),
-                )
-                for feature in include
-            ]
             write_segment(
                 self.root / name,
                 overlay,
-                payloads,
-                [(t.key, None, (), sorted(t.store.pending)) for t in lists],
+                [(tree, sorted(_lsm(tree).pending)) for tree in trees],
+                base=False,
             )
             segment = Segment(self.root / name)
             self._segments.append(segment)
             self._manifest["segments"].append(name)
-            by_key = {entry.key: entry for entry in segment.feature_entries()}
-            for feature in include:
-                assert isinstance(feature.store, LsmIdStore)
-                feature.store.flush_to_layer(
-                    epoch, by_key[feature.key].open_store()
-                )
-            columns = self._exception_columns(segment)
-            for shrunk in lists:
-                assert isinstance(shrunk.store, LsmIdStore)
-                shrunk.store.flush_to_layer(epoch, columns[shrunk.key])
+            self._feed(epoch, segment, {_ident(tree): tree for tree in trees})
+            self._unwritten.clear()
             db.note_flushed()
             wrote = True
         self._sync_manifest()
@@ -1106,8 +1117,8 @@ class SegmentStore:
         """Merge everything into a temp segment file (read-lock safe).
 
         A full checkpoint: live graphs (overlay included) and the fully
-        merged support column of every feature (memtables included,
-        tombstones folded out).  Touches no visible state — the caller
+        merged column of every tree (memtables included, tombstones
+        folded out).  Touches no visible state — the caller
         commits under the write lock after its generation check, or
         discards the plan.  Returns None when there is nothing to fold.
         """
@@ -1119,12 +1130,7 @@ class SegmentStore:
         live = db.graph_ids()
         graphs = [db[gid] for gid in live]
         tmp = self.root / "compact-pending.tmp"
-        write_segment(
-            tmp,
-            graphs,
-            feature_payloads(self._features),
-            shrunk_payloads(self._shrunk),
-        )
+        write_segment(tmp, graphs, tree_payloads(self._trees()), base=True)
         return CompactionPlan(tmp_path=tmp, live_graphs=len(live))
 
     def commit_compaction(self, plan: CompactionPlan) -> None:
@@ -1149,15 +1155,11 @@ class SegmentStore:
         self._segments[:] = [segment]
         self._manifest["segments"] = [name]
         self.tombstones.clear()
-        by_key = {entry.key: entry for entry in segment.feature_entries()}
-        for feature in self._features:
-            assert isinstance(feature.store, LsmIdStore)
-            feature.store.reset_layers([(0, by_key[feature.key].open_store())])
-        columns = self._exception_columns(segment)
-        for shrunk in self._shrunk:
-            assert isinstance(shrunk.store, LsmIdStore)
-            ids = columns[shrunk.key]
-            shrunk.store.reset_layers([(0, ids)] if ids else [])
+        trees = {_ident(tree): tree for tree in self._trees()}
+        for tree in trees.values():
+            _lsm(tree).reset_layers()
+        self._feed(0, segment, trees)
+        self._unwritten.clear()
         db.note_compacted()
         for old in old_segments:
             old.close()
@@ -1177,12 +1179,18 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _trees(self) -> Iterator[IndexedTree]:
+        return chain(self._features, self._shrunk)
+
     @staticmethod
-    def _exception_columns(segment: Segment) -> Dict[str, PostingList]:
-        return {
-            entry.key: PostingList.from_buffer(entry.gids)
-            for entry in segment.shrunk_entries()
-        }
+    def _feed(
+        epoch: int, segment: Segment, trees: Mapping[Tuple[str, str], IndexedTree]
+    ) -> None:
+        """Give each tree of ``segment`` its column there as layer ``epoch``."""
+        for entry in segment.entries():
+            _lsm(trees[entry.kind, entry.key]).flush_to_layer(
+                epoch, PostingList.from_buffer(entry.gids)
+            )
 
     def _sync_manifest(self) -> None:
         db = self._db

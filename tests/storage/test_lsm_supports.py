@@ -131,3 +131,47 @@ def test_supports_match_the_scan_after_every_operation(seed, tmp_path):
     finally:
         index.segment_store.close()
     assert all(kinds.values()), kinds
+
+
+def test_flush_writes_only_trees_with_new_ids_or_no_record(tmp_path):
+    """A flush carries a tree when it has buffered ids or when no segment
+    holds its record yet; a feature whose base column is empty keeps its
+    record in the base, so the first flush after a reopen leaves it out."""
+    db, _ = make_corpus("chemical", 101)
+    root = tmp_path / "segments"
+    save_index(TreePiIndex.build(db, CONFIG), root, version=3)
+    fresh = db[0].copy()
+    fresh.add_edge(fresh.add_vertex("Xq"), 0, 1)
+    index = load_index(root)
+    try:
+        gid = index.insert(fresh)
+        (key,) = [f.key for f in index.features if "Xq" in f.key]
+        index.delete(gid)
+        assert index.flush_segments()
+        delta = index.segment_store.segments[-1]
+        assert key in {entry.key for entry in delta.entries()}
+        index.commit_compaction(index.prepare_compaction())
+    finally:
+        index.segment_store.close()
+
+    index = load_index(root)
+    try:
+        assert [f.support for f in index.features if f.key == key] == [0]
+        gid = index.insert(db[1].copy())
+        assert index.flush_segments()
+        delta = index.segment_store.segments[-1]
+        carried = {entry.key for entry in delta.entries()}
+        assert key not in carried
+        assert all(
+            gid in tree.store.graph_ids()
+            for tree in index.features + index.shrunk
+            if tree.key in carried
+        )
+    finally:
+        index.segment_store.close()
+
+    index = load_index(root)
+    try:
+        assert [f.support for f in index.features if f.key == key] == [0]
+    finally:
+        index.segment_store.close()
