@@ -416,7 +416,9 @@ def save_segment_index(index: TreePiIndex, root: Union[str, Path]) -> None:
 
     The base segment holds every live graph and the fully merged
     column of every feature and exception list, so saving an
-    LSM-maintained index is also an offline compaction.
+    LSM-maintained index is also an offline compaction.  Saving over an
+    existing directory is crash-safe (see
+    :func:`~repro.storage.segments.initialize_directory`).
     """
     db = index.database
     ids = db.graph_ids()

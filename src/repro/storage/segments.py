@@ -8,8 +8,9 @@ hand out zero-copy :class:`MmapColumn` views in place of heap ``array``
 columns (:meth:`~repro.storage.posting.PostingList.from_buffer` adopts
 them).  Segments written by earlier builds also carry per-feature
 ``offsets`` and ``centers`` columns (center locations); readers skip
-them.  Opening is O(metadata): the
-header is parsed eagerly, column pages fault in only when a read
+them.  Opening is O(metadata): the header is parsed eagerly and every
+column descriptor is checked against the mapped size (a truncated file
+is refused at open), while column pages fault in only when a read
 touches them (``Segment.columns_touched`` counts first touches, which
 is what the cold-open benchmark gate asserts on).
 
@@ -61,7 +62,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import (
     Any,
@@ -248,7 +249,9 @@ class Segment:
             gdesc = header["graphs"]
             self._graph_gids = self._column(gdesc["gids"])
             self._graph_blob_index = self._column(gdesc["blob_index"])
-            self._blob_offset = self._payload_start + gdesc["blob"]["o"]
+            blob = gdesc["blob"]
+            self._check_extent(blob["o"], blob["len"], "graph blob")
+            self._blob_offset = self._payload_start + blob["o"]
             self._entries = [
                 SegmentEntry(
                     kind=kind,
@@ -297,9 +300,28 @@ class Segment:
         return header
 
     def _column(self, desc: Dict[str, Any]) -> MmapColumn:
-        column = MmapColumn(self, desc["o"], desc["n"], desc["t"])
+        offset, length = desc["o"], desc["n"]
+        column = MmapColumn(self, offset, length, desc["t"])
+        self._check_extent(offset, length * column.itemsize, "column")
         self._columns.append(column)
         return column
+
+    def _check_extent(self, offset: Any, nbytes: Any, what: str) -> None:
+        """Refuse a payload region the mapped file does not hold whole.
+
+        Header arithmetic only, so it faults no column page: a truncated
+        or corrupt file fails at open, naming itself, instead of reading
+        short columns later.
+        """
+        if type(offset) is not int or type(nbytes) is not int:
+            raise TypeError(f"{what} extent ({offset!r}, {nbytes!r})")
+        end = self._payload_start + offset + nbytes
+        if offset < 0 or nbytes < 0 or offset % _ALIGN or end > len(self._mm):
+            raise SerializationError(
+                f"truncated or corrupt segment {self.path}: {what} of "
+                f"{nbytes} bytes at payload offset {offset} ends at byte "
+                f"{end} of a {len(self._mm)}-byte file"
+            )
 
     def _column_view(self, offset: int, nbytes: int, typecode: str) -> memoryview:
         if self._closed:
@@ -607,6 +629,11 @@ def write_manifest(root: Union[str, Path], manifest: Dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
+def segment_name(number: int) -> str:
+    """The file name of segment ``number``."""
+    return f"seg-{number:06d}.seg"
+
+
 def initialize_directory(
     root: Union[str, Path],
     graphs: Sequence[LabeledGraph],
@@ -614,24 +641,29 @@ def initialize_directory(
     next_graph_id: int,
     extra: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Create (or overwrite) a v3 directory with one base segment.
+    """Create a v3 directory with one base segment, or overwrite one.
 
-    Stale segment files from a previous save are removed first; the
-    manifest is written last, atomically, so a crash mid-save never
-    yields a directory whose manifest references missing data.
+    Crash-safe: the base goes to a temp file that is renamed to the
+    first segment name no file in ``root`` has (``seg-000000.seg`` in a
+    fresh directory), so no segment the old manifest names is touched.
+    The manifest swap (temp + rename) then publishes the new directory,
+    and only after it are the segments the new manifest does not name
+    removed.  A crash at any point leaves the old directory or the new
+    one, each loadable.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    for stale in sorted(root.glob("*.seg")) + sorted(root.glob("*.tmp")):
-        stale.unlink()
-    name = "seg-000000.seg"
-    write_segment(root / name, graphs, trees, base=True)
+    number = next(n for n in count() if not (root / segment_name(n)).exists())
+    name = segment_name(number)
+    tmp = root / f"{name}.tmp"
+    write_segment(tmp, graphs, trees, base=True)
+    os.replace(tmp, root / name)
     manifest: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "byteorder": sys.byteorder,
         "segments": [name],
-        "next_segment": 1,
+        "next_segment": number + 1,
         "graphs": len(graphs),
         "next_graph_id": next_graph_id,
         "tombstones": {},
@@ -639,6 +671,9 @@ def initialize_directory(
     if extra:
         manifest.update(extra)
     write_manifest(root, manifest)
+    for stale in sorted(root.glob("*.seg")) + sorted(root.glob("*.tmp")):
+        if stale.name != name:
+            stale.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -1094,7 +1129,7 @@ class SegmentStore:
         wrote = False
         if overlay or trees:
             epoch = len(self._segments)
-            name = f"seg-{self._manifest['next_segment']:06d}.seg"
+            name = segment_name(self._manifest["next_segment"])
             self._manifest["next_segment"] += 1
             write_segment(
                 self.root / name,
@@ -1145,7 +1180,7 @@ class SegmentStore:
         db = self._db
         if db is None:
             raise SerializationError("segment store is not attached yet")
-        name = f"seg-{self._manifest['next_segment']:06d}.seg"
+        name = segment_name(self._manifest["next_segment"])
         self._manifest["next_segment"] += 1
         final = self.root / name
         os.replace(plan.tmp_path, final)

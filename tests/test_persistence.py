@@ -422,6 +422,123 @@ class TestMalformedSegments:
         assert str(root / "seg-000009.seg") in message
         assert len(maps) == 1 and maps[0].closed
 
+    @pytest.fixture(scope="class")
+    def aids30(self):
+        from repro.datasets import generate_aids_like
+
+        return TreePiIndex.build(
+            generate_aids_like(30, seed=3),
+            TreePiConfig(SupportFunction(2, 2.0, 4), seed=5),
+        )
+
+    @pytest.mark.parametrize("cut", [1, 4, 8, 100, 1000, 5000])
+    def test_truncated_segment(self, aids30, tmp_path, monkeypatch, cut):
+        """Refused at open, before any column is read short."""
+        root, segment = self._segment(aids30, tmp_path)
+        data = segment.read_bytes()
+        assert len(data) > 2 * 5000
+        segment.write_bytes(data[:-cut])
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(segment) in message and "truncated" in message
+        assert len(maps) == 1 and maps[0].closed
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d.update(o=d["o"] + 4), id="misaligned"),
+            pytest.param(lambda d: d.update(o=-8), id="negative-offset"),
+            pytest.param(lambda d: d.update(n=d["n"] + 10**6), id="past-the-end"),
+        ],
+    )
+    def test_column_descriptor_outside_the_file(
+        self, small_index, tmp_path, monkeypatch, edit
+    ):
+        import struct
+
+        from repro.storage.segments import MAGIC
+
+        root, segment = self._segment(small_index, tmp_path)
+        data = segment.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start : start + header_len])
+        edit(header["features"][0]["gids"])
+        body = json.dumps(header).encode("utf-8")
+        body += b" " * (-(start + len(body)) % 8)
+        segment.write_bytes(
+            MAGIC + struct.pack("<Q", len(body)) + body + data[start + header_len :]
+        )
+        maps, message = self._load_recording_maps(root, monkeypatch)
+        assert str(segment) in message and "column" in message
+        assert len(maps) == 1 and maps[0].closed
+
+
+class TestSaveOverV3Directory:
+    """Saving over a v3 directory never leaves it unloadable."""
+
+    @staticmethod
+    def _maintained(small_index, root):
+        """A directory whose manifest names a compacted ``seg-000002.seg``."""
+        save_index(small_index, root, version=3)
+        index = load_index(root)
+        try:
+            index.insert(index.database[0].copy())
+            index.flush_segments()
+            index.commit_compaction(index.prepare_compaction())
+        finally:
+            index.segment_store.close()
+        assert json.loads((root / "manifest.json").read_text())["segments"] == [
+            "seg-000002.seg"
+        ]
+
+    def test_failed_manifest_swap_keeps_the_old_directory(
+        self, small_index, tmp_path, monkeypatch
+    ):
+        from repro.baselines import SequentialScan
+        from repro.datasets import generate_aids_like
+        from repro.storage import segments
+
+        root = tmp_path / "seg"
+        self._maintained(small_index, root)
+        other = TreePiIndex.build(generate_aids_like(8, seed=4), small_index.config)
+
+        def failing_write(root, manifest):
+            raise OSError("simulated crash before the manifest swap")
+
+        monkeypatch.setattr(segments, "write_manifest", failing_write)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_index(other, root, version=3)
+        monkeypatch.undo()
+
+        index = load_index(root)
+        try:
+            scan = SequentialScan(index.database)
+            queries = list(extract_query_workload(index.database, 3, 6, seed=2))
+            assert len(index.database) == len(small_index.database) + 1
+            for query in queries:
+                assert index.query(query).matches == scan.support_set(query)
+        finally:
+            index.segment_store.close()
+
+    def test_save_over_removes_what_the_new_manifest_does_not_name(
+        self, small_index, tmp_path
+    ):
+        root = tmp_path / "seg"
+        self._maintained(small_index, root)
+        save_index(small_index, root, version=3)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["segments"] == ["seg-000000.seg"]
+        assert manifest["next_segment"] == 1
+        assert sorted(p.name for p in root.iterdir()) == [
+            "manifest.json",
+            "seg-000000.seg",
+        ]
+        index = load_index(root)
+        try:
+            assert len(index.database) == len(small_index.database)
+        finally:
+            index.segment_store.close()
+
 
 class TestDecodeErrorsNameTheFile:
     """A graph or tree record the graph layer refuses (a GraphError while
