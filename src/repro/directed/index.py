@@ -29,6 +29,11 @@ class DirectedGraphDatabase:
         for g in graphs:
             self.add(g)
 
+    @property
+    def next_id(self) -> int:
+        """The id the next :meth:`add` assigns."""
+        return self._next_id
+
     def add(self, graph: DirectedLabeledGraph) -> int:
         gid = self._next_id
         self._next_id += 1
@@ -113,17 +118,19 @@ class DirectedTreePiIndex:
 
     # ------------------------------------------------------------------
     def insert(self, graph: DirectedLabeledGraph) -> int:
-        """Section 7.1 maintenance, routed through the reduction."""
-        gid = self._db.add(graph)
-        skeleton = subdivide(graph)
-        inner_gid = self._inner.insert(skeleton)
-        if inner_gid != gid:
-            raise IndexError_("directed/undirected id drift during insert")
-        return gid
+        """Section 7.1 maintenance, routed through the reduction.
+
+        The skeleton goes into the undirected index first, under the id
+        the directed database assigns next, and the graph is recorded
+        only once that succeeds: a failed insert changes neither.
+        """
+        gid = self._db.next_id
+        self._inner.insert(subdivide(graph), graph_id=gid)
+        return self._db.add(graph)
 
     def delete(self, graph_id: int) -> None:
-        self._db.remove(graph_id)
         self._inner.delete(graph_id)
+        self._db.remove(graph_id)
 
     @property
     def churn_fraction(self) -> float:

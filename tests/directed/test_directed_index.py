@@ -5,12 +5,14 @@ import random
 import pytest
 
 from repro.core import TreePiConfig
+from repro.core import treepi as treepi_module
 from repro.directed import (
     DirectedGraphDatabase,
     DirectedLabeledGraph,
     DirectedTreePiIndex,
     extract_directed_query,
     generate_document,
+    directed_monomorphisms,
     generate_xml_like,
     is_directed_subgraph_isomorphic,
 )
@@ -105,3 +107,78 @@ class TestMaintenance:
         assert rebuilt.churn_fraction == 0
         query = extract_directed_query(db, 2, rng)
         assert rebuilt.query(query).matches == brute_force(db, query)
+
+
+class InjectedFault(Exception):
+    """The failure a test plants inside the undirected insert's matching."""
+
+
+class TestInsertAtomicity:
+    """A failed insert leaves both databases as they were.
+
+    The fault is raised at each feature match of one insert in turn.
+    """
+
+    CONFIG = TreePiConfig(SupportFunction(2, 2.0, 3), gamma=1.1, seed=6)
+
+    @staticmethod
+    def _state(index):
+        inner = index._inner.database
+        return (
+            tuple(index.database.graph_ids()),
+            tuple(inner.graph_ids()),
+            index.churn_fraction,
+        )
+
+    @staticmethod
+    def _assert_scan_answers(index, queries):
+        for query in queries:
+            expected = frozenset(
+                g.graph_id
+                for g in index.database
+                if any(directed_monomorphisms(query, g, limit=1))
+            )
+            assert index.query(query).matches == expected
+
+    def test_a_failed_insert_changes_nothing(self, monkeypatch):
+        db = generate_xml_like(20, seed=1)
+        index = DirectedTreePiIndex.build(db, self.CONFIG)
+        rng = random.Random(4)
+        queries = [extract_directed_query(db, m, rng) for m in (1, 2, 3, 4)]
+        donor = generate_document(random.Random(9), 10)
+
+        real = treepi_module.subgraph_monomorphisms
+        twin = DirectedTreePiIndex.build(generate_xml_like(20, seed=1), self.CONFIG)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(treepi_module, "subgraph_monomorphisms", counting)
+        twin_gid = twin.insert(donor.copy())
+        assert len(calls) > 3
+
+        before = self._state(index)
+        for at in range(len(calls)):
+            seen = []
+
+            def failing(*args, **kwargs):
+                if len(seen) == at:
+                    raise InjectedFault(f"match call {at}")
+                seen.append(None)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(treepi_module, "subgraph_monomorphisms", failing)
+            with pytest.raises(InjectedFault):
+                index.insert(donor.copy())
+            assert self._state(index) == before, at
+        monkeypatch.setattr(treepi_module, "subgraph_monomorphisms", real)
+        self._assert_scan_answers(index, queries)
+
+        assert index.insert(donor.copy()) == twin_gid
+        assert self._state(index) == self._state(twin)
+        self._assert_scan_answers(index, queries)
+        index.delete(twin_gid)
+        ids, inner_ids, _ = self._state(index)
+        assert ids == inner_ids == before[0]
