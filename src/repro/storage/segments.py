@@ -19,9 +19,11 @@ Features and the γ-shrunk trees' exception lists (both
 entry type (:class:`SegmentEntry`), one payload type
 (:data:`TreePayload`) and one loop per stage of write, flush,
 compaction and open.  The header keeps them in its ``"features"`` and
-``"shrunk"`` lists; a feature's entry carries its record in every
-segment, an exception list's only in a base segment (a delta's entry
-extends the base's list).  A segment without ``"shrunk"`` has no lists.
+``"shrunk"`` lists.  An entry carries the tree's record only in the
+segment that defines the tree: a base defines every tree, a delta only
+the features an insert made since the last flush.  Every other delta
+entry is a ``key`` and its ``gids``, extending a tree an earlier
+segment defines.  A segment without ``"shrunk"`` has no lists.
 
 Maintenance is LSM-style.  ``insert`` buffers new graphs in the
 database overlay and new ids in the trees' memtables; ``delete``
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
 from typing import (
+    AbstractSet,
     Any,
     Dict,
     Iterable,
@@ -456,7 +459,7 @@ def write_segment(
     path: Union[str, Path],
     graphs: Sequence[LabeledGraph],
     trees: Sequence[TreePayload],
-    base: bool,
+    defines: Optional[AbstractSet[IndexedTree]] = None,
 ) -> None:
     """Write one immutable segment file.
 
@@ -464,8 +467,10 @@ def write_segment(
     features, then the exception lists, each with its sorted ids.  The
     label interner is filled in canonical order (graphs first, then the
     trees' records, in the given order), so identical inputs produce
-    byte-identical files.  An exception list's tree and cover are
-    written only to a ``base`` segment.
+    byte-identical files.  A tree's record (a feature's id, center and
+    tree; a list's cover and tree) is written only when this segment
+    defines the tree: every tree when ``defines`` is None (a base
+    segment), else the trees in ``defines``.
     """
     interner = LabelInterner()
     gid_list: List[int] = []
@@ -510,20 +515,24 @@ def write_segment(
         FEATURES: [],
     }
     for tree, gids in trees:
+        define = defines is None or tree in defines
         kind: str
-        entry: Dict[str, Any]
+        entry: Dict[str, Any] = {"key": tree.key}
         if isinstance(tree, FeatureTree):
-            kind, entry = FEATURES, {
-                "id": tree.feature_id,
-                "key": tree.key,
-                "center": list(tree.center),
-                "tree": graph_to_columns(tree.tree, interner),
-                "gids": put_column(gids),
-            }
+            kind = FEATURES
+            if define:
+                entry = {
+                    "id": tree.feature_id,
+                    "key": tree.key,
+                    "center": list(tree.center),
+                    "tree": graph_to_columns(tree.tree, interner),
+                }
+            entry["gids"] = put_column(gids)
         else:
             assert isinstance(tree, ShrunkTree)
-            kind, entry = SHRUNK, {"key": tree.key, "gids": put_column(gids)}
-            if base:
+            kind = SHRUNK
+            entry["gids"] = put_column(gids)
+            if define:
                 entry.update(
                     cover=list(tree.cover), tree=graph_to_columns(tree.tree, interner)
                 )
@@ -656,7 +665,7 @@ def initialize_directory(
     number = next(n for n in count() if not (root / segment_name(n)).exists())
     name = segment_name(number)
     tmp = root / f"{name}.tmp"
-    write_segment(tmp, graphs, trees, base=True)
+    write_segment(tmp, graphs, trees)
     os.replace(tmp, root / name)
     manifest: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
@@ -1135,7 +1144,7 @@ class SegmentStore:
                 self.root / name,
                 overlay,
                 [(tree, sorted(_lsm(tree).pending)) for tree in trees],
-                base=False,
+                defines=self._unwritten,
             )
             segment = Segment(self.root / name)
             self._segments.append(segment)
@@ -1165,7 +1174,7 @@ class SegmentStore:
         live = db.graph_ids()
         graphs = [db[gid] for gid in live]
         tmp = self.root / "compact-pending.tmp"
-        write_segment(tmp, graphs, tree_payloads(self._trees()), base=True)
+        write_segment(tmp, graphs, tree_payloads(self._trees()))
         return CompactionPlan(tmp_path=tmp, live_graphs=len(live))
 
     def commit_compaction(self, plan: CompactionPlan) -> None:

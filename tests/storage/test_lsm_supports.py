@@ -175,3 +175,38 @@ def test_flush_writes_only_trees_with_new_ids_or_no_record(tmp_path):
         assert [f.support for f in index.features if f.key == key] == [0]
     finally:
         index.segment_store.close()
+
+
+def test_a_delta_holds_only_the_records_it_defines(tmp_path):
+    """Each tree's record is in exactly one segment, the first naming it:
+    a delta entry for a tree an earlier segment defines is ``key`` and
+    ``gids`` alone, and the delta that first flushes an insert-made
+    feature holds its record."""
+    db, _ = make_corpus("chemical", 101)
+    root = tmp_path / "segments"
+    save_index(TreePiIndex.build(db, CONFIG), root, version=3)
+    fresh = db[0].copy()
+    fresh.add_edge(fresh.add_vertex("Xq"), 0, 1)
+    index = load_index(root)
+    try:
+        index.insert(fresh)
+        (key,) = [f.key for f in index.features if "Xq" in f.key]
+        assert index.flush_segments()
+        index.insert(db[1].copy())
+        index.insert(fresh.copy())
+        assert index.flush_segments()
+        base, first, second = index.segment_store.segments
+        defined = {
+            (entry.kind, entry.key): entry.record is not None
+            for entry in first.entries()
+        }
+        assert defined == {
+            (entry.kind, entry.key): entry.kind == "features" and entry.key == key
+            for entry in first.entries()
+        }
+        assert defined["features", key]
+        assert len(second.entries()) > 1
+        assert all(entry.record is None for entry in second.entries())
+        assert all(entry.record is not None for entry in base.entries())
+    finally:
+        index.segment_store.close()
