@@ -260,13 +260,6 @@ def check_support_monotone(
             previous = value
 
 
-def verify_support_function(
-    support_fn: Callable[[int], float], max_size: int
-) -> None:
-    """Alias of :func:`check_support_monotone` for symmetry with verify_*."""
-    check_support_monotone(support_fn, max_size)
-
-
 # ----------------------------------------------------------------------
 # self-test (CLI: python -m repro.analysis contracts)
 # ----------------------------------------------------------------------

@@ -67,9 +67,6 @@ class Partition:
         """``|p|`` — number of pieces; smaller is better (Section 5.1)."""
         return len(self.pieces)
 
-    def piece_keys(self) -> List[str]:
-        return [p.key for p in self.pieces]
-
 
 class SubsetMemo(Dict[FrozenSet[Edge], Optional[SubsetForm]]):
     """Per-query memo: edge subset -> (canonical key, center in query

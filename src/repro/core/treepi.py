@@ -936,7 +936,7 @@ class TreePiIndex:
             tree.add_graph(gid, bit)
         self._churn += 1
         if self._segment_store is not None:
-            self._segment_store.note_insert()
+            self._segment_store.note_write()
         return gid
 
     @guarded_by("_serving_lock", mode="write")
@@ -953,7 +953,7 @@ class TreePiIndex:
         self._oracles.pop(graph_id, None)
         self._churn += 1
         if self._segment_store is not None:
-            self._segment_store.note_delete(graph_id)
+            self._segment_store.note_write()
 
     @property
     def churn_fraction(self) -> float:

@@ -787,9 +787,6 @@ class SegmentGraphDatabase(GraphDatabase):
         """Unflushed inserts, sorted by graph id (the flush payload)."""
         return [self._overlay[gid] for gid in sorted(self._overlay)]
 
-    def overlay_count(self) -> int:
-        return len(self._overlay)
-
     def note_flushed(self) -> None:
         """Overlay graphs are now segment-resident; keep them decoded."""
         if len(self._decoded) + len(self._overlay) > _GRAPH_CACHE_LIMIT:
@@ -1103,10 +1100,8 @@ class SegmentStore:
         feature.store = LsmIdStore(self.tombstones)
         self._unwritten.add(feature)
 
-    def note_insert(self) -> None:
-        self._dirty_ops += 1
-
-    def note_delete(self, graph_id: int) -> None:
+    def note_write(self) -> None:
+        """Count one insert or delete toward the next flush."""
         self._dirty_ops += 1
 
     def should_flush(self) -> bool:
